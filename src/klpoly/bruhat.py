@@ -8,19 +8,22 @@ classical dominance criterion and needs no chain search, so a single
 comparison costs O(n^2) after the tables are built.
 
 Covers, intervals and down-sets are computed combinatorially from the
-transposition description of the covering relation.  Down-sets of the
-tops that appear in the polynomial recursion are memoised at module
-level; call :func:`clear_caches` to drop them.
+transposition description of the covering relation.  Intervals and
+down-sets come from one walker, :func:`interval`, which carries the
+rank difference down from the top one cover at a time, so no element
+of the walk needs its own rank table or length.  Down-sets and
+intervals are not memoised; rank tables are, at module level, and
+:func:`clear_caches` drops them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .perm import Perm, format_perm, length
+from .perm import Perm, format_perm, identity, length
 
 _RANK_CACHE: dict[Perm, tuple[tuple[int, ...], ...]] = {}
-_DOWN_CACHE: dict[Perm, tuple[Perm, ...]] = {}
 
 
 def rank_table(w: Perm) -> tuple[tuple[int, ...], ...]:
@@ -112,6 +115,28 @@ def bruhat_leq(x: Perm, w: Perm) -> bool:
     return True
 
 
+def _cover_swaps(w: Perm) -> list[tuple[int, int]]:
+    """0-based position pairs (i, j), i < j, whose exchange in w gives
+    an element covered by w: w(i) > w(j), and no position between them
+    holds a value between w(j) and w(i)."""
+    n = len(w)
+    out: list[tuple[int, int]] = []
+    for i in range(n - 1):
+        wi = w[i]
+        # The largest value below wi seen so far between i and j.
+        floor = 0
+        for j in range(i + 1, n):
+            wj = w[j]
+            if floor < wj < wi:
+                out.append((i, j))
+                floor = wj
+    return out
+
+
+def _swap(w: Perm, i: int, j: int) -> Perm:
+    return w[:i] + (w[j],) + w[i + 1:j] + (w[i],) + w[j + 1:]
+
+
 def covers_down(w: Perm) -> list[Perm]:
     """All z covered by w, i.e. z < w with length(z) = length(w) - 1.
 
@@ -121,17 +146,7 @@ def covers_down(w: Perm) -> list[Perm]:
     >>> sorted(covers_down((3, 2, 1)))
     [(2, 3, 1), (3, 1, 2)]
     """
-    n = len(w)
-    out: list[Perm] = []
-    for i in range(n - 1):
-        wi = w[i]
-        for j in range(i + 1, n):
-            wj = w[j]
-            if wi > wj and not any(wj < w[k] < wi for k in range(i + 1, j)):
-                z = list(w)
-                z[i], z[j] = wj, wi
-                out.append(tuple(z))
-    return out
+    return [_swap(w, i, j) for i, j in _cover_swaps(w)]
 
 
 def covers_up(w: Perm) -> list[Perm]:
@@ -150,69 +165,94 @@ def covers_up(w: Perm) -> list[Perm]:
 
 
 def down_set(w: Perm) -> tuple[Perm, ...]:
-    """Every permutation <= w, found by breadth-first descent through
-    covers.  Memoised per w."""
-    cached = _DOWN_CACHE.get(w)
-    if cached is not None:
-        return cached
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for z in frontier:
-            for y in covers_down(z):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    result = tuple(sorted(seen, key=lambda z: (length(z), z)))
-    _DOWN_CACHE[w] = result
-    return result
+    """Every permutation <= w, ordered by (length, lexicographic).
+
+    This is the walk of :func:`interval` from the identity, so it is
+    recomputed on every call.
+
+    >>> down_set((2, 3, 1))
+    ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1))
+    """
+    return tuple(interval(identity(len(w)), w).sorted_elements())
 
 
 @dataclass(frozen=True)
 class BruhatInterval:
-    """The set of z with bottom <= z <= top, plus its endpoints."""
+    """The set of z with bottom <= z <= top, by length.
+
+    ``layers[k]`` holds the elements of length length(top) - k, so the
+    first layer is (top,) and the last is (bottom,).
+    """
 
     bottom: Perm
     top: Perm
-    elements: frozenset[Perm]
+    layers: tuple[tuple[Perm, ...], ...]
+
+    @cached_property
+    def elements(self) -> frozenset[Perm]:
+        return frozenset(z for layer in self.layers for z in layer)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return sum(len(layer) for layer in self.layers)
 
     def sorted_elements(self) -> list[Perm]:
         """Elements ordered by (length, lexicographic one-line form)."""
-        return sorted(self.elements, key=lambda z: (length(z), z))
+        return [z for layer in reversed(self.layers) for z in sorted(layer)]
 
 
 def interval(x: Perm, w: Perm) -> BruhatInterval:
-    """The Bruhat interval [x, w].
+    """The Bruhat interval [x, w], walked down from w one length at a
+    time.
 
-    Raises ValueError unless x <= w.  The search walks covers downward
-    from w, discarding any element not above x; everything in the
-    interval survives because saturated chains from its members up to w
-    stay inside the interval.
+    Raises ValueError unless x <= w.  Every element z of the walk
+    carries its rank difference d_z = r_z - r_x, which is nonnegative
+    exactly when x <= z.  An element y = z t(i, j) covered by z, with
+    z(i) > z(j), has r_y = r_z - 1 on the rectangle of rows i..j-1 and
+    columns (z(j), z(i)], and r_y = r_z elsewhere, so x <= y exactly
+    when d_z is at least 1 on that rectangle.  No candidate needs a rank table,
+    a length or a comparison of its own.  Nothing is lost by walking
+    only covers that stay above x: a saturated chain from any member up
+    to w stays inside the interval.
 
     >>> iv = interval((1, 2, 3), (3, 2, 1))
     >>> len(iv)
     6
+    >>> iv.layers
+    (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3),))
     """
-    if not bruhat_leq(x, w):
+    if len(x) != len(w):
+        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
+    top_diff = tuple(
+        tuple(b - a for a, b in zip(row_x, row_w))
+        for row_x, row_w in zip(rank_table(x), rank_table(w))
+    )
+    if any(min(row) < 0 for row in top_diff):
         raise ValueError(
             f"not a valid interval: {format_perm(x)} is not <= {format_perm(w)}"
         )
-    members = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for z in frontier:
-            for y in covers_down(z):
-                if y not in members and bruhat_leq(x, y):
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return BruhatInterval(bottom=x, top=w, elements=frozenset(members))
+    layers = [(w,)]
+    diffs = {w: top_diff}
+    # The bottom is the only member of its length, so it ends the walk.
+    while layers[-1][0] != x:
+        below: dict[Perm, tuple[tuple[int, ...], ...]] = {}
+        for z, d in diffs.items():
+            for i, j in _cover_swaps(z):
+                y = _swap(z, i, j)
+                if y in below:
+                    continue
+                lo, hi = z[j], z[i]
+                rows = d[i:j]
+                for row in rows:
+                    if min(row[lo:hi]) < 1:
+                        break
+                else:
+                    below[y] = d[:i] + tuple(
+                        row[:lo] + tuple([v - 1 for v in row[lo:hi]]) + row[hi:]
+                        for row in rows
+                    ) + d[j:]
+        layers.append(tuple(below))
+        diffs = below
+    return BruhatInterval(bottom=x, top=w, layers=tuple(layers))
 
 
 def format_interval(iv: BruhatInterval) -> str:
@@ -301,6 +341,5 @@ def render_picture(x: Perm, w: Perm) -> str:
 
 
 def clear_caches() -> None:
-    """Drop memoised rank tables and down-sets."""
+    """Drop memoised rank tables."""
     _RANK_CACHE.clear()
-    _DOWN_CACHE.clear()

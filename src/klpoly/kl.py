@@ -8,10 +8,13 @@ Then
               - sum over z  mu(z, ws) q^((len(w) - len(z)) / 2) P(x, z)
 
 where c is 1 if x has a descent at s and 0 otherwise, and the sum runs
-over z <= ws with zs < z whose mu-coefficient is nonzero.  The
-mu-coefficient mu(z, y) is the coefficient of q^((len(y)-len(z)-1)/2)
-in P(z, y), taken to be zero when that exponent is not a nonnegative
-integer.
+over z in the Bruhat interval [x, ws] with zs < z whose mu-coefficient
+is nonzero; terms with z outside [x, ws] vanish, since P(x, z) = 0
+unless x <= z.  The interval is walked one length at a time, so the
+parity of len(w) - len(z) is read off the layer and only every other
+layer is visited.  The mu-coefficient mu(z, y) is the coefficient of
+q^((len(y)-len(z)-1)/2) in P(z, y), taken to be zero when that exponent
+is not a nonnegative integer.
 
 Base cases: P(w, w) = 1 and P(x, w) = 0 unless x <= w.  Any descent of
 the top gives the same polynomial; a :class:`KLCache` fixes the choice
@@ -31,10 +34,9 @@ but is not applied inside the recursion).
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
-from .bruhat import bruhat_leq, down_set, interval, rank_table
+from .bruhat import bruhat_leq, interval, rank_table
 from .perm import (
     Perm,
     avoids_pattern,
@@ -166,10 +168,15 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
         return ONE
     if not bruhat_leq(x, w):
         return ZERO
+    return _kl_below(x, w, cache)
+
+
+def _kl_below(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
+    """P(x, w) for a pair already known to satisfy x <= w."""
     if cache.raise_bottoms:
         x = _raise_bottom(x, w)
-        if x == w:
-            return ONE
+    if x == w:
+        return ONE
     key = (x, w)
     found = cache.lookup(key)
     if found is not None:
@@ -179,25 +186,27 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
     ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
     xs = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1:]
     c = 1 if x[i - 1] > x[i] else 0
-    acc = _kl(x, ws, cache).shift(c) + _kl(xs, ws, cache).shift(1 - c)
+    # ws < w and x <= w, so by the lifting property the shorter of x and
+    # xs lies below ws; only the longer one needs a comparison.
+    if c:
+        x_below, xs_below = bruhat_leq(x, ws), True
+    else:
+        x_below, xs_below = True, bruhat_leq(xs, ws)
+    acc = _kl_below(x, ws, cache).shift(c) if x_below else ZERO
+    if xs_below:
+        acc = acc + _kl_below(xs, ws, cache).shift(1 - c)
 
-    len_w = length(w)
-    len_x = length(x)
-    for z in down_set(ws):
-        if z[i - 1] < z[i]:
-            continue
-        len_z = length(z)
-        # The exponent (len(w) - len(z)) / 2 must be a nonnegative
-        # integer for the correction term to exist at all.
-        if len_z < len_x or (len_w - len_z) % 2:
-            continue
-        if not bruhat_leq(x, z):
-            continue
-        m = _mu(z, ws, cache)
-        if m == 0:
-            continue
-        term = _kl(x, z, cache).shift((len_w - len_z) // 2)
-        acc = acc - term * m
+    if x_below:
+        # Layer 2k + 1 of [x, ws] holds the z with len(w) - len(z) =
+        # 2k + 2: the correction exponent is k + 1 and mu(z, ws) is the
+        # coefficient of q^k in P(z, ws).  Even layers have no term.
+        for k, layer in enumerate(interval(x, ws).layers[1::2]):
+            for z in layer:
+                if z[i - 1] < z[i]:
+                    continue
+                m = _kl_below(z, ws, cache).coefficient(k)
+                if m:
+                    acc = acc - _kl_below(x, z, cache).shift(k + 1) * m
 
     cache.store(key, acc)
     return acc
@@ -253,20 +262,18 @@ def check_inversion_identity(
     must be 1 when x = w and 0 otherwise.  Raises ValueError when
     x is not <= w.
     """
-    if not bruhat_leq(x, w):
-        raise ValueError(
-            f"not a valid interval: {format_perm(x)} is not <= {format_perm(w)}"
-        )
+    layers = interval(x, w).layers
     if cache is None:
         cache = KLCache()
     w0 = longest_element(len(x))
     w0x = compose(w0, x)
-    len_w = length(w)
     total = ZERO
-    for z in interval(x, w).elements:
-        sign = -1 if (length(z) + len_w) % 2 else 1
-        term = _kl(z, w, cache) * _kl(compose(w0, z), w0x, cache)
-        total = total + term * sign
+    # Layer k holds the z with len(w) - len(z) = k.
+    for k, layer in enumerate(layers):
+        sign = -1 if k % 2 else 1
+        for z in layer:
+            term = _kl_below(z, w, cache) * _kl_below(compose(w0, z), w0x, cache)
+            total = total + term * sign
     expected = ONE if x == w else ZERO
     return total == expected
 

@@ -7,22 +7,16 @@ recursion, and returns a :class:`VerificationReport`.  Failures are
 collected rather than raised, with both polynomials recorded verbatim,
 so a report is always produced and discrepancies stay auditable.
 
-Cases are independent of one another.  When the environment variable
-``KL_ENGINE_THREADS`` is set to an integer above 1, cases are spread
-over that many worker threads, each owning a private polynomial cache;
-sequential runs use the caller's cache when one is given.  Reports are
-deterministic for a fixed seed and range either way, since failures
-are sorted before emission.
+Cases run one after another, sharing the caller's cache when one is
+given.  Reports are deterministic for a fixed seed and range, since
+failures are sorted before emission.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -105,57 +99,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def worker_count() -> int:
-    """Worker threads requested via KL_ENGINE_THREADS; 0 means run
-    sequentially.  Unset, empty or malformed values also mean 0."""
-    raw = os.environ.get("KL_ENGINE_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return value if value > 1 else 0
-
-
-def _cache_options(cache: Optional[KLCache]) -> dict:
-    if cache is None:
-        return {}
-    return {
-        "descent_strategy": cache.descent_strategy,
-        "raise_bottoms": cache.raise_bottoms,
-        "max_entries": cache.max_entries,
-    }
-
-
 def _run_cases(
     cases: Sequence[_CaseT],
     evaluate: Callable[[_CaseT, KLCache], Optional[Failure]],
     cache: Optional[KLCache],
 ) -> list[Failure]:
-    """Evaluate every case, in the caller's thread or a pool.
-
-    Threaded runs give each worker its own cache configured like the
-    caller's; values for one key never differ, so sharing nothing is
-    the simplest way to honor the cache contract.
-    """
-    threads = worker_count()
-    if threads > 1 and len(cases) > 1:
-        options = _cache_options(cache)
-        local = threading.local()
-
-        def run(case: _CaseT) -> Optional[Failure]:
-            mine = getattr(local, "cache", None)
-            if mine is None:
-                mine = KLCache(**options)
-                local.cache = mine
-            return evaluate(case, mine)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, cases))
-    else:
-        shared = cache if cache is not None else KLCache()
-        results = [evaluate(case, shared) for case in cases]
+    """Evaluate every case with one shared cache; failures sorted by case."""
+    shared = cache if cache is not None else KLCache()
+    results = [evaluate(case, shared) for case in cases]
     return sorted(
         (f for f in results if f is not None), key=lambda f: f.case
     )
@@ -374,7 +325,6 @@ def verify_coatom_bound(
     if case_cap is not None:
         cases = cases[:case_cap]
     notes: list[str] = []
-    note_lock = threading.Lock()
 
     def evaluate(k: int, c: KLCache) -> Optional[Failure]:
         coefficient = closed_form_inverse("x", k, k).coefficient(1)
@@ -388,11 +338,10 @@ def verify_coatom_bound(
         w0 = longest_element(2 * k)
         u, v = compose(w0, top), compose(w0, bottom)
         coatoms = coatom_count(u, v)
-        with note_lock:
-            notes.append(
-                f"k={k}: coefficient {coefficient}, coatoms {coatoms}, "
-                f"ratio {coefficient / coatoms:.3f}"
-            )
+        notes.append(
+            f"k={k}: coefficient {coefficient}, coatoms {coatoms}, "
+            f"ratio {coefficient / coatoms:.3f}"
+        )
         if coefficient > coatoms - 1:
             return Failure(
                 f"k={k} bound",

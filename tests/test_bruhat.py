@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -175,15 +174,41 @@ def test_interval_is_full_group_between_extremes():
         assert len(iv) == len(list(all_perms(n)))
 
 
+def check_layers(iv):
+    """Layer k holds exactly the members of length l(top) - k."""
+    assert iv.layers[0] == (iv.top,)
+    assert iv.layers[-1] == (iv.bottom,)
+    assert len(iv) == len(iv.elements)
+    for k, layer in enumerate(iv.layers):
+        assert layer
+        for z in layer:
+            assert length(z) == length(iv.top) - k
+
+
+def test_interval_walk_matches_brute_force_in_s4():
+    elements = list(all_perms(4))
+    for w in elements:
+        for x in elements:
+            if not naive_leq(x, w):
+                with pytest.raises(ValueError):
+                    interval(x, w)
+                continue
+            iv = interval(x, w)
+            want = {z for z in elements if naive_leq(x, z) and naive_leq(z, w)}
+            assert iv.elements == want
+            check_layers(iv)
+
+
 def test_interval_matches_naive_filter():
     rng = random.Random(9)
     elements = list(all_perms(5))
-    for _ in range(8):
+    for _ in range(40):
         w = rng.choice(elements)
         x = rng.choice([z for z in elements if naive_leq(z, w)])
-        got = interval(x, w).elements
+        iv = interval(x, w)
         want = {z for z in elements if naive_leq(x, z) and naive_leq(z, w)}
-        assert got == want
+        assert iv.elements == want
+        check_layers(iv)
 
 
 def test_interval_rejects_incomparable_pairs():

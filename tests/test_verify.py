@@ -12,7 +12,6 @@ from klpoly.verify import (
     verify_inversion_identity_batch,
     verify_regular_closed_forms,
     verify_smoothness_equivalence,
-    worker_count,
 )
 
 import random
@@ -25,6 +24,14 @@ def test_regular_closed_forms_small():
     report = verify_regular_closed_forms(2)
     assert report.passed
     assert report.cases == 1
+
+
+def test_closed_forms_hold_up_to_nine():
+    # Past the n <= 8 sizes the down-set walk could reach.
+    regular = verify_regular_closed_forms(9)
+    inverse = verify_inverse_closed_forms(9)
+    assert regular.passed and inverse.passed
+    assert regular.cases == inverse.cases == 57
 
 
 def test_regular_closed_forms_full_range():
@@ -141,26 +148,3 @@ def test_random_comparable_pair_is_comparable_and_seeded():
     first = [random_comparable_pair(5, again) for _ in range(5)]
     repeat = [random_comparable_pair(5, random.Random(8)) for _ in range(1)]
     assert first[0] == repeat[0]
-
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("KL_ENGINE_THREADS", raising=False)
-    assert worker_count() == 0
-    monkeypatch.setenv("KL_ENGINE_THREADS", "0")
-    assert worker_count() == 0
-    monkeypatch.setenv("KL_ENGINE_THREADS", "1")
-    assert worker_count() == 0
-    monkeypatch.setenv("KL_ENGINE_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("KL_ENGINE_THREADS", "soup")
-    assert worker_count() == 0
-    monkeypatch.setenv("KL_ENGINE_THREADS", "-2")
-    assert worker_count() == 0
-
-
-def test_threaded_run_agrees_with_sequential(monkeypatch):
-    sequential = verify_regular_closed_forms(5)
-    monkeypatch.setenv("KL_ENGINE_THREADS", "3")
-    threaded = verify_regular_closed_forms(5)
-    assert sequential.passed and threaded.passed
-    assert sequential.cases == threaded.cases
