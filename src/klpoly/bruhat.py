@@ -220,18 +220,13 @@ def interval(x: Perm, w: Perm) -> BruhatInterval:
     >>> iv.layers
     (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3),))
     """
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
-    top_diff = tuple(
-        tuple(b - a for a, b in zip(row_x, row_w))
-        for row_x, row_w in zip(rank_table(x), rank_table(w))
-    )
-    if any(min(row) < 0 for row in top_diff):
+    top_diff = rank_difference(x, w)
+    if not top_diff.is_nonnegative():
         raise ValueError(
             f"not a valid interval: {format_perm(x)} is not <= {format_perm(w)}"
         )
     layers = [(w,)]
-    diffs = {w: top_diff}
+    diffs = {w: top_diff.values}
     # The bottom is the only member of its length, so it ends the walk.
     while layers[-1][0] != x:
         below: dict[Perm, tuple[tuple[int, ...], ...]] = {}

@@ -27,6 +27,8 @@ import operator
 import random
 from functools import lru_cache
 
+import pytest
+
 from klpoly.kl import kl_polynomial
 
 # Polynomials are tuples of int coefficients from degree 0 upward with
@@ -135,6 +137,14 @@ def oracle_column(w, members):
         )
         column[u] = p_u
     return column
+
+
+@pytest.fixture(autouse=True)
+def drop_memos():
+    """The S_6 sweep memoises a few hundred thousand pairs; free them."""
+    yield
+    for memoised in (_length, _ranks, _leq, r_poly):
+        memoised.cache_clear()
 
 
 def test_oracle_small_values():

@@ -27,7 +27,7 @@ def test_regular_closed_forms_small():
 
 
 def test_closed_forms_hold_up_to_nine():
-    # Past the n <= 8 sizes the down-set walk could reach.
+    # The paper's families, checked one size past n = 8.
     regular = verify_regular_closed_forms(9)
     inverse = verify_inverse_closed_forms(9)
     assert regular.passed and inverse.passed
