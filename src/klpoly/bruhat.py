@@ -209,10 +209,10 @@ def interval(x: Perm, w: Perm) -> BruhatInterval:
     exactly when x <= z.  An element y = z t(i, j) covered by z, with
     z(i) > z(j), has r_y = r_z - 1 on the rectangle of rows i..j-1 and
     columns (z(j), z(i)], and r_y = r_z elsewhere, so x <= y exactly
-    when d_z is at least 1 on that rectangle.  No candidate needs a rank table,
-    a length or a comparison of its own.  Nothing is lost by walking
-    only covers that stay above x: a saturated chain from any member up
-    to w stays inside the interval.
+    when d_z is at least 1 on that rectangle.  No candidate needs a
+    rank table, a length or a comparison of its own.  Nothing is lost
+    by walking only covers that stay above x: a saturated chain from
+    any member up to w stays inside the interval.
 
     >>> iv = interval((1, 2, 3), (3, 2, 1))
     >>> len(iv)
