@@ -30,6 +30,16 @@ of the cache controls it and is on by default.  Second, intervals that
 flatten to a common pattern share their polynomial, which
 :func:`flatten_pair` exposes (that reduction is available to callers
 but is not applied inside the recursion).
+
+A lookup therefore raises the bottom first (when raising is on), then
+answers 1 if the raised bottom is w, then answers from the memo, and
+only on a miss compares x with w in Bruhat order.  The order is safe by
+the lifting property (Björner-Brenti, Combinatorics of Coxeter Groups,
+Prop. 2.2.7): when s is a descent of w and an ascent of x, x <= w holds
+exactly when xs <= w, on either side, so raising never turns an
+incomparable pair into a comparable one, and every memo key is a
+comparable pair.  The same property tells the recursion which of x and
+xs lies below ws without a comparison.
 """
 
 from __future__ import annotations
@@ -45,30 +55,52 @@ from .perm import (
     format_perm,
     identity,
     inverse,
+    left_descents,
     length,
     longest_element,
+    right_descents,
 )
 from .polynomial import ONE, ZERO, IntPolynomial
 
 _STRATEGIES = ("largest", "smallest")
 
 
+# A top's record: right descents, left descents, the split descent i and
+# w s_i.
+_Top = tuple[tuple[int, ...], tuple[int, ...], int, Perm]
+
+
 class KLCache:
     """Shared state for the polynomial recursion.
 
-    memo maps (bottom, top) pairs to finished polynomials.  hits and
-    misses count memo lookups, which makes cache behaviour observable
-    in tests and benchmarks.  When ``max_entries`` is set, the oldest
-    entries are evicted once the memo grows past the bound; correctness
-    is unaffected since evicted values are simply recomputed.
+    memo maps (bottom, top) pairs to finished polynomials; every key in
+    it is a comparable pair.  tops holds one record per top w, built the
+    first time the cache sees w: its right and left descents, the
+    descent the recursion splits on and the shorter top ws.  raised maps
+    a raw pair (x, w) to the raised bottom of x, so a pair still in the
+    map is not raised again.
+
+    A lookup raises the bottom first (when raise_bottoms is on),
+    answers 1 when the raised bottom is the top, then answers from the
+    memo, and compares the pair in Bruhat order only on a miss.  Raising
+    never changes whether x <= w (the lifting property), so the
+    comparison is needed only for a pair that is about to be computed.
+    hits counts lookups answered from the memo and misses those that
+    computed and stored a new entry; a pair that turns out incomparable
+    answers ZERO and counts as neither.
+
+    When ``max_entries`` is set it bounds the memo, the top records and
+    the raised bottoms alike: each drops its oldest entry once it would
+    grow past the bound.  Correctness is unaffected since evicted values
+    are simply recomputed.
 
     descent_strategy picks which descent of the top drives the
     recursion ("largest" or "smallest" position).  raise_bottoms turns
     the bottom-raising normalisation on or off.
     """
 
-    __slots__ = ("memo", "hits", "misses", "descent_strategy", "raise_bottoms",
-                 "max_entries")
+    __slots__ = ("memo", "tops", "raised", "hits", "misses", "descent_strategy",
+                 "raise_bottoms", "max_entries")
 
     def __init__(
         self,
@@ -83,69 +115,68 @@ class KLCache:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.memo: dict[tuple[Perm, Perm], IntPolynomial] = {}
+        self.tops: dict[Perm, _Top] = {}
+        self.raised: dict[tuple[Perm, Perm], Perm] = {}
         self.hits = 0
         self.misses = 0
         self.descent_strategy = descent_strategy
         self.raise_bottoms = raise_bottoms
         self.max_entries = max_entries
 
-    def lookup(self, key: tuple[Perm, Perm]) -> Optional[IntPolynomial]:
-        value = self.memo.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
     def store(self, key: tuple[Perm, Perm], value: IntPolynomial) -> None:
-        if self.max_entries is not None and len(self.memo) >= self.max_entries:
-            # Evict in insertion order; dicts preserve it.
-            oldest = next(iter(self.memo))
-            del self.memo[oldest]
-        self.memo[key] = value
+        _bounded_put(self.memo, key, value, self.max_entries)
+
+    def _top(self, w: Perm) -> _Top:
+        """The record of w, built and kept on first sight."""
+        record = self.tops.get(w)
+        if record is None:
+            right = right_descents(w)
+            left = left_descents(w)
+            if not right:
+                # The identity: no pair below it reaches the recursion.
+                record = (right, left, 0, w)
+            else:
+                i = right[-1] if self.descent_strategy == "largest" else right[0]
+                record = (right, left, i, w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:])
+            _bounded_put(self.tops, w, record, self.max_entries)
+        return record
 
     def __len__(self) -> int:
         return len(self.memo)
 
 
-def _pick_descent(w: Perm, strategy: str) -> int:
-    """A position i with w(i) > w(i+1), by the cache's strategy."""
-    if strategy == "largest":
-        indices = range(len(w) - 1, 0, -1)
-    else:
-        indices = range(1, len(w))
-    for i in indices:
-        if w[i - 1] > w[i]:
-            return i
-    raise ValueError(f"no descent: {format_perm(w)} is the identity")
+def _bounded_put(table: dict, key, value, bound: Optional[int]) -> None:
+    """table[key] = value, first evicting in insertion order (dicts keep
+    it) when the table is full."""
+    if bound is not None and len(table) >= bound:
+        del table[next(iter(table))]
+    table[key] = value
 
 
-def _raise_bottom(x: Perm, w: Perm) -> Perm:
-    """Climb x through ascents sitting at descents of w, on both sides.
+def _raise_bottom(x: Perm, right: tuple[int, ...], left: tuple[int, ...]) -> Perm:
+    """Climb x through ascents sitting at the top's right descents
+    (positions) and left descents (values).
 
     Each step replaces x by a longer permutation with the same
-    polynomial against w, and the lifting property keeps x <= w, so the
-    fixpoint is a safe substitute key.
+    polynomial against the top, and by the lifting property it lies
+    below the top exactly when x does, so the fixpoint, the maximum of
+    x's double coset, is a safe substitute key.
     """
-    w_inv = inverse(w)
-    right = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
-    left = [i for i in range(1, len(w)) if w_inv[i - 1] > w_inv[i]]
-    changed = True
-    while changed:
+    lst = list(x)
+    while True:
         changed = False
         for i in right:
-            if x[i - 1] < x[i]:
-                x = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1:]
+            a, b = lst[i - 1], lst[i]
+            if a < b:
+                lst[i - 1], lst[i] = b, a
                 changed = True
         for i in left:
-            p = x.index(i)
-            p2 = x.index(i + 1)
+            p, p2 = lst.index(i), lst.index(i + 1)
             if p < p2:
-                lst = list(x)
                 lst[p], lst[p2] = i + 1, i
-                x = tuple(lst)
                 changed = True
-    return x
+        if not changed:
+            return tuple(lst)
 
 
 def kl_polynomial(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolynomial:
@@ -163,60 +194,60 @@ def kl_polynomial(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolyn
     return _kl(x, w, cache)
 
 
-def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
+def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
+    """P(x, w), zero unless x <= w; ``below`` says x <= w is known."""
     if x == w:
         return ONE
-    if not bruhat_leq(x, w):
-        return ZERO
-    return _kl_below(x, w, cache)
-
-
-def _kl_below(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
-    """P(x, w) for a pair already known to satisfy x <= w."""
     if cache.raise_bottoms:
-        x = _raise_bottom(x, w)
-    if x == w:
-        return ONE
+        pair = (x, w)
+        x = cache.raised.get(pair)
+        if x is None:
+            right, left, _, _ = cache._top(w)
+            x = _raise_bottom(pair[0], right, left)
+            _bounded_put(cache.raised, pair, x, cache.max_entries)
+        if x == w:
+            return ONE
     key = (x, w)
-    found = cache.lookup(key)
+    found = cache.memo.get(key)
     if found is not None:
+        cache.hits += 1
         return found
+    if not below and not bruhat_leq(x, w):
+        return ZERO
+    cache.misses += 1
 
-    i = _pick_descent(w, cache.descent_strategy)
-    ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+    _, _, i, ws = cache._top(w)
     xs = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1:]
-    c = 1 if x[i - 1] > x[i] else 0
-    # ws < w and x <= w, so by the lifting property the shorter of x and
-    # xs lies below ws; only the longer one needs a comparison.
-    if c:
-        x_below, xs_below = bruhat_leq(x, ws), True
+    # The first two terms are P(lo, ws) + q P(hi, ws), where lo and hi are
+    # the shorter and the longer of x and xs.  ws < w and x <= w, so by
+    # the lifting property lo lies below ws; only hi needs a comparison.
+    # It is compared before it is raised: this runs only on a miss, where
+    # a memo hit for hi is rare and raising an incomparable bottom would
+    # be wasted.
+    if x[i - 1] > x[i]:
+        lo, hi = xs, x
     else:
-        x_below, xs_below = True, bruhat_leq(xs, ws)
-    acc = _kl_below(x, ws, cache).shift(c) if x_below else ZERO
-    if xs_below:
-        acc = acc + _kl_below(xs, ws, cache).shift(1 - c)
+        lo, hi = x, xs
+    acc = _kl(lo, ws, cache, True)
+    hi_below = bruhat_leq(hi, ws)
+    if hi_below:
+        acc = acc + _kl(hi, ws, cache, True).shift(1)
 
-    if x_below:
-        # Layer 2k + 1 of [x, ws] holds the z with len(w) - len(z) =
-        # 2k + 2: the correction exponent is k + 1 and mu(z, ws) is the
-        # coefficient of q^k in P(z, ws).  Even layers have no term.
+    if hi_below or lo is x:
+        # x <= ws.  Layer 2k + 1 of [x, ws] holds the z with
+        # len(w) - len(z) = 2k + 2: the correction exponent is k + 1 and
+        # mu(z, ws) is the coefficient of q^k in P(z, ws).  Even layers
+        # have no term.
         for k, layer in enumerate(interval(x, ws).layers[1::2]):
             for z in layer:
                 if z[i - 1] < z[i]:
                     continue
-                m = _kl_below(z, ws, cache).coefficient(k)
+                m = _kl(z, ws, cache, True).coefficient(k)
                 if m:
-                    acc = acc - _kl_below(x, z, cache).shift(k + 1) * m
+                    acc = acc - _kl(x, z, cache, True).shift(k + 1) * m
 
     cache.store(key, acc)
     return acc
-
-
-def _mu(x: Perm, w: Perm, cache: KLCache) -> int:
-    gap = length(w) - length(x) - 1
-    if gap < 0 or gap % 2:
-        return 0
-    return _kl(x, w, cache).coefficient(gap // 2)
 
 
 def mu(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> int:
@@ -231,9 +262,10 @@ def mu(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> int:
         raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
     if cache is None:
         cache = KLCache()
-    if not bruhat_leq(x, w):
+    gap = length(w) - length(x) - 1
+    if gap < 0 or gap % 2:
         return 0
-    return _mu(x, w, cache)
+    return _kl(x, w, cache).coefficient(gap // 2)
 
 
 def inverse_kl(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolynomial:
@@ -272,7 +304,7 @@ def check_inversion_identity(
     for k, layer in enumerate(layers):
         sign = -1 if k % 2 else 1
         for z in layer:
-            term = _kl_below(z, w, cache) * _kl_below(compose(w0, z), w0x, cache)
+            term = _kl(z, w, cache, True) * _kl(compose(w0, z), w0x, cache, True)
             total = total + term * sign
     expected = ONE if x == w else ZERO
     return total == expected
@@ -340,11 +372,13 @@ def check_descent_invariance(
     """Confirm that pushing the bottom through any single descent of
     the top leaves the polynomial unchanged, on both sides.
 
-    For each position descent i of w the comparison is P(x, w) against
-    P(x si, w); for each value descent i the bottom is modified by
-    exchanging the values i and i+1.  Requires x <= w.  To make this an
-    honest check rather than a restatement of the normalisation
-    performed by default, pass a cache with raise_bottoms=False.
+    For each right descent i of w (w(i) > w(i+1)) the comparison is
+    P(x, w) against P(x s_i, w), where x s_i swaps the entries at
+    positions i and i+1; for each left descent i (the value i+1 stands
+    left of i in w) it is against P(s_i x, w), where s_i x exchanges
+    the values i and i+1.  Requires x <= w.  To make this an honest
+    check rather than a restatement of the normalisation performed by
+    default, pass a cache with raise_bottoms=False.
     """
     if not bruhat_leq(x, w):
         raise ValueError(

@@ -5,6 +5,7 @@ import pytest
 from klpoly.bruhat import bruhat_leq, down_set
 from klpoly.kl import (
     KLCache,
+    _raise_bottom,
     active_positions,
     check_descent_invariance,
     check_inversion_identity,
@@ -14,7 +15,17 @@ from klpoly.kl import (
     kl_polynomial,
     mu,
 )
-from klpoly.perm import all_perms, identity, length, longest_element, swap_positions
+from klpoly.perm import (
+    all_perms,
+    compose,
+    identity,
+    inverse,
+    left_descents,
+    length,
+    longest_element,
+    right_descents,
+    swap_positions,
+)
 from klpoly.polynomial import ONE, ZERO, IntPolynomial
 from klpoly.verify import random_comparable_pair
 
@@ -65,6 +76,49 @@ def test_raising_matches_raw_recursion_sampled():
         for _ in range(reps):
             x, w = random_comparable_pair(n, rng)
             assert kl_polynomial(x, w, raw) == kl_polynomial(x, w, fast)
+
+
+def test_zero_exactly_off_the_order_in_s5():
+    # The bottom is raised before any comparison, so incomparable pairs
+    # must still come out zero, and comparable ones never do.
+    raw = KLCache(raise_bottoms=False)
+    fast = KLCache()
+    for w in all_perms(5):
+        for x in all_perms(5):
+            incomparable = not bruhat_leq(x, w)
+            assert (kl_polynomial(x, w, fast) == ZERO) == incomparable
+            assert (kl_polynomial(x, w, raw) == ZERO) == incomparable
+
+
+def _swap_values(x, i):
+    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in x)
+
+
+def test_raise_bottom_reaches_double_coset_maximum_in_s4():
+    for x, w in comparable_pairs(4):
+        right, left = right_descents(w), left_descents(w)
+        coset, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            moves = [swap_positions(y, i, i + 1) for i in right]
+            moves += [_swap_values(y, i) for i in left]
+            for z in moves:
+                if z not in coset:
+                    coset.add(z)
+                    frontier.append(z)
+        top = max(coset, key=length)
+        assert all(bruhat_leq(y, top) for y in coset)
+        assert _raise_bottom(x, right, left) == top
+
+
+def test_symmetries_in_s5(shared_cache):
+    w0 = longest_element(5)
+    for x, w in comparable_pairs(5):
+        p = kl_polynomial(x, w, shared_cache)
+        assert kl_polynomial(inverse(x), inverse(w), shared_cache) == p
+        flip_x = compose(compose(w0, x), w0)
+        flip_w = compose(compose(w0, w), w0)
+        assert kl_polynomial(flip_x, flip_w, shared_cache) == p
 
 
 def test_descent_strategies_agree_in_s4():
@@ -187,6 +241,26 @@ def test_cache_counters_and_reuse():
     kl_polynomial(identity(4), (4, 2, 3, 1), cache)
     assert cache.misses == misses_after_first
     assert cache.hits > 0
+
+
+def test_each_lookup_counts_once():
+    rng = random.Random(6)
+    pairs = [random_comparable_pair(6, rng) for _ in range(100)]
+    base = list(range(1, 7))
+    for _ in range(100):
+        x, w = base[:], base[:]
+        rng.shuffle(x)
+        rng.shuffle(w)
+        pairs.append((tuple(x), tuple(w)))
+    for x, w in pairs:
+        cache = KLCache()
+        first = kl_polynomial(x, w, cache)
+        # Every miss stores one entry and nothing is evicted.
+        assert cache.misses == len(cache.memo)
+        hits, misses = cache.hits, cache.misses
+        assert kl_polynomial(x, w, cache) == first
+        assert cache.misses == misses == len(cache.memo)
+        assert hits <= cache.hits <= hits + 1
 
 
 def test_cold_cache_equals_warm_cache():

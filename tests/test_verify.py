@@ -3,6 +3,7 @@ import json
 import pytest
 
 from klpoly.bruhat import bruhat_leq
+from klpoly.kl import KLCache
 from klpoly.verify import (
     Failure,
     VerificationReport,
@@ -45,6 +46,27 @@ def test_inverse_closed_forms_full_range():
     report = verify_inverse_closed_forms(7)
     assert report.passed
     assert report.cases == 31
+
+
+def test_max_entries_bounds_every_table():
+    cache = KLCache(max_entries=64)
+    assert verify_regular_closed_forms(8, cache).passed
+    assert cache.misses > 64
+    assert len(cache.memo) <= 64
+    assert len(cache.tops) <= 64
+    assert len(cache.raised) <= 64
+
+
+def test_every_batch_passes_with_one_entry():
+    batches = [
+        lambda c: verify_regular_closed_forms(6, c),
+        lambda c: verify_inverse_closed_forms(6, c),
+        lambda c: verify_inversion_identity_batch(4, c),
+        lambda c: verify_smoothness_equivalence(4, c),
+        lambda c: verify_coatom_bound(3, c),
+    ]
+    for run in batches:
+        assert run(KLCache(max_entries=1)).passed
 
 
 def test_family_checks_reject_tiny_bounds():
