@@ -3,17 +3,26 @@
 For a permutation w the rank count r_w(p, q) is the number of positions
 i <= p with w(i) >= q.  Comparing the rank tables of two permutations
 entrywise decides Bruhat order: x <= w exactly when
-r_w(p, q) - r_x(p, q) >= 0 for every cell (p, q).  This is the
-classical dominance criterion and needs no chain search, so a single
-comparison costs O(n^2) after the tables are built.
+r_w(p, q) - r_x(p, q) >= 0 for every cell (p, q) (Björner-Brenti,
+Combinatorics of Coxeter Groups, Thm 2.1.5).  This needs no chain
+search.
+
+The comparison and the interval walk keep a whole table in one Python
+int.  Cell (p, q) of an n x n table is field (p - 1) * n + (q - 1), a
+run of b = n.bit_length() + 1 bits, so 2^(b-1) > n and the high bit of
+a field sits above every count.  Let H hold that high bit in every
+field.  Then R_w + H - R_x has field H + r_w(p, q) - r_x(p, q), which
+lies in [0, 2^b) whatever the pair, so no borrow crosses a field, and
+x <= w exactly when the high bit of every field survives:
+(R_w + H - R_x) & H == H.  A difference table with no negative cell is
+itself a packed table, and the walk of :func:`interval` tests and
+updates it with a few whole-table operations per cover.
 
 Covers, intervals and down-sets are computed combinatorially from the
 transposition description of the covering relation.  Intervals and
-down-sets come from one walker, :func:`interval`, which carries the
-rank difference down from the top one cover at a time, so no element
-of the walk needs its own rank table or length.  Down-sets and
-intervals are not memoised; rank tables are, at module level, and
-:func:`clear_caches` drops them.
+down-sets come from one walker, :func:`interval`.  Nothing here is
+memoised: rank tables, intervals and down-sets are rebuilt on every
+call, so the module holds no state.
 """
 
 from __future__ import annotations
@@ -21,16 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .perm import Perm, format_perm, identity, length
-
-_RANK_CACHE: dict[Perm, tuple[tuple[int, ...], ...]] = {}
+from .perm import Perm, format_perm, identity
 
 
 def rank_table(w: Perm) -> tuple[tuple[int, ...], ...]:
     """The full table of rank counts, indexed as table[p-1][q-1]."""
-    cached = _RANK_CACHE.get(w)
-    if cached is not None:
-        return cached
     n = len(w)
     rows: list[tuple[int, ...]] = []
     prev = [0] * n
@@ -40,9 +44,7 @@ def rank_table(w: Perm) -> tuple[tuple[int, ...], ...]:
             row[q] += 1
         rows.append(tuple(row))
         prev = row
-    table = tuple(rows)
-    _RANK_CACHE[w] = table
-    return table
+    return tuple(rows)
 
 
 def rank_count(w: Perm, p: int, q: int) -> int:
@@ -94,47 +96,55 @@ def rank_difference(x: Perm, w: Perm) -> RankDifferenceTable:
     return RankDifferenceTable(x=x, w=w, values=values)
 
 
+def _field_bits(n: int) -> int:
+    """Width of one packed field for S_n: the least b with 2^(b-1) > n."""
+    return n.bit_length() + 1
+
+
+def _ones(fields: int, width: int) -> int:
+    """The low bit of each of ``fields`` consecutive ``width``-bit fields."""
+    return ((1 << (fields * width)) - 1) // ((1 << width) - 1)
+
+
+def _packed_difference(x: Perm, w: Perm, b: int) -> int:
+    """R_w - R_x as one int: the sum over cells of
+    (r_w - r_x)(p, q) * 2^(b k), k = (p - 1) n + q - 1.
+
+    Where no cell is negative this is the packed difference table; in
+    general adding H (the high bit of every field) makes each field
+    nonnegative without a borrow between fields.
+    """
+    n = len(w)
+    row_bits = n * b
+    ones_row = _ones(n, b)
+    row = 0
+    table = 0
+    shift = 0
+    for u, v in zip(x, w):
+        if u != v:
+            # A value v at position p counts in columns 1..v of rows p..n.
+            row += (ones_row >> ((n - v) * b)) - (ones_row >> ((n - u) * b))
+        if row:
+            table += row << shift
+        shift += row_bits
+    return table
+
+
 def bruhat_leq(x: Perm, w: Perm) -> bool:
-    """Decide x <= w in Bruhat order.
+    """Decide x <= w in Bruhat order by one whole-table test,
+    (R_w + H - R_x) & H == H (see the module docstring).
 
     >>> bruhat_leq((2, 1, 4, 3), (4, 2, 3, 1))
     True
     >>> bruhat_leq((3, 4, 1, 2), (4, 2, 3, 1))
     False
     """
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
-    if x == w:
-        return True
-    if length(x) >= length(w):
-        return False
-    for row_x, row_w in zip(rank_table(x), rank_table(w)):
-        for a, b in zip(row_x, row_w):
-            if a > b:
-                return False
-    return True
-
-
-def _cover_swaps(w: Perm) -> list[tuple[int, int]]:
-    """0-based position pairs (i, j), i < j, whose exchange in w gives
-    an element covered by w: w(i) > w(j), and no position between them
-    holds a value between w(j) and w(i)."""
-    n = len(w)
-    out: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        wi = w[i]
-        # The largest value below wi seen so far between i and j.
-        floor = 0
-        for j in range(i + 1, n):
-            wj = w[j]
-            if floor < wj < wi:
-                out.append((i, j))
-                floor = wj
-    return out
-
-
-def _swap(w: Perm, i: int, j: int) -> Perm:
-    return w[:i] + (w[j],) + w[i + 1:j] + (w[i],) + w[j + 1:]
+    n = len(x)
+    if len(w) != n:
+        raise ValueError(f"size mismatch: {n} vs {len(w)}")
+    b = _field_bits(n)
+    high = _ones(n * n, b) << (b - 1)
+    return (_packed_difference(x, w, b) + high) & high == high
 
 
 def covers_down(w: Perm) -> list[Perm]:
@@ -146,7 +156,18 @@ def covers_down(w: Perm) -> list[Perm]:
     >>> sorted(covers_down((3, 2, 1)))
     [(2, 3, 1), (3, 1, 2)]
     """
-    return [_swap(w, i, j) for i, j in _cover_swaps(w)]
+    n = len(w)
+    out: list[Perm] = []
+    for i in range(n - 1):
+        wi = w[i]
+        # The largest value below wi seen so far between i and j.
+        floor = 0
+        for j in range(i + 1, n):
+            wj = w[j]
+            if floor < wj < wi:
+                floor = wj
+                out.append(w[:i] + (wj,) + w[i + 1:j] + (wi,) + w[j + 1:])
+    return out
 
 
 def covers_up(w: Perm) -> list[Perm]:
@@ -205,14 +226,24 @@ def interval(x: Perm, w: Perm) -> BruhatInterval:
     time.
 
     Raises ValueError unless x <= w.  Every element z of the walk
-    carries its rank difference d_z = r_z - r_x, which is nonnegative
-    exactly when x <= z.  An element y = z t(i, j) covered by z, with
-    z(i) > z(j), has r_y = r_z - 1 on the rectangle of rows i..j-1 and
-    columns (z(j), z(i)], and r_y = r_z elsewhere, so x <= y exactly
-    when d_z is at least 1 on that rectangle.  No candidate needs a
-    rank table, a length or a comparison of its own.  Nothing is lost
-    by walking only covers that stay above x: a saturated chain from
-    any member up to w stays inside the interval.
+    carries its rank difference d_z = r_z - r_x as one packed int (see
+    the module docstring); its cells are nonnegative exactly when
+    x <= z.  An element y = z t(i, j) covered by z, with z(i) > z(j),
+    has r_y = r_z - 1 on the rectangle of rows i..j-1 and columns
+    (z(j), z(i)], and r_y = r_z elsewhere, so x <= y exactly when d_z
+    is at least 1 on that rectangle.
+
+    With rect holding a 1 in each field of the rectangle, the test is
+    positive & rect == rect, and then d_y = d_z - rect.  positive is
+    ((d_z + F) >> (b - 1)) & ones, where F holds 2^(b-1) - 1 and ones
+    holds 1 in every field: a field of d_z lies in [0, n], so adding F
+    sets the field's high bit exactly when the cell is at least 1, and
+    never carries into the next field.  rect is a band of rows meeting
+    a band of columns, each the difference of two prefix masks built
+    once per call.  No candidate needs a rank table, a length or a
+    comparison of its own.  Nothing is lost by walking only covers that
+    stay above x: a saturated chain from any member up to w stays
+    inside the interval.
 
     >>> iv = interval((1, 2, 3), (3, 2, 1))
     >>> len(iv)
@@ -220,31 +251,56 @@ def interval(x: Perm, w: Perm) -> BruhatInterval:
     >>> iv.layers
     (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3),))
     """
-    top_diff = rank_difference(x, w)
-    if not top_diff.is_nonnegative():
+    n = len(x)
+    if len(w) != n:
+        raise ValueError(f"size mismatch: {n} vs {len(w)}")
+    b = _field_bits(n)
+    row_bits = n * b
+    ones = _ones(n * n, b)
+    high = ones << (b - 1)
+    top_diff = _packed_difference(x, w, b)
+    if (top_diff + high) & high != high:
         raise ValueError(
             f"not a valid interval: {format_perm(x)} is not <= {format_perm(w)}"
         )
+    fill = high - ones
+    shift = b - 1
+    # rows[k]: every field of rows 1..k; cols[v]: every field of columns
+    # 1..v.
+    rows = [ones & ((1 << (k * row_bits)) - 1) for k in range(n + 1)]
+    ones_row = rows[1]
+    every_row = _ones(n, row_bits)
+    cols = [(ones_row >> ((n - v) * b)) * every_row for v in range(n + 1)]
     layers = [(w,)]
-    diffs = {w: top_diff.values}
+    diffs = {w: top_diff}
     # The bottom is the only member of its length, so it ends the walk.
     while layers[-1][0] != x:
-        below: dict[Perm, tuple[tuple[int, ...], ...]] = {}
+        below: dict[Perm, int] = {}
         for z, d in diffs.items():
-            for i, j in _cover_swaps(z):
-                y = _swap(z, i, j)
-                if y in below:
+            positive = ((d + fill) >> shift) & ones
+            for i in range(n - 1):
+                zi = z[i]
+                # Every rectangle of a swap at position i + 1 holds the
+                # cell (i + 1, z(i + 1)).
+                if not (positive >> ((i * n + zi - 1) * b)) & 1:
                     continue
-                lo, hi = z[j], z[i]
-                rows = d[i:j]
-                for row in rows:
-                    if min(row[lo:hi]) < 1:
-                        break
-                else:
-                    below[y] = d[:i] + tuple(
-                        row[:lo] + tuple([v - 1 for v in row[lo:hi]]) + row[hi:]
-                        for row in rows
-                    ) + d[j:]
+                # The largest value below zi seen so far between i and j.
+                floor = 0
+                row_i = rows[i]
+                col_i = cols[zi]
+                for j in range(i + 1, n):
+                    zj = z[j]
+                    if floor < zj < zi:
+                        floor = zj
+                        rect = (rows[j] ^ row_i) & (col_i ^ cols[zj])
+                        if positive & rect == rect:
+                            # y = z t(i, j).  Reaching y again from a
+                            # later z rewrites the same value and keeps
+                            # y's first place in the layer.
+                            y = list(z)
+                            y[i] = zj
+                            y[j] = zi
+                            below[tuple(y)] = d - rect
         layers.append(tuple(below))
         diffs = below
     return BruhatInterval(bottom=x, top=w, layers=tuple(layers))
@@ -333,8 +389,3 @@ def render_picture(x: Perm, w: Perm) -> str:
             if diff[p][q] >= 1:
                 grid[p][q] = _SHADED
     return "\n".join("".join(row) for row in grid)
-
-
-def clear_caches() -> None:
-    """Drop memoised rank tables."""
-    _RANK_CACHE.clear()

@@ -297,17 +297,30 @@ def check_inversion_identity(
     layers = interval(x, w).layers
     if cache is None:
         cache = KLCache()
-    w0 = longest_element(len(x))
-    w0x = compose(w0, x)
-    total = ZERO
+    # w0 v reverses values: (w0 v)(i) = n + 1 - v(i).
+    top = len(x) + 1
+    w0x = tuple([top - v for v in x])
+    # Signed coefficients of the sum.  A correct product has degree at
+    # most (len(w) - len(x)) / 2, below len(layers); a longer one (from a
+    # wrong memo entry) grows the list.
+    total = [0] * len(layers)
     # Layer k holds the z with len(w) - len(z) = k.
     for k, layer in enumerate(layers):
         sign = -1 if k % 2 else 1
         for z in layer:
-            term = _kl(z, w, cache, True) * _kl(compose(w0, z), w0x, cache, True)
-            total = total + term * sign
-    expected = ONE if x == w else ZERO
-    return total == expected
+            p = _kl(z, w, cache, True)
+            r = _kl(tuple([top - v for v in z]), w0x, cache, True)
+            if p == ONE:
+                term = r.coeffs
+            elif r == ONE:
+                term = p.coeffs
+            else:
+                term = (p * r).coeffs
+            if len(term) > len(total):
+                total.extend([0] * (len(term) - len(total)))
+            for deg, c in enumerate(term):
+                total[deg] += sign * c
+    return total == [1 if x == w else 0] + [0] * (len(total) - 1)
 
 
 def active_positions(x: Perm, w: Perm) -> tuple[int, ...]:

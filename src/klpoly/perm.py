@@ -17,10 +17,6 @@ from typing import Iterable, Optional, Sequence
 
 Perm = tuple[int, ...]
 
-# Lengths are queried constantly by the polynomial recursion, so the
-# inversion count of each permutation is computed once and kept here.
-_LENGTH_CACHE: dict[Perm, int] = {}
-
 
 def from_oneline(values: Iterable[int]) -> Perm:
     """Validate a one-line sequence and return it as a Perm tuple.
@@ -108,9 +104,6 @@ def length(w: Perm) -> int:
     >>> length((1, 2, 3))
     0
     """
-    cached = _LENGTH_CACHE.get(w)
-    if cached is not None:
-        return cached
     n = len(w)
     total = 0
     for i in range(n - 1):
@@ -118,7 +111,6 @@ def length(w: Perm) -> int:
         for j in range(i + 1, n):
             if wi > w[j]:
                 total += 1
-    _LENGTH_CACHE[w] = total
     return total
 
 
@@ -236,7 +228,3 @@ def all_perms(n: int) -> Iterable[Perm]:
         raise ValueError(f"n must be >= 1, got {n}")
     return itertools.permutations(range(1, n + 1))
 
-
-def clear_length_cache() -> None:
-    """Drop memoised lengths (mainly useful in long-running sessions)."""
-    _LENGTH_CACHE.clear()

@@ -210,6 +210,12 @@ def random_comparable_pair(n: int, rng: random.Random) -> tuple[Perm, Perm]:
             return tuple(x), tuple(w)
 
 
+def _comparable_pairs(n: int) -> list[tuple[Perm, Perm]]:
+    """Every pair (x, w) in S_n with x <= w: w in lexicographic order,
+    and within each w the x of its down-set in lexicographic order."""
+    return [(x, w) for w in all_perms(n) for x in sorted(down_set(w))]
+
+
 def verify_inversion_identity_batch(
     n: int = 4,
     cache: Optional[KLCache] = None,
@@ -230,12 +236,7 @@ def verify_inversion_identity_batch(
             raise ValueError(
                 f"exhaustive check over S_{n} is too large; pass a sample count"
             )
-        cases = [
-            (x, w)
-            for w in all_perms(n)
-            for x in all_perms(n)
-            if bruhat_leq(x, w)
-        ]
+        cases = _comparable_pairs(n)
         parameter_range = f"S_{n} exhaustive"
         used_seed = None
     else:

@@ -40,6 +40,42 @@ def naive_leq(x, w):
     )
 
 
+def tableau_leq(x, w):
+    """The tableau criterion (Björner-Brenti, Thm 2.6.3): x <= w when,
+    for every k, the sorted first k values of x lie entrywise below the
+    sorted first k values of w."""
+    return all(
+        a <= b
+        for k in range(1, len(x))
+        for a, b in zip(sorted(x[:k]), sorted(w[:k]))
+    )
+
+
+def tableau_length(w):
+    return sum(1 for i in range(len(w)) for j in range(i) if w[j] > w[i])
+
+
+def random_pairs(n, count, seed):
+    """Seeded pairs in S_n, about half of them comparable: w is random,
+    x is w pushed down by a few inversion swaps, and every other x then
+    has one adjacent pair exchanged, which may leave the order."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        w = list(range(1, n + 1))
+        rng.shuffle(w)
+        x = list(w)
+        for _ in range(rng.randint(0, 3)):
+            i, j = sorted(rng.sample(range(n), 2))
+            if x[i] > x[j]:
+                x[i], x[j] = x[j], x[i]
+        if t % 2:
+            i = rng.randrange(n - 1)
+            x[i], x[i + 1] = x[i + 1], x[i]
+        out.append((tuple(x), tuple(w)))
+    return out
+
+
 def test_rank_count_examples():
     assert rank_count((6, 3, 4, 2, 5, 1), 3, 4) == 2
     w = (3, 1, 4, 2)
@@ -93,6 +129,47 @@ def test_bruhat_leq_matches_naive_exhaustively():
     for x in all_perms(4):
         for w in all_perms(4):
             assert bruhat_leq(x, w) == naive_leq(x, w)
+
+
+def test_bruhat_leq_matches_tableau_criterion_in_s5():
+    elements = list(all_perms(5))
+    for x in elements:
+        for w in elements:
+            assert bruhat_leq(x, w) == tableau_leq(x, w), (x, w)
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_bruhat_leq_matches_tableau_criterion_on_random_pairs(n):
+    pairs = random_pairs(n, 400, seed=n)
+    answers = [tableau_leq(x, w) for x, w in pairs]
+    # Both outcomes occur, so neither answer can pass by default.
+    assert 50 < sum(answers) < 350
+    for (x, w), want in zip(pairs, answers):
+        assert bruhat_leq(x, w) == want, (x, w)
+        assert bruhat_leq(w, x) == tableau_leq(w, x), (w, x)
+
+
+@pytest.mark.parametrize("n", [130, 260])
+def test_bruhat_leq_field_width_follows_n(n):
+    # Past n = 127 a packed field needs more than 8 bits.  At n = 260 the
+    # rank difference of (e, w0) reaches 130 in the middle cells, which
+    # an 8-bit field with its high bit as the sign cannot hold.
+    e, w0 = identity(n), longest_element(n)
+    assert bruhat_leq(e, w0) and not bruhat_leq(w0, e)
+    assert len(interval(e, (2, 1) + e[2:]).layers) == 2
+    pairs = random_pairs(n, 8, seed=3)
+    answers = [tableau_leq(x, w) for x, w in pairs]
+    assert True in answers and False in answers
+    for (x, w), want in zip(pairs, answers):
+        assert bruhat_leq(x, w) == want
+        assert bruhat_leq(w, x) == tableau_leq(w, x)
+
+
+def test_bruhat_leq_edges():
+    assert bruhat_leq((1,), (1,))
+    for n in (2, 4):
+        for w in all_perms(n):
+            assert bruhat_leq(w, w)
 
 
 def test_bruhat_is_partial_order_on_s3():
@@ -209,6 +286,30 @@ def test_interval_matches_naive_filter():
         want = {z for z in elements if naive_leq(x, z) and naive_leq(z, w)}
         assert iv.elements == want
         check_layers(iv)
+
+
+def test_interval_matches_brute_force_on_s6_pairs():
+    rng = random.Random(6)
+    elements = list(all_perms(6))
+    for _ in range(12):
+        w = rng.choice(elements)
+        x = rng.choice([z for z in elements if tableau_leq(z, w)])
+        want = [z for z in elements if tableau_leq(x, z) and tableau_leq(z, w)]
+        iv = interval(x, w)
+        assert iv.elements == set(want)
+        top = tableau_length(w)
+        sizes = [0] * (top - tableau_length(x) + 1)
+        for z in want:
+            sizes[top - tableau_length(z)] += 1
+        assert [len(layer) for layer in iv.layers] == sizes
+        for k, layer in enumerate(iv.layers):
+            assert all(tableau_length(z) == top - k for z in layer)
+
+
+def test_interval_edges():
+    assert interval((1,), (1,)).layers == (((1,),),)
+    for w in all_perms(4):
+        assert interval(w, w).layers == ((w,),)
 
 
 def test_interval_rejects_incomparable_pairs():

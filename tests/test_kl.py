@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from klpoly.bruhat import bruhat_leq, down_set
+from klpoly.bruhat import bruhat_leq, down_set, interval
 from klpoly.kl import (
     KLCache,
     _raise_bottom,
@@ -171,6 +171,19 @@ def test_inversion_identity_exhaustive_s3(shared_cache):
     assert len(pairs) == 19
     for x, w in pairs:
         assert check_inversion_identity(x, w, shared_cache)
+
+
+def test_inversion_identity_fails_on_a_wrong_memo_entry():
+    # One wrong P(z, w) anywhere in [x, w] must break the sum, so the
+    # check cannot pass by default.  The second error has a degree past
+    # any correct product.
+    x, w = identity(4), (4, 2, 3, 1)
+    assert check_inversion_identity(x, w, KLCache(raise_bottoms=False))
+    for z in interval(x, w).elements - {w}:
+        for error in (ONE, IntPolynomial.q_power(8)):
+            cache = KLCache(raise_bottoms=False)
+            cache.memo[(z, w)] = kl_polynomial(z, w) + error
+            assert not check_inversion_identity(x, w, cache), (z, error)
 
 
 def test_active_positions():

@@ -4,9 +4,11 @@ import pytest
 
 from klpoly.bruhat import bruhat_leq
 from klpoly.kl import KLCache
+from klpoly.perm import all_perms
 from klpoly.verify import (
     Failure,
     VerificationReport,
+    _comparable_pairs,
     random_comparable_pair,
     verify_coatom_bound,
     verify_inverse_closed_forms,
@@ -84,6 +86,13 @@ def test_inversion_exhaustive_counts():
     assert report.passed
     assert report.cases == 19
     assert report.seed is None
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_exhaustive_inversion_cases_match_all_pairs_filter(n):
+    # The case list, and so what case_cap keeps, is the all-pairs filter.
+    old = [(x, w) for w in all_perms(n) for x in all_perms(n) if bruhat_leq(x, w)]
+    assert _comparable_pairs(n) == old
 
 
 def test_inversion_sampled_is_seeded():
