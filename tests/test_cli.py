@@ -3,6 +3,13 @@ import json
 import pytest
 
 from klpoly.cli import build_parser, main
+from klpoly.verify import (
+    verify_coatom_bound,
+    verify_inverse_closed_forms,
+    verify_inversion_identity_batch,
+    verify_regular_closed_forms,
+    verify_smoothness_equivalence,
+)
 
 
 def run(capsys, *argv):
@@ -145,6 +152,37 @@ def test_verify_inversion_sampled(capsys):
     assert code == 0
     assert "seed: 3" in out
     assert "5 sampled pairs" in out
+
+
+_BATCHES = [
+    ("regular", verify_regular_closed_forms),
+    ("inverse", verify_inverse_closed_forms),
+    ("inversion", verify_inversion_identity_batch),
+    ("smoothness", verify_smoothness_equivalence),
+    ("coatom-bound", verify_coatom_bound),
+]
+
+
+@pytest.mark.parametrize("name, batch", _BATCHES, ids=[n for n, _ in _BATCHES])
+def test_verify_defaults_match_the_library(capsys, name, batch):
+    code, out, _ = run(capsys, "verify", name, "--json")
+    assert code == 0
+    data = json.loads(out)
+    expected = batch().to_json_dict()
+    for key in ("check", "range", "cases", "seed"):
+        assert data[key] == expected[key]
+
+
+def test_verify_inversion_caps_an_exhaustive_run(capsys):
+    # Up to n = 5, --cases caps the exhaustive case list.
+    code, out, _ = run(
+        capsys, "verify", "inversion", "--n", "5", "--cases", "7", "--json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["cases"] == 7
+    assert data["range"] == "S_5 exhaustive"
+    assert data["seed"] is None
 
 
 def test_size_mismatch_is_a_usage_error(capsys):

@@ -134,10 +134,26 @@ def test_coatom_bound():
         verify_coatom_bound(1)
 
 
-def test_case_cap_truncates():
-    capped = verify_regular_closed_forms(6, case_cap=3)
-    assert capped.cases == 3
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cap: verify_regular_closed_forms(6, case_cap=cap),
+        lambda cap: verify_inverse_closed_forms(6, case_cap=cap),
+        lambda cap: verify_inversion_identity_batch(4, case_cap=cap),
+        lambda cap: verify_smoothness_equivalence(4, case_cap=cap),
+        lambda cap: verify_coatom_bound(3, case_cap=cap),
+    ],
+    ids=["regular", "inverse", "inversion", "smoothness", "coatom-bound"],
+)
+def test_case_cap_truncates(run):
+    capped = run(1)
+    assert capped.cases == 1
     assert capped.passed
+    full = run(None)
+    above = run(full.cases + 1)
+    for report in (full, above):
+        report.millis = 0
+    assert above == full
 
 
 def test_report_json_schema():
