@@ -171,18 +171,19 @@ def covers_down(w: Perm) -> list[Perm]:
 
 
 def covers_up(w: Perm) -> list[Perm]:
-    """All z covering w, i.e. w < z with length(z) = length(w) + 1."""
-    n = len(w)
-    out: list[Perm] = []
-    for i in range(n - 1):
-        wi = w[i]
-        for j in range(i + 1, n):
-            wj = w[j]
-            if wi < wj and not any(wi < w[k] < wj for k in range(i + 1, j)):
-                z = list(w)
-                z[i], z[j] = wj, wi
-                out.append(tuple(z))
-    return out
+    """All z covering w, i.e. w < z with length(z) = length(w) + 1.
+
+    Left multiplication by w0 (v -> n + 1 - v on values) reverses Bruhat
+    order, so these are the w0 z for z covered by w0 w.
+
+    >>> covers_up((1, 3, 2))
+    [(3, 1, 2), (2, 3, 1)]
+    """
+    top = len(w) + 1
+    return [
+        tuple([top - v for v in z])
+        for z in covers_down(tuple([top - v for v in w]))
+    ]
 
 
 def down_set(w: Perm) -> tuple[Perm, ...]:
@@ -324,30 +325,6 @@ def coatom_count(u: Perm, v: Perm) -> int:
     if u == v:
         raise ValueError("coatoms are undefined for a one-point interval")
     return sum(1 for z in covers_down(v) if bruhat_leq(u, z))
-
-
-def check_rank_monotonicity(x: Perm, y: Perm, w: Perm) -> bool:
-    """Verify that rank differences shrink cellwise as the bottom of a
-    pair climbs: for x <= y <= w, require d(x, w) >= d(y, w) on every
-    cell.
-
-    Raises ValueError when the chain condition x <= y <= w fails.
-    """
-    if not bruhat_leq(x, y):
-        raise ValueError(
-            f"chain condition violated: {format_perm(x)} is not <= {format_perm(y)}"
-        )
-    if not bruhat_leq(y, w):
-        raise ValueError(
-            f"chain condition violated: {format_perm(y)} is not <= {format_perm(w)}"
-        )
-    d_xw = rank_difference(x, w).values
-    d_yw = rank_difference(y, w).values
-    return all(
-        a >= b
-        for row_a, row_b in zip(d_xw, d_yw)
-        for a, b in zip(row_a, row_b)
-    )
 
 
 # Glyphs for the text rendering of a pair of permutations on the n x n

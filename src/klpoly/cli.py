@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .bruhat import (
     bruhat_leq,
@@ -43,7 +43,16 @@ from .verify import (
     verify_smoothness_equivalence,
 )
 
-_VERIFY_NAMES = ("regular", "inverse", "inversion", "smoothness", "coatom-bound")
+# Verify name -> (batch, the batch's size keyword, the flag that sets it).
+# A size is passed only when its flag is given, so every default lives in
+# the batch's signature.
+_VERIFY_BATCHES: dict[str, tuple[Callable[..., VerificationReport], str, str]] = {
+    "regular": (verify_regular_closed_forms, "max_n", "n"),
+    "inverse": (verify_inverse_closed_forms, "max_n", "n"),
+    "inversion": (verify_inversion_identity_batch, "n", "n"),
+    "smoothness": (verify_smoothness_equivalence, "n", "n"),
+    "coatom-bound": (verify_coatom_bound, "k_max", "kmax"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
 
     p = sub.add_parser("verify", help="run a verification batch")
-    p.add_argument("name", choices=_VERIFY_NAMES)
+    p.add_argument("name", choices=_VERIFY_BATCHES)
     p.add_argument("--n", type=int, help="size bound (default depends on check)")
     p.add_argument("--kmax", type=int, help="diagonal bound for coatom-bound")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
@@ -152,46 +161,17 @@ def _make_cache(args: argparse.Namespace) -> KLCache:
 
 
 def _run_verify(args: argparse.Namespace) -> VerificationReport:
-    cache = _make_cache(args)
-    name = args.name
-    if name == "regular":
-        return verify_regular_closed_forms(
-            max_n=args.n if args.n is not None else 7,
-            cache=cache,
-            case_cap=args.cases,
-        )
-    if name == "inverse":
-        return verify_inverse_closed_forms(
-            max_n=args.n if args.n is not None else 7,
-            cache=cache,
-            case_cap=args.cases,
-        )
-    if name == "inversion":
-        n = args.n if args.n is not None else 4
-        samples = None
-        if args.cases is not None and n > 5:
-            samples = args.cases
-            case_cap = None
-        else:
-            case_cap = args.cases
-        return verify_inversion_identity_batch(
-            n=n,
-            cache=cache,
-            samples=samples,
-            seed=args.seed,
-            case_cap=case_cap,
-        )
-    if name == "smoothness":
-        return verify_smoothness_equivalence(
-            n=args.n if args.n is not None else 5,
-            cache=cache,
-            case_cap=args.cases,
-        )
-    return verify_coatom_bound(
-        k_max=args.kmax if args.kmax is not None else 3,
-        cache=cache,
-        case_cap=args.cases,
-    )
+    batch, size_keyword, size_flag = _VERIFY_BATCHES[args.name]
+    kwargs = {"cache": _make_cache(args), "case_cap": args.cases}
+    size = getattr(args, size_flag)
+    if size is not None:
+        kwargs[size_keyword] = size
+    if args.name == "inversion":
+        kwargs["seed"] = args.seed
+        # Above n = 5 the check samples, and --cases is the sample count.
+        if size is not None and size > 5 and args.cases is not None:
+            kwargs["samples"] = kwargs.pop("case_cap")
+    return batch(**kwargs)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -17,8 +17,9 @@ q^((len(y)-len(z)-1)/2) in P(z, y), taken to be zero when that exponent
 is not a nonnegative integer.
 
 Base cases: P(w, w) = 1 and P(x, w) = 0 unless x <= w.  Any descent of
-the top gives the same polynomial; a :class:`KLCache` fixes the choice
-so that runs are reproducible and results are shared across calls.
+the top gives the same polynomial; the recursion always splits on the
+largest right descent, and a :class:`KLCache` shares results across
+calls.
 
 Two well-known invariance properties keep the computation tractable.
 First, P(x, w) only depends on x through the best representative of
@@ -62,9 +63,6 @@ from .perm import (
 )
 from .polynomial import ONE, ZERO, IntPolynomial
 
-_STRATEGIES = ("largest", "smallest")
-
-
 # A top's record: right descents, left descents, the split descent i and
 # w s_i.
 _Top = tuple[tuple[int, ...], tuple[int, ...], int, Perm]
@@ -76,7 +74,8 @@ class KLCache:
     memo maps (bottom, top) pairs to finished polynomials; every key in
     it is a comparable pair.  tops holds one record per top w, built the
     first time the cache sees w: its right and left descents, the
-    descent the recursion splits on and the shorter top ws.  raised maps
+    descent the recursion splits on (the largest right descent) and the
+    shorter top ws.  raised maps
     a raw pair (x, w) to the raised bottom of x, so a pair still in the
     map is not raised again.
 
@@ -94,24 +93,15 @@ class KLCache:
     grow past the bound.  Correctness is unaffected since evicted values
     are simply recomputed.
 
-    descent_strategy picks which descent of the top drives the
-    recursion ("largest" or "smallest" position).  raise_bottoms turns
-    the bottom-raising normalisation on or off.
+    raise_bottoms turns the bottom-raising normalisation on or off.
     """
 
-    __slots__ = ("memo", "tops", "raised", "hits", "misses", "descent_strategy",
-                 "raise_bottoms", "max_entries")
+    __slots__ = ("memo", "tops", "raised", "hits", "misses", "raise_bottoms",
+                 "max_entries")
 
     def __init__(
-        self,
-        descent_strategy: str = "largest",
-        raise_bottoms: bool = True,
-        max_entries: Optional[int] = None,
+        self, raise_bottoms: bool = True, max_entries: Optional[int] = None
     ) -> None:
-        if descent_strategy not in _STRATEGIES:
-            raise ValueError(
-                f"descent_strategy must be one of {_STRATEGIES}, got {descent_strategy!r}"
-            )
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.memo: dict[tuple[Perm, Perm], IntPolynomial] = {}
@@ -119,7 +109,6 @@ class KLCache:
         self.raised: dict[tuple[Perm, Perm], Perm] = {}
         self.hits = 0
         self.misses = 0
-        self.descent_strategy = descent_strategy
         self.raise_bottoms = raise_bottoms
         self.max_entries = max_entries
 
@@ -136,7 +125,7 @@ class KLCache:
                 # The identity: no pair below it reaches the recursion.
                 record = (right, left, 0, w)
             else:
-                i = right[-1] if self.descent_strategy == "largest" else right[0]
+                i = right[-1]
                 record = (right, left, i, w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:])
             _bounded_put(self.tops, w, record, self.max_entries)
         return record

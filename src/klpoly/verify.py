@@ -100,27 +100,47 @@ class VerificationReport:
 
 
 def _run_cases(
+    check: str,
+    parameter_range: str,
     cases: Sequence[_CaseT],
     evaluate: Callable[[_CaseT, KLCache], Optional[Failure]],
     cache: Optional[KLCache],
-) -> list[Failure]:
-    """Evaluate every case with one shared cache; failures sorted by case."""
+    case_cap: Optional[int],
+    seed: Optional[int] = None,
+    notes: Sequence[str] = (),
+) -> VerificationReport:
+    """Evaluate the first ``case_cap`` cases (all of them when it is
+    None) with one shared cache and report on them.
+
+    Only the evaluation is timed.  Failures are sorted by case, and
+    ``notes``, which ``evaluate`` may fill as it runs, are sorted too.
+    """
+    if case_cap is not None:
+        cases = cases[:case_cap]
     shared = cache if cache is not None else KLCache()
+    start = time.perf_counter()
     results = [evaluate(case, shared) for case in cases]
-    return sorted(
-        (f for f in results if f is not None), key=lambda f: f.case
+    millis = int((time.perf_counter() - start) * 1000)
+    return VerificationReport(
+        check=check,
+        parameter_range=parameter_range,
+        cases=len(cases),
+        failures=sorted((f for f in results if f is not None), key=lambda f: f.case),
+        seed=seed,
+        millis=millis,
+        notes=sorted(notes),
     )
 
 
-def _family_cases(max_n: int, case_cap: Optional[int]) -> list[tuple[str, int, int]]:
+def _family_cases(max_n: int) -> list[tuple[str, int, int]]:
+    if max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}")
     cases = []
     for pair, extra in (("x", 0), ("y", 2)):
         for k in range(1, max_n):
             for m in range(1, max_n):
                 if k + m + extra <= max_n:
                     cases.append((pair, k, m))
-    if case_cap is not None:
-        cases = cases[:case_cap]
     return cases
 
 
@@ -132,9 +152,6 @@ def verify_regular_closed_forms(
     """Check the closed forms of kl on both family pairs, including the
     requirement that every strict-interior element of each interval has
     polynomial 1 against the top."""
-    if max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}")
-    cases = _family_cases(max_n, case_cap)
 
     def evaluate(case: tuple[str, int, int], c: KLCache) -> Optional[Failure]:
         pair, k, m = case
@@ -155,15 +172,13 @@ def verify_regular_closed_forms(
                 )
         return None
 
-    start = time.perf_counter()
-    failures = _run_cases(cases, evaluate, cache)
-    millis = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(
-        check="regular-closed-forms",
-        parameter_range=f"family size <= {max_n}",
-        cases=len(cases),
-        failures=failures,
-        millis=millis,
+    return _run_cases(
+        "regular-closed-forms",
+        f"family size <= {max_n}",
+        _family_cases(max_n),
+        evaluate,
+        cache,
+        case_cap,
     )
 
 
@@ -173,9 +188,6 @@ def verify_inverse_closed_forms(
     case_cap: Optional[int] = None,
 ) -> VerificationReport:
     """Check the closed forms of inverse_kl on both family pairs."""
-    if max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}")
-    cases = _family_cases(max_n, case_cap)
 
     def evaluate(case: tuple[str, int, int], c: KLCache) -> Optional[Failure]:
         pair, k, m = case
@@ -186,15 +198,13 @@ def verify_inverse_closed_forms(
             return Failure(f"{pair}-pair k={k} m={m}", str(expected), str(actual))
         return None
 
-    start = time.perf_counter()
-    failures = _run_cases(cases, evaluate, cache)
-    millis = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(
-        check="inverse-closed-forms",
-        parameter_range=f"family size <= {max_n}",
-        cases=len(cases),
-        failures=failures,
-        millis=millis,
+    return _run_cases(
+        "inverse-closed-forms",
+        f"family size <= {max_n}",
+        _family_cases(max_n),
+        evaluate,
+        cache,
+        case_cap,
     )
 
 
@@ -246,8 +256,6 @@ def verify_inversion_identity_batch(
         cases = [random_comparable_pair(n, rng) for _ in range(samples)]
         parameter_range = f"S_{n}, {samples} sampled pairs"
         used_seed = seed
-    if case_cap is not None:
-        cases = cases[:case_cap]
 
     def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Optional[Failure]:
         x, w = case
@@ -259,16 +267,14 @@ def verify_inversion_identity_batch(
             )
         return None
 
-    start = time.perf_counter()
-    failures = _run_cases(cases, evaluate, cache)
-    millis = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(
-        check="inversion-identity",
-        parameter_range=parameter_range,
-        cases=len(cases),
-        failures=failures,
+    return _run_cases(
+        "inversion-identity",
+        parameter_range,
+        cases,
+        evaluate,
+        cache,
+        case_cap,
         seed=used_seed,
-        millis=millis,
     )
 
 
@@ -281,9 +287,6 @@ def verify_smoothness_equivalence(
     all-ones column agrees with direct computation of the column."""
     if not (2 <= n <= 6):
         raise ValueError(f"n must be between 2 and 6, got {n}")
-    cases = list(all_perms(n))
-    if case_cap is not None:
-        cases = cases[:case_cap]
 
     def evaluate(w: Perm, c: KLCache) -> Optional[Failure]:
         by_pattern = is_smooth_top(w)
@@ -296,15 +299,13 @@ def verify_smoothness_equivalence(
             )
         return None
 
-    start = time.perf_counter()
-    failures = _run_cases(cases, evaluate, cache)
-    millis = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(
-        check="smoothness-equivalence",
-        parameter_range=f"all tops in S_{n}",
-        cases=len(cases),
-        failures=failures,
-        millis=millis,
+    return _run_cases(
+        "smoothness-equivalence",
+        f"all tops in S_{n}",
+        list(all_perms(n)),
+        evaluate,
+        cache,
+        case_cap,
     )
 
 
@@ -322,9 +323,6 @@ def verify_coatom_bound(
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    cases = list(range(2, k_max + 1))
-    if case_cap is not None:
-        cases = cases[:case_cap]
     notes: list[str] = []
 
     def evaluate(k: int, c: KLCache) -> Optional[Failure]:
@@ -351,14 +349,12 @@ def verify_coatom_bound(
             )
         return None
 
-    start = time.perf_counter()
-    failures = _run_cases(cases, evaluate, cache)
-    millis = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(
-        check="coatom-bound",
-        parameter_range=f"2 <= k <= {k_max}",
-        cases=len(cases),
-        failures=failures,
-        millis=millis,
-        notes=sorted(notes),
+    return _run_cases(
+        "coatom-bound",
+        f"2 <= k <= {k_max}",
+        list(range(2, k_max + 1)),
+        evaluate,
+        cache,
+        case_cap,
+        notes=notes,
     )

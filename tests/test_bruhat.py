@@ -4,7 +4,6 @@ import pytest
 
 from klpoly.bruhat import (
     bruhat_leq,
-    check_rank_monotonicity,
     coatom_count,
     covers_down,
     covers_up,
@@ -360,39 +359,6 @@ def test_coatom_count_rejects_bad_input():
         coatom_count((2, 1, 3), (1, 2, 3))
     with pytest.raises(ValueError):
         coatom_count((2, 1, 3), (2, 1, 3))
-
-
-def test_rank_monotonicity_examples():
-    assert check_rank_monotonicity((2, 1, 3), (2, 1, 3), (3, 2, 1))
-    assert check_rank_monotonicity(identity(3), (2, 1, 3), (3, 2, 1))
-
-
-def test_rank_monotonicity_on_random_chains():
-    # Chains are built by walking covers upward so the precondition
-    # holds by construction.
-    rng = random.Random(17)
-    for _ in range(60):
-        x = list(range(1, 6))
-        rng.shuffle(x)
-        x = tuple(x)
-        ups = covers_up(x)
-        if not ups:
-            continue
-        y = rng.choice(ups)
-        w = y
-        for _ in range(rng.randint(0, 3)):
-            ups = covers_up(w)
-            if not ups:
-                break
-            w = rng.choice(ups)
-        assert check_rank_monotonicity(x, y, w)
-
-
-def test_rank_monotonicity_rejects_broken_chains():
-    with pytest.raises(ValueError):
-        check_rank_monotonicity((2, 1, 3), identity(3), (3, 2, 1))
-    with pytest.raises(ValueError):
-        check_rank_monotonicity(identity(3), (3, 2, 1), (2, 1, 3))
 
 
 def test_render_picture_identity_pair():

@@ -121,11 +121,17 @@ def test_symmetries_in_s5(shared_cache):
         assert kl_polynomial(flip_x, flip_w, shared_cache) == p
 
 
-def test_descent_strategies_agree_in_s4():
-    largest = KLCache(descent_strategy="largest")
-    smallest = KLCache(descent_strategy="smallest")
-    for x, w in comparable_pairs(4):
-        assert kl_polynomial(x, w, largest) == kl_polynomial(x, w, smallest)
+def test_recursion_holds_at_every_right_descent_in_s5(split_at_descent):
+    cache = KLCache()
+    checked = 0
+    for x, w in comparable_pairs(5):
+        if x == w:
+            continue
+        p = kl_polynomial(x, w, cache)
+        for i in right_descents(w):
+            assert split_at_descent(x, w, i, cache) == p, (x, w, i)
+            checked += 1
+    assert checked == 8680
 
 
 def test_mu_values(shared_cache):
@@ -307,7 +313,5 @@ def test_bounded_cache_still_correct():
 
 
 def test_cache_rejects_bad_options():
-    with pytest.raises(ValueError):
-        KLCache(descent_strategy="weird")
     with pytest.raises(ValueError):
         KLCache(max_entries=0)
