@@ -75,9 +75,8 @@ class KLCache:
     it is a comparable pair.  tops holds one record per top w, built the
     first time the cache sees w: its right and left descents, the
     descent the recursion splits on (the largest right descent) and the
-    shorter top ws.  raised maps
-    a raw pair (x, w) to the raised bottom of x, so a pair still in the
-    map is not raised again.
+    shorter top ws.  raised maps a raw pair (x, w) to the raised bottom
+    of x, so a pair still in the map is not raised again.
 
     A lookup raises the bottom first (when raise_bottoms is on),
     answers 1 when the raised bottom is the top, then answers from the
