@@ -1,0 +1,6 @@
+"""``python -m klpoly``: the same command line as ``klpoly``."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -10,11 +10,19 @@ Then
 where c is 1 if x has a descent at s and 0 otherwise, and the sum runs
 over z in the Bruhat interval [x, ws] with zs < z whose mu-coefficient
 is nonzero; terms with z outside [x, ws] vanish, since P(x, z) = 0
-unless x <= z.  The interval is walked one length at a time, so the
-parity of len(w) - len(z) is read off the layer and only every other
-layer is visited.  The mu-coefficient mu(z, y) is the coefficient of
+unless x <= z.  The mu-coefficient mu(z, y) is the coefficient of
 q^((len(y)-len(z)-1)/2) in P(z, y), taken to be zero when that exponent
-is not a nonnegative integer.
+is not a nonnegative integer, so only z at an odd distance below ws
+count.
+
+Most of those z cannot count either (Kazhdan-Lusztig 1979): if t is a
+left or right descent of ws that z lacks, mu(z, ws) is nonzero only
+when z is ws t or t ws, a coatom of ws.  So the sum takes the coatoms
+of ws, each with mu = 1, from the covers of ws, and past them visits
+only z with every descent of ws.  By the lifting property each such z
+lies above x raised through the descents of ws, so those z are found
+in the odd layers of that shorter interval, walked one length at a
+time from ws.
 
 Base cases: P(w, w) = 1 and P(x, w) = 0 unless x <= w.  Any descent of
 the top gives the same polynomial; the recursion always splits on the
@@ -47,7 +55,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .bruhat import bruhat_leq, interval, rank_table
+from .bruhat import bruhat_leq, covers_down, interval, rank_table
 from .perm import (
     Perm,
     avoids_pattern,
@@ -76,7 +84,8 @@ class KLCache:
     first time the cache sees w: its right and left descents, the
     descent the recursion splits on (the largest right descent) and the
     shorter top ws.  raised maps a raw pair (x, w) to the raised bottom
-    of x, so a pair still in the map is not raised again.
+    of x, so a pair still in the map is not raised again; the correction
+    sum of a miss reads it for (x, ws) too.
 
     A lookup raises the bottom first (when raise_bottoms is on),
     answers 1 when the raised bottom is the top, then answers from the
@@ -222,17 +231,30 @@ def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
         acc = acc + _kl(hi, ws, cache, True).shift(1)
 
     if hi_below or lo is x:
-        # x <= ws.  Layer 2k + 1 of [x, ws] holds the z with
-        # len(w) - len(z) = 2k + 2: the correction exponent is k + 1 and
-        # mu(z, ws) is the coefficient of q^k in P(z, ws).  Even layers
-        # have no term.
-        for k, layer in enumerate(interval(x, ws).layers[1::2]):
+        # x <= ws.  Only the coatoms of ws and the z with every descent of
+        # ws can have mu(z, ws) != 0 (see the module docstring).  A coatom
+        # has mu = 1 and exponent 1.
+        for z in covers_down(ws):
+            if z[i - 1] > z[i] and bruhat_leq(x, z):
+                acc = acc - _kl(x, z, cache, True).shift(1)
+        # Layer 2k + 1 of [x, ws] holds the z with len(w) - len(z) = 2k + 2:
+        # the exponent is k + 1 and mu(z, ws) is the coefficient of q^k in
+        # P(z, ws).  From layer 3 on only z with every descent of ws count,
+        # and by the lifting property each of them lies above x raised
+        # through those descents, so the walk starts there; its layers
+        # keep their index, since both walks start at ws.
+        right, left, _, _ = cache._top(ws)
+        bottom = cache.raised.get((x, ws)) or _raise_bottom(x, right, left)
+        # z must have the descent s as well.
+        needed = right + (i,)
+        for k, layer in enumerate(interval(bottom, ws).layers[3::2], 1):
             for z in layer:
-                if z[i - 1] < z[i]:
-                    continue
-                m = _kl(z, ws, cache, True).coefficient(k)
-                if m:
-                    acc = acc - _kl(x, z, cache, True).shift(k + 1) * m
+                if all(z[j - 1] > z[j] for j in needed) and all(
+                    z.index(j + 1) < z.index(j) for j in left
+                ):
+                    m = _kl(z, ws, cache, True).coefficient(k)
+                    if m:
+                        acc = acc - _kl(x, z, cache, True).shift(k + 1) * m
 
     cache.store(key, acc)
     return acc

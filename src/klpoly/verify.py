@@ -114,8 +114,11 @@ def _run_cases(
 
     Only the evaluation is timed.  Failures are sorted by case, and
     ``notes``, which ``evaluate`` may fill as it runs, are sorted too.
+    Raises ValueError when ``case_cap`` is below 1.
     """
     if case_cap is not None:
+        if case_cap < 1:
+            raise ValueError(f"case_cap must be >= 1, got {case_cap}")
         cases = cases[:case_cap]
     shared = cache if cache is not None else KLCache()
     start = time.perf_counter()

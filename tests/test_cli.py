@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +187,42 @@ def test_verify_inversion_caps_an_exhaustive_run(capsys):
     assert data["cases"] == 7
     assert data["range"] == "S_5 exhaustive"
     assert data["seed"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coatom-bound", "--kmax", "4", "--cases", "-1"),
+        ("regular", "--cases", "0"),
+        ("inversion", "--n", "5", "--cases", "0"),
+        ("inversion", "--n", "6", "--cases", "0"),
+    ],
+    ids=["coatom-bound-negative", "regular-zero", "inversion-exhaustive-zero",
+         "inversion-sampled-zero"],
+)
+def test_verify_rejects_a_case_count_below_one(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    if env.get("PYTHONPATH"):
+        src += os.pathsep + env["PYTHONPATH"]
+    env["PYTHONPATH"] = src
+    for argv, code, out in ((["kl", "2143", "4231"], 0, "1 + q\n"),
+                            (["kl", "21", "321"], 2, "")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "klpoly", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
 
 
 def test_size_mismatch_is_a_usage_error(capsys):

@@ -134,6 +134,23 @@ def test_recursion_holds_at_every_right_descent_in_s5(split_at_descent):
     assert checked == 8680
 
 
+def test_recursion_holds_at_every_right_descent_sampled_s7(split_at_descent):
+    # The fixture sums over all of [x, ws], so it checks from outside the
+    # recursion's restricted correction sum.
+    rng = random.Random(7)
+    cache = KLCache()
+    checked = 0
+    for _ in range(60):
+        x, w = random_comparable_pair(7, rng)
+        if x == w:
+            continue
+        p = kl_polynomial(x, w, cache)
+        for i in right_descents(w):
+            assert split_at_descent(x, w, i, cache) == p, (x, w, i)
+            checked += 1
+    assert checked == 208
+
+
 def test_mu_values(shared_cache):
     assert mu((1, 2), (2, 1), shared_cache) == 1
     assert mu((2, 4, 1, 3), (2, 4, 1, 3), shared_cache) == 0

@@ -20,6 +20,12 @@ deg P(x, w) <= (l(w) - l(x) - 1) / 2 of
 The two terms on the left occupy disjoint degrees, so the part of the
 right-hand side of degree at most (l(w) - l(x) - 1) / 2 is -P(x, w) and
 the rest must be its mirror image; the oracle checks the mirror too.
+
+The oracle's polynomials and Bruhat order also check the two facts that
+let the recursion's correction sum skip most of [x, ws]: mu(y, w)
+vanishes off the coatoms of w unless y has every descent of w
+(Kazhdan-Lusztig 1979), and every such y above x lies above x raised
+through the descents of w (the lifting property).
 """
 
 import itertools
@@ -29,7 +35,7 @@ from functools import lru_cache
 
 import pytest
 
-from klpoly.kl import kl_polynomial
+from klpoly.kl import _raise_bottom, kl_polynomial
 
 # Polynomials are tuples of int coefficients from degree 0 upward with
 # trailing zeros trimmed, so equal polynomials compare equal.
@@ -93,6 +99,19 @@ def _leq(x, w):
 def _swap(w, i):
     """w times the adjacent transposition of positions i and i + 1."""
     return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+
+
+def _swap_values(w, i):
+    """The adjacent transposition of the values i and i + 1 times w."""
+    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
+
+
+def _descents(w):
+    """(right, left): the i with w(i) > w(i + 1), and the i with i + 1
+    standing left of i."""
+    right = tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
+    left = tuple(i for i in range(1, len(w)) if w.index(i + 1) < w.index(i))
+    return right, left
 
 
 @lru_cache(maxsize=None)
@@ -179,3 +198,45 @@ def test_oracle_agrees_on_sampled_pairs_in_s6():
         column = oracle_column(w, members)
         assert kl_polynomial(x, w).coeffs == column[x], (x, w)
         checked += 1
+
+
+def test_mu_vanishes_off_the_descents_in_s5():
+    # If s is a descent of w that y lacks, mu(y, w) != 0 only for y = ws
+    # (s on the right) or y = sw (s on the left).
+    perms = _perms(5)
+    past_coatoms = 0
+    for w in perms:
+        column = oracle_column(w, {z for z in perms if _leq(z, w)})
+        right, left = _descents(w)
+        for y, p in column.items():
+            gap = _length(w) - _length(y) - 1
+            if gap < 0 or gap % 2 or len(p) <= gap // 2 or not p[gap // 2]:
+                continue
+            past_coatoms += gap > 0
+            y_right, y_left = _descents(y)
+            for i in set(right) - set(y_right):
+                assert y == _swap(w, i), (y, w, i)
+            for i in set(left) - set(y_left):
+                assert y == _swap_values(w, i), (y, w, i)
+    assert past_coatoms > 0
+
+
+def test_raised_bottom_lies_below_every_z_with_the_top_descents_in_s5():
+    perms = _perms(5)
+    checked = 0
+    for y in perms:
+        below = [z for z in perms if _leq(z, y)]
+        right, left = _descents(y)
+        full = []
+        for z in below:
+            z_right, z_left = _descents(z)
+            if set(right) <= set(z_right) and set(left) <= set(z_left):
+                full.append(z)
+        for x in below:
+            raised = _raise_bottom(x, right, left)
+            assert _leq(x, raised) and _leq(raised, y), (x, y)
+            for z in full:
+                if _leq(x, z):
+                    assert _leq(raised, z), (x, y, z)
+                    checked += 1
+    assert checked > 3781

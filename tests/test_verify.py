@@ -134,7 +134,7 @@ def test_coatom_bound():
         verify_coatom_bound(1)
 
 
-@pytest.mark.parametrize(
+_CAPPED_RUNS = pytest.mark.parametrize(
     "run",
     [
         lambda cap: verify_regular_closed_forms(6, case_cap=cap),
@@ -145,6 +145,9 @@ def test_coatom_bound():
     ],
     ids=["regular", "inverse", "inversion", "smoothness", "coatom-bound"],
 )
+
+
+@_CAPPED_RUNS
 def test_case_cap_truncates(run):
     capped = run(1)
     assert capped.cases == 1
@@ -154,6 +157,14 @@ def test_case_cap_truncates(run):
     for report in (full, above):
         report.millis = 0
     assert above == full
+
+
+@_CAPPED_RUNS
+@pytest.mark.parametrize("cap", [0, -1])
+def test_case_cap_below_one_is_rejected(run, cap):
+    # A negative cap would otherwise slice from the end of the case list.
+    with pytest.raises(ValueError, match="case_cap"):
+        run(cap)
 
 
 def test_report_json_schema():
