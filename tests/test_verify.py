@@ -3,8 +3,9 @@ import json
 import pytest
 
 from klpoly.bruhat import bruhat_leq
-from klpoly.kl import KLCache
-from klpoly.perm import all_perms
+from klpoly.kl import KLCache, check_inversion_identity, kl_polynomial
+from klpoly.perm import all_perms, format_perm
+from klpoly.polynomial import ONE, IntPolynomial
 from klpoly.verify import (
     Failure,
     VerificationReport,
@@ -93,6 +94,28 @@ def test_exhaustive_inversion_cases_match_all_pairs_filter(n):
     # The case list, and so what case_cap keeps, is the all-pairs filter.
     old = [(x, w) for w in all_perms(n) for x in all_perms(n) if bruhat_leq(x, w)]
     assert _comparable_pairs(n) == old
+
+
+@pytest.mark.parametrize("error", [ONE, IntPolynomial.q_power(8)], ids=["plus-1", "plus-q8"])
+@pytest.mark.parametrize("z", [(1, 2, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4)])
+def test_inversion_batch_fails_exactly_where_the_check_does(z, error):
+    # A wrong P(z, w) must fail the same cases in the batch as in the
+    # one-pair check, whatever way the batch gets its intervals.
+    w = (4, 2, 3, 1)
+
+    def seeded():
+        cache = KLCache(raise_bottoms=False)
+        cache.memo[(z, w)] = kl_polynomial(z, w) + error
+        return cache
+
+    report = verify_inversion_identity_batch(4, seeded())
+    expected = {
+        f"x={format_perm(x)} w={format_perm(top)}"
+        for x, top in _comparable_pairs(4)
+        if not check_inversion_identity(x, top, seeded())
+    }
+    assert expected
+    assert sorted(f.case for f in report.failures) == sorted(expected)
 
 
 def test_inversion_sampled_is_seeded():
