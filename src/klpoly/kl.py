@@ -53,9 +53,16 @@ xs lies below ws without a comparison.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from .bruhat import bruhat_leq, covers_down, interval, rank_table
+from .bruhat import (
+    _field_bits,
+    _ones,
+    _packed_difference,
+    bruhat_leq,
+    covers_down,
+    interval,
+)
 from .perm import (
     Perm,
     avoids_pattern,
@@ -294,17 +301,26 @@ def inverse_kl(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolynomi
 
 
 def check_inversion_identity(
-    x: Perm, w: Perm, cache: Optional[KLCache] = None
+    x: Perm,
+    w: Perm,
+    cache: Optional[KLCache] = None,
+    layers: Optional[Sequence[Sequence[Perm]]] = None,
 ) -> bool:
     """Test the defining inversion relation on the interval [x, w]:
 
         sum over x <= z <= w of
             (-1)^(len(z) + len(w)) P(z, w) P(w0 z, w0 x)
 
-    must be 1 when x = w and 0 otherwise.  Raises ValueError when
-    x is not <= w.
+    must be 1 when x = w and 0 otherwise.  The sum runs over the layers
+    of [x, w], layer k holding the z with len(w) - len(z) = k, which
+    gives each term its sign.  They are walked with
+    ``interval(x, w).layers`` unless the caller passes them; a caller
+    checking many bottoms under one top reads them off one walk with
+    :func:`~klpoly.bruhat.restrict_walk` (the order within a layer does
+    not matter).  Raises ValueError when x is not <= w.
     """
-    layers = interval(x, w).layers
+    if layers is None:
+        layers = interval(x, w).layers
     if cache is None:
         cache = KLCache()
     # w0 v reverses values: (w0 v)(i) = n + 1 - v(i).
@@ -314,7 +330,6 @@ def check_inversion_identity(
     # most (len(w) - len(x)) / 2, below len(layers); a longer one (from a
     # wrong memo entry) grows the list.
     total = [0] * len(layers)
-    # Layer k holds the z with len(w) - len(z) = k.
     for k, layer in enumerate(layers):
         sign = -1 if k % 2 else 1
         for z in layer:
@@ -338,19 +353,26 @@ def active_positions(x: Perm, w: Perm) -> tuple[int, ...]:
     x(p) != w(p), together with those where the rank difference at the
     cell (p, x(p)) is nonzero.
 
+    The differences are read off the packed R_w - R_x plus H (see
+    :mod:`klpoly.bruhat`), whose field for a cell holds
+    2^(b-1) + r_w - r_x without a borrow, whether or not x <= w.
+
     >>> active_positions((1, 2, 3, 4), (1, 3, 2, 4))
     (2, 3)
     """
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
-    rx = rank_table(x)
-    rw = rank_table(w)
+    n = len(x)
+    if len(w) != n:
+        raise ValueError(f"size mismatch: {n} vs {len(w)}")
+    b = _field_bits(n)
+    half = 1 << (b - 1)
+    field = (1 << b) - 1
+    table = _packed_difference(x, w, b) + (_ones(n * n, b) << (b - 1))
     out = []
-    for p in range(1, len(x) + 1):
-        if x[p - 1] != w[p - 1]:
-            out.append(p)
-        elif rw[p - 1][x[p - 1] - 1] != rx[p - 1][x[p - 1] - 1]:
-            out.append(p)
+    for p in range(n):
+        # Cell (p + 1, x(p + 1)) is field p n + x(p + 1) - 1.
+        cell = (table >> ((p * n + x[p] - 1) * b)) & field
+        if x[p] != w[p] or cell - half:
+            out.append(p + 1)
     return tuple(out)
 
 

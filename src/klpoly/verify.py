@@ -20,7 +20,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .bruhat import bruhat_leq, coatom_count, down_set, interval
+from .bruhat import (
+    bruhat_leq,
+    coatom_count,
+    down_set,
+    down_walk,
+    interval,
+    restrict_walk,
+)
 from .families import (
     closed_form_inverse,
     closed_form_regular,
@@ -240,7 +247,10 @@ def verify_inversion_identity_batch(
 
     With ``samples`` unset the check is exhaustive over S_n, which is
     only reasonable for n <= 5; above that a sample count is required
-    and pairs are drawn with the given seed.
+    and pairs are drawn with the given seed.  The exhaustive cases come
+    grouped by top, so each top's [e, w] is walked once and every
+    [x, w] under it is read off that walk; only the current top's walk
+    is kept.  A sampled pair walks its own interval.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -260,9 +270,17 @@ def verify_inversion_identity_batch(
         parameter_range = f"S_{n}, {samples} sampled pairs"
         used_seed = seed
 
+    walked: dict[Perm, list[dict[Perm, int]]] = {}
+
     def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Optional[Failure]:
         x, w = case
-        if not check_inversion_identity(x, w, c):
+        layers = None
+        if samples is None:
+            if w not in walked:
+                walked.clear()
+                walked[w] = down_walk(w)
+            layers = restrict_walk(walked[w], x)
+        if not check_inversion_identity(x, w, c, layers):
             return Failure(
                 f"x={format_perm(x)} w={format_perm(w)}",
                 "delta(x, w)",

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from klpoly.bruhat import bruhat_leq, down_set, interval
+from klpoly.bruhat import bruhat_leq, down_set, interval, rank_difference
 from klpoly.kl import (
     KLCache,
     _raise_bottom,
@@ -216,6 +216,19 @@ def test_active_positions():
     assert active_positions(identity(4), (1, 3, 2, 4)) == (2, 3)
     with pytest.raises(ValueError):
         active_positions((1, 2), (1, 2, 3))
+
+
+def test_active_positions_match_rank_difference_on_s5():
+    # Every pair, comparable or not: a cell's difference may be negative.
+    elements = list(all_perms(5))
+    for x in elements:
+        for w in elements:
+            diff = rank_difference(x, w).values
+            want = tuple(
+                p for p in range(1, 6)
+                if x[p - 1] != w[p - 1] or diff[p - 1][x[p - 1] - 1]
+            )
+            assert active_positions(x, w) == want
 
 
 def test_flatten_pair():

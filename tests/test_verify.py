@@ -96,7 +96,9 @@ def test_exhaustive_inversion_cases_match_all_pairs_filter(n):
     assert _comparable_pairs(n) == old
 
 
-@pytest.mark.parametrize("error", [ONE, IntPolynomial.q_power(8)], ids=["plus-1", "plus-q8"])
+@pytest.mark.parametrize(
+    "error", [ONE, IntPolynomial.q_power(8)], ids=["plus-1", "plus-q8"]
+)
 @pytest.mark.parametrize("z", [(1, 2, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4)])
 def test_inversion_batch_fails_exactly_where_the_check_does(z, error):
     # A wrong P(z, w) must fail the same cases in the batch as in the
