@@ -20,21 +20,16 @@ updates it with a few whole-table operations per cover.
 
 Covers, intervals and down-sets are computed combinatorially from the
 transposition description of the covering relation.  Intervals and
-down-sets come from one walker, which goes down from the top a length
-at a time and carries each element's packed difference.
-:func:`interval` keeps its layers as tuples; :func:`down_walk` keeps
-the walk of [e, w] with its differences, and :func:`restrict_walk`
-reads any [x, w] off it with the test of :func:`bruhat_leq`, so a
-caller needing many bottoms under one top walks once.  Nothing here is
-memoised: rank tables, intervals and down-sets are rebuilt on every
-call, so the module holds no state.
+down-sets come from one walker, :func:`interval`, which goes down from
+the top a length at a time and carries each element's packed
+difference.  Nothing here is memoised: rank tables, intervals and
+down-sets are rebuilt on every call, so the module holds no state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .perm import Perm, format_perm, identity
 
@@ -258,61 +253,6 @@ def interval(x: Perm, w: Perm) -> BruhatInterval:
     >>> iv.layers
     (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3),))
     """
-    layers = tuple(tuple(layer) for layer in _walk(x, w))
-    return BruhatInterval(bottom=x, top=w, layers=layers)
-
-
-def down_walk(w: Perm) -> list[dict[Perm, int]]:
-    """The walk of [e, w]: layer k maps each z <= w of length
-    length(w) - k to its packed rank difference d_z = r_z - r_e.
-
-    Kept by a caller that needs many intervals [x, w] under one top;
-    :func:`restrict_walk` reads each of them off it.
-    """
-    return list(_walk(identity(len(w)), w))
-
-
-def restrict_walk(
-    walk: list[dict[Perm, int]], x: Perm
-) -> tuple[tuple[Perm, ...], ...]:
-    """The layers of [x, w] read off the walk of [e, w] from
-    :func:`down_walk`, with layer k holding the elements of length
-    length(w) - k, as in ``interval(x, w).layers``; the order within a
-    layer may differ.
-
-    d_z - d_x = r_z - r_x, so x <= z exactly when
-    (d_z + H - d_x) & H == H, the test of :func:`bruhat_leq`, and layer
-    k of [x, w] is layer k of [e, w] filtered by it, for k up to
-    length(w) - length(x).  Raises ValueError unless x <= w.
-
-    >>> restrict_walk(down_walk((3, 2, 1)), (1, 3, 2))
-    (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)), ((1, 3, 2),))
-    """
-    n = len(x)
-    b = _field_bits(n)
-    high = _ones(n * n, b) << (b - 1)
-    for last, layer in enumerate(walk):
-        d_x = layer.get(x)
-        if d_x is not None:
-            break
-    else:
-        top = next(iter(walk[0]))
-        raise ValueError(
-            f"not a valid interval: {format_perm(x)} is not <= {format_perm(top)}"
-        )
-    base = high - d_x
-    return tuple(
-        tuple([z for z, d in layer.items() if (d + base) & high == high])
-        for layer in walk[: last + 1]
-    )
-
-
-def _walk(x: Perm, w: Perm) -> Iterator[dict[Perm, int]]:
-    """The layers of [x, w] from the top down, each a dict from z to its
-    packed d_z = r_z - r_x: the walk :func:`interval` describes.
-
-    Raises ValueError unless x <= w.
-    """
     n = len(x)
     if len(w) != n:
         raise ValueError(f"size mismatch: {n} vs {len(w)}")
@@ -333,10 +273,10 @@ def _walk(x: Perm, w: Perm) -> Iterator[dict[Perm, int]]:
     ones_row = rows[1]
     every_row = _ones(n, row_bits)
     cols = [(ones_row >> ((n - v) * b)) * every_row for v in range(n + 1)]
+    layers = [(w,)]
     diffs = {w: top_diff}
-    yield diffs
     # The bottom is the only member of its length, so it ends the walk.
-    while x not in diffs:
+    while layers[-1][0] != x:
         below: dict[Perm, int] = {}
         for z, d in diffs.items():
             positive = ((d + fill) >> shift) & ones
@@ -363,8 +303,9 @@ def _walk(x: Perm, w: Perm) -> Iterator[dict[Perm, int]]:
                             y[i] = zj
                             y[j] = zi
                             below[tuple(y)] = d - rect
-        yield below
+        layers.append(tuple(below))
         diffs = below
+    return BruhatInterval(bottom=x, top=w, layers=tuple(layers))
 
 
 def format_interval(iv: BruhatInterval) -> str:

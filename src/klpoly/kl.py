@@ -300,11 +300,35 @@ def inverse_kl(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolynomi
     return kl_polynomial(compose(w0, w), compose(w0, x), cache)
 
 
+def kl_column(
+    w: Perm,
+    cache: Optional[KLCache] = None,
+    layers: Optional[Sequence[Sequence[Perm]]] = None,
+) -> list[dict[Perm, IntPolynomial]]:
+    """The column of w: layer k maps each z <= w of length len(w) - k
+    to P(z, w).
+
+    The layers are those of [e, w] unless the caller passes others of
+    the same shape, such as ``interval(x, w).layers``; each entry is
+    read once from the cache.
+
+    >>> [{format_perm(z): str(p) for z, p in layer.items()}
+    ...  for layer in kl_column((2, 3, 1))]
+    [{'2,3,1': '1'}, {'1,3,2': '1', '2,1,3': '1'}, {'1,2,3': '1'}]
+    """
+    if cache is None:
+        cache = KLCache()
+    if layers is None:
+        layers = interval(identity(len(w)), w).layers
+    return [{z: _kl(z, w, cache, True) for z in layer} for layer in layers]
+
+
 def check_inversion_identity(
     x: Perm,
     w: Perm,
     cache: Optional[KLCache] = None,
-    layers: Optional[Sequence[Sequence[Perm]]] = None,
+    column: Optional[Sequence[dict[Perm, IntPolynomial]]] = None,
+    dual: Optional[dict[Perm, IntPolynomial]] = None,
 ) -> bool:
     """Test the defining inversion relation on the interval [x, w]:
 
@@ -312,29 +336,38 @@ def check_inversion_identity(
             (-1)^(len(z) + len(w)) P(z, w) P(w0 z, w0 x)
 
     must be 1 when x = w and 0 otherwise.  The sum runs over the layers
-    of [x, w], layer k holding the z with len(w) - len(z) = k, which
-    gives each term its sign.  They are walked with
-    ``interval(x, w).layers`` unless the caller passes them; a caller
-    checking many bottoms under one top reads them off one walk with
-    :func:`~klpoly.bruhat.restrict_walk` (the order within a layer does
-    not matter).  Raises ValueError when x is not <= w.
+    of ``column``, layer k mapping z of length len(w) - k to P(z, w),
+    which gives each term its sign, and skips any z missing from
+    ``dual``, which maps each z >= x to P(w0 z, w0 x).  A caller
+    checking many pairs passes both: the whole column of w from
+    :func:`kl_column`, and the column of w0 x re-keyed by z = w0 v, so
+    that every polynomial is read once per sweep.  Without them both
+    are built from ``interval(x, w).layers``, which raises ValueError
+    when x is not <= w.
     """
-    if layers is None:
-        layers = interval(x, w).layers
     if cache is None:
         cache = KLCache()
     # w0 v reverses values: (w0 v)(i) = n + 1 - v(i).
     top = len(x) + 1
-    w0x = tuple([top - v for v in x])
+    if column is None:
+        layers = interval(x, w).layers
+        column = kl_column(w, cache, layers)
+        w0x = tuple([top - v for v in x])
+        dual = {
+            z: _kl(tuple([top - v for v in z]), w0x, cache, True)
+            for layer in layers
+            for z in layer
+        }
     # Signed coefficients of the sum.  A correct product has degree at
-    # most (len(w) - len(x)) / 2, below len(layers); a longer one (from a
-    # wrong memo entry) grows the list.
-    total = [0] * len(layers)
-    for k, layer in enumerate(layers):
+    # most (len(w) - len(x)) / 2, below len(column); a longer one (from
+    # a wrong memo entry) grows the list.
+    total = [0] * len(column)
+    for k, layer in enumerate(column):
         sign = -1 if k % 2 else 1
-        for z in layer:
-            p = _kl(z, w, cache, True)
-            r = _kl(tuple([top - v for v in z]), w0x, cache, True)
+        for z, p in layer.items():
+            r = dual.get(z)
+            if r is None:
+                continue
             if p == ONE:
                 term = r.coeffs
             elif r == ONE:
@@ -345,6 +378,9 @@ def check_inversion_identity(
                 total.extend([0] * (len(term) - len(total)))
             for deg, c in enumerate(term):
                 total[deg] += sign * c
+        if x in layer:
+            # Every later layer is shorter than x.
+            break
     return total == [1 if x == w else 0] + [0] * (len(total) - 1)
 
 

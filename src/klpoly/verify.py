@@ -20,14 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .bruhat import (
-    bruhat_leq,
-    coatom_count,
-    down_set,
-    down_walk,
-    interval,
-    restrict_walk,
-)
+from .bruhat import bruhat_leq, coatom_count, down_set, interval
 from .families import (
     closed_form_inverse,
     closed_form_regular,
@@ -38,10 +31,11 @@ from .kl import (
     check_inversion_identity,
     inverse_kl,
     is_smooth_top,
+    kl_column,
     kl_polynomial,
 )
-from .perm import Perm, all_perms, compose, format_perm, longest_element
-from .polynomial import ONE
+from .perm import Perm, all_perms, compose, format_perm, identity, longest_element
+from .polynomial import ONE, IntPolynomial
 
 _CaseT = TypeVar("_CaseT")
 
@@ -230,10 +224,26 @@ def random_comparable_pair(n: int, rng: random.Random) -> tuple[Perm, Perm]:
             return tuple(x), tuple(w)
 
 
-def _comparable_pairs(n: int) -> list[tuple[Perm, Perm]]:
+def _down_layers(n: int) -> dict[Perm, tuple[tuple[Perm, ...], ...]]:
+    """The layers of [e, w] for every w in S_n, keyed in lexicographic
+    order of w."""
+    e = identity(n)
+    return {w: interval(e, w).layers for w in all_perms(n)}
+
+
+def _comparable_pairs(
+    n: int, downs: Optional[dict[Perm, tuple[tuple[Perm, ...], ...]]] = None
+) -> list[tuple[Perm, Perm]]:
     """Every pair (x, w) in S_n with x <= w: w in lexicographic order,
-    and within each w the x of its down-set in lexicographic order."""
-    return [(x, w) for w in all_perms(n) for x in sorted(down_set(w))]
+    and within each w the x of [e, w] in lexicographic order.  ``downs``
+    is :func:`_down_layers` of n, walked here when not given."""
+    if downs is None:
+        downs = _down_layers(n)
+    return [
+        (x, w)
+        for w, layers in downs.items()
+        for x in sorted([z for layer in layers for z in layer])
+    ]
 
 
 def verify_inversion_identity_batch(
@@ -247,10 +257,12 @@ def verify_inversion_identity_batch(
 
     With ``samples`` unset the check is exhaustive over S_n, which is
     only reasonable for n <= 5; above that a sample count is required
-    and pairs are drawn with the given seed.  The exhaustive cases come
-    grouped by top, so each top's [e, w] is walked once and every
-    [x, w] under it is read off that walk; only the current top's walk
-    is kept.  A sampled pair walks its own interval.
+    and pairs are drawn with the given seed.  The exhaustive run walks
+    each top's [e, w] once, builds its cases from those walks, and
+    reads each column P(., w) from the cache once, as the cases first
+    need it: case (x, w) sums over the column of w, with the column of
+    w0 x re-keyed by z = w0 v as its dual factor.  The columns live for
+    one call.  A sampled pair walks its own interval.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -259,7 +271,8 @@ def verify_inversion_identity_batch(
             raise ValueError(
                 f"exhaustive check over S_{n} is too large; pass a sample count"
             )
-        cases = _comparable_pairs(n)
+        downs = _down_layers(n)
+        cases = _comparable_pairs(n, downs)
         parameter_range = f"S_{n} exhaustive"
         used_seed = None
     else:
@@ -270,17 +283,29 @@ def verify_inversion_identity_batch(
         parameter_range = f"S_{n}, {samples} sampled pairs"
         used_seed = seed
 
-    walked: dict[Perm, list[dict[Perm, int]]] = {}
+    columns: dict[Perm, list[dict[Perm, IntPolynomial]]] = {}
+    duals: dict[Perm, dict[Perm, IntPolynomial]] = {}
+    # w0 v reverses values: (w0 v)(i) = n + 1 - v(i).
+    top = n + 1
+
+    def column(w: Perm, c: KLCache) -> list[dict[Perm, IntPolynomial]]:
+        if w not in columns:
+            columns[w] = kl_column(w, c, downs[w])
+        return columns[w]
 
     def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Optional[Failure]:
         x, w = case
-        layers = None
         if samples is None:
-            if w not in walked:
-                walked.clear()
-                walked[w] = down_walk(w)
-            layers = restrict_walk(walked[w], x)
-        if not check_inversion_identity(x, w, c, layers):
+            if x not in duals:
+                duals[x] = {
+                    tuple([top - u for u in v]): p
+                    for layer in column(tuple([top - u for u in x]), c)
+                    for v, p in layer.items()
+                }
+            passed = check_inversion_identity(x, w, c, column(w, c), duals[x])
+        else:
+            passed = check_inversion_identity(x, w, c)
+        if not passed:
             return Failure(
                 f"x={format_perm(x)} w={format_perm(w)}",
                 "delta(x, w)",

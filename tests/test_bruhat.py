@@ -8,13 +8,11 @@ from klpoly.bruhat import (
     covers_down,
     covers_up,
     down_set,
-    down_walk,
     format_interval,
     interval,
     rank_count,
     rank_difference,
     render_picture,
-    restrict_walk,
 )
 from klpoly.perm import (
     all_perms,
@@ -329,49 +327,6 @@ def test_interval_sorted_elements_ordering():
     text = format_interval(iv)
     assert text.splitlines()[0] == "1,2,3"
     assert text.splitlines()[-1] == "3,2,1"
-
-
-def check_restrictions(w, bottoms):
-    """Each [x, w] read off the walk of [e, w] is interval(x, w), layer
-    for layer, with x alone in its last layer."""
-    walk = down_walk(w)
-    for x in bottoms:
-        layers = restrict_walk(walk, x)
-        want = interval(x, w).layers
-        assert [set(layer) for layer in layers] == [set(layer) for layer in want]
-        assert layers[-1] == (x,)
-
-
-@pytest.mark.parametrize("n", [4, 5])
-def test_restrict_walk_matches_interval(n):
-    elements = list(all_perms(n))
-    for w in elements:
-        check_restrictions(w, [x for x in elements if bruhat_leq(x, w)])
-
-
-def test_restrict_walk_matches_interval_on_s6_tops():
-    rng = random.Random(66)
-    elements = list(all_perms(6))
-    for _ in range(4):
-        w = rng.choice(elements)
-        below = [x for x in elements if bruhat_leq(x, w)]
-        check_restrictions(w, rng.sample(below, min(30, len(below))) + [identity(6), w])
-
-
-def test_down_walk_is_the_walk_from_the_identity():
-    for w in all_perms(4):
-        walk = down_walk(w)
-        assert [tuple(layer) for layer in walk] == list(interval(identity(4), w).layers)
-        assert walk[0] == {w: walk[0][w]}
-
-
-def test_restrict_walk_rejects_bottoms_not_below_the_top():
-    for w in all_perms(4):
-        walk = down_walk(w)
-        for x in all_perms(4):
-            if not bruhat_leq(x, w):
-                with pytest.raises(ValueError, match="not a valid interval"):
-                    restrict_walk(walk, x)
 
 
 def test_coatom_count_small_cases():

@@ -189,6 +189,16 @@ def test_verify_inversion_caps_an_exhaustive_run(capsys):
     assert data["seed"] is None
 
 
+def test_verify_inversion_exhaustive_at_benchmark_size(capsys):
+    code, out, _ = run(capsys, "verify", "inversion", "--n", "5", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["check", "range", "cases", "failures", "seed", "millis"]
+    assert data["cases"] == 3781
+    assert data["failures"] == []
+    assert data["seed"] is None
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import pytest
 
-from klpoly.kl import _raise_bottom, kl_polynomial
+from klpoly.kl import KLCache, _raise_bottom, kl_column, kl_polynomial
 
 # Polynomials are tuples of int coefficients from degree 0 upward with
 # trailing zeros trimmed, so equal polynomials compare equal.
@@ -183,6 +183,24 @@ def test_oracle_agrees_on_all_of_s5():
         column = oracle_column(w, below)
         for x in perms:
             assert kl_polynomial(x, w).coeffs == column.get(x, ()), (x, w)
+
+
+def test_kl_column_matches_the_oracle_in_s5():
+    # The exhaustive inversion batch reads every polynomial it sums from
+    # these columns; one cache per configuration is shared by all tops.
+    perms = _perms(5)
+    for cache in (None, KLCache(raise_bottoms=False), KLCache(max_entries=1)):
+        for w in perms:
+            below = {z for z in perms if _leq(z, w)}
+            expected = oracle_column(w, below)
+            column = kl_column(w, cache)
+            assert len(column) == _length(w) + 1, w
+            for k, layer in enumerate(column):
+                assert set(layer) == {
+                    z for z in below if _length(z) == _length(w) - k
+                }, (w, k)
+                for z, p in layer.items():
+                    assert p.coeffs == expected[z], (z, w)
 
 
 def test_oracle_agrees_on_sampled_pairs_in_s6():

@@ -120,6 +120,49 @@ def test_inversion_batch_fails_exactly_where_the_check_does(z, error):
     assert sorted(f.case for f in report.failures) == sorted(expected)
 
 
+@pytest.mark.parametrize(
+    "error", [ONE, IntPolynomial.q_power(8)], ids=["plus-1", "plus-q8"]
+)
+@pytest.mark.parametrize("z", [(1, 2, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4)])
+def test_capped_inversion_batch_fails_exactly_where_the_check_does(z, error):
+    # A cap that stops partway through the cases of w leaves some of its
+    # columns unread; the cases it keeps must still fail as they do alone.
+    w = (4, 2, 3, 1)
+
+    def seeded():
+        cache = KLCache(raise_bottoms=False)
+        cache.memo[(z, w)] = kl_polynomial(z, w) + error
+        return cache
+
+    cases = _comparable_pairs(4)
+    cap = cases.index(((1, 2, 3, 4), w)) + 7
+    assert cases[cap][1] == w
+    failing = [
+        f"x={format_perm(x)} w={format_perm(top)}"
+        for x, top in cases
+        if not check_inversion_identity(x, top, seeded())
+    ]
+    expected = [
+        f"x={format_perm(x)} w={format_perm(top)}"
+        for x, top in cases[:cap]
+        if not check_inversion_identity(x, top, seeded())
+    ]
+    # The cap keeps some failing cases and drops others.
+    assert expected and len(expected) < len(failing)
+    report = verify_inversion_identity_batch(4, seeded(), case_cap=cap)
+    assert report.cases == cap
+    assert sorted(f.case for f in report.failures) == sorted(expected)
+
+
+def test_exhaustive_inversion_reads_each_polynomial_once():
+    # Per-term lookups made 20,459 memo hits per S_5 sweep; reading each
+    # column once makes fewer lookups than there are cases.
+    cache = KLCache()
+    assert verify_inversion_identity_batch(5, cache).passed
+    assert cache.misses == len(cache.memo) == 122
+    assert cache.hits + cache.misses < 3781
+
+
 def test_inversion_sampled_is_seeded():
     a = verify_inversion_identity_batch(5, samples=30, seed=11)
     b = verify_inversion_identity_batch(5, samples=30, seed=11)
