@@ -22,7 +22,10 @@ Covers, intervals and down-sets are computed combinatorially from the
 transposition description of the covering relation.  Intervals and
 down-sets come from one walker, :func:`interval`, which goes down from
 the top a length at a time and carries each element's packed
-difference.  Nothing here is memoised: rank tables, intervals and
+difference.  Given a set of right descents it walks only the z that
+have all of them, the maxima of the right cosets z W_J inside the
+interval, which is all the Kazhdan-Lusztig recursion and the family
+checks need.  Nothing here is memoised: rank tables, intervals and
 down-sets are rebuilt on every call, so the module holds no state.
 """
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .perm import Perm, format_perm, identity
 
@@ -204,12 +208,15 @@ class BruhatInterval:
     """The set of z with bottom <= z <= top, by length.
 
     ``layers[k]`` holds the elements of length length(top) - k, so the
-    first layer is (top,) and the last is (bottom,).
+    first layer is (top,) and the last is (bottom,).  When ``descents``
+    is not empty only the z with a right descent at each of those
+    positions are members.
     """
 
     bottom: Perm
     top: Perm
     layers: tuple[tuple[Perm, ...], ...]
+    descents: tuple[int, ...] = ()
 
     @cached_property
     def elements(self) -> frozenset[Perm]:
@@ -223,11 +230,13 @@ class BruhatInterval:
         return [z for layer in reversed(self.layers) for z in sorted(layer)]
 
 
-def interval(x: Perm, w: Perm) -> BruhatInterval:
+def interval(x: Perm, w: Perm, descents: Sequence[int] = ()) -> BruhatInterval:
     """The Bruhat interval [x, w], walked down from w one length at a
-    time.
+    time; with ``descents``, only its z that have a right descent
+    (z(p) > z(p + 1)) at every listed position p.
 
-    Raises ValueError unless x <= w.  Every element z of the walk
+    Raises ValueError unless x <= w, every position lies in 1..n-1, and
+    x and w both have every listed descent.  Every element z of the walk
     carries its rank difference d_z = r_z - r_x as one packed int (see
     the module docstring); its cells are nonnegative exactly when
     x <= z.  An element y = z t(i, j) covered by z, with z(i) > z(j),
@@ -247,15 +256,33 @@ def interval(x: Perm, w: Perm) -> BruhatInterval:
     stay above x: a saturated chain from any member up to w stays
     inside the interval.
 
+    Nor is anything lost by walking only members with the listed
+    descents, the maxima of the right cosets z W_J: any two comparable
+    maxima are joined by a chain of covers that are all maxima (the
+    quotient W^J is graded by length, Björner-Brenti, Thm 2.5.5, and
+    z -> z w0(J) carries it onto the maxima).  A cover y = z t(i, j)
+    of such a z lowers the value at i and raises the one at j, so a
+    descent can break only at i or at j - 1.  Unless j = i + 1 neither
+    breaks: no value between z(j) and z(i) sits between the positions,
+    so a descent at i has z(i + 1) < z(j), and one at j - 1 has
+    z(j - 1) > z(i).  So the walk drops just the adjacent swap at each
+    listed position, and an empty list costs nothing.
+
     >>> iv = interval((1, 2, 3), (3, 2, 1))
     >>> len(iv)
     6
     >>> iv.layers
     (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3),))
+    >>> interval((2, 1, 3), (3, 2, 1), descents=[1]).layers
+    (((3, 2, 1),), ((3, 1, 2),), ((2, 1, 3),))
     """
     n = len(x)
     if len(w) != n:
         raise ValueError(f"size mismatch: {n} vs {len(w)}")
+    descents = tuple(descents)
+    for p in descents:
+        if not 1 <= p < n:
+            raise ValueError(f"descent position {p} outside 1..{n - 1}")
     b = _field_bits(n)
     row_bits = n * b
     ones = _ones(n * n, b)
@@ -265,6 +292,15 @@ def interval(x: Perm, w: Perm) -> BruhatInterval:
         raise ValueError(
             f"not a valid interval: {format_perm(x)} is not <= {format_perm(w)}"
         )
+    for z in (x, w):
+        for p in descents:
+            if z[p - 1] < z[p]:
+                raise ValueError(f"{format_perm(z)} has no right descent at {p}")
+    # first[i]: the first j tried for a swap t(i, j); the adjacent swap
+    # at a listed position would lose that descent.
+    first = list(range(1, n))
+    for p in descents:
+        first[p - 1] = p + 1
     fill = high - ones
     shift = b - 1
     # rows[k]: every field of rows 1..k; cols[v]: every field of columns
@@ -286,11 +322,13 @@ def interval(x: Perm, w: Perm) -> BruhatInterval:
                 # cell (i + 1, z(i + 1)).
                 if not (positive >> ((i * n + zi - 1) * b)) & 1:
                     continue
-                # The largest value below zi seen so far between i and j.
-                floor = 0
+                # The largest value below zi seen so far between i and j;
+                # a skipped adjacent swap leaves z(i + 1) < zi behind.
+                start = first[i]
+                floor = 0 if start == i + 1 else z[i + 1]
                 row_i = rows[i]
                 col_i = cols[zi]
-                for j in range(i + 1, n):
+                for j in range(start, n):
                     zj = z[j]
                     if floor < zj < zi:
                         floor = zj
@@ -305,7 +343,7 @@ def interval(x: Perm, w: Perm) -> BruhatInterval:
                             below[tuple(y)] = d - rect
         layers.append(tuple(below))
         diffs = below
-    return BruhatInterval(bottom=x, top=w, layers=tuple(layers))
+    return BruhatInterval(bottom=x, top=w, layers=tuple(layers), descents=descents)
 
 
 def format_interval(iv: BruhatInterval) -> str:

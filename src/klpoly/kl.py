@@ -22,7 +22,8 @@ of ws, each with mu = 1, from the covers of ws, and past them visits
 only z with every descent of ws.  By the lifting property each such z
 lies above x raised through the descents of ws, so those z are found
 in the odd layers of that shorter interval, walked one length at a
-time from ws.
+time from ws through the z with every right descent of ws only (the
+maxima of their right cosets, see :func:`klpoly.bruhat.interval`).
 
 Base cases: P(w, w) = 1 and P(x, w) = 0 unless x <= w.  Any descent of
 the top gives the same polynomial; the recursion always splits on the
@@ -248,17 +249,15 @@ def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
         # the exponent is k + 1 and mu(z, ws) is the coefficient of q^k in
         # P(z, ws).  From layer 3 on only z with every descent of ws count,
         # and by the lifting property each of them lies above x raised
-        # through those descents, so the walk starts there; its layers
-        # keep their index, since both walks start at ws.
+        # through those descents, so the walk starts there and visits
+        # only z with the right descents of ws; its layers keep their
+        # index, since both walks start at ws and skip no length.
         right, left, _, _ = cache._top(ws)
         bottom = cache.raised.get((x, ws)) or _raise_bottom(x, right, left)
-        # z must have the descent s as well.
-        needed = right + (i,)
-        for k, layer in enumerate(interval(bottom, ws).layers[3::2], 1):
+        for k, layer in enumerate(interval(bottom, ws, right).layers[3::2], 1):
             for z in layer:
-                if all(z[j - 1] > z[j] for j in needed) and all(
-                    z.index(j + 1) < z.index(j) for j in left
-                ):
+                # z must have the descent s and the left descents too.
+                if z[i - 1] > z[i] and all(z.index(j + 1) < z.index(j) for j in left):
                     m = _kl(z, ws, cache, True).coefficient(k)
                     if m:
                         acc = acc - _kl(x, z, cache, True).shift(k + 1) * m

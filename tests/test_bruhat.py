@@ -20,6 +20,7 @@ from klpoly.perm import (
     identity,
     length,
     longest_element,
+    right_descents,
 )
 
 # Reference implementations, written as directly from the definitions
@@ -316,6 +317,75 @@ def test_interval_rejects_incomparable_pairs():
         interval((2, 1, 3), (1, 2, 3))
     with pytest.raises(ValueError):
         interval((3, 4, 1, 2), (4, 2, 3, 1))
+
+
+def has_descents(z, descents):
+    return all(z[p - 1] > z[p] for p in descents)
+
+
+def check_pruned_walk(x, w, descents):
+    """The walk through ``descents`` is the full walk filtered to the z
+    with those right descents, layer by layer, and skips no length."""
+    full = interval(x, w)
+    pruned = interval(x, w, descents)
+    assert pruned.descents == tuple(descents)
+    assert len(pruned.layers) == len(full.layers)
+    for whole, kept in zip(full.layers, pruned.layers):
+        assert kept
+        assert len(set(kept)) == len(kept)
+        assert set(kept) == {z for z in whole if has_descents(z, descents)}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pruned_walk_matches_filtered_walk(n):
+    # Every pair x <= w where x has all of w's (nonempty) right descents.
+    checked = 0
+    elements = list(all_perms(n))
+    for w in elements:
+        descents = right_descents(w)
+        if not descents:
+            continue
+        for x in elements:
+            if has_descents(x, descents) and bruhat_leq(x, w):
+                check_pruned_walk(x, w, descents)
+                checked += 1
+    assert checked == {4: 57, 5: 681}[n]
+
+
+def test_pruned_walk_matches_filtered_walk_on_descent_subsets_in_s4():
+    elements = list(all_perms(4))
+    for w in elements:
+        descents = right_descents(w)
+        for mask in range(1, 1 << len(descents)):
+            chosen = [p for k, p in enumerate(descents) if mask >> k & 1]
+            for x in elements:
+                if has_descents(x, chosen) and bruhat_leq(x, w):
+                    check_pruned_walk(x, w, chosen)
+
+
+def test_pruned_walk_matches_filtered_walk_on_s6_tops():
+    rng = random.Random(66)
+    elements = list(all_perms(6))
+    tops = [w for w in elements if right_descents(w)]
+    for w in rng.sample(tops, 8):
+        descents = right_descents(w)
+        below = [x for x in elements if has_descents(x, descents) and bruhat_leq(x, w)]
+        for x in rng.sample(below, min(4, len(below))):
+            check_pruned_walk(x, w, descents)
+
+
+def test_interval_rejects_bad_descents():
+    x, w = (2, 1, 3, 4), (4, 3, 1, 2)
+    assert interval(x, w, [1]).layers[-1] == (x,)
+    # A position outside 1..n-1.
+    for p in (0, 4, -1):
+        with pytest.raises(ValueError, match="outside"):
+            interval(x, w, [p])
+    # The bottom, or the top, lacks a listed descent.
+    with pytest.raises(ValueError, match="2,1,3,4 has no right descent at 2"):
+        interval(x, w, [1, 2])
+    with pytest.raises(ValueError, match="2,3,1 has no right descent at 1"):
+        interval((2, 1, 3), (2, 3, 1), [1])
 
 
 def test_interval_sorted_elements_ordering():

@@ -2,14 +2,24 @@ import json
 
 import pytest
 
-from klpoly.bruhat import bruhat_leq
-from klpoly.kl import KLCache, check_inversion_identity, kl_polynomial
-from klpoly.perm import all_perms, format_perm
+from klpoly.bruhat import bruhat_leq, interval
+from klpoly.families import closed_form_regular, family_pair
+from klpoly.kl import KLCache, _raise_bottom, check_inversion_identity, kl_polynomial
+from klpoly.perm import (
+    all_perms,
+    format_perm,
+    identity,
+    left_descents,
+    length,
+    right_descents,
+)
 from klpoly.polynomial import ONE, IntPolynomial
 from klpoly.verify import (
     Failure,
     VerificationReport,
     _comparable_pairs,
+    _double_coset_maxima,
+    _family_cases,
     random_comparable_pair,
     verify_coatom_bound,
     verify_inverse_closed_forms,
@@ -43,6 +53,97 @@ def test_regular_closed_forms_full_range():
     assert report.passed
     assert report.cases == 31
     assert report.check == "regular-closed-forms"
+
+
+def test_regular_closed_forms_at_twelve():
+    report = verify_regular_closed_forms(12)
+    assert report.passed
+    assert report.cases == 111
+
+
+def reference_regular_failures(max_n, cache):
+    """The regular check with its interior loop over all of
+    ``interval(bottom, top)``.  Of the interior z with P(z, top) != 1
+    (in (length, lexicographic) order) a failure names the first that
+    is the maximum of its double coset under the descents of top."""
+    out = []
+    for pair, k, m in _family_cases(max_n):
+        bottom, top = family_pair(pair, k, m)
+        name = f"{pair}-pair k={k} m={m}"
+        expected = closed_form_regular(pair, k, m)
+        actual = kl_polynomial(bottom, top, cache)
+        if actual != expected:
+            out.append(Failure(name, str(expected), str(actual)))
+            continue
+        right, left = right_descents(top), left_descents(top)
+        bad = [
+            z
+            for z in interval(bottom, top).sorted_elements()
+            if z not in (bottom, top) and kl_polynomial(z, top, cache) != ONE
+        ]
+        if bad:
+            z = next(z for z in bad if _raise_bottom(z, right, left) == z)
+            p = kl_polynomial(z, top, cache)
+            out.append(Failure(f"{name} interior z={format_perm(z)}", "1", str(p)))
+    return sorted(out, key=lambda f: f.case)
+
+
+@pytest.mark.parametrize(
+    "family, which",
+    [
+        (("x", 2, 2), "bottom"),
+        (("x", 3, 2), "bottom"),
+        (("y", 1, 2), "bottom"),
+        (("y", 1, 2), "first"),
+        (("y", 1, 2), "last"),
+        (("y", 2, 2), "first"),
+        (("y", 2, 2), "last"),
+        (("y", 2, 2), "both"),
+        (("y", 2, 1), "both"),
+    ],
+)
+def test_interior_check_fails_exactly_where_the_full_loop_does(family, which):
+    # A wrong memo entry under a family top must fail the same cases as
+    # the loop over the whole interval.  An interior failure names the
+    # shortest, then lexicographically first, interior double-coset
+    # maximum whose polynomial is not 1.  (The x-pairs have no interior
+    # maxima: every interior z raises to the top.)
+    bottom, top = family_pair(*family)
+    maxima = _double_coset_maxima(bottom, top)
+    assert maxima[0] == bottom
+    seeds = {
+        "bottom": [bottom],
+        "first": [maxima[1]],
+        "last": [maxima[-2]],
+        "both": [maxima[1], maxima[-2]],
+    }[which]
+    assert top not in seeds
+
+    def seeded():
+        cache = KLCache()
+        for z in seeds:
+            cache.memo[(z, top)] = kl_polynomial(z, top) + ONE
+        return cache
+
+    expected = reference_regular_failures(7, seeded())
+    assert expected
+    assert verify_regular_closed_forms(7, seeded()).failures == expected
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_double_coset_maxima_are_the_raised_interval(n):
+    # Raising every z of [x, w] through the descents of w lands exactly
+    # on the listed maxima, so they carry every value of the column.
+    for w in all_perms(n):
+        right, left = right_descents(w), left_descents(w)
+        bottoms = all_perms(n) if n == 4 else [identity(n)]
+        for x in bottoms:
+            if not bruhat_leq(x, w):
+                continue
+            maxima = _double_coset_maxima(x, w)
+            assert maxima == sorted(maxima, key=lambda z: (length(z), z))
+            raised = {_raise_bottom(z, right, left) for z in interval(x, w).elements}
+            assert set(maxima) == raised
 
 
 def test_inverse_closed_forms_full_range():
