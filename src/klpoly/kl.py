@@ -36,10 +36,13 @@ its coset under the descents of w: whenever ws < w and xs > x we have
 P(x, w) = P(xs, w), and likewise on the left.  Raising the bottom
 through such ascents before memoisation collapses many queries onto
 one cache entry and shortens the recursion; the ``raise_bottoms`` flag
-of the cache controls it and is on by default.  Second, intervals that
-flatten to a common pattern share their polynomial, which
-:func:`flatten_pair` exposes (that reduction is available to callers
-but is not applied inside the recursion).
+of the cache controls it and is on by default.  Second, a pair keeps
+its polynomial when the positions where x and w agree with no rank
+difference are deleted and the rest flattened (see
+:func:`flatten_pair`).  The recursion applies this to every pair it
+computes, so a frontier sweep, whose pairs differ on a few positions
+only, computes a few hundred small pairs instead of tens of thousands
+of large ones.
 
 A lookup therefore raises the bottom first (when raising is on), then
 answers 1 if the raised bottom is w, then answers from the memo, and
@@ -48,8 +51,12 @@ the lifting property (Björner-Brenti, Combinatorics of Coxeter Groups,
 Prop. 2.2.7): when s is a descent of w and an ascent of x, x <= w holds
 exactly when xs <= w, on either side, so raising never turns an
 incomparable pair into a comparable one, and every memo key is a
-comparable pair.  The same property tells the recursion which of x and
-xs lies below ws without a comparison.
+comparable pair.  The comparison and the flattening read one packed
+rank-difference table.  A pair with an inert position is answered by
+the lookup of its flattening, and the answer is kept under both keys;
+only a pair with every position active runs the recursion.  The same
+lifting property tells the recursion which of x and xs lies below ws
+without a comparison.
 """
 
 from __future__ import annotations
@@ -68,7 +75,6 @@ from .perm import (
     Perm,
     avoids_pattern,
     compose,
-    flatten,
     format_perm,
     identity,
     inverse,
@@ -88,12 +94,13 @@ class KLCache:
     """Shared state for the polynomial recursion.
 
     memo maps (bottom, top) pairs to finished polynomials; every key in
-    it is a comparable pair.  tops holds one record per top w, built the
-    first time the cache sees w: its right and left descents, the
-    descent the recursion splits on (the largest right descent) and the
-    shorter top ws.  raised maps a raw pair (x, w) to the raised bottom
-    of x, so a pair still in the map is not raised again; the correction
-    sum of a miss reads it for (x, ws) too.
+    it is a comparable pair.  A pair with every position active (see
+    :func:`active_positions`) is stored when the recursion computes it.
+    A pair with an inert position is stored with the polynomial of its
+    flattening, which is stored too.  tops holds one record per top w,
+    built the first time the cache sees w: its right and left descents,
+    the descent the recursion splits on (the largest right descent) and
+    the shorter top ws.
 
     A lookup raises the bottom first (when raise_bottoms is on),
     answers 1 when the raised bottom is the top, then answers from the
@@ -101,19 +108,19 @@ class KLCache:
     never changes whether x <= w (the lifting property), so the
     comparison is needed only for a pair that is about to be computed.
     hits counts lookups answered from the memo and misses those that
-    computed and stored a new entry; a pair that turns out incomparable
-    answers ZERO and counts as neither.
+    ran the recursion and stored a new entry.  A pair that turns out
+    incomparable answers ZERO and counts as neither, and a comparable
+    pair that flattens counts as the lookup of its flattening.
 
-    When ``max_entries`` is set it bounds the memo, the top records and
-    the raised bottoms alike: each drops its oldest entry once it would
-    grow past the bound.  Correctness is unaffected since evicted values
-    are simply recomputed.
+    When ``max_entries`` is set it bounds the memo and the top records
+    alike: each drops its oldest entry once it would grow past the
+    bound.  Correctness is unaffected since evicted values are simply
+    recomputed.
 
     raise_bottoms turns the bottom-raising normalisation on or off.
     """
 
-    __slots__ = ("memo", "tops", "raised", "hits", "misses", "raise_bottoms",
-                 "max_entries")
+    __slots__ = ("memo", "tops", "hits", "misses", "raise_bottoms", "max_entries")
 
     def __init__(
         self, raise_bottoms: bool = True, max_entries: Optional[int] = None
@@ -122,7 +129,6 @@ class KLCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.memo: dict[tuple[Perm, Perm], IntPolynomial] = {}
         self.tops: dict[Perm, _Top] = {}
-        self.raised: dict[tuple[Perm, Perm], Perm] = {}
         self.hits = 0
         self.misses = 0
         self.raise_bottoms = raise_bottoms
@@ -204,12 +210,8 @@ def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
     if x == w:
         return ONE
     if cache.raise_bottoms:
-        pair = (x, w)
-        x = cache.raised.get(pair)
-        if x is None:
-            right, left, _, _ = cache._top(w)
-            x = _raise_bottom(pair[0], right, left)
-            _bounded_put(cache.raised, pair, x, cache.max_entries)
+        right, left, _, _ = cache._top(w)
+        x = _raise_bottom(x, right, left)
         if x == w:
             return ONE
     key = (x, w)
@@ -217,8 +219,20 @@ def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
     if found is not None:
         cache.hits += 1
         return found
-    if not below and not bruhat_leq(x, w):
+    n = len(x)
+    b = _field_bits(n)
+    high = _ones(n * n, b) << (b - 1)
+    table = _packed_difference(x, w, b) + high
+    if not below and table & high != high:
         return ZERO
+    # x <= w.  A pair with an inert position has the polynomial of its
+    # flattening (see flatten_pair); that lookup counts the hit or miss,
+    # and its answer is kept under this key too.
+    kept = _active(x, w, table, b)
+    if len(kept) < n:
+        found = _kl(*_restrict(x, w, kept), cache, True)
+        cache.store(key, found)
+        return found
     cache.misses += 1
 
     _, _, i, ws = cache._top(w)
@@ -253,7 +267,7 @@ def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
         # only z with the right descents of ws; its layers keep their
         # index, since both walks start at ws and skip no length.
         right, left, _, _ = cache._top(ws)
-        bottom = cache.raised.get((x, ws)) or _raise_bottom(x, right, left)
+        bottom = _raise_bottom(x, right, left)
         for k, layer in enumerate(interval(bottom, ws, right).layers[3::2], 1):
             for z in layer:
                 # z must have the descent s and the left descents too.
@@ -383,6 +397,47 @@ def check_inversion_identity(
     return total == [1 if x == w else 0] + [0] * (len(total) - 1)
 
 
+def _difference_table(x: Perm, w: Perm) -> tuple[int, int]:
+    """The packed R_w - R_x plus H of a pair of equal size (see
+    :mod:`klpoly.bruhat`), and its field width b."""
+    n = len(x)
+    if len(w) != n:
+        raise ValueError(f"size mismatch: {n} vs {len(w)}")
+    b = _field_bits(n)
+    return _packed_difference(x, w, b) + (_ones(n * n, b) << (b - 1)), b
+
+
+def _active(x: Perm, w: Perm, table: int, b: int) -> list[int]:
+    """The active positions of (x, w), counted from 0, read off
+    ``table``, the packed R_w - R_x plus H with b-bit fields (see
+    :func:`active_positions`)."""
+    n = len(x)
+    half = 1 << (b - 1)
+    field = (1 << b) - 1
+    # Cell (p + 1, x(p + 1)) is field p n + x(p + 1) - 1.
+    return [
+        p for p, v in enumerate(x)
+        if v != w[p] or (table >> ((p * n + v - 1) * b)) & field != half
+    ]
+
+
+def _restrict(x: Perm, w: Perm, kept: list[int]) -> tuple[Perm, Perm]:
+    """x and w restricted to the positions in ``kept`` and flattened.
+
+    The other positions must hold the same values in x and w, so one
+    relabelling of the values serves both.
+    """
+    # shift[v] ends as the number of deleted values <= v.
+    shift = [1] * (len(x) + 1)
+    shift[0] = 0
+    for p in kept:
+        shift[x[p]] = 0
+    for v in range(1, len(shift)):
+        shift[v] += shift[v - 1]
+    return (tuple([x[p] - shift[x[p]] for p in kept]),
+            tuple([w[p] - shift[w[p]] for p in kept]))
+
+
 def active_positions(x: Perm, w: Perm) -> tuple[int, ...]:
     """Positions where the pair genuinely differs: those p with
     x(p) != w(p), together with those where the rank difference at the
@@ -395,41 +450,40 @@ def active_positions(x: Perm, w: Perm) -> tuple[int, ...]:
     >>> active_positions((1, 2, 3, 4), (1, 3, 2, 4))
     (2, 3)
     """
-    n = len(x)
-    if len(w) != n:
-        raise ValueError(f"size mismatch: {n} vs {len(w)}")
-    b = _field_bits(n)
-    half = 1 << (b - 1)
-    field = (1 << b) - 1
-    table = _packed_difference(x, w, b) + (_ones(n * n, b) << (b - 1))
-    out = []
-    for p in range(n):
-        # Cell (p + 1, x(p + 1)) is field p n + x(p + 1) - 1.
-        cell = (table >> ((p * n + x[p] - 1) * b)) & field
-        if x[p] != w[p] or cell - half:
-            out.append(p + 1)
-    return tuple(out)
+    return tuple(p + 1 for p in _active(x, w, *_difference_table(x, w)))
 
 
 def flatten_pair(x: Perm, w: Perm) -> tuple[Perm, Perm]:
     """Restrict both permutations to their active positions and flatten.
 
-    The flattened pair has the same polynomial as (x, w); positions
-    where the permutations agree and contribute no rank difference
-    are inert.  When x = w there are no active positions and the pair
-    collapses to two copies of the identity in S_1.
+    An inert position p, where x(p) = w(p) = a and the rank difference
+    at (p, a) is zero, can be deleted without changing the polynomial:
+    for x <= w this is an interval pattern embedding, so the two
+    intervals are isomorphic and P is equal (Woo-Yong, "Governing
+    singularities of Schubert varieties", J. Algebra 2008).  It also
+    keeps the length gap l(w) - l(x).  With r(p, q) = #{i <= p :
+    v(i) >= q}, the position p of v with value a = v(p) has r(p, a) - 1
+    larger values to its left, and so a - p + r(p, a) - 1 smaller
+    values to its right: it carries 2 r(p, a) + a - p - 2 inversions.
+    A shared point with zero rank difference thus carries as many
+    inversions in x as in w, and deleting it takes that many from both
+    lengths.  Deleting it also leaves every other cell's difference
+    unchanged, since the point counts in the same cells of both rank
+    tables; so x <= w is kept, and the other inert positions stay inert
+    and can be deleted one at a time.
+
+    When x = w there are no active positions and the pair collapses to
+    two copies of the identity in S_1.
 
     >>> flatten_pair((1, 3, 2, 4), (3, 4, 1, 2))
     ((1, 3, 2, 4), (3, 4, 1, 2))
     >>> flatten_pair((2, 1, 3), (2, 1, 3))
     ((1,), (1,))
     """
-    active = active_positions(x, w)
-    if not active:
+    kept = _active(x, w, *_difference_table(x, w))
+    if not kept:
         return identity(1), identity(1)
-    xa = flatten([x[p - 1] for p in active])
-    wa = flatten([w[p - 1] for p in active])
-    return xa, wa
+    return _restrict(x, w, kept)
 
 
 def is_smooth_top(w: Perm) -> bool:

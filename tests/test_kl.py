@@ -28,6 +28,7 @@ from klpoly.perm import (
 )
 from klpoly.polynomial import ONE, ZERO, IntPolynomial
 from klpoly.verify import random_comparable_pair
+from test_oracle import _leq, _perms, oracle_column
 
 ONE_PLUS_Q = IntPolynomial([1, 1])
 
@@ -241,12 +242,16 @@ def test_flatten_pair():
 
 
 def test_flatten_pair_preserves_polynomial(shared_cache):
+    # The recursion itself flattens, so the reference is the R-polynomial
+    # oracle on the pair as given.
     rng = random.Random(99)
+    perms = _perms(5)
     for _ in range(60):
         x, w = random_comparable_pair(5, rng)
         fx, fw = flatten_pair(x, w)
-        assert kl_polynomial(fx, fw, shared_cache) == kl_polynomial(
-            x, w, shared_cache
+        members = {z for z in perms if _leq(x, z) and _leq(z, w)}
+        assert kl_polynomial(fx, fw, shared_cache).coeffs == (
+            oracle_column(w, members)[x]
         )
 
 
@@ -304,11 +309,16 @@ def test_each_lookup_counts_once():
     for x, w in pairs:
         cache = KLCache()
         first = kl_polynomial(x, w, cache)
-        # Every miss stores one entry and nothing is evicted.
-        assert cache.misses == len(cache.memo)
+        # Every miss stores one entry, a pair with every position active,
+        # and nothing is evicted; every other entry is a pair stored with
+        # the polynomial of its flattening.
+        flat = [key for key in cache.memo
+                if len(active_positions(*key)) == len(key[0])]
+        assert cache.misses == len(flat)
+        size = len(cache.memo)
         hits, misses = cache.hits, cache.misses
         assert kl_polynomial(x, w, cache) == first
-        assert cache.misses == misses == len(cache.memo)
+        assert cache.misses == misses and len(cache.memo) == size
         assert hits <= cache.hits <= hits + 1
 
 

@@ -25,7 +25,9 @@ The oracle's polynomials and Bruhat order also check the two facts that
 let the recursion's correction sum skip most of [x, ws]: mu(y, w)
 vanishes off the coatoms of w unless y has every descent of w
 (Kazhdan-Lusztig 1979), and every such y above x lies above x raised
-through the descents of w (the lifting property).
+through the descents of w (the lifting property).  And they check the
+fact that lets the recursion work on small pairs: flattening a pair to
+its active positions keeps its polynomial and its length gap.
 """
 
 import itertools
@@ -35,7 +37,7 @@ from functools import lru_cache
 
 import pytest
 
-from klpoly.kl import KLCache, _raise_bottom, kl_column, kl_polynomial
+from klpoly.kl import KLCache, _raise_bottom, flatten_pair, kl_column, kl_polynomial
 
 # Polynomials are tuples of int coefficients from degree 0 upward with
 # trailing zeros trimmed, so equal polynomials compare equal.
@@ -258,3 +260,42 @@ def test_raised_bottom_lies_below_every_z_with_the_top_descents_in_s5():
                     assert _leq(raised, z), (x, y, z)
                     checked += 1
     assert checked > 3781
+
+
+def test_flattening_keeps_the_polynomial_and_length_gap_in_s5():
+    columns = {}
+
+    def oracle(x, w):
+        if w not in columns:
+            below = {z for z in _perms(len(w)) if _leq(z, w)}
+            columns[w] = oracle_column(w, below)
+        return columns[w][x]
+
+    perms = _perms(5)
+    pairs = smaller = 0
+    for w in perms:
+        for x in perms:
+            if not _leq(x, w):
+                continue
+            fx, fw = flatten_pair(x, w)
+            assert _length(fw) - _length(fx) == _length(w) - _length(x), (x, w)
+            assert oracle(fx, fw) == oracle(x, w), (x, w)
+            pairs += 1
+            smaller += len(fw) < 5
+    assert (pairs, smaller) == (3781, 2485)
+
+
+def test_flattening_keeps_the_length_gap_in_s6():
+    # Compared without _leq's memo, which would keep all 518,400 pairs.
+    perms = _perms(6)
+    pairs = smaller = 0
+    for w in perms:
+        rw = _ranks(w)
+        for x in perms:
+            if x == w or not all(map(operator.le, _ranks(x), rw)):
+                continue
+            fx, fw = flatten_pair(x, w)
+            assert _length(fw) - _length(fx) == _length(w) - _length(x), (x, w)
+            pairs += 1
+            smaller += len(fw) < 6
+    assert (pairs, smaller) == (97687, 60804)

@@ -4,7 +4,13 @@ import pytest
 
 from klpoly.bruhat import bruhat_leq, interval
 from klpoly.families import closed_form_regular, family_pair
-from klpoly.kl import KLCache, _raise_bottom, check_inversion_identity, kl_polynomial
+from klpoly.kl import (
+    KLCache,
+    _raise_bottom,
+    active_positions,
+    check_inversion_identity,
+    kl_polynomial,
+)
 from klpoly.perm import (
     all_perms,
     format_perm,
@@ -57,6 +63,12 @@ def test_regular_closed_forms_full_range():
 
 def test_regular_closed_forms_at_twelve():
     report = verify_regular_closed_forms(12)
+    assert report.passed
+    assert report.cases == 111
+
+
+def test_inverse_closed_forms_at_twelve():
+    report = verify_inverse_closed_forms(12)
     assert report.passed
     assert report.cases == 111
 
@@ -153,12 +165,17 @@ def test_inverse_closed_forms_full_range():
 
 
 def test_max_entries_bounds_every_table():
+    # Unbounded, the sweep keeps 97 polynomials (30 computed, the rest
+    # stored beside their flattening) and 87 top records.
+    full = KLCache()
+    assert verify_regular_closed_forms(8, full).passed
+    assert (full.misses, len(full.memo), len(full.tops)) == (30, 97, 87)
     cache = KLCache(max_entries=64)
     assert verify_regular_closed_forms(8, cache).passed
-    assert cache.misses > 64
+    # Two evicted entries are computed again.
+    assert cache.misses == 32
     assert len(cache.memo) <= 64
     assert len(cache.tops) <= 64
-    assert len(cache.raised) <= 64
 
 
 def test_every_batch_passes_with_one_entry():
@@ -260,7 +277,13 @@ def test_exhaustive_inversion_reads_each_polynomial_once():
     # column once makes fewer lookups than there are cases.
     cache = KLCache()
     assert verify_inversion_identity_batch(5, cache).passed
-    assert cache.misses == len(cache.memo) == 122
+    # Each of the 12 misses stores one pair with every position active,
+    # computed once; the other 112 entries are pairs stored beside their
+    # flattening.
+    flat = [key for key in cache.memo
+            if len(active_positions(*key)) == len(key[0])]
+    assert cache.misses == len(flat) == 12
+    assert len(cache.memo) == 124
     assert cache.hits + cache.misses < 3781
 
 
