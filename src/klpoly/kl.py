@@ -61,7 +61,9 @@ without a comparison.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import repeat
+from operator import mul
+from typing import Any, Mapping, Optional, Sequence
 
 from .bruhat import (
     _field_bits,
@@ -76,6 +78,7 @@ from .perm import (
     avoids_pattern,
     compose,
     format_perm,
+    from_oneline,
     identity,
     inverse,
     left_descents,
@@ -197,12 +200,22 @@ def kl_polynomial(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolyn
     '1 + q'
     >>> str(kl_polynomial((3, 4, 1, 2), (1, 2, 3, 4)))
     '0'
+
+    Raises ValueError unless x and w are permutations of the same size.
     """
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
+    x, w = _checked_pair(x, w)
     if cache is None:
         cache = KLCache()
     return _kl(x, w, cache)
+
+
+def _checked_pair(x: Sequence[int], w: Sequence[int]) -> tuple[Perm, Perm]:
+    """x and w as Perm tuples; ValueError unless both are permutations
+    of the same size."""
+    x, w = from_oneline(x), from_oneline(w)
+    if len(x) != len(w):
+        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
+    return x, w
 
 
 def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
@@ -287,9 +300,10 @@ def mu(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> int:
 
     >>> mu((1, 2, 3), (2, 1, 3))
     1
+
+    Raises ValueError unless x and w are permutations of the same size.
     """
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
+    x, w = _checked_pair(x, w)
     if cache is None:
         cache = KLCache()
     gap = length(w) - length(x) - 1
@@ -306,11 +320,14 @@ def inverse_kl(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolynomi
 
     >>> str(inverse_kl((2, 1, 4, 3), (4, 2, 3, 1)))
     '1 + q'
+
+    Raises ValueError unless x and w are permutations of the same size.
     """
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
+    x, w = _checked_pair(x, w)
+    if cache is None:
+        cache = KLCache()
     w0 = longest_element(len(x))
-    return kl_polynomial(compose(w0, w), compose(w0, x), cache)
+    return _kl(compose(w0, w), compose(w0, x), cache)
 
 
 def kl_column(
@@ -323,7 +340,8 @@ def kl_column(
 
     The layers are those of [e, w] unless the caller passes others of
     the same shape, such as ``interval(x, w).layers``; each entry is
-    read once from the cache.
+    read once from the cache.  Raises ValueError when the first layer
+    is not w alone.
 
     >>> [{format_perm(z): str(p) for z, p in layer.items()}
     ...  for layer in kl_column((2, 3, 1))]
@@ -333,68 +351,118 @@ def kl_column(
         cache = KLCache()
     if layers is None:
         layers = interval(identity(len(w)), w).layers
+    elif not layers or tuple(layers[0]) != (w,):
+        raise ValueError(
+            f"the layers of a column of {format_perm(w)} must start at it"
+        )
     return [{z: _kl(z, w, cache, True) for z in layer} for layer in layers]
 
 
+class _Factor:
+    """One factor of the inversion sum: polynomials keyed by z (or by a
+    stand-in for z that both factors share), in layers, and their values
+    at q = 2^bits, negated on the odd layers when ``alternating``.
+
+    norm is the largest l1 norm (sum of absolute coefficients) among
+    the polynomials read, and size their number.  The values are packed
+    on first use and packed again when a sum needs a different width.
+    """
+
+    __slots__ = ("layers", "alternating", "norm", "size", "bits", "values")
+
+    def __init__(
+        self, layers: Sequence[Mapping[Any, IntPolynomial]], alternating: bool
+    ) -> None:
+        self.layers = layers
+        self.alternating = alternating
+        self.norm = max(
+            sum(map(abs, p.coeffs)) for layer in layers for p in layer.values()
+        )
+        self.size = sum(map(len, layers))
+        self.bits = 0
+        self.values: dict[Any, int] = {}
+
+    def packed(self, bits: int) -> dict[Any, int]:
+        if bits != self.bits:
+            q = 1 << bits
+            self.values = {
+                z: -p.evaluate(q) if self.alternating and k % 2 else p.evaluate(q)
+                for k, layer in enumerate(self.layers)
+                for z, p in layer.items()
+            }
+            self.bits = bits
+        return self.values
+
+
+def _inversion_sum_is_delta(column: _Factor, dual: _Factor, diagonal: bool) -> bool:
+    """Whether the sum over the z in both factors of column(z) dual(z),
+    as a polynomial, is 1 when ``diagonal`` and 0 otherwise.
+
+    The sum is taken at q = 2^B, with B the width both factors already
+    have or a B with 2^(B-1) > N a b, whichever is larger:
+    N = min(column.size, dual.size) bounds the number of terms and a, b
+    are the factors' norms.  See :func:`check_inversion_identity` for
+    why that decides the polynomial identity.
+    """
+    bound = min(column.size, dual.size) * column.norm * dual.norm
+    # The least B is bound.bit_length() + 1.  Rounding it up to a
+    # multiple of 16 lets a batch pack most factors once, not once per
+    # width its cases step through.
+    bits = max((bound.bit_length() + 16) // 16 * 16, column.bits, dual.bits)
+    a, b = column.packed(bits), dual.packed(bits)
+    # Walk the smaller factor, reading the other at each z (0 if absent).
+    if len(a) > len(b):
+        a, b = b, a
+    total = sum(map(mul, a.values(), map(b.get, a, repeat(0))))
+    return total == (1 if diagonal else 0)
+
+
 def check_inversion_identity(
-    x: Perm,
-    w: Perm,
-    cache: Optional[KLCache] = None,
-    column: Optional[Sequence[dict[Perm, IntPolynomial]]] = None,
-    dual: Optional[dict[Perm, IntPolynomial]] = None,
+    x: Perm, w: Perm, cache: Optional[KLCache] = None
 ) -> bool:
     """Test the defining inversion relation on the interval [x, w]:
 
-        sum over x <= z <= w of
-            (-1)^(len(z) + len(w)) P(z, w) P(w0 z, w0 x)
+        F = sum over x <= z <= w of
+                (-1)^(len(z) + len(w)) P(z, w) P(w0 z, w0 x)
 
-    must be 1 when x = w and 0 otherwise.  The sum runs over the layers
-    of ``column``, layer k mapping z of length len(w) - k to P(z, w),
-    which gives each term its sign, and skips any z missing from
-    ``dual``, which maps each z >= x to P(w0 z, w0 x).  A caller
-    checking many pairs passes both: the whole column of w from
-    :func:`kl_column`, and the column of w0 x re-keyed by z = w0 v, so
-    that every polynomial is read once per sweep.  Without them both
-    are built from ``interval(x, w).layers``, which raises ValueError
-    when x is not <= w.
+    must be 1 when x = w and 0 otherwise.  Raises ValueError unless x
+    and w are permutations of the same size with x <= w.
+
+    The sum is taken in the integers, at q = 2^B (Kronecker
+    substitution): each factor is evaluated once, and each term is one
+    integer product.  This decides the polynomial identity exactly.
+    Evaluation at 2^B is a ring homomorphism Z[q] -> Z, so the integer
+    sum is F(2^B).  It is injective on polynomials whose coefficients
+    all satisfy |c| < 2^(B-1): for two such polynomials F != D, the
+    coefficients of F - D satisfy |c| < 2^B, and with g the lowest
+    nonzero one, of degree j, (F - D)(2^B) = 2^(jB) (g + 2^B m) for an
+    integer m, which is not 0 since 0 < |g| < 2^B.  (Equivalently, the
+    coefficients are the digits of F(2^B) in balanced base 2^B.)  Every
+    coefficient of F is at most M = sum over z of ||P(z, w)||_1
+    ||P(w0 z, w0 x)||_1 in absolute value, since the l1 norm is
+    subadditive and submultiplicative.  With N terms and each norm at
+    most a in the first factor and b in the second, M <= N a b.  B is
+    chosen with 2^(B-1) > N a b, where a and b are the largest norms
+    among the values actually read, so a wrong memo entry with large
+    coefficients widens B rather than aliasing.  N a b >= 1, since
+    P(w, w) = P(w0 x, w0 x) = 1 are read, so B >= 2 and the target
+    delta, with coefficient at most 1, is in the injective range too.
+    Hence F(2^B) = delta(2^B) exactly when F = delta.
     """
+    x, w = _checked_pair(x, w)
     if cache is None:
         cache = KLCache()
+    layers = interval(x, w).layers
+    column = _Factor(kl_column(w, cache, layers), True)
     # w0 v reverses values: (w0 v)(i) = n + 1 - v(i).
     top = len(x) + 1
-    if column is None:
-        layers = interval(x, w).layers
-        column = kl_column(w, cache, layers)
-        w0x = tuple([top - v for v in x])
-        dual = {
-            z: _kl(tuple([top - v for v in z]), w0x, cache, True)
-            for layer in layers
-            for z in layer
-        }
-    # Signed coefficients of the sum.  A correct product has degree at
-    # most (len(w) - len(x)) / 2, below len(column); a longer one (from
-    # a wrong memo entry) grows the list.
-    total = [0] * len(column)
-    for k, layer in enumerate(column):
-        sign = -1 if k % 2 else 1
-        for z, p in layer.items():
-            r = dual.get(z)
-            if r is None:
-                continue
-            if p == ONE:
-                term = r.coeffs
-            elif r == ONE:
-                term = p.coeffs
-            else:
-                term = (p * r).coeffs
-            if len(term) > len(total):
-                total.extend([0] * (len(term) - len(total)))
-            for deg, c in enumerate(term):
-                total[deg] += sign * c
-        if x in layer:
-            # Every later layer is shorter than x.
-            break
-    return total == [1 if x == w else 0] + [0] * (len(total) - 1)
+    w0x = tuple([top - v for v in x])
+    dual = _Factor(
+        [{z: _kl(tuple([top - v for v in z]), w0x, cache, True)
+          for layer in layers for z in layer}],
+        False,
+    )
+    return _inversion_sum_is_delta(column, dual, x == w)
 
 
 def _difference_table(x: Perm, w: Perm) -> tuple[int, int]:

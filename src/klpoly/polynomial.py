@@ -69,6 +69,17 @@ class IntPolynomial:
     def constant_term(self) -> int:
         return self.coefficient(0)
 
+    def evaluate(self, q: int) -> int:
+        """The integer value at an integer q.
+
+        >>> IntPolynomial([1, 2, 1]).evaluate(10)
+        121
+        """
+        value = 0
+        for c in reversed(self._coeffs):
+            value = value * q + c
+        return value
+
     def is_zero(self) -> bool:
         return not self._coeffs
 

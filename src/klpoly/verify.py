@@ -28,6 +28,8 @@ from .families import (
 )
 from .kl import (
     KLCache,
+    _Factor,
+    _inversion_sum_is_delta,
     _raise_bottom,
     check_inversion_identity,
     inverse_kl,
@@ -45,7 +47,7 @@ from .perm import (
     longest_element,
     right_descents,
 )
-from .polynomial import ONE, IntPolynomial
+from .polynomial import ONE
 
 _CaseT = TypeVar("_CaseT")
 
@@ -297,9 +299,14 @@ def verify_inversion_identity_batch(
     and pairs are drawn with the given seed.  The exhaustive run walks
     each top's [e, w] once, builds its cases from those walks, and
     reads each column P(., w) from the cache once, as the cases first
-    need it: case (x, w) sums over the column of w, with the column of
-    w0 x re-keyed by z = w0 v as its dual factor.  The columns live for
-    one call.  A sampled pair walks its own interval.
+    need it.  Each column is packed once into integers, as the signed
+    factor z -> (-1)^(l(w) - l(z)) P(z, w)(2^B), and each bottom x once
+    as the dual factor z -> P(w0 z, w0 x)(2^B), from the column of w0 x
+    re-keyed by z = w0 v (see :func:`klpoly.kl.check_inversion_identity`
+    for B).  The column holds the z <= w and the dual the z >= x, so a
+    case is one integer dot product over the z in both, which are
+    exactly [x, w].  The factors live for one call.  A sampled pair
+    walks its own interval.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -312,6 +319,10 @@ def verify_inversion_identity_batch(
         cases = _comparable_pairs(n, downs)
         parameter_range = f"S_{n} exhaustive"
         used_seed = None
+        # The factors key each z by its index in S_n, which hashes faster
+        # than the tuple.  w0 v reverses values: (w0 v)(i) = n + 1 - v(i).
+        index = {v: i for i, v in enumerate(downs)}
+        flip = [index[tuple([n + 1 - u for u in v])] for v in downs]
     else:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
@@ -320,26 +331,28 @@ def verify_inversion_identity_batch(
         parameter_range = f"S_{n}, {samples} sampled pairs"
         used_seed = seed
 
-    columns: dict[Perm, list[dict[Perm, IntPolynomial]]] = {}
-    duals: dict[Perm, dict[Perm, IntPolynomial]] = {}
-    # w0 v reverses values: (w0 v)(i) = n + 1 - v(i).
-    top = n + 1
+    columns: dict[Perm, _Factor] = {}
+    duals: dict[Perm, _Factor] = {}
 
-    def column(w: Perm, c: KLCache) -> list[dict[Perm, IntPolynomial]]:
+    def column(w: Perm, c: KLCache) -> _Factor:
         if w not in columns:
-            columns[w] = kl_column(w, c, downs[w])
+            columns[w] = _Factor(
+                [{index[z]: p for z, p in layer.items()}
+                 for layer in kl_column(w, c, downs[w])],
+                True,
+            )
         return columns[w]
 
     def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Optional[Failure]:
         x, w = case
         if samples is None:
             if x not in duals:
-                duals[x] = {
-                    tuple([top - u for u in v]): p
-                    for layer in column(tuple([top - u for u in x]), c)
-                    for v, p in layer.items()
-                }
-            passed = check_inversion_identity(x, w, c, column(w, c), duals[x])
+                duals[x] = _Factor(
+                    [{flip[i]: p for i, p in layer.items()}
+                     for layer in column(tuple([n + 1 - u for u in x]), c).layers],
+                    False,
+                )
+            passed = _inversion_sum_is_delta(column(w, c), duals[x], x == w)
         else:
             passed = check_inversion_identity(x, w, c)
         if not passed:

@@ -1,6 +1,16 @@
 import pytest
 
-from klpoly import KLCache, bruhat_leq, interval, kl_polynomial, length, mu
+from klpoly import (
+    KLCache,
+    bruhat_leq,
+    compose,
+    interval,
+    kl_polynomial,
+    length,
+    longest_element,
+    mu,
+)
+from klpoly.polynomial import ZERO
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +51,30 @@ def split_at_descent():
     """The recursion's right side at a chosen descent, as a function of
     (x, w, i, cache)."""
     return _split_at_descent
+
+
+def _inversion_sum(x, w, cache):
+    """The signed sum of the inversion identity on [x, w], in Z[q]:
+
+        sum over x <= z <= w of (-1)^(l(z) + l(w)) P(z, w) P(w0 z, w0 x)
+
+    by polynomial arithmetic over the layers of the interval, as the sum
+    was taken before it was packed into integers.  The identity holds
+    when this is 1 for x = w and 0 otherwise.
+    """
+    w0x = compose(longest_element(len(x)), x)
+    total = ZERO
+    for k, layer in enumerate(interval(x, w).layers):
+        for z in layer:
+            term = kl_polynomial(z, w, cache) * kl_polynomial(
+                compose(longest_element(len(z)), z), w0x, cache
+            )
+            total = total - term if k % 2 else total + term
+    return total
+
+
+@pytest.fixture(scope="session")
+def inversion_sum():
+    """The inversion identity's signed sum as a polynomial, as a
+    function of (x, w, cache)."""
+    return _inversion_sum

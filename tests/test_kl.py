@@ -12,12 +12,14 @@ from klpoly.kl import (
     flatten_pair,
     inverse_kl,
     is_smooth_top,
+    kl_column,
     kl_polynomial,
     mu,
 )
 from klpoly.perm import (
     all_perms,
     compose,
+    from_oneline,
     identity,
     inverse,
     left_descents,
@@ -197,17 +199,96 @@ def test_inversion_identity_exhaustive_s3(shared_cache):
         assert check_inversion_identity(x, w, shared_cache)
 
 
+# 2^b - q is zero at q = 2^b, so a sum packed at a width b fixed in
+# advance, rather than bounded from the values it reads, would not see it
+# added to a polynomial.  b = 2 is the least width at which evaluation is
+# injective on each correct polynomial of S_4 (all coefficients 0 or 1),
+# 16 the width the sum packs correct S_4 values at, and 64 a machine word.
+ALIAS_ERRORS = [IntPolynomial([1 << b, -1]) for b in (2, 16, 64)]
+
+
 def test_inversion_identity_fails_on_a_wrong_memo_entry():
     # One wrong P(z, w) anywhere in [x, w] must break the sum, so the
     # check cannot pass by default.  The second error has a degree past
-    # any correct product.
+    # any correct product; the others alias at a fixed width.
     x, w = identity(4), (4, 2, 3, 1)
     assert check_inversion_identity(x, w, KLCache(raise_bottoms=False))
     for z in interval(x, w).elements - {w}:
-        for error in (ONE, IntPolynomial.q_power(8)):
+        for error in (ONE, IntPolynomial.q_power(8), *ALIAS_ERRORS):
             cache = KLCache(raise_bottoms=False)
             cache.memo[(z, w)] = kl_polynomial(z, w) + error
             assert not check_inversion_identity(x, w, cache), (z, error)
+
+
+def _is_delta(p, x, w):
+    return p == (ONE if x == w else ZERO)
+
+
+def test_inversion_identity_matches_the_polynomial_sum(inversion_sum):
+    # The packed integer sum against the signed sum taken in Z[q]: on
+    # every comparable pair of S_4, with correct polynomials and with one
+    # wrong memo entry, and on seeded comparable pairs of S_6.
+    w = (4, 2, 3, 1)
+    caches = [KLCache(raise_bottoms=False)]
+    for error in (ONE, *ALIAS_ERRORS):
+        cache = KLCache(raise_bottoms=False)
+        cache.memo[((2, 1, 4, 3), w)] = kl_polynomial((2, 1, 4, 3), w) + error
+        caches.append(cache)
+    for i, cache in enumerate(caches):
+        verdicts = [
+            (check_inversion_identity(x, top, cache),
+             _is_delta(inversion_sum(x, top, cache), x, top))
+            for x, top in comparable_pairs(4)
+        ]
+        assert len(verdicts) == 213
+        assert all(packed == polynomial for packed, polynomial in verdicts)
+        # Only the correct cache passes everywhere.
+        assert all(packed for packed, _ in verdicts) == (i == 0)
+    rng = random.Random(6)
+    cache = KLCache()
+    for _ in range(200):
+        x, top = random_comparable_pair(6, rng)
+        assert _is_delta(inversion_sum(x, top, cache), x, top)
+        assert check_inversion_identity(x, top, cache)
+
+
+def test_kl_column_rejects_layers_of_another_top():
+    layers = interval((1, 2, 3), (3, 2, 1)).layers
+    with pytest.raises(ValueError, match="must start at it"):
+        kl_column((2, 1, 3), layers=layers)
+    with pytest.raises(ValueError):
+        kl_column((2, 1, 3), layers=[])
+    assert kl_column((3, 2, 1), layers=layers)[-1] == {(1, 2, 3): ONE}
+
+
+PAIR_ENTRY_POINTS = [kl_polynomial, inverse_kl, mu, check_inversion_identity]
+
+
+@pytest.mark.parametrize("call", PAIR_ENTRY_POINTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "x, w",
+    [((1, 2, 3), (1, 2, 4)), ((1, 2, 2), (2, 1, 2)), ((0, 1, 2), (1, 2, 3))],
+    ids=["value-out-of-range", "repeated-value", "zero-based"],
+)
+def test_public_entry_points_reject_non_permutations(call, x, w):
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+        call(x, w)
+
+
+@pytest.mark.parametrize("call", PAIR_ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_public_entry_points_check_each_argument_once(call, monkeypatch):
+    import klpoly.kl
+
+    checked = []
+
+    def counting(values):
+        checked.append(tuple(values))
+        return from_oneline(values)
+
+    monkeypatch.setattr(klpoly.kl, "from_oneline", counting)
+    x, w = identity(5), (4, 5, 2, 3, 1)
+    call(x, w, KLCache())
+    assert sorted(checked) == sorted([x, w])
 
 
 def test_active_positions():

@@ -215,12 +215,19 @@ def test_exhaustive_inversion_cases_match_all_pairs_filter(n):
 
 
 @pytest.mark.parametrize(
-    "error", [ONE, IntPolynomial.q_power(8)], ids=["plus-1", "plus-q8"]
+    "error",
+    [ONE, IntPolynomial.q_power(8), IntPolynomial([1 << 16, -1])],
+    ids=["plus-1", "plus-q8", "plus-2^16-q"],
 )
 @pytest.mark.parametrize("z", [(1, 2, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4)])
-def test_inversion_batch_fails_exactly_where_the_check_does(z, error):
+def test_inversion_batch_fails_exactly_where_the_check_does(
+    z, error, inversion_sum
+):
     # A wrong P(z, w) must fail the same cases in the batch as in the
-    # one-pair check, whatever way the batch gets its intervals.
+    # one-pair check, whatever way the batch gets its intervals, and
+    # those are the cases whose sum, taken in Z[q], is not delta(x, w).
+    # 2^16 - q vanishes at q = 2^16, the width the batch packs correct
+    # S_4 values at, so a width that ignored the values read would miss it.
     w = (4, 2, 3, 1)
 
     def seeded():
@@ -236,6 +243,12 @@ def test_inversion_batch_fails_exactly_where_the_check_does(z, error):
     }
     assert expected
     assert sorted(f.case for f in report.failures) == sorted(expected)
+    cache = seeded()
+    assert expected == {
+        f"x={format_perm(x)} w={format_perm(top)}"
+        for x, top in _comparable_pairs(4)
+        if inversion_sum(x, top, cache) != (ONE if x == top else 0)
+    }
 
 
 @pytest.mark.parametrize(
