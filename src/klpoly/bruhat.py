@@ -16,7 +16,11 @@ lies in [0, 2^b) whatever the pair, so no borrow crosses a field, and
 x <= w exactly when the high bit of every field survives:
 (R_w + H - R_x) & H == H.  A difference table with no negative cell is
 itself a packed table, and the walk of :func:`interval` tests and
-updates it with a few whole-table operations per cover.
+updates it with a few whole-table operations per cover.  This module
+alone knows that layout: :func:`_offset_difference` builds every packed
+table, and the recursion of :mod:`klpoly.kl` reads one only through
+:func:`_leq_and_active`, which answers whether x <= w and which
+positions of the pair are active.
 
 Covers, intervals and down-sets are computed combinatorially from the
 transposition description of the covering relation.  Intervals and
@@ -25,7 +29,7 @@ the top a length at a time and carries each element's packed
 difference.  Given a set of right descents it walks only the z that
 have all of them, the maxima of the right cosets z W_J inside the
 interval, which is all the Kazhdan-Lusztig recursion and the family
-checks need.  Nothing here is memoised: rank tables, intervals and
+checks need.  Nothing here is memoised: packed tables, intervals and
 down-sets are rebuilt on every call, so the module holds no state.
 """
 
@@ -35,21 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .perm import Perm, format_perm, identity
-
-
-def rank_table(w: Perm) -> tuple[tuple[int, ...], ...]:
-    """The full table of rank counts, indexed as table[p-1][q-1]."""
-    n = len(w)
-    rows: list[tuple[int, ...]] = []
-    prev = [0] * n
-    for p in range(n):
-        row = list(prev)
-        for q in range(w[p]):
-            row[q] += 1
-        rows.append(tuple(row))
-        prev = row
-    return tuple(rows)
+from .perm import Perm, _checked_pair, format_perm, from_oneline, identity
 
 
 def rank_count(w: Perm, p: int, q: int) -> int:
@@ -58,52 +48,39 @@ def rank_count(w: Perm, p: int, q: int) -> int:
     >>> rank_count((6, 3, 4, 2, 5, 1), 3, 4)
     2
     """
+    w = from_oneline(w)
     n = len(w)
     if not (1 <= p <= n and 1 <= q <= n):
         raise ValueError(f"cell ({p}, {q}) outside 1..{n} square")
-    return rank_table(w)[p - 1][q - 1]
+    return sum(1 for v in w[:p] if v >= q)
 
 
 @dataclass(frozen=True)
 class RankDifferenceTable:
-    """Cellwise difference r_w - r_x for a pair of permutations.
+    """Cellwise difference r_w - r_x for a pair of permutations, each
+    cell counted when it is read.
 
     The pair need not be comparable; the table is what decides that.
     """
 
     x: Perm
     w: Perm
-    values: tuple[tuple[int, ...], ...]
 
     def entry(self, p: int, q: int) -> int:
-        n = len(self.x)
-        if not (1 <= p <= n and 1 <= q <= n):
-            raise ValueError(f"cell ({p}, {q}) outside 1..{n} square")
-        return self.values[p - 1][q - 1]
+        return rank_count(self.w, p, q) - rank_count(self.x, p, q)
 
     def min_entry(self) -> int:
-        return min(min(row) for row in self.values)
+        cells = range(1, len(self.x) + 1)
+        return min(self.entry(p, q) for p in cells for q in cells)
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for row in self.values for v in row)
+        return bruhat_leq(self.x, self.w)
 
 
 def rank_difference(x: Perm, w: Perm) -> RankDifferenceTable:
-    """Build the difference table r_w - r_x."""
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
-    rx = rank_table(x)
-    rw = rank_table(w)
-    values = tuple(
-        tuple(b - a for a, b in zip(row_x, row_w))
-        for row_x, row_w in zip(rx, rw)
-    )
-    return RankDifferenceTable(x=x, w=w, values=values)
-
-
-def _field_bits(n: int) -> int:
-    """Width of one packed field for S_n: the least b with 2^(b-1) > n."""
-    return n.bit_length() + 1
+    """The difference table r_w - r_x."""
+    x, w = _checked_pair(x, w)
+    return RankDifferenceTable(x=x, w=w)
 
 
 def _ones(fields: int, width: int) -> int:
@@ -111,19 +88,22 @@ def _ones(fields: int, width: int) -> int:
     return ((1 << (fields * width)) - 1) // ((1 << width) - 1)
 
 
-def _packed_difference(x: Perm, w: Perm, b: int) -> int:
-    """R_w - R_x as one int: the sum over cells of
-    (r_w - r_x)(p, q) * 2^(b k), k = (p - 1) n + q - 1.
+def _offset_difference(x: Perm, w: Perm) -> tuple[int, int, int]:
+    """R_w - R_x + H of a pair of equal size as one int, with H and the
+    field width b = n.bit_length() + 1: the sum over cells of
+    (2^(b-1) + r_w(p, q) - r_x(p, q)) * 2^(b k), k = (p - 1) n + q - 1.
 
-    Where no cell is negative this is the packed difference table; in
-    general adding H (the high bit of every field) makes each field
-    nonnegative without a borrow between fields.
+    Every field lies in [0, 2^b), so no borrow crosses a field, and
+    where no cell is negative the table minus H is the packed
+    difference table.
     """
     n = len(w)
+    b = n.bit_length() + 1
     row_bits = n * b
     ones_row = _ones(n, b)
+    high = _ones(n * n, b) << (b - 1)
     row = 0
-    table = 0
+    table = high
     shift = 0
     for u, v in zip(x, w):
         if u != v:
@@ -132,31 +112,47 @@ def _packed_difference(x: Perm, w: Perm, b: int) -> int:
         if row:
             table += row << shift
         shift += row_bits
-    return table
+    return table, high, b
+
+
+def _leq_and_active(x: Perm, w: Perm) -> tuple[bool, list[int]]:
+    """Whether x <= w, and the active positions of the pair counted from
+    0 (see :func:`klpoly.kl.active_positions`), both read off one
+    packed R_w - R_x + H.  The pair need not be comparable."""
+    table, high, b = _offset_difference(x, w)
+    n = len(x)
+    half = 1 << (b - 1)
+    field = (1 << b) - 1
+    # Cell (p + 1, x(p + 1)) is field p n + x(p + 1) - 1.
+    return table & high == high, [
+        p for p, v in enumerate(x)
+        if v != w[p] or (table >> ((p * n + v - 1) * b)) & field != half
+    ]
 
 
 def bruhat_leq(x: Perm, w: Perm) -> bool:
     """Decide x <= w in Bruhat order by one whole-table test,
     (R_w + H - R_x) & H == H (see the module docstring).
 
+    x and w must be permutations of the same size.  That is not
+    checked: the recursion compares on every miss.
+
     >>> bruhat_leq((2, 1, 4, 3), (4, 2, 3, 1))
     True
     >>> bruhat_leq((3, 4, 1, 2), (4, 2, 3, 1))
     False
     """
-    n = len(x)
-    if len(w) != n:
-        raise ValueError(f"size mismatch: {n} vs {len(w)}")
-    b = _field_bits(n)
-    high = _ones(n * n, b) << (b - 1)
-    return (_packed_difference(x, w, b) + high) & high == high
+    table, high, _ = _offset_difference(x, w)
+    return table & high == high
 
 
 def covers_down(w: Perm) -> list[Perm]:
     """All z covered by w, i.e. z < w with length(z) = length(w) - 1.
 
     Each cover comes from exchanging an inversion (i, j) of w such that
-    no intermediate position holds a value between w(j) and w(i).
+    no intermediate position holds a value between w(j) and w(i).  w
+    must be a permutation.  That is not checked: the recursion takes
+    the covers of a top on every miss.
 
     >>> sorted(covers_down((3, 2, 1)))
     [(2, 3, 1), (3, 1, 2)]
@@ -184,6 +180,7 @@ def covers_up(w: Perm) -> list[Perm]:
     >>> covers_up((1, 3, 2))
     [(3, 1, 2), (2, 3, 1)]
     """
+    w = from_oneline(w)
     top = len(w) + 1
     return [
         tuple([top - v for v in z])
@@ -200,6 +197,7 @@ def down_set(w: Perm) -> tuple[Perm, ...]:
     >>> down_set((2, 3, 1))
     ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1))
     """
+    w = from_oneline(w)
     return tuple(interval(identity(len(w)), w).sorted_elements())
 
 
@@ -235,8 +233,10 @@ def interval(x: Perm, w: Perm, descents: Sequence[int] = ()) -> BruhatInterval:
     time; with ``descents``, only its z that have a right descent
     (z(p) > z(p + 1)) at every listed position p.
 
-    Raises ValueError unless x <= w, every position lies in 1..n-1, and
-    x and w both have every listed descent.  Every element z of the walk
+    x and w must be permutations of the same size.  That is not
+    checked: the recursion walks an interval on every miss.  Raises
+    ValueError unless x <= w, every position lies in 1..n-1, and x and
+    w both have every listed descent.  Every element z of the walk
     carries its rank difference d_z = r_z - r_x as one packed int (see
     the module docstring); its cells are nonnegative exactly when
     x <= z.  An element y = z t(i, j) covered by z, with z(i) > z(j),
@@ -277,18 +277,12 @@ def interval(x: Perm, w: Perm, descents: Sequence[int] = ()) -> BruhatInterval:
     (((3, 2, 1),), ((3, 1, 2),), ((2, 1, 3),))
     """
     n = len(x)
-    if len(w) != n:
-        raise ValueError(f"size mismatch: {n} vs {len(w)}")
     descents = tuple(descents)
     for p in descents:
         if not 1 <= p < n:
             raise ValueError(f"descent position {p} outside 1..{n - 1}")
-    b = _field_bits(n)
-    row_bits = n * b
-    ones = _ones(n * n, b)
-    high = ones << (b - 1)
-    top_diff = _packed_difference(x, w, b)
-    if (top_diff + high) & high != high:
+    table, high, b = _offset_difference(x, w)
+    if table & high != high:
         raise ValueError(
             f"not a valid interval: {format_perm(x)} is not <= {format_perm(w)}"
         )
@@ -296,6 +290,9 @@ def interval(x: Perm, w: Perm, descents: Sequence[int] = ()) -> BruhatInterval:
         for p in descents:
             if z[p - 1] < z[p]:
                 raise ValueError(f"{format_perm(z)} has no right descent at {p}")
+    row_bits = n * b
+    ones = high >> (b - 1)
+    top_diff = table - high
     # first[i]: the first j tried for a swap t(i, j); the adjacent swap
     # at a listed position would lose that descent.
     first = list(range(1, n))
@@ -357,6 +354,7 @@ def coatom_count(u: Perm, v: Perm) -> int:
     >>> coatom_count((1, 2, 3), (3, 2, 1))
     2
     """
+    u, v = _checked_pair(u, v)
     if not bruhat_leq(u, v):
         raise ValueError(
             f"not a valid interval: {format_perm(u)} is not <= {format_perm(v)}"
@@ -390,8 +388,7 @@ def render_picture(x: Perm, w: Perm) -> str:
     ●▒
     ○●
     """
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
+    x, w = _checked_pair(x, w)
     n = len(x)
     grid = [[_EMPTY] * n for _ in range(n)]
     for p in range(n):
@@ -399,9 +396,9 @@ def render_picture(x: Perm, w: Perm) -> str:
     for p in range(n):
         q = w[p] - 1
         grid[p][q] = _BOTH_DOT if grid[p][q] == _BOTTOM_DOT else _TOP_DOT
-    diff = rank_difference(x, w).values
+    table = rank_difference(x, w)
     for p in range(n):
         for q in range(n):
-            if diff[p][q] >= 1:
+            if table.entry(p + 1, q + 1) >= 1:
                 grid[p][q] = _SHADED
     return "\n".join("".join(row) for row in grid)

@@ -33,7 +33,7 @@ from .families import (
     parse_family_spec,
 )
 from .kl import KLCache, inverse_kl, is_smooth_top, kl_polynomial, mu
-from .perm import format_perm, parse_perm
+from .perm import Perm, _checked_pair, format_perm, parse_perm
 from .verify import (
     VerificationReport,
     verify_coatom_bound,
@@ -184,27 +184,33 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+def _pair(args: argparse.Namespace) -> tuple[Perm, Perm]:
+    """The x and w arguments; ValueError unless they are permutations
+    of one size."""
+    return _checked_pair(parse_perm(args.x), parse_perm(args.w))
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     out = sys.stdout
     cmd = args.command
 
     if cmd == "kl":
-        poly = kl_polynomial(parse_perm(args.x), parse_perm(args.w), _make_cache(args))
+        poly = kl_polynomial(*_pair(args), _make_cache(args))
         print(json.dumps(poly.to_list()) if args.json else str(poly), file=out)
         return 0
 
     if cmd == "inv-kl":
-        poly = inverse_kl(parse_perm(args.x), parse_perm(args.w), _make_cache(args))
+        poly = inverse_kl(*_pair(args), _make_cache(args))
         print(json.dumps(poly.to_list()) if args.json else str(poly), file=out)
         return 0
 
     if cmd == "mu":
-        value = mu(parse_perm(args.x), parse_perm(args.w), _make_cache(args))
+        value = mu(*_pair(args), _make_cache(args))
         print(json.dumps(value) if args.json else str(value), file=out)
         return 0
 
     if cmd == "interval":
-        iv = interval(parse_perm(args.x), parse_perm(args.w))
+        iv = interval(*_pair(args))
         if args.json:
             print(
                 json.dumps([format_perm(z) for z in iv.sorted_elements()]),
@@ -215,7 +221,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "leq":
-        answer = bruhat_leq(parse_perm(args.x), parse_perm(args.w))
+        answer = bruhat_leq(*_pair(args))
         print(json.dumps(answer) if args.json else _bool_text(answer), file=out)
         return 0
 
@@ -225,7 +231,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "picture":
-        grid = render_picture(parse_perm(args.x), parse_perm(args.w))
+        grid = render_picture(*_pair(args))
         if args.json:
             print(json.dumps(grid.split("\n")), file=out)
         else:

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .bruhat import bruhat_leq, interval
 from .kl import KLCache, inverse_kl, kl_polynomial
-from .perm import Perm, format_perm, length
+from .perm import Perm, _checked_pair, format_perm, length
 from .polynomial import ONE, ZERO, IntPolynomial, geometric_sum
 
 _KINDS = ("x", "w", "y", "v")
@@ -278,8 +278,7 @@ def inverse_kl_from_interval_sum(
     names the first witness that breaks it.  The result must agree
     with inverse_kl(x, w), which makes this a useful cross-check.
     """
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
+    x, w = _checked_pair(x, w)
     if not bruhat_leq(x, w):
         raise ValueError(
             f"not a valid interval: {format_perm(x)} is not <= {format_perm(w)}"

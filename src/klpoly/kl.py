@@ -52,11 +52,12 @@ Prop. 2.2.7): when s is a descent of w and an ascent of x, x <= w holds
 exactly when xs <= w, on either side, so raising never turns an
 incomparable pair into a comparable one, and every memo key is a
 comparable pair.  The comparison and the flattening read one packed
-rank-difference table.  A pair with an inert position is answered by
+rank-difference table, which only :mod:`klpoly.bruhat` builds and
+decodes.  A pair with an inert position is answered by
 the lookup of its flattening, and the answer is kept under both keys;
 only a pair with every position active runs the recursion.  The same
-lifting property tells the recursion which of x and xs lies below ws
-without a comparison.
+lifting property tells the recursion which of x and xs lies below ws,
+so only the other is compared before its lookup.
 """
 
 from __future__ import annotations
@@ -65,16 +66,10 @@ from itertools import repeat
 from operator import mul
 from typing import Any, Mapping, Optional, Sequence
 
-from .bruhat import (
-    _field_bits,
-    _ones,
-    _packed_difference,
-    bruhat_leq,
-    covers_down,
-    interval,
-)
+from .bruhat import _leq_and_active, bruhat_leq, covers_down, interval
 from .perm import (
     Perm,
+    _checked_pair,
     avoids_pattern,
     compose,
     format_perm,
@@ -209,17 +204,8 @@ def kl_polynomial(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolyn
     return _kl(x, w, cache)
 
 
-def _checked_pair(x: Sequence[int], w: Sequence[int]) -> tuple[Perm, Perm]:
-    """x and w as Perm tuples; ValueError unless both are permutations
-    of the same size."""
-    x, w = from_oneline(x), from_oneline(w)
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
-    return x, w
-
-
-def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
-    """P(x, w), zero unless x <= w; ``below`` says x <= w is known."""
+def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
+    """P(x, w), zero unless x <= w."""
     if x == w:
         return ONE
     if cache.raise_bottoms:
@@ -232,18 +218,14 @@ def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
     if found is not None:
         cache.hits += 1
         return found
-    n = len(x)
-    b = _field_bits(n)
-    high = _ones(n * n, b) << (b - 1)
-    table = _packed_difference(x, w, b) + high
-    if not below and table & high != high:
+    leq, kept = _leq_and_active(x, w)
+    if not leq:
         return ZERO
-    # x <= w.  A pair with an inert position has the polynomial of its
-    # flattening (see flatten_pair); that lookup counts the hit or miss,
-    # and its answer is kept under this key too.
-    kept = _active(x, w, table, b)
-    if len(kept) < n:
-        found = _kl(*_restrict(x, w, kept), cache, True)
+    # A pair with an inert position has the polynomial of its flattening
+    # (see flatten_pair); that lookup counts the hit or miss, and its
+    # answer is kept under this key too.
+    if len(kept) < len(x):
+        found = _kl(*_restrict(x, w, kept), cache)
         cache.store(key, found)
         return found
     cache.misses += 1
@@ -260,10 +242,10 @@ def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
         lo, hi = xs, x
     else:
         lo, hi = x, xs
-    acc = _kl(lo, ws, cache, True)
+    acc = _kl(lo, ws, cache)
     hi_below = bruhat_leq(hi, ws)
     if hi_below:
-        acc = acc + _kl(hi, ws, cache, True).shift(1)
+        acc = acc + _kl(hi, ws, cache).shift(1)
 
     if hi_below or lo is x:
         # x <= ws.  Only the coatoms of ws and the z with every descent of
@@ -271,7 +253,7 @@ def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
         # has mu = 1 and exponent 1.
         for z in covers_down(ws):
             if z[i - 1] > z[i] and bruhat_leq(x, z):
-                acc = acc - _kl(x, z, cache, True).shift(1)
+                acc = acc - _kl(x, z, cache).shift(1)
         # Layer 2k + 1 of [x, ws] holds the z with len(w) - len(z) = 2k + 2:
         # the exponent is k + 1 and mu(z, ws) is the coefficient of q^k in
         # P(z, ws).  From layer 3 on only z with every descent of ws count,
@@ -285,9 +267,9 @@ def _kl(x: Perm, w: Perm, cache: KLCache, below: bool = False) -> IntPolynomial:
             for z in layer:
                 # z must have the descent s and the left descents too.
                 if z[i - 1] > z[i] and all(z.index(j + 1) < z.index(j) for j in left):
-                    m = _kl(z, ws, cache, True).coefficient(k)
+                    m = _kl(z, ws, cache).coefficient(k)
                     if m:
-                        acc = acc - _kl(x, z, cache, True).shift(k + 1) * m
+                        acc = acc - _kl(x, z, cache).shift(k + 1) * m
 
     cache.store(key, acc)
     return acc
@@ -340,13 +322,15 @@ def kl_column(
 
     The layers are those of [e, w] unless the caller passes others of
     the same shape, such as ``interval(x, w).layers``; each entry is
-    read once from the cache.  Raises ValueError when the first layer
-    is not w alone.
+    read once from the cache.  Raises ValueError unless w is a
+    permutation, the first layer is w alone and every entry lies below
+    w.
 
     >>> [{format_perm(z): str(p) for z, p in layer.items()}
     ...  for layer in kl_column((2, 3, 1))]
     [{'2,3,1': '1'}, {'1,3,2': '1', '2,1,3': '1'}, {'1,2,3': '1'}]
     """
+    w = from_oneline(w)
     if cache is None:
         cache = KLCache()
     if layers is None:
@@ -355,7 +339,12 @@ def kl_column(
         raise ValueError(
             f"the layers of a column of {format_perm(w)} must start at it"
         )
-    return [{z: _kl(z, w, cache, True) for z in layer} for layer in layers]
+    column = [{z: _kl(z, w, cache) for z in layer} for layer in layers]
+    for layer in column:
+        for z, p in layer.items():
+            if not p:
+                raise ValueError(f"{format_perm(z)} is not below {format_perm(w)}")
+    return column
 
 
 class _Factor:
@@ -453,40 +442,18 @@ def check_inversion_identity(
     if cache is None:
         cache = KLCache()
     layers = interval(x, w).layers
-    column = _Factor(kl_column(w, cache, layers), True)
+    column = _Factor(
+        [{z: _kl(z, w, cache) for z in layer} for layer in layers], True
+    )
     # w0 v reverses values: (w0 v)(i) = n + 1 - v(i).
     top = len(x) + 1
     w0x = tuple([top - v for v in x])
     dual = _Factor(
-        [{z: _kl(tuple([top - v for v in z]), w0x, cache, True)
+        [{z: _kl(tuple([top - v for v in z]), w0x, cache)
           for layer in layers for z in layer}],
         False,
     )
     return _inversion_sum_is_delta(column, dual, x == w)
-
-
-def _difference_table(x: Perm, w: Perm) -> tuple[int, int]:
-    """The packed R_w - R_x plus H of a pair of equal size (see
-    :mod:`klpoly.bruhat`), and its field width b."""
-    n = len(x)
-    if len(w) != n:
-        raise ValueError(f"size mismatch: {n} vs {len(w)}")
-    b = _field_bits(n)
-    return _packed_difference(x, w, b) + (_ones(n * n, b) << (b - 1)), b
-
-
-def _active(x: Perm, w: Perm, table: int, b: int) -> list[int]:
-    """The active positions of (x, w), counted from 0, read off
-    ``table``, the packed R_w - R_x plus H with b-bit fields (see
-    :func:`active_positions`)."""
-    n = len(x)
-    half = 1 << (b - 1)
-    field = (1 << b) - 1
-    # Cell (p + 1, x(p + 1)) is field p n + x(p + 1) - 1.
-    return [
-        p for p, v in enumerate(x)
-        if v != w[p] or (table >> ((p * n + v - 1) * b)) & field != half
-    ]
 
 
 def _restrict(x: Perm, w: Perm, kept: list[int]) -> tuple[Perm, Perm]:
@@ -511,14 +478,12 @@ def active_positions(x: Perm, w: Perm) -> tuple[int, ...]:
     x(p) != w(p), together with those where the rank difference at the
     cell (p, x(p)) is nonzero.
 
-    The differences are read off the packed R_w - R_x plus H (see
-    :mod:`klpoly.bruhat`), whose field for a cell holds
-    2^(b-1) + r_w - r_x without a borrow, whether or not x <= w.
+    The pair need not be comparable.
 
     >>> active_positions((1, 2, 3, 4), (1, 3, 2, 4))
     (2, 3)
     """
-    return tuple(p + 1 for p in _active(x, w, *_difference_table(x, w)))
+    return tuple(p + 1 for p in _leq_and_active(*_checked_pair(x, w))[1])
 
 
 def flatten_pair(x: Perm, w: Perm) -> tuple[Perm, Perm]:
@@ -548,7 +513,8 @@ def flatten_pair(x: Perm, w: Perm) -> tuple[Perm, Perm]:
     >>> flatten_pair((2, 1, 3), (2, 1, 3))
     ((1,), (1,))
     """
-    kept = _active(x, w, *_difference_table(x, w))
+    x, w = _checked_pair(x, w)
+    kept = _leq_and_active(x, w)[1]
     if not kept:
         return identity(1), identity(1)
     return _restrict(x, w, kept)
@@ -565,6 +531,7 @@ def is_smooth_top(w: Perm) -> bool:
     >>> is_smooth_top((4, 3, 2, 1))
     True
     """
+    w = from_oneline(w)
     return avoids_pattern(w, (3, 4, 1, 2)) and avoids_pattern(w, (4, 2, 3, 1))
 
 
@@ -582,6 +549,7 @@ def check_descent_invariance(
     check rather than a restatement of the normalisation performed by
     default, pass a cache with raise_bottoms=False.
     """
+    x, w = _checked_pair(x, w)
     if not bruhat_leq(x, w):
         raise ValueError(
             f"not a valid interval: {format_perm(x)} is not <= {format_perm(w)}"

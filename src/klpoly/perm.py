@@ -37,6 +37,15 @@ def from_oneline(values: Iterable[int]) -> Perm:
     return w
 
 
+def _checked_pair(x: Iterable[int], w: Iterable[int]) -> tuple[Perm, Perm]:
+    """x and w as Perm tuples; ValueError unless both are permutations
+    of the same size."""
+    x, w = from_oneline(x), from_oneline(w)
+    if len(x) != len(w):
+        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
+    return x, w
+
+
 def identity(n: int) -> Perm:
     """The identity permutation of S_n."""
     if n < 1:

@@ -102,11 +102,12 @@ def test_rank_count_matches_naive_exhaustively():
 
 def test_rank_difference_examples():
     w = (3, 1, 4, 2)
-    assert rank_difference(w, w).values == ((0,) * 4,) * 4
+    same = rank_difference(w, w)
+    assert all(same.entry(p, q) == 0 for p in range(1, 5) for q in range(1, 5))
 
     table = rank_difference(identity(2), (2, 1))
     assert table.entry(1, 2) == 1
-    assert sum(v for row in table.values for v in row) == 1
+    assert sum(table.entry(p, q) for p in (1, 2) for q in (1, 2)) == 1
 
     fig = rank_difference((3, 1, 5, 2, 4, 6), (6, 3, 4, 2, 5, 1))
     assert fig.is_nonnegative()
@@ -116,6 +117,56 @@ def test_rank_difference_examples():
 def test_rank_difference_size_mismatch():
     with pytest.raises(ValueError):
         rank_difference((1, 2), (1, 2, 3))
+
+
+def test_rank_difference_matches_naive_on_s4():
+    cells = range(1, 5)
+    for x in all_perms(4):
+        for w in all_perms(4):
+            table = rank_difference(x, w)
+            naive = {
+                (p, q): naive_rank(w, p, q) - naive_rank(x, p, q)
+                for p in cells
+                for q in cells
+            }
+            for (p, q), d in naive.items():
+                assert table.entry(p, q) == d
+            assert table.min_entry() == min(naive.values())
+            assert table.is_nonnegative() == naive_leq(x, w)
+            shaded = {
+                (p, q)
+                for p, row in enumerate(render_picture(x, w).split("\n"), 1)
+                for q, glyph in enumerate(row, 1)
+                if glyph == "▒"
+            }
+            assert shaded == {cell for cell, d in naive.items() if d >= 1}
+
+
+NON_PERMUTATION = (1, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: rank_count(bad, 1, 1),
+        lambda bad: rank_difference(bad, (3, 2, 1)),
+        lambda bad: render_picture((1, 2, 3), bad),
+        lambda bad: coatom_count(bad, (3, 2, 1)),
+        covers_up,
+        down_set,
+    ],
+    ids=[
+        "rank_count",
+        "rank_difference",
+        "render_picture",
+        "coatom_count",
+        "covers_up",
+        "down_set",
+    ],
+)
+def test_public_functions_reject_non_permutations(call):
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+        call(NON_PERMUTATION)
 
 
 def test_bruhat_leq_examples():

@@ -236,11 +236,13 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_size_mismatch_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "kl", "2,1", "3,2,1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert "size mismatch" in err
+    # leq and interval reach functions that do not check sizes.
+    for command in ("kl", "leq", "interval"):
+        code, out, err = run(capsys, command, "2,1", "3,2,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "size mismatch" in err
 
 
 def test_bad_permutation_is_a_usage_error(capsys):

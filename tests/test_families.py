@@ -218,6 +218,8 @@ def test_interval_sum_rejects_nontrivial_interiors(shared_cache):
         inverse_kl_from_interval_sum((2, 1, 3), identity(3), shared_cache)
     with pytest.raises(ValueError):
         inverse_kl_from_interval_sum((1, 2), (1, 2, 3), shared_cache)
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+        inverse_kl_from_interval_sum((1, 1, 3), (3, 2, 1), shared_cache)
 
 
 def test_nontrivial_interval_error_is_a_value_error():

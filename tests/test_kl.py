@@ -259,6 +259,11 @@ def test_kl_column_rejects_layers_of_another_top():
     with pytest.raises(ValueError):
         kl_column((2, 1, 3), layers=[])
     assert kl_column((3, 2, 1), layers=layers)[-1] == {(1, 2, 3): ONE}
+    # Entries past the first layer that do not lie below the top.
+    with pytest.raises(ValueError, match="1,3,2 is not below 2,1,3"):
+        kl_column((2, 1, 3), layers=[((2, 1, 3),), ((1, 3, 2),)])
+    with pytest.raises(ValueError, match="1,4,2,3 is not below 2,3,1,4"):
+        kl_column((2, 3, 1, 4), layers=[((2, 3, 1, 4),), ((1, 4, 2, 3),)])
 
 
 PAIR_ENTRY_POINTS = [kl_polynomial, inverse_kl, mu, check_inversion_identity]
@@ -277,7 +282,7 @@ def test_public_entry_points_reject_non_permutations(call, x, w):
 
 @pytest.mark.parametrize("call", PAIR_ENTRY_POINTS, ids=lambda f: f.__name__)
 def test_public_entry_points_check_each_argument_once(call, monkeypatch):
-    import klpoly.kl
+    import klpoly.perm
 
     checked = []
 
@@ -285,10 +290,32 @@ def test_public_entry_points_check_each_argument_once(call, monkeypatch):
         checked.append(tuple(values))
         return from_oneline(values)
 
-    monkeypatch.setattr(klpoly.kl, "from_oneline", counting)
+    monkeypatch.setattr(klpoly.perm, "from_oneline", counting)
     x, w = identity(5), (4, 5, 2, 3, 1)
     call(x, w, KLCache())
     assert sorted(checked) == sorted([x, w])
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda bad: active_positions(bad, (3, 2, 1)), (1, 1, 3)),
+        (lambda bad: flatten_pair((3, 2, 1), bad), (1, 1, 3)),
+        (lambda bad: check_descent_invariance(bad, (3, 2, 1)), (1, 1, 3)),
+        (is_smooth_top, (5, 5, 5, 5)),
+        (kl_column, (3, 3, 1)),
+    ],
+    ids=[
+        "active_positions",
+        "flatten_pair",
+        "check_descent_invariance",
+        "is_smooth_top",
+        "kl_column",
+    ],
+)
+def test_other_public_functions_reject_non_permutations(call, bad):
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\."):
+        call(bad)
 
 
 def test_active_positions():
@@ -305,10 +332,10 @@ def test_active_positions_match_rank_difference_on_s5():
     elements = list(all_perms(5))
     for x in elements:
         for w in elements:
-            diff = rank_difference(x, w).values
+            diff = rank_difference(x, w)
             want = tuple(
                 p for p in range(1, 6)
-                if x[p - 1] != w[p - 1] or diff[p - 1][x[p - 1] - 1]
+                if x[p - 1] != w[p - 1] or diff.entry(p, x[p - 1])
             )
             assert active_positions(x, w) == want
 
