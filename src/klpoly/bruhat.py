@@ -48,7 +48,11 @@ def rank_count(w: Perm, p: int, q: int) -> int:
     >>> rank_count((6, 3, 4, 2, 5, 1), 3, 4)
     2
     """
-    w = from_oneline(w)
+    return _rank_count(from_oneline(w), p, q)
+
+
+def _rank_count(w: Perm, p: int, q: int) -> int:
+    """:func:`rank_count` for a w already checked."""
     n = len(w)
     if not (1 <= p <= n and 1 <= q <= n):
         raise ValueError(f"cell ({p}, {q}) outside 1..{n} square")
@@ -61,13 +65,19 @@ class RankDifferenceTable:
     cell counted when it is read.
 
     The pair need not be comparable; the table is what decides that.
+    Raises ValueError unless x and w are permutations of the same size.
     """
 
     x: Perm
     w: Perm
 
+    def __post_init__(self) -> None:
+        x, w = _checked_pair(self.x, self.w)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "w", w)
+
     def entry(self, p: int, q: int) -> int:
-        return rank_count(self.w, p, q) - rank_count(self.x, p, q)
+        return _rank_count(self.w, p, q) - _rank_count(self.x, p, q)
 
     def min_entry(self) -> int:
         cells = range(1, len(self.x) + 1)
@@ -78,8 +88,10 @@ class RankDifferenceTable:
 
 
 def rank_difference(x: Perm, w: Perm) -> RankDifferenceTable:
-    """The difference table r_w - r_x."""
-    x, w = _checked_pair(x, w)
+    """The difference table r_w - r_x.
+
+    Raises ValueError unless x and w are permutations of the same size.
+    """
     return RankDifferenceTable(x=x, w=w)
 
 
@@ -388,7 +400,8 @@ def render_picture(x: Perm, w: Perm) -> str:
     ●▒
     ○●
     """
-    x, w = _checked_pair(x, w)
+    table = rank_difference(x, w)
+    x, w = table.x, table.w
     n = len(x)
     grid = [[_EMPTY] * n for _ in range(n)]
     for p in range(n):
@@ -396,7 +409,6 @@ def render_picture(x: Perm, w: Perm) -> str:
     for p in range(n):
         q = w[p] - 1
         grid[p][q] = _BOTH_DOT if grid[p][q] == _BOTTOM_DOT else _TOP_DOT
-    table = rank_difference(x, w)
     for p in range(n):
         for q in range(n):
             if table.entry(p + 1, q + 1) >= 1:

@@ -63,22 +63,21 @@ so only the other is compared before its lookup.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import mul
-from typing import Any, Mapping, Optional, Sequence
+from operator import lshift, mul
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .bruhat import _leq_and_active, bruhat_leq, covers_down, interval
 from .perm import (
     Perm,
     _checked_pair,
+    _w0_times,
     avoids_pattern,
-    compose,
     format_perm,
     from_oneline,
     identity,
     inverse,
     left_descents,
     length,
-    longest_element,
     right_descents,
 )
 from .polynomial import ONE, ZERO, IntPolynomial
@@ -308,8 +307,7 @@ def inverse_kl(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolynomi
     x, w = _checked_pair(x, w)
     if cache is None:
         cache = KLCache()
-    w0 = longest_element(len(x))
-    return _kl(compose(w0, w), compose(w0, x), cache)
+    return _kl(_w0_times(w), _w0_times(x), cache)
 
 
 def kl_column(
@@ -321,10 +319,20 @@ def kl_column(
     to P(z, w).
 
     The layers are those of [e, w] unless the caller passes others of
-    the same shape, such as ``interval(x, w).layers``; each entry is
-    read once from the cache.  Raises ValueError unless w is a
-    permutation, the first layer is w alone and every entry lies below
-    w.
+    the same shape, such as ``interval(x, w).layers``.  Raises
+    ValueError unless w is a permutation, the first layer is w alone
+    and every entry lies below w.
+
+    With the cache's raise_bottoms off, each entry is read from the
+    cache.  With it on (the default), the layers are filled from the
+    top through coset moves.  A z with an ascent at a right descent s
+    of w (z s > z), or at a left descent (s z > z), takes the value of
+    its neighbour z s or s z, found in the layer above.  The neighbour
+    lies below w, so z < neighbour lies below w too.  By the lifting
+    property the neighbour has the same polynomial against w, which is
+    exactly what the cache answers for z after raising it.  Only the
+    maxima of the double cosets of w's descents, and any z whose
+    neighbour is not in the layer above, are read from the cache.
 
     >>> [{format_perm(z): str(p) for z, p in layer.items()}
     ...  for layer in kl_column((2, 3, 1))]
@@ -339,71 +347,176 @@ def kl_column(
         raise ValueError(
             f"the layers of a column of {format_perm(w)} must start at it"
         )
-    column = [{z: _kl(z, w, cache) for z in layer} for layer in layers]
-    for layer in column:
-        for z, p in layer.items():
-            if not p:
-                raise ValueError(f"{format_perm(z)} is not below {format_perm(w)}")
+    # With raising off, no z has a neighbour and every entry is read.
+    right, left = cache._top(w)[:2] if cache.raise_bottoms else ((), ())
+    column: list[dict[Perm, IntPolynomial]] = []
+    above: dict[Perm, IntPolynomial] = {}
+    for layer in layers:
+        here = {}
+        for z in layer:
+            p = above.get(_ascent_neighbour(z, right, left))
+            if p is None:
+                p = _kl(z, w, cache)
+                if not p:
+                    raise ValueError(
+                        f"{format_perm(z)} is not below {format_perm(w)}"
+                    )
+            here[z] = p
+        column.append(here)
+        above = here
     return column
 
 
-class _Factor:
-    """One factor of the inversion sum: polynomials keyed by z (or by a
-    stand-in for z that both factors share), in layers, and their values
-    at q = 2^bits, negated on the odd layers when ``alternating``.
+def _ascent_neighbour(
+    z: Perm, right: tuple[int, ...], left: tuple[int, ...]
+) -> Optional[Perm]:
+    """z s for the first s of ``right`` (positions) at which z ascends,
+    else s z for the first s of ``left`` (values) at which it ascends,
+    else None: z is then the maximum of its double coset."""
+    for i in right:
+        if z[i - 1] < z[i]:
+            return z[: i - 1] + (z[i], z[i - 1]) + z[i + 1:]
+    for i in left:
+        p, p2 = z.index(i), z.index(i + 1)
+        if p < p2:
+            lst = list(z)
+            lst[p], lst[p2] = i + 1, i
+            return tuple(lst)
+    return None
 
-    norm is the largest l1 norm (sum of absolute coefficients) among
-    the polynomials read, and size their number.  The values are packed
-    on first use and packed again when a sum needs a different width.
+
+class _InversionRows:
+    """Rows of the inversion identity, each summed as one packed integer
+    product over dual packs that the rows share.
+
+    A row is a column P(., w) in layers from w, and its sum is
+
+        T = sum over z in the column of (-1)^k P(z, w)(2^B) D(z),
+
+    with k the layer of z.  The dual pack D(z) holds, in field f, the
+    value P(w0 z, w0 x)(2^B) of the bottom x that f stands for:
+
+        D(z) = sum over f of P(w0 z, w0 x)(2^B) 2^(W f),
+
+    so field f of T is the integer sum of the case (x, w), restricted
+    to the z of the column.  B and W are set from the most terms in a
+    row and the largest norm and degree among all polynomials read so
+    far; see :func:`check_inversion_identity` for why one comparison
+    then decides every case.  Those maxima only grow, so the packs
+    built for one row serve the next until B or W grows.
+
+    The polynomials are read by object: a column read through coset
+    moves shares a few objects among all its entries, so each object's
+    norm, degree and value is taken once.
     """
 
-    __slots__ = ("layers", "alternating", "norm", "size", "bits", "values")
+    __slots__ = ("duals", "polys", "terms", "norm", "degree", "bits", "width",
+                 "values", "packs")
 
-    def __init__(
-        self, layers: Sequence[Mapping[Any, IntPolynomial]], alternating: bool
-    ) -> None:
-        self.layers = layers
-        self.alternating = alternating
-        self.norm = max(
-            sum(map(abs, p.coeffs)) for layer in layers for p in layer.values()
-        )
-        self.size = sum(map(len, layers))
-        self.bits = 0
-        self.values: dict[Any, int] = {}
+    def __init__(self) -> None:
+        # z -> the fields of D(z) and the ids of their polynomials.
+        self.duals: dict[Any, tuple[tuple[int, ...], list[int]]] = {}
+        # Every polynomial read, by id.  Keeping the object keeps its id
+        # from being reused.
+        self.polys: dict[int, IntPolynomial] = {}
+        self.terms = self.norm = self.degree = 0
+        self.bits = self.width = 0
+        # id -> the value at 2^bits; z -> D(z) at bits and width.
+        self.values: dict[int, int] = {}
+        self.packs: dict[Any, int] = {}
 
-    def packed(self, bits: int) -> dict[Any, int]:
+    def _read(self, polys: Mapping[int, IntPolynomial]) -> None:
+        """Take the norm and degree of each polynomial of ``polys``, keyed
+        by id, that was not read before."""
+        for i in polys.keys() - self.polys.keys():
+            p = self.polys[i] = polys[i]
+            self.norm = max(self.norm, sum(map(abs, p.coeffs)))
+            self.degree = max(self.degree, p.degree)
+
+    def row(
+        self,
+        column: Sequence[Mapping[Any, IntPolynomial]],
+        dual: Callable[[Any], Mapping[int, IntPolynomial]],
+    ) -> int:
+        """T for ``column``, at the bits and width this call settles.
+        ``dual`` gives the polynomials of D(z) by field, and is called
+        once per z."""
+        duals = self.duals
+        for layer in column:
+            for z in layer:
+                if z not in duals:
+                    polys = dual(z)
+                    ids = list(map(id, polys.values()))
+                    self._read(dict(zip(ids, polys.values())))
+                    duals[z] = (tuple(polys), ids)
+        self._read({id(p): p for layer in column for p in layer.values()})
+        self.terms = max(self.terms, sum(map(len, column)))
+        bound = self.terms * self.norm * self.norm
+        # The least B is bound.bit_length() + 1.  Rounding B and W up to
+        # multiples of 16 lets most rows reuse the packs of earlier rows.
+        bits = (bound.bit_length() + 16) // 16 * 16
+        width = (bound.bit_length() + 2 * bits * self.degree + 16) // 16 * 16
         if bits != self.bits:
-            q = 1 << bits
-            self.values = {
-                z: -p.evaluate(q) if self.alternating and k % 2 else p.evaluate(q)
-                for k, layer in enumerate(self.layers)
-                for z, p in layer.items()
-            }
-            self.bits = bits
-        return self.values
+            self.values = {}
+        if (bits, width) != (self.bits, self.width):
+            self.bits, self.width = bits, width
+            self.packs = {}
+        values = self.values
+        q = 1 << bits
+        for i in self.polys.keys() - values.keys():
+            values[i] = self.polys[i].evaluate(q)
+        packs = self.packs
+        for layer in column:
+            for z in layer:
+                if z not in packs:
+                    fields, ids = duals[z]
+                    packs[z] = sum(map(lshift, map(values.__getitem__, ids),
+                                       map(mul, fields, repeat(width))))
+        total = 0
+        for k, layer in enumerate(column):
+            part = sum(map(mul, map(values.__getitem__, map(id, layer.values())),
+                           map(packs.__getitem__, layer)))
+            total = total - part if k % 2 else total + part
+        return total
+
+    def failures(
+        self,
+        column: Sequence[Mapping[Any, IntPolynomial]],
+        dual: Callable[[Any], Mapping[int, IntPolynomial]],
+        diagonal: Optional[int],
+    ) -> list[int]:
+        """The fields of the row whose sum is not delta: 1 in the field
+        ``diagonal`` (that of the bottom w, when it has one) and 0 in
+        every other field.
+
+        The row passes when T equals the target.  Otherwise the digits
+        of T minus the target are the field sums minus delta: they lie
+        in [-2^(W-1), 2^(W-1)), where balanced digits are unique.
+        """
+        total = self.row(column, dual)
+        if diagonal is not None:
+            total -= 1 << (self.width * diagonal)
+        return [f for f, d in enumerate(_balanced_digits(total, self.width)) if d]
 
 
-def _inversion_sum_is_delta(column: _Factor, dual: _Factor, diagonal: bool) -> bool:
-    """Whether the sum over the z in both factors of column(z) dual(z),
-    as a polynomial, is 1 when ``diagonal`` and 0 otherwise.
+def _balanced_digits(value: int, width: int) -> list[int]:
+    """The digits of ``value`` in base 2^width, each in
+    [-2^(width-1), 2^(width-1)), lowest first; none for 0.
 
-    The sum is taken at q = 2^B, with B the width both factors already
-    have or a B with 2^(B-1) > N a b, whichever is larger:
-    N = min(column.size, dual.size) bounds the number of terms and a, b
-    are the factors' norms.  See :func:`check_inversion_identity` for
-    why that decides the polynomial identity.
+    >>> _balanced_digits(-1 + (3 << 8) - (5 << 16), 8)
+    [-1, 3, -5]
+    >>> _balanced_digits(-(1 << 7) + (1 << 8), 8)
+    [-128, 1]
     """
-    bound = min(column.size, dual.size) * column.norm * dual.norm
-    # The least B is bound.bit_length() + 1.  Rounding it up to a
-    # multiple of 16 lets a batch pack most factors once, not once per
-    # width its cases step through.
-    bits = max((bound.bit_length() + 16) // 16 * 16, column.bits, dual.bits)
-    a, b = column.packed(bits), dual.packed(bits)
-    # Walk the smaller factor, reading the other at each z (0 if absent).
-    if len(a) > len(b):
-        a, b = b, a
-    total = sum(map(mul, a.values(), map(b.get, a, repeat(0))))
-    return total == (1 if diagonal else 0)
+    digits = []
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << width
+        digits.append(digit)
+        value = (value - digit) >> width
+    return digits
 
 
 def check_inversion_identity(
@@ -431,29 +544,41 @@ def check_inversion_identity(
     ||P(w0 z, w0 x)||_1 in absolute value, since the l1 norm is
     subadditive and submultiplicative.  With N terms and each norm at
     most a in the first factor and b in the second, M <= N a b.  B is
-    chosen with 2^(B-1) > N a b, where a and b are the largest norms
-    among the values actually read, so a wrong memo entry with large
+    chosen with 2^(B-1) > N a b, where a and b are taken from the norms
+    of the values actually read, so a wrong memo entry with large
     coefficients widens B rather than aliasing.  N a b >= 1, since
     P(w, w) = P(w0 x, w0 x) = 1 are read, so B >= 2 and the target
     delta, with coefficient at most 1, is in the injective range too.
     Hence F(2^B) = delta(2^B) exactly when F = delta.
+
+    This pair is the one-field case of a packed row (see
+    :class:`_InversionRows`), which the exhaustive batch uses to decide
+    every bottom x under one top w at once.  A row takes N as the most
+    terms in any row it has summed, and a and b both as the largest
+    norm among all polynomials it has read.  That only enlarges them,
+    so the above holds for each bottom.  Field f of the row holds the
+    integer sum f_x = F_x(2^B) of the bottom x that f stands for, and
+    the row is T = sum over f of f_x 2^(W f).  Each f_x has at most N
+    terms.  A value read satisfies |P(2^B)| <= ||P||_1 2^(B deg P), so
+    each term is at most (a 2^(B d))^2 in absolute value, where d is the
+    largest degree among the polynomials read.  W is chosen with
+    2^(W-1) > N a^2 2^(2 B d), so |f_x| < 2^(W-1), and f_x - delta(x, w)
+    lies in [-2^(W-1), 2^(W-1)).  Those differences are the digits of
+    T - 2^(W f_w) in balanced base 2^W, and such digits are unique, so
+    T = 2^(W f_w) exactly when every f_x is delta(x, w), that is, by
+    the above, when the identity holds for every bottom at once.  Only
+    a failing row is read field by field.
     """
     x, w = _checked_pair(x, w)
     if cache is None:
         cache = KLCache()
     layers = interval(x, w).layers
-    column = _Factor(
-        [{z: _kl(z, w, cache) for z in layer} for layer in layers], True
+    column = [{z: _kl(z, w, cache) for z in layer} for layer in layers]
+    w0x = _w0_times(x)
+    failed = _InversionRows().failures(
+        column, lambda z: {0: _kl(_w0_times(z), w0x, cache)}, 0 if x == w else None
     )
-    # w0 v reverses values: (w0 v)(i) = n + 1 - v(i).
-    top = len(x) + 1
-    w0x = tuple([top - v for v in x])
-    dual = _Factor(
-        [{z: _kl(tuple([top - v for v in z]), w0x, cache)
-          for layer in layers for z in layer}],
-        False,
-    )
-    return _inversion_sum_is_delta(column, dual, x == w)
+    return not failed
 
 
 def _restrict(x: Perm, w: Perm, kept: list[int]) -> tuple[Perm, Perm]:

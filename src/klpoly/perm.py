@@ -69,10 +69,22 @@ def compose(u: Perm, v: Perm) -> Perm:
 
     >>> compose((4, 3, 2, 1), (4, 2, 3, 1))
     (1, 3, 2, 4)
+
+    Raises ValueError unless u and v are permutations of the same size.
     """
-    if len(u) != len(v):
-        raise ValueError(f"size mismatch: {len(u)} vs {len(v)}")
+    u, v = _checked_pair(u, v)
     return tuple(u[j - 1] for j in v)
+
+
+def _w0_times(v: Perm) -> Perm:
+    """w0 v, with w0 the longest element: it reverses values,
+    (w0 v)(i) = n + 1 - v(i).  v is not checked.
+
+    >>> _w0_times((4, 2, 3, 1))
+    (1, 3, 2, 4)
+    """
+    top = len(v) + 1
+    return tuple([top - a for a in v])
 
 
 def inverse(w: Perm) -> Perm:

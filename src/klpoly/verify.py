@@ -28,8 +28,7 @@ from .families import (
 )
 from .kl import (
     KLCache,
-    _Factor,
-    _inversion_sum_is_delta,
+    _InversionRows,
     _raise_bottom,
     check_inversion_identity,
     inverse_kl,
@@ -39,15 +38,14 @@ from .kl import (
 )
 from .perm import (
     Perm,
+    _w0_times,
     all_perms,
-    compose,
     format_perm,
     identity,
     left_descents,
-    longest_element,
     right_descents,
 )
-from .polynomial import ONE
+from .polynomial import ONE, IntPolynomial
 
 _CaseT = TypeVar("_CaseT")
 
@@ -296,17 +294,22 @@ def verify_inversion_identity_batch(
 
     With ``samples`` unset the check is exhaustive over S_n, which is
     only reasonable for n <= 5; above that a sample count is required
-    and pairs are drawn with the given seed.  The exhaustive run walks
-    each top's [e, w] once, builds its cases from those walks, and
-    reads each column P(., w) from the cache once, as the cases first
-    need it.  Each column is packed once into integers, as the signed
-    factor z -> (-1)^(l(w) - l(z)) P(z, w)(2^B), and each bottom x once
-    as the dual factor z -> P(w0 z, w0 x)(2^B), from the column of w0 x
-    re-keyed by z = w0 v (see :func:`klpoly.kl.check_inversion_identity`
-    for B).  The column holds the z <= w and the dual the z >= x, so a
-    case is one integer dot product over the z in both, which are
-    exactly [x, w].  The factors live for one call.  A sampled pair
-    walks its own interval.
+    and pairs are drawn with the given seed.  A sampled pair runs
+    :func:`klpoly.kl.check_inversion_identity` on its own interval.
+
+    The exhaustive run walks each top's [e, w] once, builds its cases
+    from those walks, and decides every case of a top with one packed
+    integer product, built when its first case is evaluated (see
+    :class:`klpoly.kl._InversionRows`).  Each z of S_n has one dual
+    pack D(z), the sum over x <= z of P(w0 z, w0 x)(2^B) 2^(W i(x)),
+    with i(x) the index of x in S_n; its values come from the columns
+    of the w0 x, read from the cache once each through
+    :func:`klpoly.kl.kl_column`.  The row of w is the sum over z <= w
+    of (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field i(x) is the
+    integer sum of the case (x, w).  The row passes exactly when it is
+    2^(W i(w)); only a failing row is read field by field, so the
+    report names the same cases as the one-pair check.  The columns
+    and packs live for one call.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -319,10 +322,9 @@ def verify_inversion_identity_batch(
         cases = _comparable_pairs(n, downs)
         parameter_range = f"S_{n} exhaustive"
         used_seed = None
-        # The factors key each z by its index in S_n, which hashes faster
-        # than the tuple.  w0 v reverses values: (w0 v)(i) = n + 1 - v(i).
+        # Fields are indices in S_n.
         index = {v: i for i, v in enumerate(downs)}
-        flip = [index[tuple([n + 1 - u for u in v])] for v in downs]
+        flip = {v: _w0_times(v) for v in downs}
     else:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
@@ -331,28 +333,32 @@ def verify_inversion_identity_batch(
         parameter_range = f"S_{n}, {samples} sampled pairs"
         used_seed = seed
 
-    columns: dict[Perm, _Factor] = {}
-    duals: dict[Perm, _Factor] = {}
+    columns: dict[Perm, list[dict[Perm, IntPolynomial]]] = {}
+    rows = _InversionRows()
+    failed: dict[Perm, set[int]] = {}
 
-    def column(w: Perm, c: KLCache) -> _Factor:
-        if w not in columns:
-            columns[w] = _Factor(
-                [{index[z]: p for z, p in layer.items()}
-                 for layer in kl_column(w, c, downs[w])],
-                True,
-            )
-        return columns[w]
+    def column(v: Perm, c: KLCache) -> list[dict[Perm, IntPolynomial]]:
+        if v not in columns:
+            columns[v] = kl_column(v, c, downs[v])
+        return columns[v]
+
+    def dual(z: Perm, c: KLCache) -> dict[int, IntPolynomial]:
+        # x at layer k of [e, z] puts w0 z at layer k of the column of w0 x.
+        u = flip[z]
+        return {
+            index[x]: column(flip[x], c)[k][u]
+            for k, layer in enumerate(downs[z])
+            for x in layer
+        }
 
     def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Optional[Failure]:
         x, w = case
         if samples is None:
-            if x not in duals:
-                duals[x] = _Factor(
-                    [{flip[i]: p for i, p in layer.items()}
-                     for layer in column(tuple([n + 1 - u for u in x]), c).layers],
-                    False,
+            if w not in failed:
+                failed[w] = set(
+                    rows.failures(column(w, c), lambda z: dual(z, c), index[w])
                 )
-            passed = _inversion_sum_is_delta(column(w, c), duals[x], x == w)
+            passed = index[x] not in failed[w]
         else:
             passed = check_inversion_identity(x, w, c)
         if not passed:
@@ -435,9 +441,7 @@ def verify_coatom_bound(
                 str(coefficient),
             )
         bottom, top = family_pair("x", k, k)
-        w0 = longest_element(2 * k)
-        u, v = compose(w0, top), compose(w0, bottom)
-        coatoms = coatom_count(u, v)
+        coatoms = coatom_count(_w0_times(top), _w0_times(bottom))
         notes.append(
             f"k={k}: coefficient {coefficient}, coatoms {coatoms}, "
             f"ratio {coefficient / coatoms:.3f}"

@@ -10,6 +10,7 @@ from klpoly.bruhat import (
     down_set,
     format_interval,
     interval,
+    RankDifferenceTable,
     rank_count,
     rank_difference,
     render_picture,
@@ -17,6 +18,7 @@ from klpoly.bruhat import (
 from klpoly.perm import (
     all_perms,
     compose,
+    from_oneline,
     identity,
     length,
     longest_element,
@@ -167,6 +169,39 @@ NON_PERMUTATION = (1, 1, 3)
 def test_public_functions_reject_non_permutations(call):
     with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
         call(NON_PERMUTATION)
+
+
+def test_rank_difference_table_checks_its_pair_on_construction():
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+        RankDifferenceTable(NON_PERMUTATION, (3, 2, 1))
+    with pytest.raises(ValueError, match="size mismatch: 2 vs 3"):
+        RankDifferenceTable((1, 2), (2, 1, 3))
+    table = RankDifferenceTable([2, 1, 3], [3, 2, 1])
+    assert (table.x, table.w) == ((2, 1, 3), (3, 2, 1))
+    assert table.is_nonnegative()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda x, w: rank_difference(x, w).min_entry(), render_picture],
+    ids=["rank_difference", "render_picture"],
+)
+def test_rank_tables_check_each_argument_once(call, monkeypatch):
+    # Reading a cell must not check the pair again.
+    import klpoly.bruhat
+    import klpoly.perm
+
+    checked = []
+
+    def counting(values):
+        checked.append(tuple(values))
+        return from_oneline(values)
+
+    monkeypatch.setattr(klpoly.perm, "from_oneline", counting)
+    monkeypatch.setattr(klpoly.bruhat, "from_oneline", counting)
+    x, w = (1, 3, 2, 4), (3, 4, 1, 2)
+    call(x, w)
+    assert sorted(checked) == sorted([x, w])
 
 
 def test_bruhat_leq_examples():

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from klpoly.bruhat import bruhat_leq, down_set, interval, rank_difference
 from klpoly.kl import (
     KLCache,
+    _balanced_digits,
+    _InversionRows,
     _raise_bottom,
     active_positions,
     check_descent_invariance,
@@ -250,6 +254,95 @@ def test_inversion_identity_matches_the_polynomial_sum(inversion_sum):
         x, top = random_comparable_pair(6, rng)
         assert _is_delta(inversion_sum(x, top, cache), x, top)
         assert check_inversion_identity(x, top, cache)
+
+
+# A term of a packed row: the layer of z, P(z, w), and D(z) by field.
+ROW_TERMS = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.lists(st.integers(-(1 << 40), 1 << 40), max_size=3).map(IntPolynomial),
+        st.dictionaries(
+            st.integers(0, 5),
+            st.lists(st.integers(0, 1 << 40), max_size=3).map(IntPolynomial),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+# One term at the largest norm a with a^2 < 2^15: 181^2 = 32761, so
+# B = W = 16 and both fields sum to -32761, next to the edge -(2^15 - 1)
+# of the W bound.  In the second example each value meets
+# |P(2^B)| <= ||P||_1 2^(B deg P) with equality, and the field sum
+# -32761 * 2^32 is next to the edge of W = 48.
+ROW_EDGES = [
+    [(0, IntPolynomial([-181]), {0: IntPolynomial([181]), 1: IntPolynomial([181])})],
+    [(1, IntPolynomial([0, 181]), {0: IntPolynomial([0, 181])})],
+]
+
+
+@given(ROW_TERMS, st.integers(0, 6))
+@example(ROW_EDGES[0], 0)
+@example(ROW_EDGES[0], 1)
+@example(ROW_EDGES[1], 0)
+@settings(deadline=None)
+def test_packed_row_decodes_every_field_to_its_integer_sum(terms, diagonal):
+    column = [{} for _ in range(max(k for k, _, _ in terms) + 1)]
+    for z, (k, p, _) in enumerate(terms):
+        column[k][z] = p
+    rows = _InversionRows()
+    total = rows.row(column, lambda z: terms[z][2])
+    q = 1 << rows.bits
+    # Fields run to 6, past every dual field, so the diagonal may be empty.
+    sums = [0] * 7
+    for k, p, dual in terms:
+        for f, d in dual.items():
+            sums[f] += (-1) ** k * p.evaluate(q) * d.evaluate(q)
+    # B and W meet the bounds that make the comparison exact.
+    norms = [sum(map(abs, p.coeffs)) for _, p, _ in terms]
+    dual_norms = [
+        sum(map(abs, d.coeffs)) for _, _, dual in terms for d in dual.values()
+    ]
+    assert 1 << (rows.bits - 1) > len(terms) * max(norms) * max(dual_norms)
+    assert all(abs(f) < 1 << (rows.width - 1) for f in sums)
+    digits = _balanced_digits(total, rows.width)
+    assert digits + [0] * (7 - len(digits)) == sums
+    failed = _InversionRows().failures(column, lambda z: terms[z][2], diagonal)
+    assert failed == [f for f in range(7) if sums[f] != (f == diagonal)]
+
+
+def test_kl_column_reads_only_double_coset_maxima(monkeypatch):
+    # With raising on, every other z takes its value from a coset move.
+    import klpoly.kl
+
+    reads, depth = [], [0]
+    real = klpoly.kl._kl
+
+    def recording(x, w, cache):
+        if not depth[0]:
+            reads.append(x)
+        depth[0] += 1
+        try:
+            return real(x, w, cache)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(klpoly.kl, "_kl", recording)
+    raising, reading = KLCache(), KLCache(raise_bottoms=False)
+    for w in all_perms(5):
+        right, left = right_descents(w), left_descents(w)
+        maxima = [
+            z for z in down_set(w)
+            if all(z[i - 1] > z[i] for i in right)
+            and all(z.index(j + 1) < z.index(j) for j in left)
+        ]
+        reads.clear()
+        column = kl_column(w, raising)
+        assert sorted(reads) == sorted(maxima)
+        reads.clear()
+        assert kl_column(w, reading) == column
+        assert len(reads) == len(down_set(w))
 
 
 def test_kl_column_rejects_layers_of_another_top():

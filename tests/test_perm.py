@@ -53,6 +53,14 @@ def test_compose():
         compose((1, 2), (1, 2, 3))
 
 
+@pytest.mark.parametrize(
+    "u, v", [((1, 1, 3), (1, 2, 3)), ((1, 2, 3), (3, 3, 1)), ((0, 1, 2), (1, 2, 3))]
+)
+def test_compose_rejects_non_permutations(u, v):
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+        compose(u, v)
+
+
 def test_longest_element_complements_values():
     # w0 * w should be the entrywise complement n+1 - w(i).
     w = (2, 5, 1, 4, 3)

@@ -252,6 +252,38 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
 
 
 @pytest.mark.parametrize(
+    "error",
+    [ONE, IntPolynomial.q_power(8), IntPolynomial([1 << 16, -1])],
+    ids=["plus-1", "plus-q8", "plus-2^16-q"],
+)
+@pytest.mark.parametrize(
+    "m, w",
+    [((2, 1, 4, 3), (4, 2, 3, 1)), ((1, 3, 2, 4), (3, 4, 1, 2)),
+     ((1, 4, 3, 2), (3, 4, 1, 2)), ((3, 2, 1, 4), (3, 4, 1, 2))],
+)
+def test_inversion_batch_fails_where_the_check_does_with_raising_on(m, w, error):
+    # With the default cache the batch reads a column only at its
+    # double-coset maxima and fills the rest through coset moves.  A wrong
+    # entry at a maximum must reach its whole coset, in the batch as in
+    # the one-pair check, which reads every z of [x, w] from the cache.
+    assert m in _double_coset_maxima(identity(4), w)
+
+    def seeded():
+        cache = KLCache()
+        cache.memo[(m, w)] = kl_polynomial(m, w) + error
+        return cache
+
+    report = verify_inversion_identity_batch(4, seeded())
+    expected = {
+        f"x={format_perm(x)} w={format_perm(top)}"
+        for x, top in _comparable_pairs(4)
+        if not check_inversion_identity(x, top, seeded())
+    }
+    assert expected
+    assert sorted(f.case for f in report.failures) == sorted(expected)
+
+
+@pytest.mark.parametrize(
     "error", [ONE, IntPolynomial.q_power(8)], ids=["plus-1", "plus-q8"]
 )
 @pytest.mark.parametrize("z", [(1, 2, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4)])
