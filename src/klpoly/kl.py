@@ -262,7 +262,13 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
         # index, since both walks start at ws and skip no length.
         right, left, _, _ = cache._top(ws)
         bottom = _raise_bottom(x, right, left)
-        for k, layer in enumerate(interval(bottom, ws, right).layers[3::2], 1):
+        # An interval spanning fewer than four lengths has no layer 3, so
+        # it is not walked.
+        if length(ws) - length(bottom) >= 3:
+            odd = interval(bottom, ws, right).layers[3::2]
+        else:
+            odd = ()
+        for k, layer in enumerate(odd, 1):
             for z in layer:
                 # z must have the descent s and the left descents too.
                 if z[i - 1] > z[i] and all(z.index(j + 1) < z.index(j) for j in left):
@@ -403,7 +409,10 @@ class _InversionRows:
     row and the largest norm and degree among all polynomials read so
     far; see :func:`check_inversion_identity` for why one comparison
     then decides every case.  Those maxima only grow, so the packs
-    built for one row serve the next until B or W grows.
+    built for one row serve the next until B or W grows.  A caller that
+    sums first a row reading every polynomial, with the most terms,
+    fixes B and W there and packs each z once; the exhaustive inversion
+    batch does this with the row of w0.
 
     The polynomials are read by object: a column read through coset
     moves shares a few objects among all its entries, so each object's

@@ -125,13 +125,12 @@ def length(w: Perm) -> int:
     >>> length((1, 2, 3))
     0
     """
-    n = len(w)
-    total = 0
-    for i in range(n - 1):
-        wi = w[i]
-        for j in range(i + 1, n):
-            if wi > w[j]:
-                total += 1
+    # Each value v counts the larger values to its left, read off the
+    # bits above v of the set of values seen so far.
+    seen = total = 0
+    for v in w:
+        total += (seen >> v).bit_count()
+        seen |= 1 << v
     return total
 
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .bruhat import bruhat_leq, coatom_count, interval
+from .bruhat import bruhat_leq, coatom_count, covers_down, interval
 from .families import (
     closed_form_inverse,
     closed_form_regular,
@@ -43,11 +43,16 @@ from .perm import (
     format_perm,
     identity,
     left_descents,
+    length,
     right_descents,
 )
 from .polynomial import ONE, IntPolynomial
 
 _CaseT = TypeVar("_CaseT")
+
+# S_n in lexicographic order, the lengths of its elements, and the
+# indices of the ideal of each, in increasing order (see _ideals).
+_Ideals = tuple[list[Perm], list[int], list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -261,26 +266,62 @@ def random_comparable_pair(n: int, rng: random.Random) -> tuple[Perm, Perm]:
             return tuple(x), tuple(w)
 
 
-def _down_layers(n: int) -> dict[Perm, tuple[tuple[Perm, ...], ...]]:
+def _ideals(n: int) -> _Ideals:
+    """S_n in lexicographic order, the lengths of its elements, and the
+    principal ideal [e, w] of each w as the increasing list of the
+    indices of its members.
+
+    One pass over the covers, in order of increasing length, builds
+    them all, each as a bitmask over the indices: the ideal of w is w
+    together with the ideals of its coatoms, since Bruhat order is
+    graded and so every x < w lies below some coatom of w.
+    """
+    perms = list(all_perms(n))
+    index = {v: i for i, v in enumerate(perms)}
+    lengths = [length(v) for v in perms]
+    masks = [0] * len(perms)
+    for i in sorted(range(len(perms)), key=lengths.__getitem__):
+        mask = 1 << i
+        for z in covers_down(perms[i]):
+            mask |= masks[index[z]]
+        masks[i] = mask
+    ideals = []
+    for mask in masks:
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
+        ideals.append(members)
+    return perms, lengths, ideals
+
+
+def _down_layers(
+    n: int, ideals: Optional[_Ideals] = None
+) -> dict[Perm, tuple[tuple[Perm, ...], ...]]:
     """The layers of [e, w] for every w in S_n, keyed in lexicographic
-    order of w."""
-    e = identity(n)
-    return {w: interval(e, w).layers for w in all_perms(n)}
+    order of w: layer k holds the x <= w of length l(w) - k, in
+    lexicographic order, as in ``interval(identity(n), w).layers``.
+    ``ideals`` is :func:`_ideals` of n, built here when not given."""
+    perms, lengths, members = ideals if ideals is not None else _ideals(n)
+    downs = {}
+    for w, top, below in zip(perms, lengths, members):
+        layers: list[list[Perm]] = [[] for _ in range(top + 1)]
+        for j in below:
+            layers[top - lengths[j]].append(perms[j])
+        downs[w] = tuple(map(tuple, layers))
+    return downs
 
 
 def _comparable_pairs(
-    n: int, downs: Optional[dict[Perm, tuple[tuple[Perm, ...], ...]]] = None
+    n: int, ideals: Optional[_Ideals] = None
 ) -> list[tuple[Perm, Perm]]:
     """Every pair (x, w) in S_n with x <= w: w in lexicographic order,
-    and within each w the x of [e, w] in lexicographic order.  ``downs``
-    is :func:`_down_layers` of n, walked here when not given."""
-    if downs is None:
-        downs = _down_layers(n)
-    return [
-        (x, w)
-        for w, layers in downs.items()
-        for x in sorted([z for layer in layers for z in layer])
-    ]
+    and within each w the x of [e, w] in lexicographic order, which is
+    the order of their indices.  ``ideals`` is :func:`_ideals` of n,
+    built here when not given."""
+    perms, _, members = ideals if ideals is not None else _ideals(n)
+    return [(perms[j], w) for w, below in zip(perms, members) for j in below]
 
 
 def verify_inversion_identity_batch(
@@ -297,19 +338,23 @@ def verify_inversion_identity_batch(
     and pairs are drawn with the given seed.  A sampled pair runs
     :func:`klpoly.kl.check_inversion_identity` on its own interval.
 
-    The exhaustive run walks each top's [e, w] once, builds its cases
-    from those walks, and decides every case of a top with one packed
-    integer product, built when its first case is evaluated (see
-    :class:`klpoly.kl._InversionRows`).  Each z of S_n has one dual
-    pack D(z), the sum over x <= z of P(w0 z, w0 x)(2^B) 2^(W i(x)),
-    with i(x) the index of x in S_n; its values come from the columns
-    of the w0 x, read from the cache once each through
-    :func:`klpoly.kl.kl_column`.  The row of w is the sum over z <= w
-    of (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field i(x) is the
-    integer sum of the case (x, w).  The row passes exactly when it is
-    2^(W i(w)); only a failing row is read field by field, so the
-    report names the same cases as the one-pair check.  The columns
-    and packs live for one call.
+    The exhaustive run builds the ideal [e, w] of every top w in one
+    pass over the covers of S_n (see :func:`_ideals`), and takes its
+    cases and layers from those ideals.  It decides every case of a top
+    with one packed integer product, built when its first case is
+    evaluated (see :class:`klpoly.kl._InversionRows`).  Each z of S_n
+    has one dual pack D(z), the sum over x <= z of
+    P(w0 z, w0 x)(2^B) 2^(W i(x)), with i(x) the index of x in S_n; its
+    values come from the columns of the w0 x, read from the cache once
+    each through :func:`klpoly.kl.kl_column`.  The row of w is the sum
+    over z <= w of (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field
+    i(x) is the integer sum of the case (x, w).  The row passes exactly
+    when it is 2^(W i(w)); only a failing row is read field by field,
+    so the report names the same cases as the one-pair check.  The row
+    of w0 is built first, with the first case: it reads every column
+    and has the most terms, so B and W are final from then on and each
+    D(z) is packed once.  Its failures are reported only for the cases
+    of w0 that are evaluated.  The columns and packs live for one call.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -318,13 +363,16 @@ def verify_inversion_identity_batch(
             raise ValueError(
                 f"exhaustive check over S_{n} is too large; pass a sample count"
             )
-        downs = _down_layers(n)
-        cases = _comparable_pairs(n, downs)
+        ideals = _ideals(n)
+        downs = _down_layers(n, ideals)
+        cases = _comparable_pairs(n, ideals)
         parameter_range = f"S_{n} exhaustive"
         used_seed = None
-        # Fields are indices in S_n.
-        index = {v: i for i, v in enumerate(downs)}
-        flip = {v: _w0_times(v) for v in downs}
+        # Fields are indices in S_n; w0 is the last of them.
+        perms = ideals[0]
+        index = {v: i for i, v in enumerate(perms)}
+        flip = {v: _w0_times(v) for v in perms}
+        w0 = perms[-1]
     else:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
@@ -351,14 +399,19 @@ def verify_inversion_identity_batch(
             for x in layer
         }
 
+    def row_failures(v: Perm, c: KLCache) -> set[int]:
+        if v not in failed:
+            failed[v] = set(
+                rows.failures(column(v, c), lambda z: dual(z, c), index[v])
+            )
+        return failed[v]
+
     def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Optional[Failure]:
         x, w = case
         if samples is None:
-            if w not in failed:
-                failed[w] = set(
-                    rows.failures(column(w, c), lambda z: dual(z, c), index[w])
-                )
-            passed = index[x] not in failed[w]
+            # The row of w0 first, so that B and W never grow after it.
+            row_failures(w0, c)
+            passed = index[x] not in row_failures(w, c)
         else:
             passed = check_inversion_identity(x, w, c)
         if not passed:

@@ -187,6 +187,35 @@ def test_oracle_agrees_on_all_of_s5():
             assert kl_polynomial(x, w).coeffs == column.get(x, ()), (x, w)
 
 
+def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
+    # The sum reads layers 3, 5, ... of [raised x, ws]; a shorter interval
+    # has none and must not be walked, and skipping it changes no value.
+    import klpoly.kl
+
+    sums, gaps = [0], []
+    covers, walk = klpoly.kl.covers_down, klpoly.kl.interval
+
+    def counted_covers(ws):
+        sums[0] += 1
+        return covers(ws)
+
+    def counted_walk(x, w, descents=()):
+        gaps.append(_length(w) - _length(x))
+        return walk(x, w, descents)
+
+    monkeypatch.setattr(klpoly.kl, "covers_down", counted_covers)
+    monkeypatch.setattr(klpoly.kl, "interval", counted_walk)
+    perms = _perms(5)
+    for w in perms:
+        column = oracle_column(w, {z for z in perms if _leq(z, w)})
+        cache = KLCache()
+        for x in perms:
+            assert kl_polynomial(x, w, cache).coeffs == column.get(x, ()), (x, w)
+    assert gaps and min(gaps) >= 3
+    # Most sums skip their walk.
+    assert sums[0] > 2 * len(gaps)
+
+
 def test_kl_column_matches_the_oracle_in_s5():
     # The exhaustive inversion batch reads every polynomial it sums from
     # these columns; one cache per configuration is shared by all tops.

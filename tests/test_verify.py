@@ -25,6 +25,7 @@ from klpoly.verify import (
     VerificationReport,
     _comparable_pairs,
     _double_coset_maxima,
+    _down_layers,
     _family_cases,
     random_comparable_pair,
     verify_coatom_bound,
@@ -212,6 +213,38 @@ def test_exhaustive_inversion_cases_match_all_pairs_filter(n):
     # The case list, and so what case_cap keeps, is the all-pairs filter.
     old = [(x, w) for w in all_perms(n) for x in all_perms(n) if bruhat_leq(x, w)]
     assert _comparable_pairs(n) == old
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_down_layers_match_the_interval_walks(n):
+    # The one-pass closure over the covers builds every [e, w] at once;
+    # the walker of a single interval is its independent check, down to
+    # the order of the tops and of each layer.
+    e = identity(n)
+    walked = {w: interval(e, w).layers for w in all_perms(n)}
+    downs = _down_layers(n)
+    assert list(downs) == list(walked)
+    assert downs == walked
+
+
+def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
+    # The row of w0 is summed first; it reads every polynomial and has the
+    # most terms, so B and W never grow after it and no pack is rebuilt.
+    import klpoly.verify
+
+    built = []
+
+    class Counted(klpoly.verify._InversionRows):
+        def row(self, column, dual):
+            packs, old = self.packs, len(self.packs)
+            total = super().row(column, dual)
+            built.append(len(self.packs) - (old if self.packs is packs else 0))
+            return total
+
+    monkeypatch.setattr(klpoly.verify, "_InversionRows", Counted)
+    assert verify_inversion_identity_batch(5).passed
+    assert len(built) == 120
+    assert sum(built) == 120
 
 
 @pytest.mark.parametrize(
