@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .perm import Perm, _checked_pair, format_perm, from_oneline, identity
 
@@ -218,9 +218,10 @@ class BruhatInterval:
     """The set of z with bottom <= z <= top, by length.
 
     ``layers[k]`` holds the elements of length length(top) - k, so the
-    first layer is (top,) and the last is (bottom,).  When ``descents``
-    is not empty only the z with a right descent at each of those
-    positions are members.
+    first layer is (top,) and the last is (bottom,), unless the walk
+    was stopped at a depth (see :func:`interval`), when the layers end
+    above the bottom.  When ``descents`` is not empty only the z with a
+    right descent at each of those positions are members.
     """
 
     bottom: Perm
@@ -240,21 +241,28 @@ class BruhatInterval:
         return [z for layer in reversed(self.layers) for z in sorted(layer)]
 
 
-def interval(x: Perm, w: Perm, descents: Sequence[int] = ()) -> BruhatInterval:
+def interval(
+    x: Perm, w: Perm, descents: Sequence[int] = (), depth: Optional[int] = None
+) -> BruhatInterval:
     """The Bruhat interval [x, w], walked down from w one length at a
     time; with ``descents``, only its z that have a right descent
-    (z(p) > z(p + 1)) at every listed position p.
+    (z(p) > z(p + 1)) at every listed position p.  With ``depth``, the
+    walk stops after layer ``depth``, so only the z with
+    l(w) - l(z) <= depth are walked: the layers are the first
+    depth + 1 of the full walk, or all of them when
+    depth >= l(w) - l(x).
 
     x and w must be permutations of the same size.  That is not
     checked: the recursion walks an interval on every miss.  Raises
-    ValueError unless x <= w, every position lies in 1..n-1, and x and
-    w both have every listed descent.  Every element z of the walk
-    carries its rank difference d_z = r_z - r_x as one packed int (see
-    the module docstring); its cells are nonnegative exactly when
-    x <= z.  An element y = z t(i, j) covered by z, with z(i) > z(j),
-    has r_y = r_z - 1 on the rectangle of rows i..j-1 and columns
-    (z(j), z(i)], and r_y = r_z elsewhere, so x <= y exactly when d_z
-    is at least 1 on that rectangle.
+    ValueError unless x <= w, every position lies in 1..n-1, x and w
+    both have every listed descent, and depth is None or nonnegative.
+    Every element z of the walk carries its rank difference
+    d_z = r_z - r_x as one packed int (see the module docstring); its
+    cells are nonnegative exactly when x <= z.  An element
+    y = z t(i, j) covered by z, with z(i) > z(j), has r_y = r_z - 1 on
+    the rectangle of rows i..j-1 and columns (z(j), z(i)], and
+    r_y = r_z elsewhere, so x <= y exactly when d_z is at least 1 on
+    that rectangle.
 
     With rect holding a 1 in each field of the rectangle, the test is
     positive & rect == rect, and then d_y = d_z - rect.  positive is
@@ -287,7 +295,11 @@ def interval(x: Perm, w: Perm, descents: Sequence[int] = ()) -> BruhatInterval:
     (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3),))
     >>> interval((2, 1, 3), (3, 2, 1), descents=[1]).layers
     (((3, 2, 1),), ((3, 1, 2),), ((2, 1, 3),))
+    >>> interval((1, 2, 3), (3, 2, 1), depth=1).layers
+    (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)))
     """
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     n = len(x)
     descents = tuple(descents)
     for p in descents:
@@ -320,8 +332,9 @@ def interval(x: Perm, w: Perm, descents: Sequence[int] = ()) -> BruhatInterval:
     cols = [(ones_row >> ((n - v) * b)) * every_row for v in range(n + 1)]
     layers = [(w,)]
     diffs = {w: top_diff}
+    stop = None if depth is None else depth + 1
     # The bottom is the only member of its length, so it ends the walk.
-    while layers[-1][0] != x:
+    while layers[-1][0] != x and len(layers) != stop:
         below: dict[Perm, int] = {}
         for z, d in diffs.items():
             positive = ((d + fill) >> shift) & ones

@@ -25,6 +25,18 @@ in the odd layers of that shorter interval, walked one length at a
 time from ws through the z with every right descent of ws only (the
 maxima of their right cosets, see :func:`klpoly.bruhat.interval`).
 
+Nor need that walk go deep.  KL polynomials are monotone in the
+bottom: P(z, ws) <= P(x, ws) coefficientwise whenever x <= z <= ws
+(Irving, "The socle filtration of a Verma module", 1988, for Weyl
+groups; Braden-MacPherson, "From moment graphs to intersection
+cohomology", Math. Ann. 2001).  A z at distance 2k + 1 below ws has
+mu(z, ws) = [q^k] P(z, ws), so it vanishes for every k past
+D = deg P(x, ws), one of the two terms the recursion has just looked
+up.  The walk therefore stops at distance 2D + 1, and a pair with
+P(x, ws) = 1 walks nothing past the coatoms.  Raising x through
+descents of ws keeps P(x, ws), so the same D bounds the walk from the
+raised x.
+
 Base cases: P(w, w) = 1 and P(x, w) = 0 unless x <= w.  Any descent of
 the top gives the same polynomial; the recursion always splits on the
 largest right descent, and a :class:`KLCache` shares results across
@@ -242,11 +254,15 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
     else:
         lo, hi = x, xs
     acc = _kl(lo, ws, cache)
-    hi_below = bruhat_leq(hi, ws)
-    if hi_below:
-        acc = acc + _kl(hi, ws, cache).shift(1)
+    # p_x is P(x, ws), zero unless x <= ws.
+    p_x = acc if lo is x else ZERO
+    if bruhat_leq(hi, ws):
+        upper = _kl(hi, ws, cache)
+        acc = acc + upper.shift(1)
+        if hi is x:
+            p_x = upper
 
-    if hi_below or lo is x:
+    if p_x:
         # x <= ws.  Only the coatoms of ws and the z with every descent of
         # ws can have mu(z, ws) != 0 (see the module docstring).  A coatom
         # has mu = 1 and exponent 1.
@@ -255,26 +271,31 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
                 acc = acc - _kl(x, z, cache).shift(1)
         # Layer 2k + 1 of [x, ws] holds the z with len(w) - len(z) = 2k + 2:
         # the exponent is k + 1 and mu(z, ws) is the coefficient of q^k in
-        # P(z, ws).  From layer 3 on only z with every descent of ws count,
-        # and by the lifting property each of them lies above x raised
-        # through those descents, so the walk starts there and visits
-        # only z with the right descents of ws; its layers keep their
-        # index, since both walks start at ws and skip no length.
-        right, left, _, _ = cache._top(ws)
-        bottom = _raise_bottom(x, right, left)
-        # An interval spanning fewer than four lengths has no layer 3, so
-        # it is not walked.
-        if length(ws) - length(bottom) >= 3:
-            odd = interval(bottom, ws, right).layers[3::2]
-        else:
-            odd = ()
-        for k, layer in enumerate(odd, 1):
-            for z in layer:
-                # z must have the descent s and the left descents too.
-                if z[i - 1] > z[i] and all(z.index(j + 1) < z.index(j) for j in left):
-                    m = _kl(z, ws, cache).coefficient(k)
-                    if m:
-                        acc = acc - _kl(x, z, cache).shift(k + 1) * m
+        # P(z, ws).  By monotonicity, P(z, ws) <= P(x, ws) coefficientwise
+        # for x <= z <= ws (Irving 1988; Braden-MacPherson 2001), so that
+        # coefficient vanishes for k > D = deg P(x, ws): only layers 3, 5,
+        # ..., 2D + 1 can count, and none do when D = 0.  From layer 3 on
+        # only z with every descent of ws count, and by the lifting
+        # property each of them lies above x raised through those
+        # descents, so the walk starts there and visits only z with the
+        # right descents of ws; its layers keep their index, since both
+        # walks start at ws and skip no length.  Raising keeps P(x, ws),
+        # so D bounds the raised walk too, and D >= 1 means the raised
+        # interval spans at least 2D + 1 >= 3 lengths.
+        degree = p_x.degree
+        if degree:
+            right, left, _, _ = cache._top(ws)
+            bottom = _raise_bottom(x, right, left)
+            odd = interval(bottom, ws, right, 2 * degree + 1).layers[3::2]
+            for k, layer in enumerate(odd, 1):
+                for z in layer:
+                    # z must have the descent s and the left descents too.
+                    if z[i - 1] > z[i] and all(
+                        z.index(j + 1) < z.index(j) for j in left
+                    ):
+                        m = _kl(z, ws, cache).coefficient(k)
+                        if m:
+                            acc = acc - _kl(x, z, cache).shift(k + 1) * m
 
     cache.store(key, acc)
     return acc

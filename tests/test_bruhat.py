@@ -474,6 +474,42 @@ def test_interval_rejects_bad_descents():
         interval((2, 1, 3), (2, 3, 1), [1])
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_interval_depth_stops_the_walk_after_that_layer(n):
+    # With descents or without, a walk stopped at depth d holds the first
+    # d + 1 layers of the full walk, each in the same order: the top alone
+    # at d = 0, and the whole interval from d = l(w) - l(x) on.
+    checked = 0
+    elements = list(all_perms(n))
+    for w in elements:
+        descents = right_descents(w)
+        for x in elements:
+            if not bruhat_leq(x, w):
+                continue
+            choices = [()]
+            if descents and has_descents(x, descents):
+                choices.append(descents)
+            for chosen in choices:
+                full = interval(x, w, chosen)
+                gap = length(w) - length(x)
+                assert interval(x, w, chosen, 0).layers == ((w,),)
+                for depth in range(gap):
+                    stopped = interval(x, w, chosen, depth).layers
+                    assert stopped == full.layers[: depth + 1]
+                    checked += 1
+                for depth in (gap, gap + 1, gap + 5):
+                    assert interval(x, w, chosen, depth) == full
+    assert checked == {4: 470, 5: 13486}[n]
+
+
+def test_interval_rejects_a_negative_depth():
+    for depth in (-1, -5):
+        with pytest.raises(ValueError, match="depth"):
+            interval((1, 2, 3), (3, 2, 1), depth=depth)
+        with pytest.raises(ValueError, match="depth"):
+            interval((2, 1, 3), (3, 2, 1), [1], depth)
+
+
 def test_interval_sorted_elements_ordering():
     iv = interval(identity(3), (3, 2, 1))
     ordered = iv.sorted_elements()

@@ -21,13 +21,15 @@ The two terms on the left occupy disjoint degrees, so the part of the
 right-hand side of degree at most (l(w) - l(x) - 1) / 2 is -P(x, w) and
 the rest must be its mirror image; the oracle checks the mirror too.
 
-The oracle's polynomials and Bruhat order also check the two facts that
-let the recursion's correction sum skip most of [x, ws]: mu(y, w)
+The oracle's polynomials and Bruhat order also check the three facts
+that let the recursion's correction sum skip most of [x, ws]: mu(y, w)
 vanishes off the coatoms of w unless y has every descent of w
-(Kazhdan-Lusztig 1979), and every such y above x lies above x raised
-through the descents of w (the lifting property).  And they check the
-fact that lets the recursion work on small pairs: flattening a pair to
-its active positions keeps its polynomial and its length gap.
+(Kazhdan-Lusztig 1979); every such y above x lies above x raised
+through the descents of w (the lifting property); and P(x, w) >= P(y, w)
+coefficientwise for x <= y <= w (monotonicity), which bounds how deep
+the sum walks.  And they check the fact that lets the recursion work on
+small pairs: flattening a pair to its active positions keeps its
+polynomial and its length gap.
 """
 
 import itertools
@@ -188,32 +190,42 @@ def test_oracle_agrees_on_all_of_s5():
 
 
 def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
-    # The sum reads layers 3, 5, ... of [raised x, ws]; a shorter interval
-    # has none and must not be walked, and skipping it changes no value.
+    # The sum reads layers 3, 5, ..., 2 deg P(x, ws) + 1 of [raised x, ws]
+    # (monotonicity); a pair with P(x, ws) = 1, or a shorter interval, has
+    # none of them and must not be walked, and skipping it changes no
+    # value.
     import klpoly.kl
 
-    sums, gaps = [0], []
+    perms = _perms(5)
+    columns = {w: oracle_column(w, {z for z in perms if _leq(z, w)}) for w in perms}
+    sums, gaps, walks = [0], [], []
     covers, walk = klpoly.kl.covers_down, klpoly.kl.interval
 
     def counted_covers(ws):
         sums[0] += 1
         return covers(ws)
 
-    def counted_walk(x, w, descents=()):
+    def counted_walk(x, w, descents=(), depth=None):
         gaps.append(_length(w) - _length(x))
-        return walk(x, w, descents)
+        walks.append((x, w, depth))
+        return walk(x, w, descents, depth)
 
     monkeypatch.setattr(klpoly.kl, "covers_down", counted_covers)
     monkeypatch.setattr(klpoly.kl, "interval", counted_walk)
-    perms = _perms(5)
     for w in perms:
-        column = oracle_column(w, {z for z in perms if _leq(z, w)})
+        column = columns[w]
         cache = KLCache()
         for x in perms:
             assert kl_polynomial(x, w, cache).coeffs == column.get(x, ()), (x, w)
     assert gaps and min(gaps) >= 3
     # Most sums skip their walk.
     assert sums[0] > 2 * len(gaps)
+    # The walk starts at x raised through the descents of ws, which keeps
+    # P(x, ws), so the oracle's P(bottom, ws) is the P(x, ws) of the sum.
+    for bottom, ws, depth in walks:
+        p = columns[ws][bottom]
+        assert p != _ONE, (bottom, ws)
+        assert depth == 2 * (len(p) - 1) + 1 >= 3, (bottom, ws, depth)
 
 
 def test_kl_column_matches_the_oracle_in_s5():
@@ -234,7 +246,8 @@ def test_kl_column_matches_the_oracle_in_s5():
                     assert p.coeffs == expected[z], (z, w)
 
 
-def test_oracle_agrees_on_sampled_pairs_in_s6():
+def _sampled_s6_pairs():
+    """200 seeded comparable pairs (x, w) of S_6, each with [x, w]."""
     perms = _perms(6)
     rng = random.Random(6)
     checked = 0
@@ -244,9 +257,50 @@ def test_oracle_agrees_on_sampled_pairs_in_s6():
             continue
         span = range(_length(x), _length(w) + 1)
         members = {z for z in perms if _length(z) in span and _leq(x, z) and _leq(z, w)}
+        yield x, w, members
+        checked += 1
+
+
+def test_oracle_agrees_on_sampled_pairs_in_s6():
+    for x, w, members in _sampled_s6_pairs():
         column = oracle_column(w, members)
         assert kl_polynomial(x, w).coeffs == column[x], (x, w)
-        checked += 1
+
+
+def _dominates(a, b):
+    """a >= b coefficientwise."""
+    difference = _add(a, tuple(-c for c in b))
+    return all(c >= 0 for c in difference)
+
+
+def test_monotonicity_holds_in_the_oracle_on_all_of_s5():
+    # P(x, w) >= P(y, w) coefficientwise for x <= y <= w (Irving 1988;
+    # Braden-MacPherson 2001): the bound the correction sum's walk
+    # depth rests on.
+    perms = _perms(5)
+    triples = strict = 0
+    for w in perms:
+        column = oracle_column(w, {z for z in perms if _leq(z, w)})
+        for x, p_x in column.items():
+            for y, p_y in column.items():
+                if _leq(x, y):
+                    assert _dominates(p_x, p_y), (x, y, w)
+                    triples += 1
+                    strict += p_x != p_y
+    assert strict > 0
+    assert triples > 3781
+
+
+def test_monotonicity_holds_in_the_recursion_on_sampled_pairs_in_s6():
+    cache = KLCache()
+    strict = 0
+    for x, w, members in _sampled_s6_pairs():
+        p_x = kl_polynomial(x, w, cache).coeffs
+        for y in members:
+            p_y = kl_polynomial(y, w, cache).coeffs
+            assert _dominates(p_x, p_y), (x, y, w)
+            strict += p_x != p_y
+    assert strict > 0
 
 
 def test_mu_vanishes_off_the_descents_in_s5():
