@@ -35,9 +35,7 @@ down-sets are rebuilt on every call, so the module holds no state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .perm import Perm, _checked_pair, format_perm, from_oneline, identity
 
@@ -59,8 +57,55 @@ def _rank_count(w: Perm, p: int, q: int) -> int:
     return sum(1 for v in w[:p] if v >= q)
 
 
-@dataclass(frozen=True)
-class RankDifferenceTable:
+class _Record:
+    """Base of the package's small records, which behave as frozen
+    dataclasses do.
+
+    A subclass names its fields, in order, in ``__match_args__``, holds
+    each in a slot, and sets them in its ``__init__`` with
+    ``object.__setattr__``, since assigning or deleting an attribute
+    raises AttributeError.  Equality and hashing compare the fields, and
+    only between records of one class; the repr is
+    ``Name(field=value, ...)``; a copy or an unpickled record is built
+    by calling the class with the fields.  A mutable record restores
+    ``object.__setattr__`` and ``object.__delattr__`` and sets
+    ``__hash__`` to None, as a dataclass that is not frozen has it.
+    The records do not use ``dataclasses``: that module imports
+    ``inspect``, ``ast`` and ``dis``, which took most of the time of
+    ``import klpoly``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple[Any, ...]:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+        )
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return self.__class__, self._fields()
+
+
+class RankDifferenceTable(_Record):
     """Cellwise difference r_w - r_x for a pair of permutations, each
     cell counted when it is read.
 
@@ -68,11 +113,12 @@ class RankDifferenceTable:
     Raises ValueError unless x and w are permutations of the same size.
     """
 
+    __slots__ = __match_args__ = ("x", "w")
     x: Perm
     w: Perm
 
-    def __post_init__(self) -> None:
-        x, w = _checked_pair(self.x, self.w)
+    def __init__(self, x: Perm, w: Perm) -> None:
+        x, w = _checked_pair(x, w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "w", w)
 
@@ -213,8 +259,7 @@ def down_set(w: Perm) -> tuple[Perm, ...]:
     return tuple(interval(identity(len(w)), w).sorted_elements())
 
 
-@dataclass(frozen=True)
-class BruhatInterval:
+class BruhatInterval(_Record):
     """The set of z with bottom <= z <= top, by length.
 
     ``layers[k]`` holds the elements of length length(top) - k, so the
@@ -224,14 +269,37 @@ class BruhatInterval:
     right descent at each of those positions are members.
     """
 
+    __match_args__ = ("bottom", "top", "layers", "descents")
+    __slots__ = __match_args__ + ("_elements",)
     bottom: Perm
     top: Perm
     layers: tuple[tuple[Perm, ...], ...]
-    descents: tuple[int, ...] = ()
+    descents: tuple[int, ...]
+    _elements: Optional[frozenset[Perm]]
 
-    @cached_property
+    def __init__(
+        self,
+        bottom: Perm,
+        top: Perm,
+        layers: tuple[tuple[Perm, ...], ...],
+        descents: tuple[int, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "descents", descents)
+        object.__setattr__(self, "_elements", None)
+
+    @property
     def elements(self) -> frozenset[Perm]:
-        return frozenset(z for layer in self.layers for z in layer)
+        """Every member, computed on first use and kept."""
+        if self._elements is None:
+            object.__setattr__(
+                self,
+                "_elements",
+                frozenset(z for layer in self.layers for z in layer),
+            )
+        return self._elements
 
     def __len__(self) -> int:
         return sum(len(layer) for layer in self.layers)

@@ -14,7 +14,6 @@ failure (a verify run with failures, or a lemma whose sides differ),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable, Optional
 
@@ -151,6 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(value: object) -> str:
+    """value as one line of JSON.  The json module is imported here, so
+    only --json output loads it."""
+    import json
+
+    return json.dumps(value)
+
+
 def _bool_text(value: bool) -> str:
     return "true" if value else "false"
 
@@ -196,24 +203,24 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "kl":
         poly = kl_polynomial(*_pair(args), _make_cache(args))
-        print(json.dumps(poly.to_list()) if args.json else str(poly), file=out)
+        print(_json(poly.to_list()) if args.json else str(poly), file=out)
         return 0
 
     if cmd == "inv-kl":
         poly = inverse_kl(*_pair(args), _make_cache(args))
-        print(json.dumps(poly.to_list()) if args.json else str(poly), file=out)
+        print(_json(poly.to_list()) if args.json else str(poly), file=out)
         return 0
 
     if cmd == "mu":
         value = mu(*_pair(args), _make_cache(args))
-        print(json.dumps(value) if args.json else str(value), file=out)
+        print(_json(value) if args.json else str(value), file=out)
         return 0
 
     if cmd == "interval":
         iv = interval(*_pair(args))
         if args.json:
             print(
-                json.dumps([format_perm(z) for z in iv.sorted_elements()]),
+                _json([format_perm(z) for z in iv.sorted_elements()]),
                 file=out,
             )
         else:
@@ -222,18 +229,18 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "leq":
         answer = bruhat_leq(*_pair(args))
-        print(json.dumps(answer) if args.json else _bool_text(answer), file=out)
+        print(_json(answer) if args.json else _bool_text(answer), file=out)
         return 0
 
     if cmd == "smooth":
         answer = is_smooth_top(parse_perm(args.w))
-        print(json.dumps(answer) if args.json else _bool_text(answer), file=out)
+        print(_json(answer) if args.json else _bool_text(answer), file=out)
         return 0
 
     if cmd == "picture":
         grid = render_picture(*_pair(args))
         if args.json:
-            print(json.dumps(grid.split("\n")), file=out)
+            print(_json(grid.split("\n")), file=out)
         else:
             print(grid, file=out)
         return 0
@@ -241,7 +248,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "family":
         member = make_family(parse_family_spec(args.spec))
         if args.json:
-            print(json.dumps(format_perm(member)), file=out)
+            print(_json(format_perm(member)), file=out)
         else:
             print(format_perm(member), file=out)
         return 0
@@ -253,7 +260,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             poly = closed_form_inverse(pair, spec.k, spec.m)
         else:
             poly = closed_form_regular(pair, spec.k, spec.m)
-        print(json.dumps(poly.to_list()) if args.json else str(poly), file=out)
+        print(_json(poly.to_list()) if args.json else str(poly), file=out)
         return 0
 
     if cmd == "verify":
@@ -267,7 +274,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         if args.json:
             print(
-                json.dumps(
+                _json(
                     {
                         "lhs": sides.lhs.to_list(),
                         "rhs": sides.rhs.to_list(),

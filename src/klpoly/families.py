@@ -17,11 +17,10 @@ algebra can be checked independently of any recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .bruhat import bruhat_leq, interval
+from .bruhat import _Record, bruhat_leq, interval
 from .kl import KLCache, inverse_kl, kl_polynomial
 from .perm import Perm, _checked_pair, format_perm, length
 from .polynomial import ONE, ZERO, IntPolynomial, geometric_sum
@@ -30,19 +29,25 @@ _KINDS = ("x", "w", "y", "v")
 _PAIR_KINDS = ("x", "y")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """One member of a family: a kind letter and the two parameters."""
+class FamilySpec(_Record):
+    """One member of a family: a kind letter and the two parameters.
 
+    Raises ValueError unless the kind is one of x, w, y, v and k and m
+    are ints >= 1.
+    """
+
+    __slots__ = __match_args__ = ("kind", "k", "m")
     kind: str
     k: int
     m: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.k < 1 or self.m < 1:
-            raise ValueError(f"parameters must be >= 1, got k={self.k}, m={self.m}")
+    def __init__(self, kind: str, k: int, m: int) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+        _check_params(k, m)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
 
     @property
     def size(self) -> int:
@@ -156,11 +161,19 @@ def closed_form_inverse(pair: str, k: int, m: int) -> IntPolynomial:
     return IntPolynomial((1, k + m - 1))
 
 
+def _check_params(k: int, m: int) -> None:
+    """ValueError unless k and m are ints >= 1; a bool counts as an
+    int, as everywhere else in Python."""
+    if not (isinstance(k, int) and isinstance(m, int)):
+        raise ValueError(f"parameters must be integers, got k={k!r}, m={m!r}")
+    if k < 1 or m < 1:
+        raise ValueError(f"parameters must be >= 1, got k={k}, m={m}")
+
+
 def _check_pair_params(pair: str, k: int, m: int) -> None:
     if pair not in _PAIR_KINDS:
         raise ValueError(f"pair must be one of {_PAIR_KINDS}, got {pair!r}")
-    if k < 1 or m < 1:
-        raise ValueError(f"parameters must be >= 1, got k={k}, m={m}")
+    _check_params(k, m)
 
 
 def signed_weight(k: int, m: int, a: int, b: int) -> IntPolynomial:
@@ -184,12 +197,16 @@ def signed_weight(k: int, m: int, a: int, b: int) -> IntPolynomial:
     return comb(k, a) * comb(m, b) * bracket
 
 
-@dataclass(frozen=True)
-class LemmaSides:
+class LemmaSides(_Record):
     """Both sides of a binomial identity, evaluated exactly."""
 
+    __slots__ = __match_args__ = ("lhs", "rhs")
     lhs: IntPolynomial
     rhs: IntPolynomial
+
+    def __init__(self, lhs: IntPolynomial, rhs: IntPolynomial) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def equal(self) -> bool:
@@ -209,8 +226,7 @@ def lemma_one_sides(k: int, m: int) -> LemmaSides:
     >>> lemma_one_sides(2, 1).equal
     True
     """
-    if k < 1 or m < 1:
-        raise ValueError(f"parameters must be >= 1, got k={k}, m={m}")
+    _check_params(k, m)
     lhs = ZERO
     for a in range(k):
         for b in range(m):
@@ -249,8 +265,7 @@ def lemma_two_sides(k: int, m: int) -> LemmaSides:
     >>> str(s.lhs), str(s.rhs), s.equal
     ('1 - q', '1 + q', False)
     """
-    if k < 1 or m < 1:
-        raise ValueError(f"parameters must be >= 1, got k={k}, m={m}")
+    _check_params(k, m)
     lhs = ZERO
     for a in range(k):
         for b in range(m):

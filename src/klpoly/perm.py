@@ -13,6 +13,7 @@ functions in this package.
 from __future__ import annotations
 
 import itertools
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -21,20 +22,32 @@ Perm = tuple[int, ...]
 def from_oneline(values: Iterable[int]) -> Perm:
     """Validate a one-line sequence and return it as a Perm tuple.
 
+    Entries go through ``operator.index``, so a bool becomes an int and
+    a float or a string is not a permutation entry.
+
     >>> from_oneline([4, 2, 3, 1])
     (4, 2, 3, 1)
     >>> from_oneline([1, 1, 2])
     Traceback (most recent call last):
         ...
     ValueError: not a permutation of 1..3: (1, 1, 2)
+    >>> from_oneline([1.0, 2])
+    Traceback (most recent call last):
+        ...
+    ValueError: not a permutation of 1..2: (1.0, 2)
     """
     w = tuple(values)
     n = len(w)
     if n == 0:
         raise ValueError("a permutation needs at least one entry")
-    if sorted(w) != list(range(1, n + 1)):
+    try:
+        entries = tuple(map(index, w))
+    except TypeError:
+        # Fails the check below, since n >= 1.
+        entries = ()
+    if sorted(entries) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {w!r}")
-    return w
+    return entries
 
 
 def _checked_pair(x: Iterable[int], w: Iterable[int]) -> tuple[Perm, Perm]:

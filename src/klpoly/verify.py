@@ -14,13 +14,11 @@ failures are sorted before emission.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .bruhat import bruhat_leq, coatom_count, covers_down, interval
+from .bruhat import _Record, bruhat_leq, coatom_count, covers_down, interval
 from .families import (
     closed_form_inverse,
     closed_form_regular,
@@ -55,24 +53,62 @@ _CaseT = TypeVar("_CaseT")
 _Ideals = tuple[list[Perm], list[int], list[list[int]]]
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(_Record):
     """One failed comparison: which case, and both polynomials."""
 
+    __slots__ = __match_args__ = ("case", "expected", "actual")
     case: str
     expected: str
     actual: str
 
+    def __init__(self, case: str, expected: str, actual: str) -> None:
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
 
-@dataclass
-class VerificationReport:
+
+class VerificationReport(_Record):
+    """The outcome of one verification batch.  Unlike the other records
+    it is mutable, and so unhashable; each report gets its own
+    ``notes`` list unless one is given."""
+
+    __slots__ = __match_args__ = (
+        "check",
+        "parameter_range",
+        "cases",
+        "failures",
+        "seed",
+        "millis",
+        "notes",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
     check: str
     parameter_range: str
     cases: int
     failures: list[Failure]
-    seed: Optional[int] = None
-    millis: int = 0
-    notes: list[str] = field(default_factory=list)
+    seed: Optional[int]
+    millis: int
+    notes: list[str]
+
+    def __init__(
+        self,
+        check: str,
+        parameter_range: str,
+        cases: int,
+        failures: list[Failure],
+        seed: Optional[int] = None,
+        millis: int = 0,
+        notes: Optional[list[str]] = None,
+    ) -> None:
+        self.check = check
+        self.parameter_range = parameter_range
+        self.cases = cases
+        self.failures = failures
+        self.seed = seed
+        self.millis = millis
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -92,6 +128,9 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        # Imported here: only JSON output needs the module.
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2)
 
     def text(self) -> str:

@@ -31,6 +31,28 @@ def test_family_spec_validation():
         FamilySpec("v", 2, -1)
 
 
+@pytest.mark.parametrize(
+    "k, m", [(2.0, 1), (2, 3.0), (2.5, 2), ("2", 1), (None, 1)]
+)
+def test_family_parameters_must_be_integers(k, m):
+    with pytest.raises(ValueError, match="parameters must be integers"):
+        FamilySpec("x", k, m)
+    for closed_form in (closed_form_regular, closed_form_inverse):
+        for pair in ("x", "y"):
+            with pytest.raises(ValueError, match="parameters must be integers"):
+                closed_form(pair, k, m)
+    with pytest.raises(ValueError, match="parameters must be integers"):
+        family_pair("x", k, m)
+    for lemma in (lemma_one_sides, lemma_two_sides):
+        with pytest.raises(ValueError, match="parameters must be integers"):
+            lemma(k, m)
+
+
+def test_family_parameters_accept_bools_as_ints():
+    assert FamilySpec("x", True, 2) == FamilySpec("x", 1, 2)
+    assert closed_form_regular("x", True, 2) == ONE
+
+
 def test_parse_family_spec():
     assert parse_family_spec("x:2,3") == FamilySpec("x", 2, 3)
     assert parse_family_spec("V:1,4") == FamilySpec("v", 1, 4)

@@ -15,12 +15,47 @@ import klpoly
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
+# The same for a run of ``python -m klpoly`` with the arguments that
+# follow the source directory: the command's own output comes first,
+# then one line naming every module the run loaded.
+CLI_PROBE = """
+import runpy
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+sys.argv = ["klpoly", *sys.argv[2:]]
+try:
+    runpy.run_module("klpoly", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    assert not stop.code, stop.code
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
 
-def test_import_loads_only_the_standard_library():
-    out = subprocess.run(
+# Standard-library modules that cost most of the start-up time when
+# klpoly used them: dataclasses pulls in inspect, which pulls in ast and
+# dis, and json is needed only for JSON output.
+SLOW_MODULES = ("dataclasses", "inspect", "ast", "dis", "json")
+
+
+def _loaded_by_import():
+    return subprocess.run(
         [sys.executable, "-I", "-c", PROBE, str(SRC)],
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
+
+
+def _run_cli(*args):
+    """The output lines of ``python -m klpoly *args`` and the modules
+    the run loaded."""
+    *lines, loaded = subprocess.run(
+        [sys.executable, "-I", "-c", CLI_PROBE, str(SRC), *args],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.splitlines()
+    return lines, loaded.split()
+
+
+def test_import_loads_only_the_standard_library():
+    out = _loaded_by_import()
     assert "klpoly" in out
     foreign = [
         name for name in out
@@ -28,3 +63,19 @@ def test_import_loads_only_the_standard_library():
         and name != "klpoly" and not name.startswith("klpoly.")
     ]
     assert not foreign
+
+
+def test_import_loads_none_of_the_slow_modules():
+    out = _loaded_by_import()
+    assert "klpoly" in out
+    assert [name for name in SLOW_MODULES if name in out] == []
+
+
+def test_cli_loads_json_only_for_json_output():
+    lines, loaded = _run_cli("kl", "2143", "4231")
+    assert lines == ["1 + q"]
+    assert "klpoly.cli" in loaded
+    assert [name for name in SLOW_MODULES if name in loaded] == []
+    lines, loaded = _run_cli("kl", "2143", "4231", "--json")
+    assert lines == ["[1, 1]"]
+    assert "json" in loaded

@@ -183,6 +183,13 @@ def test_inverse_kl_values(shared_cache):
     assert inverse_kl(w, w, shared_cache) == ONE
 
 
+@pytest.mark.parametrize("x, w", [((1, 2.0), (2, 1)), ((1.0, 2), (2.0, 1.0))])
+def test_non_integer_entries_are_not_permutations(x, w):
+    for polynomial in (inverse_kl, kl_polynomial):
+        with pytest.raises(ValueError, match="not a permutation of 1..2"):
+            polynomial(x, w)
+
+
 def test_inverse_kl_constant_term(shared_cache):
     for x, w in comparable_pairs(4):
         assert inverse_kl(x, w, shared_cache).constant_term == 1

@@ -25,9 +25,26 @@ from klpoly.perm import (
 def test_from_oneline_accepts_permutations():
     assert from_oneline([4, 2, 3, 1]) == (4, 2, 3, 1)
     assert from_oneline((1,)) == (1,)
+    # Entries pass through operator.index, which turns a bool into an int.
+    assert from_oneline([True, 2]) == (1, 2)
+    assert type(from_oneline([True, 2])[0]) is int
 
 
-@pytest.mark.parametrize("bad", [[1, 1, 2], [2, 3], [0, 1], [], [1, 2, 4]])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [1, 1, 2],
+        [2, 3],
+        [0, 1],
+        [],
+        [1, 2, 4],
+        [1.0, 2],
+        (1, 2.0),
+        [2.5, 1],
+        ["1", "2"],
+        "12",
+    ],
+)
 def test_from_oneline_rejects_non_permutations(bad):
     with pytest.raises(ValueError):
         from_oneline(bad)
