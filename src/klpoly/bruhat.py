@@ -35,7 +35,7 @@ down-sets are rebuilt on every call, so the module holds no state.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from collections.abc import Sequence
 
 from .perm import Perm, _checked_pair, format_perm, from_oneline, identity
 
@@ -78,7 +78,7 @@ class _Record:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    def _fields(self) -> tuple[Any, ...]:
+    def _fields(self) -> tuple[object, ...]:
         return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other: object) -> bool:
@@ -101,7 +101,7 @@ class _Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
         return self.__class__, self._fields()
 
 
@@ -275,7 +275,7 @@ class BruhatInterval(_Record):
     top: Perm
     layers: tuple[tuple[Perm, ...], ...]
     descents: tuple[int, ...]
-    _elements: Optional[frozenset[Perm]]
+    _elements: frozenset[Perm] | None
 
     def __init__(
         self,
@@ -310,7 +310,7 @@ class BruhatInterval(_Record):
 
 
 def interval(
-    x: Perm, w: Perm, descents: Sequence[int] = (), depth: Optional[int] = None
+    x: Perm, w: Perm, descents: Sequence[int] = (), depth: int | None = None
 ) -> BruhatInterval:
     """The Bruhat interval [x, w], walked down from w one length at a
     time; with ``descents``, only its z that have a right descent

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .bruhat import (
     bruhat_leq,
@@ -169,6 +169,9 @@ def _make_cache(args: argparse.Namespace) -> KLCache:
 
 def _run_verify(args: argparse.Namespace) -> VerificationReport:
     batch, size_keyword, size_flag = _VERIFY_BATCHES[args.name]
+    for _, _, flag in _VERIFY_BATCHES.values():
+        if flag != size_flag and getattr(args, flag) is not None:
+            raise ValueError(f"verify {args.name} reads --{size_flag}, not --{flag}")
     kwargs = {"cache": _make_cache(args), "case_cap": args.cases}
     size = getattr(args, size_flag)
     if size is not None:
@@ -181,7 +184,7 @@ def _run_verify(args: argparse.Namespace) -> VerificationReport:
     return batch(**kwargs)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -246,20 +249,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "family":
-        member = make_family(parse_family_spec(args.spec))
-        if args.json:
-            print(_json(format_perm(member)), file=out)
-        else:
-            print(format_perm(member), file=out)
+        member = format_perm(make_family(parse_family_spec(args.spec)))
+        print(_json(member) if args.json else member, file=out)
         return 0
 
     if cmd == "closed-form":
         spec = parse_family_spec(args.spec)
-        pair = "x" if spec.kind in ("x", "w") else "y"
-        if args.inverse:
-            poly = closed_form_inverse(pair, spec.k, spec.m)
-        else:
-            poly = closed_form_regular(pair, spec.k, spec.m)
+        closed_form = closed_form_inverse if args.inverse else closed_form_regular
+        poly = closed_form(spec.pair, spec.k, spec.m)
         print(_json(poly.to_list()) if args.json else str(poly), file=out)
         return 0
 

@@ -10,30 +10,64 @@ intervals with singular tops.  For k, m >= 1:
 
 The pair (x, w) and the pair (y, v) each admit closed forms for both
 the ordinary polynomial of the pair and the inverse polynomial, which
-this module evaluates exactly.  The binomial identities used to prove
-the inverse closed forms are also evaluated here term by term, so the
-algebra can be checked independently of any recursion.
+this module evaluates exactly.  The table ``_FAMILIES`` is the one
+place a family is defined and everything else reads it, so a new pair
+kind is one new row.  The binomial identities used to prove the inverse
+closed forms are also evaluated here term by term, so the algebra can
+be checked independently of any recursion.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Optional
 
 from .bruhat import _Record, bruhat_leq, interval
 from .kl import KLCache, inverse_kl, kl_polynomial
 from .perm import Perm, _checked_pair, format_perm, length
 from .polynomial import ONE, ZERO, IntPolynomial, geometric_sum
 
-_KINDS = ("x", "w", "y", "v")
-_PAIR_KINDS = ("x", "y")
+# The one table of the families, one row per pair kind, in the order the
+# family sweeps run them.  A row holds the builders of the bottom and then
+# the top member, by kind, each giving the one-line form from (k, m); the
+# size of the members beyond k + m; and the two closed forms, from (k, m).
+_FAMILIES = {
+    "x": {
+        "members": {
+            "x": lambda k, m: [*range(k, 0, -1), *range(k + m, k, -1)],
+            "w": lambda k, m: [k + m, *range(k, 1, -1), *range(k + m - 1, k, -1), 1],
+        },
+        "extra": 0,
+        "regular": lambda k, m: geometric_sum(min(k - 1, m - 1)),
+        "inverse": lambda k, m: IntPolynomial(
+            [comb(k - 1, r) * comb(m - 1, r) for r in range(min(k, m))]
+        ),
+    },
+    "y": {
+        "members": {
+            "y": lambda k, m: [
+                *range(k, 0, -1), k + 2, k + 1, *range(k + m + 2, k + 2, -1)
+            ],
+            "v": lambda k, m: [
+                k + 2, *range(k, 1, -1), k + m + 2, 1,
+                *range(k + m + 1, k + 2, -1), k + 1,
+            ],
+        },
+        "extra": 2,
+        "regular": lambda k, m: IntPolynomial((1, 1)),
+        "inverse": lambda k, m: IntPolynomial((1, k + m - 1)),
+    },
+}
+
+_PAIR_OF = {
+    member: pair for pair, row in _FAMILIES.items() for member in row["members"]
+}
 
 
 class FamilySpec(_Record):
     """One member of a family: a kind letter and the two parameters.
 
-    Raises ValueError unless the kind is one of x, w, y, v and k and m
-    are ints >= 1.
+    Raises ValueError unless the kind is a member kind of the family
+    table and k and m are ints >= 1.
     """
 
     __slots__ = __match_args__ = ("kind", "k", "m")
@@ -42,18 +76,22 @@ class FamilySpec(_Record):
     m: int
 
     def __init__(self, kind: str, k: int, m: int) -> None:
-        if kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+        if kind not in _PAIR_OF:
+            raise ValueError(f"kind must be one of {tuple(_PAIR_OF)}, got {kind!r}")
         _check_params(k, m)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", m)
 
     @property
+    def pair(self) -> str:
+        """The pair kind the member belongs to."""
+        return _PAIR_OF[self.kind]
+
+    @property
     def size(self) -> int:
         """Size of the symmetric group the member lives in."""
-        base = self.k + self.m
-        return base if self.kind in ("x", "w") else base + 2
+        return self.k + self.m + _FAMILIES[self.pair]["extra"]
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -86,79 +124,60 @@ def make_family(spec: FamilySpec) -> Perm:
     >>> make_family(FamilySpec("v", 1, 1))
     (3, 4, 1, 2)
     """
-    k, m = spec.k, spec.m
-    if spec.kind == "x":
-        values = list(range(k, 0, -1)) + list(range(k + m, k, -1))
-    elif spec.kind == "w":
-        values = (
-            [k + m]
-            + list(range(k, 1, -1))
-            + list(range(k + m - 1, k, -1))
-            + [1]
-        )
-    elif spec.kind == "y":
-        values = (
-            list(range(k, 0, -1))
-            + [k + 2, k + 1]
-            + list(range(k + m + 2, k + 2, -1))
-        )
-    else:
-        values = (
-            [k + 2]
-            + list(range(k, 1, -1))
-            + [k + m + 2, 1]
-            + list(range(k + m + 1, k + 2, -1))
-            + [k + 1]
-        )
+    values = _FAMILIES[spec.pair]["members"][spec.kind](spec.k, spec.m)
     assert sorted(values) == list(range(1, spec.size + 1)), spec
     return tuple(values)
 
 
 def family_pair(pair: str, k: int, m: int) -> tuple[Perm, Perm]:
-    """The (bottom, top) interval pair for a pair kind.
-
-    Pair "x" is (x member, w member); pair "y" is (y member, v member).
-    """
-    if pair not in _PAIR_KINDS:
-        raise ValueError(f"pair must be one of {_PAIR_KINDS}, got {pair!r}")
-    if pair == "x":
-        return make_family(FamilySpec("x", k, m)), make_family(FamilySpec("w", k, m))
-    return make_family(FamilySpec("y", k, m)), make_family(FamilySpec("v", k, m))
+    """The (bottom, top) interval pair for a pair kind: the members of
+    its row in the family table, built at (k, m)."""
+    members = _row(pair, k, m)["members"]
+    bottom, top = [make_family(FamilySpec(member, k, m)) for member in members]
+    return bottom, top
 
 
 def closed_form_regular(pair: str, k: int, m: int) -> IntPolynomial:
-    """The known polynomial of a family pair.
-
-    For pair "x" it is 1 + q + ... + q^(min(k-1, m-1)); for pair "y" it
-    is 1 + q for every k, m >= 1.
+    """The known polynomial of a family pair, from its table row.
 
     >>> str(closed_form_regular("x", 3, 2))
     '1 + q'
     >>> str(closed_form_regular("x", 1, 5))
     '1'
     """
-    _check_pair_params(pair, k, m)
-    if pair == "x":
-        return geometric_sum(min(k - 1, m - 1))
-    return IntPolynomial((1, 1))
+    return _row(pair, k, m)["regular"](k, m)
 
 
 def closed_form_inverse(pair: str, k: int, m: int) -> IntPolynomial:
-    """The known inverse polynomial of a family pair.
-
-    For pair "x":  sum of binom(k-1, r) * binom(m-1, r) * q^r.
-    For pair "y":  1 + (k + m - 1) q.
+    """The known inverse polynomial of a family pair, from its table row.
 
     >>> str(closed_form_inverse("x", 3, 3))
     '1 + 4q + q^2'
     >>> str(closed_form_inverse("y", 2, 1))
     '1 + 2q'
     """
-    _check_pair_params(pair, k, m)
-    if pair == "x":
-        coeffs = [comb(k - 1, r) * comb(m - 1, r) for r in range(min(k, m))]
-        return IntPolynomial(coeffs)
-    return IntPolynomial((1, k + m - 1))
+    return _row(pair, k, m)["inverse"](k, m)
+
+
+def _family_cases(max_n: int) -> list[tuple[str, int, int]]:
+    """Every (pair kind, k, m) of member size <= max_n, in table order."""
+    if max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}")
+    return [
+        (pair, k, m)
+        for pair, row in _FAMILIES.items()
+        for k in range(1, max_n)
+        for m in range(1, max_n)
+        if k + m + row["extra"] <= max_n
+    ]
+
+
+def _row(pair: str, k: int, m: int) -> dict:
+    """The row of a pair kind; ValueError for an unknown kind or bad k, m."""
+    if pair not in _FAMILIES:
+        raise ValueError(f"pair must be one of {tuple(_FAMILIES)}, got {pair!r}")
+    _check_params(k, m)
+    return _FAMILIES[pair]
 
 
 def _check_params(k: int, m: int) -> None:
@@ -168,12 +187,6 @@ def _check_params(k: int, m: int) -> None:
         raise ValueError(f"parameters must be integers, got k={k!r}, m={m!r}")
     if k < 1 or m < 1:
         raise ValueError(f"parameters must be >= 1, got k={k}, m={m}")
-
-
-def _check_pair_params(pair: str, k: int, m: int) -> None:
-    if pair not in _PAIR_KINDS:
-        raise ValueError(f"pair must be one of {_PAIR_KINDS}, got {pair!r}")
-    _check_params(k, m)
 
 
 def signed_weight(k: int, m: int, a: int, b: int) -> IntPolynomial:
@@ -281,7 +294,7 @@ class NontrivialIntervalError(ValueError):
 
 
 def inverse_kl_from_interval_sum(
-    x: Perm, w: Perm, cache: Optional[KLCache] = None
+    x: Perm, w: Perm, cache: KLCache | None = None
 ) -> IntPolynomial:
     """Reconstruct the inverse polynomial of (x, w) from the interval:
 

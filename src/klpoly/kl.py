@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import lshift, mul
-from typing import Any, Callable, Mapping, Optional, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from .bruhat import _leq_and_active, bruhat_leq, covers_down, interval
 from .perm import (
@@ -132,7 +132,7 @@ class KLCache:
     __slots__ = ("memo", "tops", "hits", "misses", "raise_bottoms", "max_entries")
 
     def __init__(
-        self, raise_bottoms: bool = True, max_entries: Optional[int] = None
+        self, raise_bottoms: bool = True, max_entries: int | None = None
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
@@ -165,7 +165,7 @@ class KLCache:
         return len(self.memo)
 
 
-def _bounded_put(table: dict, key, value, bound: Optional[int]) -> None:
+def _bounded_put(table: dict, key, value, bound: int | None) -> None:
     """table[key] = value, first evicting in insertion order (dicts keep
     it) when the table is full."""
     if bound is not None and len(table) >= bound:
@@ -199,7 +199,7 @@ def _raise_bottom(x: Perm, right: tuple[int, ...], left: tuple[int, ...]) -> Per
             return tuple(lst)
 
 
-def kl_polynomial(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolynomial:
+def kl_polynomial(x: Perm, w: Perm, cache: KLCache | None = None) -> IntPolynomial:
     """The Kazhdan-Lusztig polynomial P(x, w).
 
     >>> str(kl_polynomial((1, 2, 3, 4), (4, 2, 3, 1)))
@@ -301,7 +301,7 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
     return acc
 
 
-def mu(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> int:
+def mu(x: Perm, w: Perm, cache: KLCache | None = None) -> int:
     """The mu-coefficient: the coefficient of q^((len(w)-len(x)-1)/2)
     in P(x, w), or zero when that exponent is not a nonnegative integer
     or x is not below w.
@@ -320,7 +320,7 @@ def mu(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> int:
     return _kl(x, w, cache).coefficient(gap // 2)
 
 
-def inverse_kl(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolynomial:
+def inverse_kl(x: Perm, w: Perm, cache: KLCache | None = None) -> IntPolynomial:
     """The inverse Kazhdan-Lusztig polynomial of the pair (x, w).
 
     With w0 the longest element, this is P(w0 w, w0 x); left
@@ -339,8 +339,8 @@ def inverse_kl(x: Perm, w: Perm, cache: Optional[KLCache] = None) -> IntPolynomi
 
 def kl_column(
     w: Perm,
-    cache: Optional[KLCache] = None,
-    layers: Optional[Sequence[Sequence[Perm]]] = None,
+    cache: KLCache | None = None,
+    layers: Sequence[Sequence[Perm]] | None = None,
 ) -> list[dict[Perm, IntPolynomial]]:
     """The column of w: layer k maps each z <= w of length len(w) - k
     to P(z, w).
@@ -396,7 +396,7 @@ def kl_column(
 
 def _ascent_neighbour(
     z: Perm, right: tuple[int, ...], left: tuple[int, ...]
-) -> Optional[Perm]:
+) -> Perm | None:
     """z s for the first s of ``right`` (positions) at which z ascends,
     else s z for the first s of ``left`` (values) at which it ascends,
     else None: z is then the maximum of its double coset."""
@@ -445,7 +445,7 @@ class _InversionRows:
 
     def __init__(self) -> None:
         # z -> the fields of D(z) and the ids of their polynomials.
-        self.duals: dict[Any, tuple[tuple[int, ...], list[int]]] = {}
+        self.duals: dict[object, tuple[tuple[int, ...], list[int]]] = {}
         # Every polynomial read, by id.  Keeping the object keeps its id
         # from being reused.
         self.polys: dict[int, IntPolynomial] = {}
@@ -453,7 +453,7 @@ class _InversionRows:
         self.bits = self.width = 0
         # id -> the value at 2^bits; z -> D(z) at bits and width.
         self.values: dict[int, int] = {}
-        self.packs: dict[Any, int] = {}
+        self.packs: dict[object, int] = {}
 
     def _read(self, polys: Mapping[int, IntPolynomial]) -> None:
         """Take the norm and degree of each polynomial of ``polys``, keyed
@@ -465,8 +465,8 @@ class _InversionRows:
 
     def row(
         self,
-        column: Sequence[Mapping[Any, IntPolynomial]],
-        dual: Callable[[Any], Mapping[int, IntPolynomial]],
+        column: Sequence[Mapping[object, IntPolynomial]],
+        dual: Callable[[object], Mapping[int, IntPolynomial]],
     ) -> int:
         """T for ``column``, at the bits and width this call settles.
         ``dual`` gives the polynomials of D(z) by field, and is called
@@ -511,9 +511,9 @@ class _InversionRows:
 
     def failures(
         self,
-        column: Sequence[Mapping[Any, IntPolynomial]],
-        dual: Callable[[Any], Mapping[int, IntPolynomial]],
-        diagonal: Optional[int],
+        column: Sequence[Mapping[object, IntPolynomial]],
+        dual: Callable[[object], Mapping[int, IntPolynomial]],
+        diagonal: int | None,
     ) -> list[int]:
         """The fields of the row whose sum is not delta: 1 in the field
         ``diagonal`` (that of the bottom w, when it has one) and 0 in
@@ -550,7 +550,7 @@ def _balanced_digits(value: int, width: int) -> list[int]:
 
 
 def check_inversion_identity(
-    x: Perm, w: Perm, cache: Optional[KLCache] = None
+    x: Perm, w: Perm, cache: KLCache | None = None
 ) -> bool:
     """Test the defining inversion relation on the interval [x, w]:
 
@@ -691,7 +691,7 @@ def is_smooth_top(w: Perm) -> bool:
 
 
 def check_descent_invariance(
-    x: Perm, w: Perm, cache: Optional[KLCache] = None
+    x: Perm, w: Perm, cache: KLCache | None = None
 ) -> bool:
     """Confirm that pushing the bottom through any single descent of
     the top leaves the polynomial unchanged, on both sides.

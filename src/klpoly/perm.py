@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from operator import index
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 Perm = tuple[int, ...]
 
@@ -191,7 +191,7 @@ def flatten(values: Sequence[int]) -> Perm:
     return tuple(ranks[v] for v in values)
 
 
-def find_pattern_instance(w: Perm, pattern: Perm) -> Optional[list[int]]:
+def find_pattern_instance(w: Perm, pattern: Perm) -> list[int] | None:
     """Positions in w carrying an occurrence of ``pattern``, or None.
 
     An occurrence is a set of positions whose values appear in the same

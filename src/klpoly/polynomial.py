@@ -10,7 +10,7 @@ arbitrary precision, so no overflow is possible.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 
 class IntPolynomial:
@@ -94,14 +94,14 @@ class IntPolynomial:
             return ZERO
         return IntPolynomial((0,) * exponent + self._coeffs)
 
-    def _coerce(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
+    def _coerce(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, IntPolynomial):
             return other
         if isinstance(other, int):
             return IntPolynomial((other,))
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
+    def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -118,7 +118,7 @@ class IntPolynomial:
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self._coeffs))
 
-    def __sub__(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
+    def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -127,7 +127,7 @@ class IntPolynomial:
     def __rsub__(self, other: int) -> "IntPolynomial":
         return IntPolynomial((other,)) - self
 
-    def __mul__(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
+    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial(tuple(other * c for c in self._coeffs))
         if not isinstance(other, IntPolynomial):

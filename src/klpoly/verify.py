@@ -14,12 +14,12 @@ failures are sorted before emission.
 
 from __future__ import annotations
 
-import random
 import time
-from typing import Callable, Optional, Sequence, TypeVar
+from collections.abc import Callable, Sequence
 
 from .bruhat import _Record, bruhat_leq, coatom_count, covers_down, interval
 from .families import (
+    _family_cases,
     closed_form_inverse,
     closed_form_regular,
     family_pair,
@@ -45,8 +45,6 @@ from .perm import (
     right_descents,
 )
 from .polynomial import ONE, IntPolynomial
-
-_CaseT = TypeVar("_CaseT")
 
 # S_n in lexicographic order, the lengths of its elements, and the
 # indices of the ideal of each, in increasing order (see _ideals).
@@ -88,7 +86,7 @@ class VerificationReport(_Record):
     parameter_range: str
     cases: int
     failures: list[Failure]
-    seed: Optional[int]
+    seed: int | None
     millis: int
     notes: list[str]
 
@@ -98,9 +96,9 @@ class VerificationReport(_Record):
         parameter_range: str,
         cases: int,
         failures: list[Failure],
-        seed: Optional[int] = None,
+        seed: int | None = None,
         millis: int = 0,
-        notes: Optional[list[str]] = None,
+        notes: list[str] | None = None,
     ) -> None:
         self.check = check
         self.parameter_range = parameter_range
@@ -157,11 +155,11 @@ class VerificationReport(_Record):
 def _run_cases(
     check: str,
     parameter_range: str,
-    cases: Sequence[_CaseT],
-    evaluate: Callable[[_CaseT, KLCache], Optional[Failure]],
-    cache: Optional[KLCache],
-    case_cap: Optional[int],
-    seed: Optional[int] = None,
+    cases: Sequence[object],
+    evaluate: Callable[..., Failure | None],
+    cache: KLCache | None,
+    case_cap: int | None,
+    seed: int | None = None,
     notes: Sequence[str] = (),
 ) -> VerificationReport:
     """Evaluate the first ``case_cap`` cases (all of them when it is
@@ -190,18 +188,6 @@ def _run_cases(
     )
 
 
-def _family_cases(max_n: int) -> list[tuple[str, int, int]]:
-    if max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}")
-    cases = []
-    for pair, extra in (("x", 0), ("y", 2)):
-        for k in range(1, max_n):
-            for m in range(1, max_n):
-                if k + m + extra <= max_n:
-                    cases.append((pair, k, m))
-    return cases
-
-
 def _double_coset_maxima(bottom: Perm, top: Perm) -> list[Perm]:
     """The z of [bottom, top] that are the maxima of their double cosets
     W_I z W_J, with I and J the left and right descents of top, ordered
@@ -224,8 +210,8 @@ def _double_coset_maxima(bottom: Perm, top: Perm) -> list[Perm]:
 
 def verify_regular_closed_forms(
     max_n: int = 7,
-    cache: Optional[KLCache] = None,
-    case_cap: Optional[int] = None,
+    cache: KLCache | None = None,
+    case_cap: int | None = None,
 ) -> VerificationReport:
     """Check the closed forms of kl on both family pairs, including the
     requirement that every strict-interior element of each interval has
@@ -238,7 +224,7 @@ def verify_regular_closed_forms(
     lexicographically first among those of its length.
     """
 
-    def evaluate(case: tuple[str, int, int], c: KLCache) -> Optional[Failure]:
+    def evaluate(case: tuple[str, int, int], c: KLCache) -> Failure | None:
         pair, k, m = case
         bottom, top = family_pair(pair, k, m)
         expected = closed_form_regular(pair, k, m)
@@ -269,12 +255,12 @@ def verify_regular_closed_forms(
 
 def verify_inverse_closed_forms(
     max_n: int = 7,
-    cache: Optional[KLCache] = None,
-    case_cap: Optional[int] = None,
+    cache: KLCache | None = None,
+    case_cap: int | None = None,
 ) -> VerificationReport:
     """Check the closed forms of inverse_kl on both family pairs."""
 
-    def evaluate(case: tuple[str, int, int], c: KLCache) -> Optional[Failure]:
+    def evaluate(case: tuple[str, int, int], c: KLCache) -> Failure | None:
         pair, k, m = case
         bottom, top = family_pair(pair, k, m)
         expected = closed_form_inverse(pair, k, m)
@@ -336,7 +322,7 @@ def _ideals(n: int) -> _Ideals:
 
 
 def _down_layers(
-    n: int, ideals: Optional[_Ideals] = None
+    n: int, ideals: _Ideals | None = None
 ) -> dict[Perm, tuple[tuple[Perm, ...], ...]]:
     """The layers of [e, w] for every w in S_n, keyed in lexicographic
     order of w: layer k holds the x <= w of length l(w) - k, in
@@ -353,7 +339,7 @@ def _down_layers(
 
 
 def _comparable_pairs(
-    n: int, ideals: Optional[_Ideals] = None
+    n: int, ideals: _Ideals | None = None
 ) -> list[tuple[Perm, Perm]]:
     """Every pair (x, w) in S_n with x <= w: w in lexicographic order,
     and within each w the x of [e, w] in lexicographic order, which is
@@ -365,10 +351,10 @@ def _comparable_pairs(
 
 def verify_inversion_identity_batch(
     n: int = 4,
-    cache: Optional[KLCache] = None,
-    samples: Optional[int] = None,
+    cache: KLCache | None = None,
+    samples: int | None = None,
     seed: int = 0,
-    case_cap: Optional[int] = None,
+    case_cap: int | None = None,
 ) -> VerificationReport:
     """Check the alternating inversion identity on comparable pairs.
 
@@ -415,6 +401,8 @@ def verify_inversion_identity_batch(
     else:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
+        import random
+
         rng = random.Random(seed)
         cases = [random_comparable_pair(n, rng) for _ in range(samples)]
         parameter_range = f"S_{n}, {samples} sampled pairs"
@@ -445,7 +433,7 @@ def verify_inversion_identity_batch(
             )
         return failed[v]
 
-    def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Optional[Failure]:
+    def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Failure | None:
         x, w = case
         if samples is None:
             # The row of w0 first, so that B and W never grow after it.
@@ -474,8 +462,8 @@ def verify_inversion_identity_batch(
 
 def verify_smoothness_equivalence(
     n: int = 5,
-    cache: Optional[KLCache] = None,
-    case_cap: Optional[int] = None,
+    cache: KLCache | None = None,
+    case_cap: int | None = None,
 ) -> VerificationReport:
     """Check, for every top in S_n, that the pattern test for an
     all-ones column agrees with direct computation of the column.  The
@@ -485,7 +473,7 @@ def verify_smoothness_equivalence(
         raise ValueError(f"n must be between 2 and 6, got {n}")
     e = identity(n)
 
-    def evaluate(w: Perm, c: KLCache) -> Optional[Failure]:
+    def evaluate(w: Perm, c: KLCache) -> Failure | None:
         by_pattern = is_smooth_top(w)
         by_column = all(
             kl_polynomial(z, w, c) == ONE for z in _double_coset_maxima(e, w)
@@ -510,8 +498,8 @@ def verify_smoothness_equivalence(
 
 def verify_coatom_bound(
     k_max: int = 3,
-    cache: Optional[KLCache] = None,
-    case_cap: Optional[int] = None,
+    cache: KLCache | None = None,
+    case_cap: int | None = None,
 ) -> VerificationReport:
     """Check the coatom bound on the linear coefficient along the
     diagonal family: [q^1] of the inverse closed form at (k, k) must be
@@ -524,7 +512,7 @@ def verify_coatom_bound(
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     notes: list[str] = []
 
-    def evaluate(k: int, c: KLCache) -> Optional[Failure]:
+    def evaluate(k: int, c: KLCache) -> Failure | None:
         coefficient = closed_form_inverse("x", k, k).coefficient(1)
         if coefficient != (k - 1) ** 2:
             return Failure(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from klpoly.cli import build_parser, main
+from klpoly.families import _FAMILIES, closed_form_inverse, closed_form_regular
 from klpoly.verify import (
     verify_coatom_bound,
     verify_inverse_closed_forms,
@@ -158,6 +159,22 @@ def test_verify_inversion_sampled(capsys):
     assert "5 sampled pairs" in out
 
 
+@pytest.mark.parametrize("inverse", [False, True], ids=["regular", "inverse"])
+def test_closed_form_agrees_for_both_members_of_a_pair(capsys, inverse):
+    flags = ["--inverse"] if inverse else []
+    closed_form = closed_form_inverse if inverse else closed_form_regular
+    for pair, row in _FAMILIES.items():
+        bottom, top = row["members"]
+        for k in range(1, 7):
+            for m in range(1, 7):
+                outputs = [
+                    run(capsys, "closed-form", f"{member}:{k},{m}", *flags)
+                    for member in (bottom, top)
+                ]
+                assert outputs[0] == outputs[1], (bottom, top, k, m)
+                assert outputs[0] == (0, f"{closed_form(pair, k, m)}\n", "")
+
+
 _BATCHES = [
     ("regular", verify_regular_closed_forms),
     ("inverse", verify_inverse_closed_forms),
@@ -215,6 +232,24 @@ def test_verify_rejects_a_case_count_below_one(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("coatom-bound", "--n", "5"), "--n"),
+        (("smoothness", "--kmax", "3"), "--kmax"),
+        (("regular", "--n", "3", "--kmax", "9"), "--kmax"),
+        (("inversion", "--kmax", "2"), "--kmax"),
+    ],
+    ids=["coatom-bound-n", "smoothness-kmax", "regular-kmax", "inversion-kmax"],
+)
+def test_verify_rejects_a_size_flag_the_batch_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"not {flag}" in err
 
 
 def test_python_dash_m_runs_the_cli():

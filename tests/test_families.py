@@ -2,8 +2,10 @@ import pytest
 
 from klpoly.bruhat import bruhat_leq
 from klpoly.families import (
+    _FAMILIES,
     FamilySpec,
     NontrivialIntervalError,
+    _family_cases,
     closed_form_inverse,
     closed_form_regular,
     family_pair,
@@ -145,11 +147,59 @@ def test_closed_form_inverse():
 
 
 def test_closed_forms_have_constant_term_one():
-    for pair in ("x", "y"):
+    for pair in _FAMILIES:
         for k in range(1, 9):
             for m in range(1, 9):
                 assert closed_form_regular(pair, k, m).constant_term == 1
                 assert closed_form_inverse(pair, k, m).constant_term == 1
+
+
+# Every (pair kind, member kind) of the family table, bottom member first.
+_MEMBERS = [
+    (pair, kind) for pair, row in _FAMILIES.items() for kind in row["members"]
+]
+
+
+@pytest.mark.parametrize("pair, kind", _MEMBERS, ids=[k for _, k in _MEMBERS])
+def test_every_member_is_a_permutation_of_its_size(pair, kind):
+    for k in range(1, 7):
+        for m in range(1, 7):
+            spec = FamilySpec(kind, k, m)
+            member = make_family(spec)
+            assert spec.pair == pair
+            assert spec.size == len(member)
+            assert sorted(member) == list(range(1, spec.size + 1)), spec
+
+
+@pytest.mark.parametrize("pair", list(_FAMILIES))
+def test_closed_forms_obey_the_degree_bound(pair):
+    # deg <= (l(top) - l(bottom) - 1) / 2 for P and for the inverse
+    # polynomial, whose pair (w0 top, w0 bottom) has the same length gap.
+    for k in range(1, 7):
+        for m in range(1, 7):
+            bottom, top = family_pair(pair, k, m)
+            bound = (length(top) - length(bottom) - 1) // 2
+            for closed_form in (closed_form_regular, closed_form_inverse):
+                assert 0 <= closed_form(pair, k, m).degree <= bound, (pair, k, m)
+
+
+def _reference_family_cases(max_n):
+    """The case order the family sweeps are pinned to: pair x, of size
+    k + m, then pair y, of size k + m + 2, each by k and then m."""
+    cases = []
+    for pair, extra in (("x", 0), ("y", 2)):
+        for k in range(1, max_n):
+            for m in range(1, max_n):
+                if k + m + extra <= max_n:
+                    cases.append((pair, k, m))
+    return cases
+
+
+def test_family_case_order_is_pinned():
+    # The bounded-memo family benchmark evicts in the order the cases run.
+    for max_n in range(2, 17):
+        assert _family_cases(max_n) == _reference_family_cases(max_n), max_n
+    assert len(_family_cases(8)) == 43
 
 
 def test_signed_weight_values():

@@ -37,9 +37,14 @@ print(" ".join(sorted(set(sys.modules) - before)))
 SLOW_MODULES = ("dataclasses", "inspect", "ast", "dis", "json")
 
 
-def _loaded_by_import():
+# Modules that no annotation needs at run time (every module postpones
+# its annotations) and that only the sampled inversion check uses.
+LAZY_MODULES = ("typing", "random")
+
+
+def _loaded_by_import(*flags):
     return subprocess.run(
-        [sys.executable, "-I", "-c", PROBE, str(SRC)],
+        [sys.executable, "-I", *flags, "-c", PROBE, str(SRC)],
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
 
@@ -69,6 +74,13 @@ def test_import_loads_none_of_the_slow_modules():
     out = _loaded_by_import()
     assert "klpoly" in out
     assert [name for name in SLOW_MODULES if name in out] == []
+
+
+def test_import_loads_neither_typing_nor_random():
+    # -S skips the site directories, whose .pth files may preload them.
+    out = _loaded_by_import("-S")
+    assert "klpoly" in out
+    assert [name for name in LAZY_MODULES if name in out] == []
 
 
 def test_cli_loads_json_only_for_json_output():

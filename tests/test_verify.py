@@ -3,7 +3,7 @@ import json
 import pytest
 
 from klpoly.bruhat import bruhat_leq, interval
-from klpoly.families import closed_form_regular, family_pair
+from klpoly.families import _family_cases, closed_form_regular, family_pair
 from klpoly.kl import (
     KLCache,
     _raise_bottom,
@@ -26,7 +26,6 @@ from klpoly.verify import (
     _comparable_pairs,
     _double_coset_maxima,
     _down_layers,
-    _family_cases,
     random_comparable_pair,
     verify_coatom_bound,
     verify_inverse_closed_forms,
