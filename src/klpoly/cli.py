@@ -131,11 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=_VERIFY_BATCHES)
     p.add_argument("--n", type=int, help="size bound (default depends on check)")
     p.add_argument("--kmax", type=int, help="diagonal bound for coatom-bound")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
     p.add_argument(
         "--cases",
         type=int,
-        help="cap the number of cases; for `inversion` with n > 5 this is "
+        help="cap the number of cases; for `inversion` with n > 6 this is "
         "the sample count",
     )
     add_json(p)
@@ -176,11 +176,14 @@ def _run_verify(args: argparse.Namespace) -> VerificationReport:
     size = getattr(args, size_flag)
     if size is not None:
         kwargs[size_keyword] = size
-    if args.name == "inversion":
-        kwargs["seed"] = args.seed
-        # Above n = 5 the check samples, and --cases is the sample count.
-        if size is not None and size > 5 and args.cases is not None:
-            kwargs["samples"] = kwargs.pop("case_cap")
+    # Above n = 6 the inversion check samples, with --cases as the sample
+    # count; no other run reads --seed.
+    if args.name == "inversion" and args.cases is not None and (size or 0) > 6:
+        kwargs["samples"] = kwargs.pop("case_cap")
+        if args.seed is not None:
+            kwargs["seed"] = args.seed
+    elif args.seed is not None:
+        raise ValueError("--seed is read only by a sampled inversion run")
     return batch(**kwargs)
 
 

@@ -402,7 +402,9 @@ def _ascent_neighbour(
     else None: z is then the maximum of its double coset."""
     for i in right:
         if z[i - 1] < z[i]:
-            return z[: i - 1] + (z[i], z[i - 1]) + z[i + 1:]
+            lst = list(z)
+            lst[i - 1], lst[i] = z[i], z[i - 1]
+            return tuple(lst)
     for i in left:
         p, p2 = z.index(i), z.index(i + 1)
         if p < p2:
@@ -426,82 +428,63 @@ class _InversionRows:
         D(z) = sum over f of P(w0 z, w0 x)(2^B) 2^(W f),
 
     so field f of T is the integer sum of the case (x, w), restricted
-    to the z of the column.  B and W are set from the most terms in a
-    row and the largest norm and degree among all polynomials read so
-    far; see :func:`check_inversion_identity` for why one comparison
-    then decides every case.  Those maxima only grow, so the packs
-    built for one row serve the next until B or W grows.  A caller that
-    sums first a row reading every polynomial, with the most terms,
-    fixes B and W there and packs each z once; the exhaustive inversion
-    batch does this with the row of w0.
+    to the z of the column.
+
+    The rows are built from one column and the duals of its z, which
+    fix N (the column's terms), a and d (the largest norm and degree
+    among the polynomials read), and so the least B and W that
+    :func:`check_inversion_identity` proves exact; each D(z) is packed
+    there, once.  A later row that is longer, or holds a z or a
+    polynomial not read there, raises ValueError or KeyError instead of
+    aliasing.  The exhaustive batch builds the rows from the column of
+    w0: it has every z and the most terms, and its duals read every
+    polynomial.
 
     The polynomials are read by object: a column read through coset
     moves shares a few objects among all its entries, so each object's
     norm, degree and value is taken once.
     """
 
-    __slots__ = ("duals", "polys", "terms", "norm", "degree", "bits", "width",
-                 "values", "packs")
+    __slots__ = ("terms", "bits", "width", "polys", "values", "packs")
 
-    def __init__(self) -> None:
-        # z -> the fields of D(z) and the ids of their polynomials.
-        self.duals: dict[object, tuple[tuple[int, ...], list[int]]] = {}
-        # Every polynomial read, by id.  Keeping the object keeps its id
-        # from being reused.
-        self.polys: dict[int, IntPolynomial] = {}
-        self.terms = self.norm = self.degree = 0
-        self.bits = self.width = 0
-        # id -> the value at 2^bits; z -> D(z) at bits and width.
-        self.values: dict[int, int] = {}
-        self.packs: dict[object, int] = {}
-
-    def _read(self, polys: Mapping[int, IntPolynomial]) -> None:
-        """Take the norm and degree of each polynomial of ``polys``, keyed
-        by id, that was not read before."""
-        for i in polys.keys() - self.polys.keys():
-            p = self.polys[i] = polys[i]
-            self.norm = max(self.norm, sum(map(abs, p.coeffs)))
-            self.degree = max(self.degree, p.degree)
-
-    def row(
+    def __init__(
         self,
         column: Sequence[Mapping[object, IntPolynomial]],
         dual: Callable[[object], Mapping[int, IntPolynomial]],
-    ) -> int:
-        """T for ``column``, at the bits and width this call settles.
-        ``dual`` gives the polynomials of D(z) by field, and is called
-        once per z."""
-        duals = self.duals
-        for layer in column:
-            for z in layer:
-                if z not in duals:
-                    polys = dual(z)
-                    ids = list(map(id, polys.values()))
-                    self._read(dict(zip(ids, polys.values())))
-                    duals[z] = (tuple(polys), ids)
-        self._read({id(p): p for layer in column for p in layer.values()})
-        self.terms = max(self.terms, sum(map(len, column)))
-        bound = self.terms * self.norm * self.norm
-        # The least B is bound.bit_length() + 1.  Rounding B and W up to
-        # multiples of 16 lets most rows reuse the packs of earlier rows.
-        bits = (bound.bit_length() + 16) // 16 * 16
-        width = (bound.bit_length() + 2 * bits * self.degree + 16) // 16 * 16
-        if bits != self.bits:
-            self.values = {}
-        if (bits, width) != (self.bits, self.width):
-            self.bits, self.width = bits, width
-            self.packs = {}
-        values = self.values
+    ) -> None:
+        """Read ``column`` and, for each of its z, ``dual(z)``: the
+        polynomials of D(z) by field."""
+        duals = {z: dual(z) for layer in column for z in layer}
+        # Every polynomial read, by id.  Keeping the object keeps its id
+        # from being reused.
+        polys = {id(p): p for layer in column for p in layer.values()}
+        for fields in duals.values():
+            polys.update(zip(map(id, fields.values()), fields.values()))
+        self.polys = polys
+        self.terms = sum(map(len, column))
+        norm = max(sum(map(abs, p.coeffs)) for p in polys.values())
+        degree = max(p.degree for p in polys.values())
+        bound = (self.terms * norm * norm).bit_length()
+        self.bits = bits = bound + 1
+        # A zero polynomial has degree -1, and is 0 at any q.
+        self.width = width = bound + 2 * bits * max(degree, 0) + 1
         q = 1 << bits
-        for i in self.polys.keys() - values.keys():
-            values[i] = self.polys[i].evaluate(q)
-        packs = self.packs
-        for layer in column:
-            for z in layer:
-                if z not in packs:
-                    fields, ids = duals[z]
-                    packs[z] = sum(map(lshift, map(values.__getitem__, ids),
-                                       map(mul, fields, repeat(width))))
+        # id -> the value at 2^bits; z -> D(z).
+        values = self.values = {i: p.evaluate(q) for i, p in polys.items()}
+        self.packs = {
+            z: sum(map(lshift, map(values.__getitem__, map(id, fields.values())),
+                       map(mul, fields, repeat(width))))
+            for z, fields in duals.items()
+        }
+
+    def row(self, column: Sequence[Mapping[object, IntPolynomial]]) -> int:
+        """T for ``column``.  Raises ValueError when it has more terms
+        than the column the rows were built from, and KeyError when it
+        holds a z or a polynomial that was not read there."""
+        terms = sum(map(len, column))
+        if terms > self.terms:
+            raise ValueError(f"a row of {terms} terms; the widths fit {self.terms}")
+        values, packs = self.values, self.packs
         total = 0
         for k, layer in enumerate(column):
             part = sum(map(mul, map(values.__getitem__, map(id, layer.values())),
@@ -512,7 +495,6 @@ class _InversionRows:
     def failures(
         self,
         column: Sequence[Mapping[object, IntPolynomial]],
-        dual: Callable[[object], Mapping[int, IntPolynomial]],
         diagonal: int | None,
     ) -> list[int]:
         """The fields of the row whose sum is not delta: 1 in the field
@@ -523,7 +505,7 @@ class _InversionRows:
         of T minus the target are the field sums minus delta: they lie
         in [-2^(W-1), 2^(W-1)), where balanced digits are unique.
         """
-        total = self.row(column, dual)
+        total = self.row(column)
         if diagonal is not None:
             total -= 1 << (self.width * diagonal)
         return [f for f, d in enumerate(_balanced_digits(total, self.width)) if d]
@@ -583,16 +565,21 @@ def check_inversion_identity(
 
     This pair is the one-field case of a packed row (see
     :class:`_InversionRows`), which the exhaustive batch uses to decide
-    every bottom x under one top w at once.  A row takes N as the most
-    terms in any row it has summed, and a and b both as the largest
-    norm among all polynomials it has read.  That only enlarges them,
-    so the above holds for each bottom.  Field f of the row holds the
+    every bottom x under one top w at once.  The rows are built from
+    one column and its duals: N is that column's number of terms, and a
+    and b are both the largest norm among the polynomials of the column
+    and its duals.  A later row has at most N terms and reads no other
+    polynomial, or it raises.  That only enlarges N, a and b against
+    any one bottom's, so the above holds for each bottom, and B is the
+    least with 2^(B-1) > N a^2: B = bitlen(N a^2) + 1, where bitlen(m)
+    is the least k with m < 2^k.  Field f of the row holds the
     integer sum f_x = F_x(2^B) of the bottom x that f stands for, and
     the row is T = sum over f of f_x 2^(W f).  Each f_x has at most N
     terms.  A value read satisfies |P(2^B)| <= ||P||_1 2^(B deg P), so
     each term is at most (a 2^(B d))^2 in absolute value, where d is the
-    largest degree among the polynomials read.  W is chosen with
-    2^(W-1) > N a^2 2^(2 B d), so |f_x| < 2^(W-1), and f_x - delta(x, w)
+    largest degree among the polynomials read.  W is the least with
+    2^(W-1) > N a^2 2^(2 B d), W = bitlen(N a^2) + 2 B d + 1, so
+    |f_x| < 2^(W-1); with N a^2 = 0 every f_x is 0.  So f_x - delta(x, w)
     lies in [-2^(W-1), 2^(W-1)).  Those differences are the digits of
     T - 2^(W f_w) in balanced base 2^W, and such digits are unique, so
     T = 2^(W f_w) exactly when every f_x is delta(x, w), that is, by
@@ -605,9 +592,8 @@ def check_inversion_identity(
     layers = interval(x, w).layers
     column = [{z: _kl(z, w, cache) for z in layer} for layer in layers]
     w0x = _w0_times(x)
-    failed = _InversionRows().failures(
-        column, lambda z: {0: _kl(_w0_times(z), w0x, cache)}, 0 if x == w else None
-    )
+    rows = _InversionRows(column, lambda z: {0: _kl(_w0_times(z), w0x, cache)})
+    failed = rows.failures(column, 0 if x == w else None)
     return not failed
 
 

@@ -359,7 +359,7 @@ def verify_inversion_identity_batch(
     """Check the alternating inversion identity on comparable pairs.
 
     With ``samples`` unset the check is exhaustive over S_n, which is
-    only reasonable for n <= 5; above that a sample count is required
+    only reasonable for n <= 6; above that a sample count is required
     and pairs are drawn with the given seed.  A sampled pair runs
     :func:`klpoly.kl.check_inversion_identity` on its own interval.
 
@@ -375,16 +375,16 @@ def verify_inversion_identity_batch(
     over z <= w of (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field
     i(x) is the integer sum of the case (x, w).  The row passes exactly
     when it is 2^(W i(w)); only a failing row is read field by field,
-    so the report names the same cases as the one-pair check.  The row
-    of w0 is built first, with the first case: it reads every column
-    and has the most terms, so B and W are final from then on and each
-    D(z) is packed once.  Its failures are reported only for the cases
-    of w0 that are evaluated.  The columns and packs live for one call.
+    so the report names the same cases as the one-pair check.  The rows
+    are built from the column of w0 at the first case evaluated: it
+    has every z and the most terms, and its duals read every column,
+    so B and W are fixed there at their least values and each D(z) is
+    packed once.  The columns and packs live for one call.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if samples is None:
-        if n > 5:
+        if n > 6:
             raise ValueError(
                 f"exhaustive check over S_{n} is too large; pass a sample count"
             )
@@ -409,7 +409,7 @@ def verify_inversion_identity_batch(
         used_seed = seed
 
     columns: dict[Perm, list[dict[Perm, IntPolynomial]]] = {}
-    rows = _InversionRows()
+    rows: _InversionRows | None = None
     failed: dict[Perm, set[int]] = {}
 
     def column(v: Perm, c: KLCache) -> list[dict[Perm, IntPolynomial]]:
@@ -427,17 +427,16 @@ def verify_inversion_identity_batch(
         }
 
     def row_failures(v: Perm, c: KLCache) -> set[int]:
+        nonlocal rows
+        if rows is None:
+            rows = _InversionRows(column(w0, c), lambda z: dual(z, c))
         if v not in failed:
-            failed[v] = set(
-                rows.failures(column(v, c), lambda z: dual(z, c), index[v])
-            )
+            failed[v] = set(rows.failures(column(v, c), index[v]))
         return failed[v]
 
     def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Failure | None:
         x, w = case
         if samples is None:
-            # The row of w0 first, so that B and W never grow after it.
-            row_failures(w0, c)
             passed = index[x] not in row_failures(w, c)
         else:
             passed = check_inversion_identity(x, w, c)

@@ -152,7 +152,7 @@ def test_verify_json_schema(capsys):
 
 def test_verify_inversion_sampled(capsys):
     code, out, _ = run(
-        capsys, "verify", "inversion", "--n", "6", "--cases", "5", "--seed", "3"
+        capsys, "verify", "inversion", "--n", "7", "--cases", "5", "--seed", "3"
     )
     assert code == 0
     assert "seed: 3" in out
@@ -195,7 +195,7 @@ def test_verify_defaults_match_the_library(capsys, name, batch):
 
 
 def test_verify_inversion_caps_an_exhaustive_run(capsys):
-    # Up to n = 5, --cases caps the exhaustive case list.
+    # Up to n = 6, --cases caps the exhaustive case list.
     code, out, _ = run(
         capsys, "verify", "inversion", "--n", "5", "--cases", "7", "--json"
     )
@@ -222,7 +222,7 @@ def test_verify_inversion_exhaustive_at_benchmark_size(capsys):
         ("coatom-bound", "--kmax", "4", "--cases", "-1"),
         ("regular", "--cases", "0"),
         ("inversion", "--n", "5", "--cases", "0"),
-        ("inversion", "--n", "6", "--cases", "0"),
+        ("inversion", "--n", "7", "--cases", "0"),
     ],
     ids=["coatom-bound-negative", "regular-zero", "inversion-exhaustive-zero",
          "inversion-sampled-zero"],
@@ -250,6 +250,23 @@ def test_verify_rejects_a_size_flag_the_batch_does_not_read(capsys, argv, flag):
     assert out == ""
     assert err.startswith("error:")
     assert f"not {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("regular", "--n", "4", "--seed", "3"),
+        ("inversion", "--n", "4", "--seed", "5"),
+        ("inversion", "--n", "6", "--cases", "5", "--seed", "5"),
+    ],
+    ids=["family", "inversion-exhaustive", "inversion-exhaustive-capped"],
+)
+def test_verify_rejects_a_seed_the_batch_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "--seed" in err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -298,8 +298,8 @@ def test_packed_row_decodes_every_field_to_its_integer_sum(terms, diagonal):
     column = [{} for _ in range(max(k for k, _, _ in terms) + 1)]
     for z, (k, p, _) in enumerate(terms):
         column[k][z] = p
-    rows = _InversionRows()
-    total = rows.row(column, lambda z: terms[z][2])
+    rows = _InversionRows(column, lambda z: terms[z][2])
+    total = rows.row(column)
     q = 1 << rows.bits
     # Fields run to 6, past every dual field, so the diagonal may be empty.
     sums = [0] * 7
@@ -315,8 +315,28 @@ def test_packed_row_decodes_every_field_to_its_integer_sum(terms, diagonal):
     assert all(abs(f) < 1 << (rows.width - 1) for f in sums)
     digits = _balanced_digits(total, rows.width)
     assert digits + [0] * (7 - len(digits)) == sums
-    failed = _InversionRows().failures(column, lambda z: terms[z][2], diagonal)
+    failed = rows.failures(column, diagonal)
     assert failed == [f for f in range(7) if sums[f] != (f == diagonal)]
+
+
+def test_packed_rows_sum_only_rows_they_were_built_for():
+    # The widths are fixed for the column the rows are built from.  A row
+    # with more terms, or a z or polynomial not read there, raises rather
+    # than aliasing.
+    p, d = IntPolynomial([1, 1]), IntPolynomial([0, 2])
+    column = [{0: ONE}, {1: p}]
+    rows = _InversionRows(column, lambda z: {z: d})
+    q = 1 << rows.bits
+    assert rows.row(column) == d.evaluate(q) - (
+        p.evaluate(q) * d.evaluate(q) << rows.width
+    )
+    assert rows.row([{1: p}]) == p.evaluate(q) * d.evaluate(q) << rows.width
+    with pytest.raises(ValueError):
+        rows.row(column + [{0: ONE}])
+    with pytest.raises(KeyError):
+        rows.row([{2: ONE}])
+    with pytest.raises(KeyError):
+        rows.row([{1: IntPolynomial([1, 1])}])
 
 
 def test_kl_column_reads_only_double_coset_maxima(monkeypatch):

@@ -227,23 +227,39 @@ def test_down_layers_match_the_interval_walks(n):
 
 
 def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
-    # The row of w0 is summed first; it reads every polynomial and has the
-    # most terms, so B and W never grow after it and no pack is rebuilt.
+    # The rows are built once, from the column of w0: it has every z and
+    # the N = 120 terms of the longest row, and its duals read every
+    # polynomial, so each z is packed once and every row is summed over
+    # those packs.  B and W are the least the proof allows, with a and d
+    # the largest norm and degree among all polynomials of S_5:
+    # B = bitlen(N a^2) + 1 and W = bitlen(N a^2) + 2 B d + 1.
     import klpoly.verify
 
-    built = []
+    built, summed = [], []
 
     class Counted(klpoly.verify._InversionRows):
-        def row(self, column, dual):
-            packs, old = self.packs, len(self.packs)
-            total = super().row(column, dual)
-            built.append(len(self.packs) - (old if self.packs is packs else 0))
-            return total
+        def __init__(self, column, dual):
+            super().__init__(column, dual)
+            built.append(self)
+
+        def row(self, column):
+            summed.append(column)
+            return super().row(column)
 
     monkeypatch.setattr(klpoly.verify, "_InversionRows", Counted)
     assert verify_inversion_identity_batch(5).passed
-    assert len(built) == 120
-    assert sum(built) == 120
+    assert len(summed) == 120
+    (rows,) = built
+    assert len(rows.packs) == 120
+    cache = KLCache()
+    polys = [kl_polynomial(x, w, cache) for x, w in _comparable_pairs(5)]
+    norm = max(sum(map(abs, p.coeffs)) for p in polys)
+    degree = max(p.degree for p in polys)
+    bound = (120 * norm * norm).bit_length()
+    assert rows.terms == 120
+    assert rows.bits == bound + 1
+    assert rows.width == bound + 2 * rows.bits * degree + 1
+    assert (rows.bits, rows.width) == (12, 60)
 
 
 @pytest.mark.parametrize(
@@ -364,6 +380,38 @@ def test_exhaustive_inversion_reads_each_polynomial_once():
     assert cache.hits + cache.misses < 3781
 
 
+def test_exhaustive_inversion_on_s6():
+    report = verify_inversion_identity_batch(6)
+    assert report.passed
+    assert report.cases == 98407
+    assert report.parameter_range == "S_6 exhaustive"
+    assert report.seed is None
+
+
+def test_inversion_batch_fails_where_the_check_does_on_s6():
+    # A wrong P(z, w0) is read only by the cases whose top is w0 and those
+    # whose bottom is w0 w0 = e: nothing lies above w0, so no other
+    # polynomial is computed from it.  2^18 - q vanishes at q = 2^18, the
+    # B the batch packs correct S_6 values at.
+    w, z = (6, 5, 4, 3, 2, 1), (2, 1, 4, 3, 6, 5)
+    e = identity(6)
+
+    def seeded():
+        cache = KLCache(raise_bottoms=False)
+        cache.memo[(z, w)] = kl_polynomial(z, w) + IntPolynomial([1 << 18, -1])
+        return cache
+
+    report = verify_inversion_identity_batch(6, seeded())
+    cache = seeded()
+    expected = {
+        f"x={format_perm(x)} w={format_perm(top)}"
+        for x, top in _comparable_pairs(6)
+        if (top == w or x == e) and not check_inversion_identity(x, top, cache)
+    }
+    assert expected
+    assert sorted(f.case for f in report.failures) == sorted(expected)
+
+
 def test_inversion_sampled_is_seeded():
     a = verify_inversion_identity_batch(5, samples=30, seed=11)
     b = verify_inversion_identity_batch(5, samples=30, seed=11)
@@ -375,7 +423,7 @@ def test_inversion_sampled_is_seeded():
 
 def test_inversion_rejects_unbounded_exhaustive_run():
     with pytest.raises(ValueError):
-        verify_inversion_identity_batch(6)
+        verify_inversion_identity_batch(7)
     with pytest.raises(ValueError):
         verify_inversion_identity_batch(5, samples=0)
     with pytest.raises(ValueError):
