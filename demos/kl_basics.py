@@ -52,8 +52,10 @@ print("degree-bound violations over S_4:", violations)
 print("mu(2143, 4231) =", mu((2, 1, 4, 3), (4, 2, 3, 1), cache))
 print("mu(e, 3412) =", mu(e, (3, 4, 1, 2), cache))
 
-# The recursion always splits on the largest right descent of the top,
-# but the defining relation holds at every right descent s of w:
+# The recursion splits at the first right descent i of the top whose
+# w s_i keeps the most right and left descents (so raising collapses
+# the most bottoms below it), but any right descent gives the same
+# polynomial: the defining relation holds at every right descent s of w:
 #   P(x, w) = q^c P(x, ws) + q^(1-c) P(xs, ws)
 #             - sum of mu(z, ws) q^((l(w) - l(z)) / 2) P(x, z)
 # over z in [x, ws] with zs < z, where c is 1 when xs < x.  Evaluate the

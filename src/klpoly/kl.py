@@ -37,10 +37,23 @@ P(x, ws) = 1 walks nothing past the coatoms.  Raising x through
 descents of ws keeps P(x, ws), so the same D bounds the walk from the
 raised x.
 
-Base cases: P(w, w) = 1 and P(x, w) = 0 unless x <= w.  Any descent of
-the top gives the same polynomial; the recursion always splits on the
-largest right descent, and a :class:`KLCache` shares results across
-calls.
+Base cases: P(w, w) = 1 and P(x, w) = 0 unless x <= w.  A
+:class:`KLCache` shares results across calls.
+
+Any right descent of the top gives the same polynomial, but not the
+same work below it: the more descents ws keeps, the more bottoms
+raising collapses, the fewer z the walk through the right-coset maxima
+of ws visits, and the more of them the left-descent filter removes.  So
+the recursion splits at the right descent i of w whose w s_i has the
+most right and left descents, the first such i in increasing order.
+With a = w(i) > b = w(i+1), that count is the count of w plus
+gain(i) - 1, where
+
+    gain(i) = [i >= 2 and b < w(i-1) < a] + [i <= n-2 and b < w(i+2) < a]
+              - [a = b + 1],
+
+so each descent is scored in O(1) (see :func:`_split_gain`).  The split
+is chosen on a miss only; a top's record keeps just its descents.
 
 Two well-known invariance properties keep the computation tractable.
 First, P(x, w) only depends on x through the best representative of
@@ -94,9 +107,11 @@ from .perm import (
 )
 from .polynomial import ONE, ZERO, IntPolynomial
 
-# A top's record: right descents, left descents, the split descent i and
-# w s_i.
-_Top = tuple[tuple[int, ...], tuple[int, ...], int, Perm]
+# A top's record: its right descents and its left descents.  The split
+# descent (the first right descent i whose w s_i keeps the most
+# descents; any right descent gives the same P) is chosen on each miss
+# by _split_descent and not kept.
+_Top = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class KLCache:
@@ -107,9 +122,10 @@ class KLCache:
     :func:`active_positions`) is stored when the recursion computes it.
     A pair with an inert position is stored with the polynomial of its
     flattening, which is stored too.  tops holds one record per top w,
-    built the first time the cache sees w: its right and left descents,
-    the descent the recursion splits on (the largest right descent) and
-    the shorter top ws.
+    built the first time the cache sees w: its right and left descents.
+    The descent the recursion splits on, the first right descent i whose
+    w s_i keeps the most descents (any right descent gives the same
+    polynomial), is scored from w on each miss and is not kept.
 
     A lookup raises the bottom first (when raise_bottoms is on),
     answers 1 when the raised bottom is the top, then answers from the
@@ -150,14 +166,7 @@ class KLCache:
         """The record of w, built and kept on first sight."""
         record = self.tops.get(w)
         if record is None:
-            right = right_descents(w)
-            left = left_descents(w)
-            if not right:
-                # The identity: no pair below it reaches the recursion.
-                record = (right, left, 0, w)
-            else:
-                i = right[-1]
-                record = (right, left, i, w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:])
+            record = (right_descents(w), left_descents(w))
             _bounded_put(self.tops, w, record, self.max_entries)
         return record
 
@@ -199,6 +208,31 @@ def _raise_bottom(x: Perm, right: tuple[int, ...], left: tuple[int, ...]) -> Per
             return tuple(lst)
 
 
+def _split_gain(w: Perm, i: int) -> int:
+    """|R(w s_i)| + |L(w s_i)| - |R(w)| - |L(w)| + 1 for a right descent
+    i of w, with R and L the right and left descents.
+
+    With a = w(i) > b = w(i+1), swapping them loses the descent i and
+    changes no other position but i - 1 and i + 1, which become descents
+    when their outer neighbour lies between b and a; and the only left
+    descent it can change is b, lost when a = b + 1.
+    """
+    a, b = w[i - 1], w[i]
+    return (
+        (i >= 2 and b < w[i - 2] < a)
+        + (i <= len(w) - 2 and b < w[i + 1] < a)
+        - (a == b + 1)
+    )
+
+
+def _split_descent(w: Perm, right: tuple[int, ...]) -> int:
+    """The right descent i of w (``right``, in increasing order) that
+    the recursion splits on: the first whose w s_i keeps the most
+    descents, by :func:`_split_gain`.  max keeps the first of equal
+    keys."""
+    return max(right, key=lambda i: _split_gain(w, i))
+
+
 def kl_polynomial(x: Perm, w: Perm, cache: KLCache | None = None) -> IntPolynomial:
     """The Kazhdan-Lusztig polynomial P(x, w).
 
@@ -220,7 +254,7 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
     if x == w:
         return ONE
     if cache.raise_bottoms:
-        right, left, _, _ = cache._top(w)
+        right, left = cache._top(w)
         x = _raise_bottom(x, right, left)
         if x == w:
             return ONE
@@ -241,7 +275,8 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
         return found
     cache.misses += 1
 
-    _, _, i, ws = cache._top(w)
+    i = _split_descent(w, cache._top(w)[0])
+    ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
     xs = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1:]
     # The first two terms are P(lo, ws) + q P(hi, ws), where lo and hi are
     # the shorter and the longer of x and xs.  ws < w and x <= w, so by
@@ -284,7 +319,7 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
         # interval spans at least 2D + 1 >= 3 lengths.
         degree = p_x.degree
         if degree:
-            right, left, _, _ = cache._top(ws)
+            right, left = cache._top(ws)
             bottom = _raise_bottom(x, right, left)
             odd = interval(bottom, ws, right, 2 * degree + 1).layers[3::2]
             for k, layer in enumerate(odd, 1):
@@ -375,7 +410,7 @@ def kl_column(
             f"the layers of a column of {format_perm(w)} must start at it"
         )
     # With raising off, no z has a neighbour and every entry is read.
-    right, left = cache._top(w)[:2] if cache.raise_bottoms else ((), ())
+    right, left = cache._top(w) if cache.raise_bottoms else ((), ())
     column: list[dict[Perm, IntPolynomial]] = []
     above: dict[Perm, IntPolynomial] = {}
     for layer in layers:

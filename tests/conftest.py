@@ -27,8 +27,11 @@ def _split_at_descent(x, w, i, cache):
             - sum of mu(z, ws) q^((l(w) - l(z)) / 2) P(x, z)
 
     over z in [x, ws] with zs < z, where c is 1 when xs < x and 0
-    otherwise.  The recursion itself splits on the largest descent
-    only, so any other descent gives an outside check of its values.
+    otherwise.  Any right descent gives the same polynomial.  The
+    recursion splits at one of them only, the first whose ws keeps the
+    most descents; a caller that tries every right descent checks its
+    values from outside the recursion at every split it could have
+    taken.
     """
     ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
     xs = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1:]

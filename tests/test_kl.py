@@ -10,6 +10,8 @@ from klpoly.kl import (
     _balanced_digits,
     _InversionRows,
     _raise_bottom,
+    _split_descent,
+    _split_gain,
     active_positions,
     check_descent_invariance,
     check_inversion_identity,
@@ -33,7 +35,7 @@ from klpoly.perm import (
     swap_positions,
 )
 from klpoly.polynomial import ONE, ZERO, IntPolynomial
-from klpoly.verify import random_comparable_pair
+from klpoly.verify import _double_coset_maxima, random_comparable_pair
 from test_oracle import _leq, _perms, oracle_column
 
 ONE_PLUS_Q = IntPolynomial([1, 1])
@@ -139,6 +141,58 @@ def test_recursion_holds_at_every_right_descent_in_s5(split_at_descent):
             assert split_at_descent(x, w, i, cache) == p, (x, w, i)
             checked += 1
     assert checked == 8680
+
+
+def _descent_count(v):
+    return len(right_descents(v)) + len(left_descents(v))
+
+
+def test_split_gain_counts_the_descents_ws_keeps_in_s6():
+    checked = 0
+    for w in all_perms(6):
+        for i in right_descents(w):
+            ws = swap_positions(w, i, i + 1)
+            assert _split_gain(w, i) == _descent_count(ws) - _descent_count(w) + 1
+            checked += 1
+    # Every w has as many right descents as it has right ascents in w0 w.
+    assert checked == 720 * 5 // 2
+
+
+def test_recursion_splits_at_the_first_descent_keeping_most_descents(monkeypatch):
+    # Record the top of the first nested call of every _kl frame.  On a
+    # miss that is P(lo, ws), the first term of the split; a flattening
+    # recurses on a smaller size, and a hit makes no nested call.
+    import klpoly.kl as kl_module
+
+    inner = kl_module._kl
+    stack, frames = [], []
+
+    def spy(x, w, cache):
+        if stack and stack[-1][1] is None:
+            stack[-1][1] = w
+        frame = [w, None]
+        stack.append(frame)
+        try:
+            return inner(x, w, cache)
+        finally:
+            stack.pop()
+            frames.append(frame)
+
+    monkeypatch.setattr(kl_module, "_kl", spy)
+    cache = KLCache()
+    for x, w in comparable_pairs(5):
+        kl_polynomial(x, w, cache)
+    splits = [
+        (w, ws) for w, ws in frames if ws is not None and len(ws) == len(w)
+    ]
+    assert len(splits) == cache.misses > 0
+    for w, ws in splits:
+        # max keeps the first of equal keys, in increasing i.
+        first_best = max(
+            (swap_positions(w, i, i + 1) for i in right_descents(w)),
+            key=_descent_count,
+        )
+        assert ws == first_best, w
 
 
 def test_recursion_holds_at_every_right_descent_sampled_s7(split_at_descent):
@@ -488,6 +542,44 @@ def test_is_smooth_top():
     assert not is_smooth_top((3, 4, 1, 2))
     assert not is_smooth_top((4, 2, 3, 1))
     assert is_smooth_top(longest_element(5))
+
+
+# OEIS A032351: permutations of length n avoiding 3412 and 4231.
+SMOOTH_COUNTS = [1, 2, 6, 22, 88, 366, 1552]
+
+
+def test_smooth_counts_match_oeis_a032351():
+    assert [
+        sum(map(is_smooth_top, all_perms(n))) for n in range(1, 8)
+    ] == SMOOTH_COUNTS
+    # All-ones columns, read at the double-coset maxima (which carry
+    # every value of the column), with a cold cache per top.
+    def all_ones(w):
+        cache = KLCache()
+        return all(
+            kl_polynomial(z, w, cache) == ONE
+            for z in _double_coset_maxima(identity(len(w)), w)
+        )
+
+    by_column = [sum(map(all_ones, all_perms(n))) for n in range(1, 7)]
+    assert by_column == SMOOTH_COUNTS[:6]
+
+
+def test_cold_s10_pair_and_its_symmetric_images():
+    x = (1, 6, 5, 3, 4, 7, 8, 2, 9, 10)
+    w = (9, 10, 8, 5, 6, 7, 1, 2, 4, 3)
+    w0 = longest_element(10)
+    pairs = [
+        (x, w),
+        (inverse(x), inverse(w)),
+        (compose(compose(w0, x), w0), compose(compose(w0, w), w0)),
+    ]
+    # Each top splits at its own descent: 6 for w, 4 for w^-1, and 4,
+    # the mirror image of 6, for w0 w w0.
+    assert [_split_descent(top, right_descents(top)) for _, top in pairs] == [6, 4, 4]
+    for bottom, top in pairs:
+        p = kl_polynomial(bottom, top, KLCache())
+        assert p.coeffs == (1, 4, 10, 17, 22, 19, 10, 3), (bottom, top)
 
 
 def test_s4_has_exactly_two_singular_tops():
