@@ -193,7 +193,8 @@ def bruhat_leq(x: Perm, w: Perm) -> bool:
     (R_w + H - R_x) & H == H (see the module docstring).
 
     x and w must be permutations of the same size.  That is not
-    checked: the recursion compares on every miss.
+    checked: the recursion makes the same test, through
+    :func:`_leq_and_active`, on every miss.
 
     >>> bruhat_leq((2, 1, 4, 3), (4, 2, 3, 1))
     True

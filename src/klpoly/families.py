@@ -14,16 +14,19 @@ this module evaluates exactly.  The table ``_FAMILIES`` is the one
 place a family is defined and everything else reads it, so a new pair
 kind is one new row.  The binomial identities used to prove the inverse
 closed forms are also evaluated here term by term, so the algebra can
-be checked independently of any recursion.
+be checked independently of any recursion.  The standard identity
+relating P(x, w) and P(w0 w, w0 x) on an interval with a trivial
+interior (:func:`inverse_kl_from_interval_sum`) reads one column,
+P(., w) on [x, w], once.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .bruhat import _Record, bruhat_leq, interval
-from .kl import KLCache, inverse_kl, kl_polynomial
-from .perm import Perm, _checked_pair, format_perm, length
+from .bruhat import _Record, interval
+from .kl import KLCache, inverse_kl, kl_column
+from .perm import Perm, _checked_pair, format_perm
 from .polynomial import ONE, ZERO, IntPolynomial, geometric_sum
 
 # The one table of the families, one row per pair kind, in the order the
@@ -303,31 +306,32 @@ def inverse_kl_from_interval_sum(
 
     Valid only when P(z, w) = 1 for every z with x < z <= w; the
     precondition is checked and a :class:`NontrivialIntervalError`
-    names the first witness that breaks it.  The result must agree
-    with inverse_kl(x, w), which makes this a useful cross-check.
+    names the first witness that breaks it, in order of length and then
+    lexicographically.  The result must agree with inverse_kl(x, w),
+    which makes this a useful cross-check.
+
+    P(., w) is read once, as the column of w on [x, w] (see
+    :func:`klpoly.kl.kl_column`).  Its layer k holds the z with
+    len(w) - len(z) = k, so a term at layer k has the sign (-1)^(k+1),
+    and the last layer holds x alone.  Raises ValueError unless x and w
+    are permutations of the same size with x <= w.
     """
     x, w = _checked_pair(x, w)
-    if not bruhat_leq(x, w):
-        raise ValueError(
-            f"not a valid interval: {format_perm(x)} is not <= {format_perm(w)}"
-        )
     if x == w:
         return ONE
     if cache is None:
         cache = KLCache()
-    members = interval(x, w).sorted_elements()
-    for z in members:
-        if z != x and kl_polynomial(z, w, cache) != ONE:
-            raise NontrivialIntervalError(
-                f"P({format_perm(z)}, {format_perm(w)}) = "
-                f"{kl_polynomial(z, w, cache)} != 1"
-            )
-    len_w = length(w)
-    sign = -1 if (length(x) + len_w + 1) % 2 else 1
-    total = kl_polynomial(x, w, cache) * sign
-    for z in members:
-        if z == x or z == w:
-            continue
-        sign = -1 if (length(z) + len_w + 1) % 2 else 1
-        total = total + inverse_kl(x, z, cache) * sign
+    column = kl_column(w, cache, interval(x, w).layers)
+    *interior, last = column[1:]
+    for layer in reversed(interior):
+        for z in sorted(layer):
+            if layer[z] != ONE:
+                raise NontrivialIntervalError(
+                    f"P({format_perm(z)}, {format_perm(w)}) = {layer[z]} != 1"
+                )
+    # x is at layer len(column) - 1.
+    total = last[x] * (-1) ** len(column)
+    for k, layer in enumerate(interior, 1):
+        for z in layer:
+            total = total + inverse_kl(x, z, cache) * (-1) ** (k + 1)
     return total

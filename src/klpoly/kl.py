@@ -80,9 +80,9 @@ comparable pair.  The comparison and the flattening read one packed
 rank-difference table, which only :mod:`klpoly.bruhat` builds and
 decodes.  A pair with an inert position is answered by
 the lookup of its flattening, and the answer is kept under both keys;
-only a pair with every position active runs the recursion.  The same
-lifting property tells the recursion which of x and xs lies below ws,
-so only the other is compared before its lookup.
+only a pair with every position active runs the recursion.  Since a
+lookup of an incomparable pair answers ZERO, the recursion looks each
+term up as the formula writes it, with no comparison of its own.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ from .perm import (
     format_perm,
     from_oneline,
     identity,
-    inverse,
     left_descents,
     length,
     right_descents,
+    swap_positions,
 )
 from .polynomial import ONE, ZERO, IntPolynomial
 
@@ -278,31 +278,18 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
     i = _split_descent(w, cache._top(w)[0])
     ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
     xs = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1:]
-    # The first two terms are P(lo, ws) + q P(hi, ws), where lo and hi are
-    # the shorter and the longer of x and xs.  ws < w and x <= w, so by
-    # the lifting property lo lies below ws; only hi needs a comparison.
-    # It is compared before it is raised: this runs only on a miss, where
-    # a memo hit for hi is rare and raising an incomparable bottom would
-    # be wasted.
-    if x[i - 1] > x[i]:
-        lo, hi = xs, x
-    else:
-        lo, hi = x, xs
-    acc = _kl(lo, ws, cache)
-    # p_x is P(x, ws), zero unless x <= ws.
-    p_x = acc if lo is x else ZERO
-    if bruhat_leq(hi, ws):
-        upper = _kl(hi, ws, cache)
-        acc = acc + upper.shift(1)
-        if hi is x:
-            p_x = upper
+    # q^c P(x, ws) + q^(1-c) P(xs, ws), with c = 1 when x has the descent
+    # i.  _kl answers ZERO for a bottom not below ws.
+    c = int(x[i - 1] > x[i])
+    p_x = _kl(x, ws, cache)
+    acc = p_x.shift(c) + _kl(xs, ws, cache).shift(1 - c)
 
     if p_x:
         # x <= ws.  Only the coatoms of ws and the z with every descent of
         # ws can have mu(z, ws) != 0 (see the module docstring).  A coatom
-        # has mu = 1 and exponent 1.
+        # has mu = 1 and exponent 1; P(x, z) is ZERO unless x <= z.
         for z in covers_down(ws):
-            if z[i - 1] > z[i] and bruhat_leq(x, z):
+            if z[i - 1] > z[i]:
                 acc = acc - _kl(x, z, cache).shift(1)
         # Layer 2k + 1 of [x, ws] holds the z with len(w) - len(z) = 2k + 2:
         # the exponent is k + 1 and mu(z, ws) is the coefficient of q^k in
@@ -733,17 +720,13 @@ def check_descent_invariance(
     if cache is None:
         cache = KLCache(raise_bottoms=False)
     base = _kl(x, w, cache)
-    for i in range(1, len(w)):
-        if w[i - 1] > w[i]:
-            moved = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1:]
-            if _kl(moved, w, cache) != base:
-                return False
-    w_inv = inverse(w)
-    for i in range(1, len(w)):
-        if w_inv[i - 1] > w_inv[i]:
-            p, p2 = x.index(i), x.index(i + 1)
-            lst = list(x)
-            lst[p], lst[p2] = i + 1, i
-            if _kl(tuple(lst), w, cache) != base:
-                return False
+    for i in right_descents(w):
+        if _kl(swap_positions(x, i, i + 1), w, cache) != base:
+            return False
+    for i in left_descents(w):
+        p, p2 = x.index(i), x.index(i + 1)
+        lst = list(x)
+        lst[p], lst[p2] = i + 1, i
+        if _kl(tuple(lst), w, cache) != base:
+            return False
     return True

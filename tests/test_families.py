@@ -270,21 +270,22 @@ def test_interval_sum_reconstruction(shared_cache):
 
 
 def test_interval_sum_matches_inverse_kl_on_families(shared_cache):
-    for pair in ("x", "y"):
-        for k in range(1, 5):
-            for m in range(1, 5):
-                bottom, top = family_pair(pair, k, m)
-                if len(bottom) > 6:
-                    continue
-                assert inverse_kl_from_interval_sum(
-                    bottom, top, shared_cache
-                ) == inverse_kl(bottom, top, shared_cache)
+    # Every family pair of the benchmark's sizes, against the recursion
+    # and the paper's closed form.
+    for pair, k, m in _family_cases(8):
+        bottom, top = family_pair(pair, k, m)
+        total = inverse_kl_from_interval_sum(bottom, top, shared_cache)
+        assert total == inverse_kl(bottom, top, shared_cache), (pair, k, m)
+        assert total == closed_form_inverse(pair, k, m), (pair, k, m)
 
 
 def test_interval_sum_rejects_nontrivial_interiors(shared_cache):
     # P((2,1,4,3), (4,2,3,1)) = 1 + q, so the identity's hypothesis
-    # fails for the pair (identity, (4,2,3,1)).
-    with pytest.raises(NontrivialIntervalError):
+    # fails for the pair (identity, (4,2,3,1)).  The error names the first
+    # failing z by length, then lexicographically: 1,2,4,3.
+    with pytest.raises(
+        NontrivialIntervalError, match=r"P\(1,2,4,3, 4,2,3,1\) = 1 \+ q != 1"
+    ):
         inverse_kl_from_interval_sum(identity(4), (4, 2, 3, 1), shared_cache)
     with pytest.raises(ValueError):
         inverse_kl_from_interval_sum((2, 1, 3), identity(3), shared_cache)

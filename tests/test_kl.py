@@ -577,9 +577,12 @@ def test_cold_s10_pair_and_its_symmetric_images():
     # Each top splits at its own descent: 6 for w, 4 for w^-1, and 4,
     # the mirror image of 6, for w0 w w0.
     assert [_split_descent(top, right_descents(top)) for _, top in pairs] == [6, 4, 4]
-    for bottom, top in pairs:
-        p = kl_polynomial(bottom, top, KLCache())
+    caches = [KLCache() for _ in pairs]
+    for (bottom, top), cache in zip(pairs, caches):
+        p = kl_polynomial(bottom, top, cache)
         assert p.coeffs == (1, 4, 10, 17, 22, 19, 10, 3), (bottom, top)
+    # The recursion's work on the pair itself: its misses and memo keys.
+    assert (caches[0].misses, len(caches[0].memo)) == (95, 267)
 
 
 def test_s4_has_exactly_two_singular_tops():
