@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .perm import Perm, _checked_pair, format_perm, from_oneline, identity
+from .perm import Perm, _checked_pair, _w0_times, format_perm, from_oneline, identity
 
 
 def rank_count(w: Perm, p: int, q: int) -> int:
@@ -239,12 +239,7 @@ def covers_up(w: Perm) -> list[Perm]:
     >>> covers_up((1, 3, 2))
     [(3, 1, 2), (2, 3, 1)]
     """
-    w = from_oneline(w)
-    top = len(w) + 1
-    return [
-        tuple([top - v for v in z])
-        for z in covers_down(tuple([top - v for v in w]))
-    ]
+    return [_w0_times(z) for z in covers_down(_w0_times(from_oneline(w)))]
 
 
 def down_set(w: Perm) -> tuple[Perm, ...]:

@@ -172,13 +172,19 @@ def _run_verify(args: argparse.Namespace) -> VerificationReport:
     for _, _, flag in _VERIFY_BATCHES.values():
         if flag != size_flag and getattr(args, flag) is not None:
             raise ValueError(f"verify {args.name} reads --{size_flag}, not --{flag}")
+    if args.cases is not None and args.cases < 1:
+        raise ValueError(f"--cases must be >= 1, got {args.cases}")
     kwargs = {"cache": _make_cache(args), "case_cap": args.cases}
     size = getattr(args, size_flag)
     if size is not None:
         kwargs[size_keyword] = size
     # Above n = 6 the inversion check samples, with --cases as the sample
     # count; no other run reads --seed.
-    if args.name == "inversion" and args.cases is not None and (size or 0) > 6:
+    if args.name == "inversion" and (size or 0) > 6:
+        if args.cases is None:
+            raise ValueError(
+                f"verify inversion --n {size} samples; pass --cases, the sample count"
+            )
         kwargs["samples"] = kwargs.pop("case_cap")
         if args.seed is not None:
             kwargs["seed"] = args.seed

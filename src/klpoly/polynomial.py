@@ -106,6 +106,11 @@ class IntPolynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._coeffs, other._coeffs
+        # Adding zero returns the other operand itself: it is immutable.
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -122,6 +127,8 @@ class IntPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._coeffs:
+            return self
         return self + (-other)
 
     def __rsub__(self, other: int) -> "IntPolynomial":

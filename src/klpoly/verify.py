@@ -46,10 +46,6 @@ from .perm import (
 )
 from .polynomial import ONE, IntPolynomial
 
-# S_n in lexicographic order, the lengths of its elements, and the
-# indices of the ideal of each, in increasing order (see _ideals).
-_Ideals = tuple[list[Perm], list[int], list[list[int]]]
-
 
 class Failure(_Record):
     """One failed comparison: which case, and both polynomials."""
@@ -291,15 +287,23 @@ def random_comparable_pair(n: int, rng: random.Random) -> tuple[Perm, Perm]:
             return tuple(x), tuple(w)
 
 
-def _ideals(n: int) -> _Ideals:
-    """S_n in lexicographic order, the lengths of its elements, and the
-    principal ideal [e, w] of each w as the increasing list of the
-    indices of its members.
+def _down_sets(
+    n: int,
+) -> tuple[dict[Perm, tuple[tuple[Perm, ...], ...]], list[tuple[Perm, Perm]]]:
+    """The principal ideal [e, w] of every w in S_n, and every pair
+    (x, w) in S_n with x <= w.
+
+    The ideals are keyed in lexicographic order of w, each as its
+    layers: layer k holds the x <= w of length l(w) - k, in
+    lexicographic order, as in ``interval(identity(n), w).layers``.
+    The pairs run over w in lexicographic order, and within each w over
+    the x of [e, w] in lexicographic order.
 
     One pass over the covers, in order of increasing length, builds
-    them all, each as a bitmask over the indices: the ideal of w is w
-    together with the ideals of its coatoms, since Bruhat order is
-    graded and so every x < w lies below some coatom of w.
+    every ideal as a bitmask over the lexicographic indices: the ideal
+    of w is w together with the ideals of its coatoms, since Bruhat
+    order is graded and so every x < w lies below some coatom of w.
+    Each mask is then decoded once, lowest index first.
     """
     perms = list(all_perms(n))
     index = {v: i for i, v in enumerate(perms)}
@@ -310,43 +314,18 @@ def _ideals(n: int) -> _Ideals:
         for z in covers_down(perms[i]):
             mask |= masks[index[z]]
         masks[i] = mask
-    ideals = []
-    for mask in masks:
-        members = []
+    downs = {}
+    pairs = []
+    for w, top, mask in zip(perms, lengths, masks):
+        layers: list[list[Perm]] = [[] for _ in range(top + 1)]
         while mask:
             low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
-        ideals.append(members)
-    return perms, lengths, ideals
-
-
-def _down_layers(
-    n: int, ideals: _Ideals | None = None
-) -> dict[Perm, tuple[tuple[Perm, ...], ...]]:
-    """The layers of [e, w] for every w in S_n, keyed in lexicographic
-    order of w: layer k holds the x <= w of length l(w) - k, in
-    lexicographic order, as in ``interval(identity(n), w).layers``.
-    ``ideals`` is :func:`_ideals` of n, built here when not given."""
-    perms, lengths, members = ideals if ideals is not None else _ideals(n)
-    downs = {}
-    for w, top, below in zip(perms, lengths, members):
-        layers: list[list[Perm]] = [[] for _ in range(top + 1)]
-        for j in below:
+            j = low.bit_length() - 1
             layers[top - lengths[j]].append(perms[j])
+            pairs.append((perms[j], w))
+            mask ^= low
         downs[w] = tuple(map(tuple, layers))
-    return downs
-
-
-def _comparable_pairs(
-    n: int, ideals: _Ideals | None = None
-) -> list[tuple[Perm, Perm]]:
-    """Every pair (x, w) in S_n with x <= w: w in lexicographic order,
-    and within each w the x of [e, w] in lexicographic order, which is
-    the order of their indices.  ``ideals`` is :func:`_ideals` of n,
-    built here when not given."""
-    perms, _, members = ideals if ideals is not None else _ideals(n)
-    return [(perms[j], w) for w, below in zip(perms, members) for j in below]
+    return downs, pairs
 
 
 def verify_inversion_identity_batch(
@@ -363,23 +342,25 @@ def verify_inversion_identity_batch(
     and pairs are drawn with the given seed.  A sampled pair runs
     :func:`klpoly.kl.check_inversion_identity` on its own interval.
 
-    The exhaustive run builds the ideal [e, w] of every top w in one
-    pass over the covers of S_n (see :func:`_ideals`), and takes its
-    cases and layers from those ideals.  It decides every case of a top
-    with one packed integer product, built when its first case is
-    evaluated (see :class:`klpoly.kl._InversionRows`).  Each z of S_n
-    has one dual pack D(z), the sum over x <= z of
-    P(w0 z, w0 x)(2^B) 2^(W i(x)), with i(x) the index of x in S_n; its
-    values come from the columns of the w0 x, read from the cache once
-    each through :func:`klpoly.kl.kl_column`.  The row of w is the sum
-    over z <= w of (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field
-    i(x) is the integer sum of the case (x, w).  The row passes exactly
-    when it is 2^(W i(w)); only a failing row is read field by field,
-    so the report names the same cases as the one-pair check.  The rows
-    are built from the column of w0 at the first case evaluated: it
-    has every z and the most terms, and its duals read every column,
-    so B and W are fixed there at their least values and each D(z) is
-    packed once.  The columns and packs live for one call.
+    The exhaustive run builds the ideal [e, w] of every top w, and the
+    cases, in one pass over the covers of S_n (see :func:`_down_sets`).
+    Its first evaluated case decides every case that the cap keeps, so
+    each case after it is one set lookup.  That case reads every column
+    of S_n once, through :func:`klpoly.kl.kl_column`, and decides all
+    cases of a top with one packed integer product (see
+    :class:`klpoly.kl._InversionRows`).  Each z of S_n has one dual pack
+    D(z), the sum over x <= z of P(w0 z, w0 x)(2^B) 2^(W i(x)), with
+    i(x) the index of x in S_n; its values come from the columns of the
+    w0 x.  The row of w is the sum over z <= w of
+    (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field i(x) is the
+    integer sum of the case (x, w).  The row passes exactly when it is
+    2^(W i(w)); only a failing row is read field by field, so the
+    report names the same cases as the one-pair check.  The rows are
+    built from the column of w0: it has every z and the most terms, and
+    its duals read every column, so B and W are fixed there at their
+    least values and each D(z) is packed once.  Only the rows of the
+    tops that the kept cases name are summed.  The columns and packs
+    live for one call.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -388,16 +369,9 @@ def verify_inversion_identity_batch(
             raise ValueError(
                 f"exhaustive check over S_{n} is too large; pass a sample count"
             )
-        ideals = _ideals(n)
-        downs = _down_layers(n, ideals)
-        cases = _comparable_pairs(n, ideals)
+        downs, cases = _down_sets(n)
         parameter_range = f"S_{n} exhaustive"
         used_seed = None
-        # Fields are indices in S_n; w0 is the last of them.
-        perms = ideals[0]
-        index = {v: i for i, v in enumerate(perms)}
-        flip = {v: _w0_times(v) for v in perms}
-        w0 = perms[-1]
     else:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
@@ -407,40 +381,43 @@ def verify_inversion_identity_batch(
         cases = [random_comparable_pair(n, rng) for _ in range(samples)]
         parameter_range = f"S_{n}, {samples} sampled pairs"
         used_seed = seed
+    # The failing cases of the exhaustive run, decided at its first case.
+    failing: set[tuple[Perm, Perm]] | None = None
 
-    columns: dict[Perm, list[dict[Perm, IntPolynomial]]] = {}
-    rows: _InversionRows | None = None
-    failed: dict[Perm, set[int]] = {}
+    def decide(c: KLCache) -> set[tuple[Perm, Perm]]:
+        # Fields are indices in S_n; w0 is the last of them.
+        perms = list(downs)
+        index = {v: i for i, v in enumerate(perms)}
+        flip = {v: _w0_times(v) for v in perms}
+        columns = {v: kl_column(v, c, layers) for v, layers in downs.items()}
 
-    def column(v: Perm, c: KLCache) -> list[dict[Perm, IntPolynomial]]:
-        if v not in columns:
-            columns[v] = kl_column(v, c, downs[v])
-        return columns[v]
+        def dual(z: Perm) -> dict[int, IntPolynomial]:
+            # x at layer k of [e, z] puts w0 z at layer k of the column of w0 x.
+            u = flip[z]
+            return {
+                index[x]: columns[flip[x]][k][u]
+                for k, layer in enumerate(downs[z])
+                for x in layer
+            }
 
-    def dual(z: Perm, c: KLCache) -> dict[int, IntPolynomial]:
-        # x at layer k of [e, z] puts w0 z at layer k of the column of w0 x.
-        u = flip[z]
+        rows = _InversionRows(columns[perms[-1]], dual)
+        kept = cases if case_cap is None else cases[:case_cap]
         return {
-            index[x]: column(flip[x], c)[k][u]
-            for k, layer in enumerate(downs[z])
-            for x in layer
+            (perms[f], w)
+            for w in {w for _, w in kept}
+            for f in rows.failures(columns[w], index[w])
         }
 
-    def row_failures(v: Perm, c: KLCache) -> set[int]:
-        nonlocal rows
-        if rows is None:
-            rows = _InversionRows(column(w0, c), lambda z: dual(z, c))
-        if v not in failed:
-            failed[v] = set(rows.failures(column(v, c), index[v]))
-        return failed[v]
-
     def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Failure | None:
-        x, w = case
-        if samples is None:
-            passed = index[x] not in row_failures(w, c)
+        nonlocal failing
+        if samples is not None:
+            passed = check_inversion_identity(*case, c)
         else:
-            passed = check_inversion_identity(x, w, c)
+            if failing is None:
+                failing = decide(c)
+            passed = case not in failing
         if not passed:
+            x, w = case
             return Failure(
                 f"x={format_perm(x)} w={format_perm(w)}",
                 "delta(x, w)",

@@ -228,10 +228,19 @@ def test_verify_inversion_exhaustive_at_benchmark_size(capsys):
          "inversion-sampled-zero"],
 )
 def test_verify_rejects_a_case_count_below_one(capsys, argv):
+    # The message names the flag, not the batch's parameter.
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
+    assert err == f"error: --cases must be >= 1, got {argv[-1]}\n"
+
+
+def test_verify_inversion_above_six_asks_for_cases(capsys):
+    code, out, err = run(capsys, "verify", "inversion", "--n", "7")
+    assert code == 2
+    assert out == ""
     assert err.startswith("error:")
+    assert "pass --cases" in err
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,22 @@ def test_addition_and_subtraction():
     assert sum([ONE, Q, Q]) == IntPolynomial([1, 2])
 
 
+def test_adding_zero_returns_the_other_operand():
+    p = IntPolynomial([1, -2, 3])
+    assert p + ZERO is p
+    assert ZERO + p is p
+    assert p - ZERO is p
+    assert p + 0 is p
+    assert 0 + p is p
+    assert p - 0 is p
+    # Every other result is a new polynomial with the same value as before.
+    assert ZERO - p == IntPolynomial([-1, 2, -3])
+    assert ZERO + ZERO == ZERO and ZERO - ZERO == ZERO
+    assert p - p == ZERO
+    assert p + 1 == IntPolynomial([2, -2, 3])
+    assert 5 + ZERO == IntPolynomial([5])
+
+
 def test_multiplication():
     one_plus_q = IntPolynomial([1, 1])
     assert one_plus_q * Q == IntPolynomial([0, 1, 1])

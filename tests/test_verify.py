@@ -9,6 +9,7 @@ from klpoly.kl import (
     _raise_bottom,
     active_positions,
     check_inversion_identity,
+    kl_column,
     kl_polynomial,
 )
 from klpoly.perm import (
@@ -23,9 +24,8 @@ from klpoly.polynomial import ONE, IntPolynomial
 from klpoly.verify import (
     Failure,
     VerificationReport,
-    _comparable_pairs,
     _double_coset_maxima,
-    _down_layers,
+    _down_sets,
     random_comparable_pair,
     verify_coatom_bound,
     verify_inverse_closed_forms,
@@ -211,7 +211,7 @@ def test_inversion_exhaustive_counts():
 def test_exhaustive_inversion_cases_match_all_pairs_filter(n):
     # The case list, and so what case_cap keeps, is the all-pairs filter.
     old = [(x, w) for w in all_perms(n) for x in all_perms(n) if bruhat_leq(x, w)]
-    assert _comparable_pairs(n) == old
+    assert _down_sets(n)[1] == old
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -221,7 +221,7 @@ def test_down_layers_match_the_interval_walks(n):
     # the order of the tops and of each layer.
     e = identity(n)
     walked = {w: interval(e, w).layers for w in all_perms(n)}
-    downs = _down_layers(n)
+    downs = _down_sets(n)[0]
     assert list(downs) == list(walked)
     assert downs == walked
 
@@ -252,7 +252,7 @@ def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
     (rows,) = built
     assert len(rows.packs) == 120
     cache = KLCache()
-    polys = [kl_polynomial(x, w, cache) for x, w in _comparable_pairs(5)]
+    polys = [kl_polynomial(x, w, cache) for x, w in _down_sets(5)[1]]
     norm = max(sum(map(abs, p.coeffs)) for p in polys)
     degree = max(p.degree for p in polys)
     bound = (120 * norm * norm).bit_length()
@@ -260,6 +260,32 @@ def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
     assert rows.bits == bound + 1
     assert rows.width == bound + 2 * rows.bits * degree + 1
     assert (rows.bits, rows.width) == (12, 60)
+
+
+@pytest.mark.parametrize("cap, rows", [(None, 120), (1, 1)])
+def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
+    # The first case reads each of the 120 columns of S_5 once, and sums
+    # the row of each top that the kept cases name: all 120 uncapped, and
+    # only that of e when the cap keeps the case (e, e).
+    import klpoly.verify
+
+    read, summed = [], []
+
+    def counted_column(w, cache, layers):
+        read.append(w)
+        return kl_column(w, cache, layers)
+
+    class Counted(klpoly.verify._InversionRows):
+        def row(self, column):
+            summed.append(column)
+            return super().row(column)
+
+    monkeypatch.setattr(klpoly.verify, "kl_column", counted_column)
+    monkeypatch.setattr(klpoly.verify, "_InversionRows", Counted)
+    report = verify_inversion_identity_batch(5, case_cap=cap)
+    assert report.passed
+    assert sorted(read) == sorted(all_perms(5))
+    assert len(summed) == rows
 
 
 @pytest.mark.parametrize(
@@ -286,7 +312,7 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
     report = verify_inversion_identity_batch(4, seeded())
     expected = {
         f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in _comparable_pairs(4)
+        for x, top in _down_sets(4)[1]
         if not check_inversion_identity(x, top, seeded())
     }
     assert expected
@@ -294,7 +320,7 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
     cache = seeded()
     assert expected == {
         f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in _comparable_pairs(4)
+        for x, top in _down_sets(4)[1]
         if inversion_sum(x, top, cache) != (ONE if x == top else 0)
     }
 
@@ -324,7 +350,7 @@ def test_inversion_batch_fails_where_the_check_does_with_raising_on(m, w, error)
     report = verify_inversion_identity_batch(4, seeded())
     expected = {
         f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in _comparable_pairs(4)
+        for x, top in _down_sets(4)[1]
         if not check_inversion_identity(x, top, seeded())
     }
     assert expected
@@ -336,8 +362,9 @@ def test_inversion_batch_fails_where_the_check_does_with_raising_on(m, w, error)
 )
 @pytest.mark.parametrize("z", [(1, 2, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4)])
 def test_capped_inversion_batch_fails_exactly_where_the_check_does(z, error):
-    # A cap that stops partway through the cases of w leaves some of its
-    # columns unread; the cases it keeps must still fail as they do alone.
+    # A cap that stops partway through the cases of w still reads every
+    # column at the first case, but decides only the tops it keeps; the
+    # cases it keeps must still fail as they do alone.
     w = (4, 2, 3, 1)
 
     def seeded():
@@ -345,7 +372,7 @@ def test_capped_inversion_batch_fails_exactly_where_the_check_does(z, error):
         cache.memo[(z, w)] = kl_polynomial(z, w) + error
         return cache
 
-    cases = _comparable_pairs(4)
+    cases = _down_sets(4)[1]
     cap = cases.index(((1, 2, 3, 4), w)) + 7
     assert cases[cap][1] == w
     failing = [
@@ -381,11 +408,14 @@ def test_exhaustive_inversion_reads_each_polynomial_once():
 
 
 def test_exhaustive_inversion_on_s6():
-    report = verify_inversion_identity_batch(6)
+    cache = KLCache()
+    report = verify_inversion_identity_batch(6, cache)
     assert report.passed
     assert report.cases == 98407
     assert report.parameter_range == "S_6 exhaustive"
     assert report.seed is None
+    assert cache.misses == 164
+    assert len(cache.memo) == 2268
 
 
 def test_inversion_batch_fails_where_the_check_does_on_s6():
@@ -405,7 +435,7 @@ def test_inversion_batch_fails_where_the_check_does_on_s6():
     cache = seeded()
     expected = {
         f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in _comparable_pairs(6)
+        for x, top in _down_sets(6)[1]
         if (top == w or x == e) and not check_inversion_identity(x, top, cache)
     }
     assert expected
