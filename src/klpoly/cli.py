@@ -164,6 +164,8 @@ def _bool_text(value: bool) -> str:
 
 def _make_cache(args: argparse.Namespace) -> KLCache:
     limit = getattr(args, "max_cache_entries", None)
+    if limit is not None and limit < 1:
+        raise ValueError(f"--max-cache-entries must be >= 1, got {limit}")
     return KLCache(max_entries=limit)
 
 
@@ -172,10 +174,13 @@ def _run_verify(args: argparse.Namespace) -> VerificationReport:
     for _, _, flag in _VERIFY_BATCHES.values():
         if flag != size_flag and getattr(args, flag) is not None:
             raise ValueError(f"verify {args.name} reads --{size_flag}, not --{flag}")
+    # Every batch's size floor is 2; the errors name flags, not parameters.
+    size = getattr(args, size_flag)
+    if size is not None and size < 2:
+        raise ValueError(f"--{size_flag} must be >= 2, got {size}")
     if args.cases is not None and args.cases < 1:
         raise ValueError(f"--cases must be >= 1, got {args.cases}")
     kwargs = {"cache": _make_cache(args), "case_cap": args.cases}
-    size = getattr(args, size_flag)
     if size is not None:
         kwargs[size_keyword] = size
     # Above n = 6 the inversion check samples, with --cases as the sample

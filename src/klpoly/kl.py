@@ -89,7 +89,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import lshift, mul
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
 from .bruhat import _leq_and_active, bruhat_leq, covers_down, interval
 from .perm import (
@@ -434,6 +434,26 @@ def _ascent_neighbour(
             lst[p], lst[p2] = i + 1, i
             return tuple(lst)
     return None
+
+
+def _maxima_column(
+    bottom: Perm, top: Perm, cache: KLCache
+) -> Iterator[tuple[Perm, IntPolynomial]]:
+    """(z, P(z, top)) at each z of [bottom, top] that is the maximum of
+    its double coset W_I z W_J, with I and J the left and right descents
+    of top, in (length, lexicographic) order; requires bottom <= top.
+
+    Every z of [bottom, top] raises through those descents to one of
+    these z, with the same P, so they carry the column of top on the
+    interval.  The first is the raised bottom, which carries
+    P(bottom, top), and the last is top.  Each P is read only when its
+    pair is asked for.
+    """
+    right, left = cache._top(top)
+    walk = interval(_raise_bottom(bottom, right, left), top, right)
+    for z in walk.sorted_elements():
+        if all(z.index(j + 1) < z.index(j) for j in left):
+            yield z, _kl(z, top, cache)
 
 
 class _InversionRows:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Sequence
 
-from .bruhat import _Record, bruhat_leq, coatom_count, covers_down, interval
+from .bruhat import _Record, bruhat_leq, coatom_count, covers_down
 from .families import (
     _family_cases,
     closed_form_inverse,
@@ -27,12 +27,11 @@ from .families import (
 from .kl import (
     KLCache,
     _InversionRows,
-    _raise_bottom,
+    _maxima_column,
     check_inversion_identity,
     inverse_kl,
     is_smooth_top,
     kl_column,
-    kl_polynomial,
 )
 from .perm import (
     Perm,
@@ -40,9 +39,7 @@ from .perm import (
     all_perms,
     format_perm,
     identity,
-    left_descents,
     length,
-    right_descents,
 )
 from .polynomial import ONE, IntPolynomial
 
@@ -184,26 +181,6 @@ def _run_cases(
     )
 
 
-def _double_coset_maxima(bottom: Perm, top: Perm) -> list[Perm]:
-    """The z of [bottom, top] that are the maxima of their double cosets
-    W_I z W_J, with I and J the left and right descents of top, ordered
-    by (length, lexicographic).
-
-    P(z, top) is constant on each such coset, and raising any z of
-    [bottom, top] through those descents reaches one of these z, so
-    they carry every value of the column of top on the interval.  They
-    are the z of the walk from raised bottom to top through the right
-    descents of top that also have its left descents.
-    """
-    right, left = right_descents(top), left_descents(top)
-    walk = interval(_raise_bottom(bottom, right, left), top, right)
-    return [
-        z
-        for z in walk.sorted_elements()
-        if all(z.index(j + 1) < z.index(j) for j in left)
-    ]
-
-
 def verify_regular_closed_forms(
     max_n: int = 7,
     cache: KLCache | None = None,
@@ -213,24 +190,22 @@ def verify_regular_closed_forms(
     requirement that every strict-interior element of each interval has
     polynomial 1 against the top.
 
-    The interior check queries only the interior z that are maxima of
-    their double cosets under the descents of the top: every interior z
-    raises to one of them, or to the top, with the same polynomial.  A
-    failure names the shortest such z whose polynomial is not 1, the
+    Both read one pass over the double-coset maxima of the interval (see
+    :func:`klpoly.kl._maxima_column`): the first, the raised bottom, is
+    held to the closed form and every later one to 1.  A failure names
+    the shortest interior maximum whose polynomial is not 1, the
     lexicographically first among those of its length.
     """
 
     def evaluate(case: tuple[str, int, int], c: KLCache) -> Failure | None:
         pair, k, m = case
         bottom, top = family_pair(pair, k, m)
+        column = _maxima_column(bottom, top, c)
         expected = closed_form_regular(pair, k, m)
-        actual = kl_polynomial(bottom, top, c)
+        _, actual = next(column)
         if actual != expected:
             return Failure(f"{pair}-pair k={k} m={m}", str(expected), str(actual))
-        for z in _double_coset_maxima(bottom, top):
-            if z == bottom or z == top:
-                continue
-            p = kl_polynomial(z, top, c)
+        for z, p in column:
             if p != ONE:
                 return Failure(
                     f"{pair}-pair k={k} m={m} interior z={format_perm(z)}",
@@ -442,18 +417,15 @@ def verify_smoothness_equivalence(
     case_cap: int | None = None,
 ) -> VerificationReport:
     """Check, for every top in S_n, that the pattern test for an
-    all-ones column agrees with direct computation of the column.  The
-    column is read at the double-coset maxima of [e, w] only, which
-    carry all of its values."""
+    all-ones column agrees with direct computation of the column, read
+    through :func:`klpoly.kl._maxima_column` up to its first P != 1."""
     if not (2 <= n <= 6):
         raise ValueError(f"n must be between 2 and 6, got {n}")
     e = identity(n)
 
     def evaluate(w: Perm, c: KLCache) -> Failure | None:
         by_pattern = is_smooth_top(w)
-        by_column = all(
-            kl_polynomial(z, w, c) == ONE for z in _double_coset_maxima(e, w)
-        )
+        by_column = all(p == ONE for _, p in _maxima_column(e, w, c))
         if by_pattern != by_column:
             return Failure(
                 f"w={format_perm(w)}",

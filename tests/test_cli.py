@@ -235,6 +235,42 @@ def test_verify_rejects_a_case_count_below_one(capsys, argv):
     assert err == f"error: --cases must be >= 1, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("regular", "--n", "1"), "--n"),
+        (("inverse", "--n", "0"), "--n"),
+        (("inversion", "--n", "1"), "--n"),
+        (("smoothness", "--n", "-3"), "--n"),
+        (("coatom-bound", "--kmax", "1"), "--kmax"),
+    ],
+    ids=["regular", "inverse", "inversion", "smoothness", "coatom-bound"],
+)
+def test_verify_rejects_a_size_below_two(capsys, argv, flag):
+    # Every batch's floor is 2; the message names the flag.
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be >= 2, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kl", "12", "21", "--max-cache-entries", "0"),
+        ("inv-kl", "12", "21", "--max-cache-entries", "-1"),
+        ("mu", "12", "21", "--max-cache-entries", "0"),
+        ("verify", "regular", "--n", "4", "--max-cache-entries", "0"),
+    ],
+    ids=["kl", "inv-kl", "mu", "verify"],
+)
+def test_cache_bound_below_one_names_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-cache-entries must be >= 1, got {argv[-1]}\n"
+
+
 def test_verify_inversion_above_six_asks_for_cases(capsys):
     code, out, err = run(capsys, "verify", "inversion", "--n", "7")
     assert code == 2

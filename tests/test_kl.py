@@ -9,6 +9,7 @@ from klpoly.kl import (
     KLCache,
     _balanced_digits,
     _InversionRows,
+    _maxima_column,
     _raise_bottom,
     _split_descent,
     _split_gain,
@@ -35,7 +36,7 @@ from klpoly.perm import (
     swap_positions,
 )
 from klpoly.polynomial import ONE, ZERO, IntPolynomial
-from klpoly.verify import _double_coset_maxima, random_comparable_pair
+from klpoly.verify import random_comparable_pair
 from test_oracle import _leq, _perms, oracle_column
 
 ONE_PLUS_Q = IntPolynomial([1, 1])
@@ -426,6 +427,55 @@ def test_kl_column_reads_only_double_coset_maxima(monkeypatch):
         assert len(reads) == len(down_set(w))
 
 
+def test_maxima_column_is_the_raised_down_set_in_s5():
+    # The pass over [e, w] yields every double-coset maximum of the down
+    # set once, in (length, lexicographic) order, from the raised bottom
+    # to w, each with the polynomial that the unraised recursion reads.
+    e, raising, reading = identity(5), KLCache(), KLCache(raise_bottoms=False)
+    for w in all_perms(5):
+        right, left = right_descents(w), left_descents(w)
+        maxima = sorted(
+            (z for z in down_set(w) if _raise_bottom(z, right, left) == z),
+            key=lambda z: (length(z), z),
+        )
+        column = list(_maxima_column(e, w, raising))
+        assert [z for z, _ in column] == maxima
+        assert column[0][0] == _raise_bottom(e, right, left)
+        assert column[-1] == (w, ONE)
+        for z, p in column:
+            assert p == kl_polynomial(z, w, reading)
+
+
+def test_maxima_column_reads_each_polynomial_when_asked(monkeypatch):
+    # Nothing is read before the first pair is asked for, and each pair
+    # reads its own polynomial only, so a caller that stops early reads
+    # no more of the column.
+    import klpoly.kl
+
+    reads, depth = [], [0]
+    real = klpoly.kl._kl
+
+    def recording(x, w, cache):
+        if not depth[0]:
+            reads.append(x)
+        depth[0] += 1
+        try:
+            return real(x, w, cache)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(klpoly.kl, "_kl", recording)
+    w = (4, 5, 3, 1, 2)
+    column = _maxima_column(identity(5), w, KLCache())
+    assert reads == []
+    first = next(column)
+    assert reads == [first[0]]
+    second = next(column)
+    assert reads == [first[0], second[0]]
+    rest = list(column)
+    assert reads == [z for z, _ in [first, second, *rest]]
+
+
 def test_kl_column_rejects_layers_of_another_top():
     layers = interval((1, 2, 3), (3, 2, 1)).layers
     with pytest.raises(ValueError, match="must start at it"):
@@ -555,11 +605,8 @@ def test_smooth_counts_match_oeis_a032351():
     # All-ones columns, read at the double-coset maxima (which carry
     # every value of the column), with a cold cache per top.
     def all_ones(w):
-        cache = KLCache()
-        return all(
-            kl_polynomial(z, w, cache) == ONE
-            for z in _double_coset_maxima(identity(len(w)), w)
-        )
+        column = _maxima_column(identity(len(w)), w, KLCache())
+        return all(p == ONE for _, p in column)
 
     by_column = [sum(map(all_ones, all_perms(n))) for n in range(1, 7)]
     assert by_column == SMOOTH_COUNTS[:6]

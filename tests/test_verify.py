@@ -2,13 +2,21 @@ import json
 
 import pytest
 
-from klpoly.bruhat import bruhat_leq, interval
-from klpoly.families import _family_cases, closed_form_regular, family_pair
+from klpoly.bruhat import bruhat_leq, covers_up, interval
+from klpoly.families import (
+    _family_cases,
+    closed_form_inverse,
+    closed_form_regular,
+    family_pair,
+)
 from klpoly.kl import (
     KLCache,
+    _maxima_column,
     _raise_bottom,
     active_positions,
     check_inversion_identity,
+    flatten_pair,
+    inverse_kl,
     kl_column,
     kl_polynomial,
 )
@@ -24,7 +32,6 @@ from klpoly.polynomial import ONE, IntPolynomial
 from klpoly.verify import (
     Failure,
     VerificationReport,
-    _double_coset_maxima,
     _down_sets,
     random_comparable_pair,
     verify_coatom_bound,
@@ -121,7 +128,7 @@ def test_interior_check_fails_exactly_where_the_full_loop_does(family, which):
     # maximum whose polynomial is not 1.  (The x-pairs have no interior
     # maxima: every interior z raises to the top.)
     bottom, top = family_pair(*family)
-    maxima = _double_coset_maxima(bottom, top)
+    maxima = [z for z, _ in _maxima_column(bottom, top, KLCache())]
     assert maxima[0] == bottom
     seeds = {
         "bottom": [bottom],
@@ -146,13 +153,14 @@ def test_interior_check_fails_exactly_where_the_full_loop_does(family, which):
 def test_double_coset_maxima_are_the_raised_interval(n):
     # Raising every z of [x, w] through the descents of w lands exactly
     # on the listed maxima, so they carry every value of the column.
+    cache = KLCache()
     for w in all_perms(n):
         right, left = right_descents(w), left_descents(w)
         bottoms = all_perms(n) if n == 4 else [identity(n)]
         for x in bottoms:
             if not bruhat_leq(x, w):
                 continue
-            maxima = _double_coset_maxima(x, w)
+            maxima = [z for z, _ in _maxima_column(x, w, cache)]
             assert maxima == sorted(maxima, key=lambda z: (length(z), z))
             raised = {_raise_bottom(z, right, left) for z in interval(x, w).elements}
             assert set(maxima) == raised
@@ -340,7 +348,7 @@ def test_inversion_batch_fails_where_the_check_does_with_raising_on(m, w, error)
     # double-coset maxima and fills the rest through coset moves.  A wrong
     # entry at a maximum must reach its whole coset, in the batch as in
     # the one-pair check, which reads every z of [x, w] from the cache.
-    assert m in _double_coset_maxima(identity(4), w)
+    assert m in [z for z, _ in _maxima_column(identity(4), w, KLCache())]
 
     def seeded():
         cache = KLCache()
@@ -458,6 +466,60 @@ def test_inversion_rejects_unbounded_exhaustive_run():
         verify_inversion_identity_batch(5, samples=0)
     with pytest.raises(ValueError):
         verify_inversion_identity_batch(1)
+
+
+def test_one_pass_reads_the_same_polynomials():
+    # The checks stop reading a top's pass at the first polynomial that
+    # fails them, so the pass must read lazily.  Reading every maximum of
+    # every top instead takes smoothness at S_6 to 164 misses and 1,183
+    # hits.
+    cache = KLCache()
+    assert verify_smoothness_equivalence(6, cache).passed
+    assert (cache.misses, cache.hits) == (106, 420)
+    cache = KLCache()
+    assert verify_regular_closed_forms(14, cache).passed
+    assert (cache.hits, cache.misses, len(cache.memo)) == (130, 132, 345)
+
+
+def test_maximal_singular_points_of_s5_are_family_pairs():
+    # The paper's hypothesis: x is maximal in the singular locus of X_w.
+    # A singular z (P(z, w) != 1) is maximal when every u covering z with
+    # u <= w has P(u, w) = 1.  The singular locus is closed downward and
+    # stable under the parabolic actions of w's descents, so its maximal
+    # points are double-coset maxima, which the pass over [e, w] yields.
+    cache = KLCache()
+    e = identity(5)
+    maximal = [
+        (z, w)
+        for w in all_perms(5)
+        for z, p in _maxima_column(e, w, cache)
+        if p != ONE
+        and all(
+            kl_polynomial(u, w, cache) == ONE
+            for u in covers_up(z)
+            if bruhat_leq(u, w)
+        )
+    ]
+    assert len({w for _, w in maximal}) == 32
+    assert len(maximal) == 41
+    rows = {family_pair(*case): case for case in _family_cases(5)}
+    kinds = []
+    outside = []
+    for z, w in maximal:
+        case = rows.get(flatten_pair(z, w))
+        if case is None:
+            outside.append((z, w))
+            continue
+        kinds.append(case[0])
+        assert kl_polynomial(z, w, cache) == closed_form_regular(*case)
+        assert inverse_kl(z, w, cache) == closed_form_inverse(*case)
+    assert (kinds.count("x"), kinds.count("y")) == (20, 20)
+    # The one pair outside both families: (y_2, v_2), P = 1 + q^2.
+    y2, v2 = (1, 4, 3, 2, 5), (4, 5, 3, 1, 2)
+    assert outside == [(y2, v2)]
+    assert flatten_pair(y2, v2) == (y2, v2)
+    assert kl_polynomial(y2, v2, cache) == IntPolynomial([1, 0, 1])
+    assert inverse_kl(y2, v2, cache) == IntPolynomial([1, 2, 1])
 
 
 def test_smoothness_small():
