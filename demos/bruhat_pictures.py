@@ -9,13 +9,13 @@ counts up to interval enumeration and the grid pictures.
 """
 
 from klpoly import (
+    RankDifferenceTable,
     bruhat_leq,
     coatom_count,
-    down_set,
     format_interval,
+    identity,
     interval,
     rank_count,
-    rank_difference,
     render_picture,
 )
 
@@ -28,7 +28,7 @@ print("r_w(3, 4) =", rank_count(w, 3, 4))
 # Subtracting tables for two permutations of the same size gives the
 # rank-difference table.  Nonnegative everywhere means comparable.
 x = (3, 1, 5, 2, 4, 6)
-table = rank_difference(x, w)
+table = RankDifferenceTable(x, w)
 print("min entry of the difference table:", table.min_entry())
 print("so x <= w is", bruhat_leq(x, w))
 
@@ -38,12 +38,12 @@ a, b = (3, 4, 1, 2), (4, 2, 3, 1)
 print("3412 <= 4231:", bruhat_leq(a, b))
 print("4231 <= 3412:", bruhat_leq(b, a))
 
-# Everything below a fixed top, gathered by breadth-first descent
-# through covers.  Of the 24 elements of S_4, only four fail to sit
-# below 4231: the two other elements of its length, the longest
-# element, and the incomparable 3412.  Its down-set therefore has 20
-# elements counting 4231 itself.
-print("elements below 4231:", len(down_set(b)))
+# Everything below a fixed top is the interval from the identity,
+# walked down through covers a length at a time.  Of the 24 elements of
+# S_4, only four fail to sit below 4231: the two other elements of its
+# length, the longest element, and the incomparable 3412.  Its down-set
+# therefore has 20 elements counting 4231 itself.
+print("elements below 4231:", len(interval(identity(4), b)))
 
 # An interval [x, w] is the slice of the order between two comparable
 # elements, listed bottom to top.

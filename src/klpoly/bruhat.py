@@ -22,22 +22,24 @@ table, and the recursion of :mod:`klpoly.kl` reads one only through
 :func:`_leq_and_active`, which answers whether x <= w and which
 positions of the pair are active.
 
-Covers, intervals and down-sets are computed combinatorially from the
-transposition description of the covering relation.  Intervals and
-down-sets come from one walker, :func:`interval`, which goes down from
-the top a length at a time and carries each element's packed
-difference.  Given a set of right descents it walks only the z that
-have all of them, the maxima of the right cosets z W_J inside the
-interval, which is all the Kazhdan-Lusztig recursion and the family
-checks need.  Nothing here is memoised: packed tables, intervals and
-down-sets are rebuilt on every call, so the module holds no state.
+Covers and intervals are computed combinatorially from the
+transposition description of the covering relation.  :func:`interval`
+is the one enumerator of Bruhat intervals: a down-set [e, w] is
+``interval(identity(n), w)``, and the coatoms of [u, v] are its layer 1
+with ``depth=1``.  It goes down from the top a length at a time and
+carries each element's packed difference.  Given a set of right
+descents it walks only the z that have all of them, the maxima of the
+right cosets z W_J inside the interval, which is all the
+Kazhdan-Lusztig recursion and the family checks need.  Nothing here is
+memoised: packed tables and intervals are rebuilt on every call, so
+the module holds no state.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .perm import Perm, _checked_pair, _w0_times, format_perm, from_oneline, identity
+from .perm import Perm, _checked_pair, _w0_times, format_perm, from_oneline
 
 
 def rank_count(w: Perm, p: int, q: int) -> int:
@@ -109,8 +111,10 @@ class RankDifferenceTable(_Record):
     """Cellwise difference r_w - r_x for a pair of permutations, each
     cell counted when it is read.
 
-    The pair need not be comparable; the table is what decides that.
-    Raises ValueError unless x and w are permutations of the same size.
+    The pair need not be comparable; the table is what decides that:
+    x <= w exactly when ``min_entry()`` is not negative.  It is the
+    cell-by-cell reference for :func:`bruhat_leq`.  Raises ValueError
+    unless x and w are permutations of the same size.
     """
 
     __slots__ = __match_args__ = ("x", "w")
@@ -128,17 +132,6 @@ class RankDifferenceTable(_Record):
     def min_entry(self) -> int:
         cells = range(1, len(self.x) + 1)
         return min(self.entry(p, q) for p in cells for q in cells)
-
-    def is_nonnegative(self) -> bool:
-        return bruhat_leq(self.x, self.w)
-
-
-def rank_difference(x: Perm, w: Perm) -> RankDifferenceTable:
-    """The difference table r_w - r_x.
-
-    Raises ValueError unless x and w are permutations of the same size.
-    """
-    return RankDifferenceTable(x=x, w=w)
 
 
 def _ones(fields: int, width: int) -> int:
@@ -240,19 +233,6 @@ def covers_up(w: Perm) -> list[Perm]:
     [(3, 1, 2), (2, 3, 1)]
     """
     return [_w0_times(z) for z in covers_down(_w0_times(from_oneline(w)))]
-
-
-def down_set(w: Perm) -> tuple[Perm, ...]:
-    """Every permutation <= w, ordered by (length, lexicographic).
-
-    This is the walk of :func:`interval` from the identity, so it is
-    recomputed on every call.
-
-    >>> down_set((2, 3, 1))
-    ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1))
-    """
-    w = from_oneline(w)
-    return tuple(interval(identity(len(w)), w).sorted_elements())
 
 
 class BruhatInterval(_Record):
@@ -438,19 +418,19 @@ def format_interval(iv: BruhatInterval) -> str:
 
 
 def coatom_count(u: Perm, v: Perm) -> int:
-    """Number of elements covered by v inside the interval [u, v].
+    """Number of elements covered by v inside the interval [u, v]:
+    layer 1 of its walk.
+
+    Raises ValueError unless u and v are permutations of the same size
+    with u < v.
 
     >>> coatom_count((1, 2, 3), (3, 2, 1))
     2
     """
     u, v = _checked_pair(u, v)
-    if not bruhat_leq(u, v):
-        raise ValueError(
-            f"not a valid interval: {format_perm(u)} is not <= {format_perm(v)}"
-        )
     if u == v:
         raise ValueError("coatoms are undefined for a one-point interval")
-    return sum(1 for z in covers_down(v) if bruhat_leq(u, z))
+    return len(interval(u, v, (), 1).layers[1])
 
 
 # Glyphs for the text rendering of a pair of permutations on the n x n
@@ -477,7 +457,7 @@ def render_picture(x: Perm, w: Perm) -> str:
     ●▒
     ○●
     """
-    table = rank_difference(x, w)
+    table = RankDifferenceTable(x, w)
     x, w = table.x, table.w
     n = len(x)
     grid = [[_EMPTY] * n for _ in range(n)]

@@ -8,12 +8,14 @@ are written as "kind:k,m", e.g. "x:2,3".
 
 Exit codes: 0 on success, 1 when a mathematical check reports a
 failure (a verify run with failures, or a lemma whose sides differ),
-2 on usage or parse errors.
+2 on usage or parse errors, 141 (128 + SIGPIPE) when the reader of
+standard output closed it before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable
 
@@ -34,6 +36,7 @@ from .families import (
 from .kl import KLCache, inverse_kl, is_smooth_top, kl_polynomial, mu
 from .perm import Perm, _checked_pair, format_perm, parse_perm
 from .verify import (
+    _EXHAUSTIVE_MAX_N,
     VerificationReport,
     verify_coatom_bound,
     verify_inverse_closed_forms,
@@ -135,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cases",
         type=int,
-        help="cap the number of cases; for `inversion` with n > 6 this is "
-        "the sample count",
+        help="cap the number of cases; for `inversion` with n > "
+        f"{_EXHAUSTIVE_MAX_N} this is the sample count",
     )
     add_json(p)
     add_cache(p)
@@ -178,14 +181,18 @@ def _run_verify(args: argparse.Namespace) -> VerificationReport:
     size = getattr(args, size_flag)
     if size is not None and size < 2:
         raise ValueError(f"--{size_flag} must be >= 2, got {size}")
+    if args.name == "smoothness" and (size or 0) > _EXHAUSTIVE_MAX_N:
+        raise ValueError(
+            f"--n must be between 2 and {_EXHAUSTIVE_MAX_N}, got {size}"
+        )
     if args.cases is not None and args.cases < 1:
         raise ValueError(f"--cases must be >= 1, got {args.cases}")
     kwargs = {"cache": _make_cache(args), "case_cap": args.cases}
     if size is not None:
         kwargs[size_keyword] = size
-    # Above n = 6 the inversion check samples, with --cases as the sample
-    # count; no other run reads --seed.
-    if args.name == "inversion" and (size or 0) > 6:
+    # Above the exhaustive ceiling the inversion check samples, with
+    # --cases as the sample count; no other run reads --seed.
+    if args.name == "inversion" and (size or 0) > _EXHAUSTIVE_MAX_N:
         if args.cases is None:
             raise ValueError(
                 f"verify inversion --n {size} samples; pass --cases, the sample count"
@@ -202,10 +209,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        # Flushed here, so that a closed pipe raises below and not at exit.
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; pointing it at
+        # devnull keeps that flush from raising too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def _pair(args: argparse.Namespace) -> tuple[Perm, Perm]:

@@ -383,6 +383,11 @@ def kl_column(
     maxima of the double cosets of w's descents, and any z whose
     neighbour is not in the layer above, are read from the cache.
 
+    It has three readers: the one-pair check
+    :func:`check_inversion_identity`, the exhaustive batch of
+    :func:`klpoly.verify.verify_inversion_identity_batch`, and
+    :func:`klpoly.families.inverse_kl_from_interval_sum`.
+
     >>> [{format_perm(z): str(p) for z, p in layer.items()}
     ...  for layer in kl_column((2, 3, 1))]
     [{'2,3,1': '1'}, {'1,3,2': '1', '2,1,3': '1'}, {'1,2,3': '1'}]
@@ -631,8 +636,7 @@ def check_inversion_identity(
     x, w = _checked_pair(x, w)
     if cache is None:
         cache = KLCache()
-    layers = interval(x, w).layers
-    column = [{z: _kl(z, w, cache) for z in layer} for layer in layers]
+    column = kl_column(w, cache, interval(x, w).layers)
     w0x = _w0_times(x)
     rows = _InversionRows(column, lambda z: {0: _kl(_w0_times(z), w0x, cache)})
     failed = rows.failures(column, 0 if x == w else None)

@@ -147,13 +147,6 @@ def length(w: Perm) -> int:
     return total
 
 
-def descent_indicator(x: Perm, i: int) -> int:
-    """1 if x has a descent at position i (x(i) > x(i+1)), else 0."""
-    if not (1 <= i <= len(x) - 1):
-        raise ValueError(f"need 1 <= i <= {len(x) - 1}, got {i}")
-    return 1 if x[i - 1] > x[i] else 0
-
-
 def right_descents(w: Perm) -> tuple[int, ...]:
     """Positions i with w(i) > w(i+1), in increasing order.
 

@@ -38,17 +38,6 @@ class IntPolynomial:
             stripped.pop()
         self._coeffs = tuple(stripped)
 
-    @classmethod
-    def constant(cls, value: int) -> "IntPolynomial":
-        return cls((value,))
-
-    @classmethod
-    def q_power(cls, exponent: int) -> "IntPolynomial":
-        """The monomial q**exponent."""
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
-        return cls((0,) * exponent + (1,))
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Coefficients from degree 0 upward, trailing zeros trimmed."""
@@ -65,10 +54,6 @@ class IntPolynomial:
             return self._coeffs[k]
         return 0
 
-    @property
-    def constant_term(self) -> int:
-        return self.coefficient(0)
-
     def evaluate(self, q: int) -> int:
         """The integer value at an integer q.
 
@@ -79,9 +64,6 @@ class IntPolynomial:
         for c in reversed(self._coeffs):
             value = value * q + c
         return value
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

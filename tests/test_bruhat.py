@@ -7,12 +7,10 @@ from klpoly.bruhat import (
     coatom_count,
     covers_down,
     covers_up,
-    down_set,
     format_interval,
     interval,
     RankDifferenceTable,
     rank_count,
-    rank_difference,
     render_picture,
 )
 from klpoly.perm import (
@@ -104,28 +102,28 @@ def test_rank_count_matches_naive_exhaustively():
 
 def test_rank_difference_examples():
     w = (3, 1, 4, 2)
-    same = rank_difference(w, w)
+    same = RankDifferenceTable(w, w)
     assert all(same.entry(p, q) == 0 for p in range(1, 5) for q in range(1, 5))
 
-    table = rank_difference(identity(2), (2, 1))
+    table = RankDifferenceTable(identity(2), (2, 1))
     assert table.entry(1, 2) == 1
     assert sum(table.entry(p, q) for p in (1, 2) for q in (1, 2)) == 1
 
-    fig = rank_difference((3, 1, 5, 2, 4, 6), (6, 3, 4, 2, 5, 1))
-    assert fig.is_nonnegative()
+    fig = RankDifferenceTable((3, 1, 5, 2, 4, 6), (6, 3, 4, 2, 5, 1))
+    assert fig.min_entry() >= 0
     assert fig.min_entry() == 0
 
 
 def test_rank_difference_size_mismatch():
     with pytest.raises(ValueError):
-        rank_difference((1, 2), (1, 2, 3))
+        RankDifferenceTable((1, 2), (1, 2, 3))
 
 
 def test_rank_difference_matches_naive_on_s4():
     cells = range(1, 5)
     for x in all_perms(4):
         for w in all_perms(4):
-            table = rank_difference(x, w)
+            table = RankDifferenceTable(x, w)
             naive = {
                 (p, q): naive_rank(w, p, q) - naive_rank(x, p, q)
                 for p in cells
@@ -134,7 +132,7 @@ def test_rank_difference_matches_naive_on_s4():
             for (p, q), d in naive.items():
                 assert table.entry(p, q) == d
             assert table.min_entry() == min(naive.values())
-            assert table.is_nonnegative() == naive_leq(x, w)
+            assert (table.min_entry() >= 0) == naive_leq(x, w)
             shaded = {
                 (p, q)
                 for p, row in enumerate(render_picture(x, w).split("\n"), 1)
@@ -151,11 +149,10 @@ NON_PERMUTATION = (1, 1, 3)
     "call",
     [
         lambda bad: rank_count(bad, 1, 1),
-        lambda bad: rank_difference(bad, (3, 2, 1)),
+        lambda bad: RankDifferenceTable(bad, (3, 2, 1)),
         lambda bad: render_picture((1, 2, 3), bad),
         lambda bad: coatom_count(bad, (3, 2, 1)),
         covers_up,
-        down_set,
     ],
     ids=[
         "rank_count",
@@ -163,7 +160,6 @@ NON_PERMUTATION = (1, 1, 3)
         "render_picture",
         "coatom_count",
         "covers_up",
-        "down_set",
     ],
 )
 def test_public_functions_reject_non_permutations(call):
@@ -178,12 +174,12 @@ def test_rank_difference_table_checks_its_pair_on_construction():
         RankDifferenceTable((1, 2), (2, 1, 3))
     table = RankDifferenceTable([2, 1, 3], [3, 2, 1])
     assert (table.x, table.w) == ((2, 1, 3), (3, 2, 1))
-    assert table.is_nonnegative()
+    assert table.min_entry() >= 0
 
 
 @pytest.mark.parametrize(
     "call",
-    [lambda x, w: rank_difference(x, w).min_entry(), render_picture],
+    [lambda x, w: RankDifferenceTable(x, w).min_entry(), render_picture],
     ids=["rank_difference", "render_picture"],
 )
 def test_rank_tables_check_each_argument_once(call, monkeypatch):
@@ -318,10 +314,12 @@ def test_covers_change_length_by_one():
 
 
 def test_down_set_counts():
-    assert len(down_set(longest_element(4))) == 24
-    assert down_set(identity(5)) == (identity(5),)
+    assert len(interval(identity(4), longest_element(4))) == 24
+    assert interval(identity(5), identity(5)).sorted_elements() == [identity(5)]
     for w in all_perms(4):
-        assert set(down_set(w)) == {z for z in all_perms(4) if naive_leq(z, w)}
+        assert set(interval(identity(4), w).sorted_elements()) == {
+            z for z in all_perms(4) if naive_leq(z, w)
+        }
 
 
 def test_interval_trivial_cases():
@@ -544,6 +542,22 @@ def test_coatom_count_positive_for_proper_intervals():
         for x in all_perms(4):
             if x != w and bruhat_leq(x, w):
                 assert coatom_count(x, w) >= 1
+
+
+def test_coatom_count_matches_naive_covers_on_s5():
+    # Every comparable pair u < v of S_5 against the z one length below v
+    # with u <= z <= v, all by naive ranks; 3,661 pairs.
+    perms = list(all_perms(5))
+    lengths = {z: tableau_length(z) for z in perms}
+    below = {v: {z for z in perms if naive_leq(z, v)} for v in perms}
+    pairs = 0
+    for v in perms:
+        coatoms = [z for z in below[v] if lengths[z] == lengths[v] - 1]
+        for u in below[v] - {v}:
+            expected = sum(1 for z in coatoms if u in below[z])
+            assert coatom_count(u, v) == expected, (u, v)
+            pairs += 1
+    assert pairs == 3661
 
 
 def test_coatom_count_rejects_bad_input():

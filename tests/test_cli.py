@@ -271,6 +271,15 @@ def test_cache_bound_below_one_names_the_flag(capsys, argv):
     assert err == f"error: --max-cache-entries must be >= 1, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("size", ["7", "12"])
+def test_verify_smoothness_rejects_a_size_above_its_ceiling(capsys, size):
+    # The exhaustive ceiling is the library's; the message names the flag.
+    code, out, err = run(capsys, "verify", "smoothness", "--n", size)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --n must be between 2 and 6, got {size}\n"
+
+
 def test_verify_inversion_above_six_asks_for_cases(capsys):
     code, out, err = run(capsys, "verify", "inversion", "--n", "7")
     assert code == 2
@@ -314,12 +323,18 @@ def test_verify_rejects_a_seed_the_batch_does_not_read(capsys, argv):
     assert "--seed" in err
 
 
-def test_python_dash_m_runs_the_cli():
+def _subprocess_env():
+    """The environment with src first on PYTHONPATH, for ``python -m``."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     if env.get("PYTHONPATH"):
         src += os.pathsep + env["PYTHONPATH"]
     env["PYTHONPATH"] = src
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
+    env = _subprocess_env()
     for argv, code, out in ((["kl", "2143", "4231"], 0, "1 + q\n"),
                             (["kl", "21", "321"], 2, "")):
         proc = subprocess.run(
@@ -330,6 +345,28 @@ def test_python_dash_m_runs_the_cli():
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_pipe_exits_quietly(unbuffered):
+    # A reader that closes the pipe before the output is written stops
+    # the writer as SIGPIPE would (128 + 13), with no traceback.
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "klpoly", "kl", "12", "21"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141, err
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
 
 
 def test_size_mismatch_is_a_usage_error(capsys):

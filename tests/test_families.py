@@ -150,8 +150,8 @@ def test_closed_forms_have_constant_term_one():
     for pair in _FAMILIES:
         for k in range(1, 9):
             for m in range(1, 9):
-                assert closed_form_regular(pair, k, m).constant_term == 1
-                assert closed_form_inverse(pair, k, m).constant_term == 1
+                assert closed_form_regular(pair, k, m).coefficient(0) == 1
+                assert closed_form_inverse(pair, k, m).coefficient(0) == 1
 
 
 # Every (pair kind, member kind) of the family table, bottom member first.

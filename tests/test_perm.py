@@ -6,7 +6,6 @@ from klpoly.perm import (
     all_perms,
     avoids_pattern,
     compose,
-    descent_indicator,
     find_pattern_instance,
     flatten,
     format_perm,
@@ -150,16 +149,17 @@ def test_adjacent_swap_changes_length_by_one():
         moved = swap_positions(w, i, i + 1)
         diff = length(moved) - length(w)
         assert abs(diff) == 1
-        assert (diff == -1) == (descent_indicator(w, i) == 1)
+        assert (diff == -1) == (w[i - 1] > w[i])
 
 
 def test_descent_indicator():
-    assert descent_indicator((2, 1), 1) == 1
-    assert descent_indicator(identity(5), 3) == 0
-    assert descent_indicator((3, 1, 2), 1) == 1
-    assert descent_indicator((3, 1, 2), 2) == 0
-    with pytest.raises(ValueError):
-        descent_indicator((2, 1), 2)
+    # A descent at position i is w(i) > w(i + 1); right_descents lists
+    # them, and only positions 1..n-1.
+    assert 1 in right_descents((2, 1))
+    assert 3 not in right_descents(identity(5))
+    assert 1 in right_descents((3, 1, 2))
+    assert 2 not in right_descents((3, 1, 2))
+    assert right_descents((2, 1)) == (1,)
 
 
 def test_descent_sets():

@@ -298,7 +298,7 @@ def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
 
 @pytest.mark.parametrize(
     "error",
-    [ONE, IntPolynomial.q_power(8), IntPolynomial([1 << 16, -1])],
+    [ONE, ONE.shift(8), IntPolynomial([1 << 16, -1])],
     ids=["plus-1", "plus-q8", "plus-2^16-q"],
 )
 @pytest.mark.parametrize("z", [(1, 2, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4)])
@@ -335,7 +335,7 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
 
 @pytest.mark.parametrize(
     "error",
-    [ONE, IntPolynomial.q_power(8), IntPolynomial([1 << 16, -1])],
+    [ONE, ONE.shift(8), IntPolynomial([1 << 16, -1])],
     ids=["plus-1", "plus-q8", "plus-2^16-q"],
 )
 @pytest.mark.parametrize(
@@ -366,7 +366,7 @@ def test_inversion_batch_fails_where_the_check_does_with_raising_on(m, w, error)
 
 
 @pytest.mark.parametrize(
-    "error", [ONE, IntPolynomial.q_power(8)], ids=["plus-1", "plus-q8"]
+    "error", [ONE, ONE.shift(8)], ids=["plus-1", "plus-q8"]
 )
 @pytest.mark.parametrize("z", [(1, 2, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4)])
 def test_capped_inversion_batch_fails_exactly_where_the_check_does(z, error):
