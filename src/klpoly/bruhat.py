@@ -18,9 +18,10 @@ x <= w exactly when the high bit of every field survives:
 itself a packed table, and the walk of :func:`interval` tests and
 updates it with a few whole-table operations per cover.  This module
 alone knows that layout: :func:`_offset_difference` builds every packed
-table, and the recursion of :mod:`klpoly.kl` reads one only through
-:func:`_leq_and_active`, which answers whether x <= w and which
-positions of the pair are active.
+table.  The recursion of :mod:`klpoly.kl` reads one only through
+:func:`bruhat_leq`, and only on a miss, for a pair that is about to be
+computed; it finds the inert positions of a pair without a table, by
+:func:`_inert_values`.
 
 Covers and intervals are computed combinatorially from the
 transposition description of the covering relation.  :func:`interval`
@@ -166,19 +167,27 @@ def _offset_difference(x: Perm, w: Perm) -> tuple[int, int, int]:
     return table, high, b
 
 
-def _leq_and_active(x: Perm, w: Perm) -> tuple[bool, list[int]]:
-    """Whether x <= w, and the active positions of the pair counted from
-    0 (see :func:`klpoly.kl.active_positions`), both read off one
-    packed R_w - R_x + H.  The pair need not be comparable."""
-    table, high, b = _offset_difference(x, w)
-    n = len(x)
-    half = 1 << (b - 1)
-    field = (1 << b) - 1
-    # Cell (p + 1, x(p + 1)) is field p n + x(p + 1) - 1.
-    return table & high == high, [
-        p for p, v in enumerate(x)
-        if v != w[p] or (table >> ((p * n + v - 1) * b)) & field != half
-    ]
+def _inert_values(x: Perm, w: Perm) -> int:
+    """The inert values of a pair of equal size, as a bitmask: bit a is
+    set when some position p has x(p) = w(p) = a and r_w(p, a) =
+    r_x(p, a) (see :func:`klpoly.kl.flatten_pair`); 0 when every
+    position is active.  The pair need not be comparable.
+
+    One pass keeps the sets of values seen so far in x and in w as
+    bitmasks, bit v for the value v.  The rank difference at (p, a) is
+    then the number of values >= a seen in w less the number seen in x.
+    No packed table is built.
+
+    >>> bin(_inert_values((1, 2, 4, 3), (2, 1, 4, 3)))
+    '0b11000'
+    """
+    inert = seen_x = seen_w = 0
+    for a, b in zip(x, w):
+        seen_x |= 1 << a
+        seen_w |= 1 << b
+        if a == b and (seen_w >> a).bit_count() == (seen_x >> a).bit_count():
+            inert |= 1 << a
+    return inert
 
 
 def bruhat_leq(x: Perm, w: Perm) -> bool:
@@ -186,8 +195,8 @@ def bruhat_leq(x: Perm, w: Perm) -> bool:
     (R_w + H - R_x) & H == H (see the module docstring).
 
     x and w must be permutations of the same size.  That is not
-    checked: the recursion makes the same test, through
-    :func:`_leq_and_active`, on every miss.
+    checked: the recursion makes this test on each pair it is about to
+    compute.
 
     >>> bruhat_leq((2, 1, 4, 3), (4, 2, 3, 1))
     True

@@ -70,19 +70,27 @@ only, computes a few hundred small pairs instead of tens of thousands
 of large ones.
 
 A lookup therefore raises the bottom first (when raising is on), then
-answers 1 if the raised bottom is w, then answers from the memo, and
-only on a miss compares x with w in Bruhat order.  The order is safe by
-the lifting property (Björner-Brenti, Combinatorics of Coxeter Groups,
-Prop. 2.2.7): when s is a descent of w and an ascent of x, x <= w holds
-exactly when xs <= w, on either side, so raising never turns an
-incomparable pair into a comparable one, and every memo key is a
-comparable pair.  The comparison and the flattening read one packed
-rank-difference table, which only :mod:`klpoly.bruhat` builds and
-decodes.  A pair with an inert position is answered by
-the lookup of its flattening, and the answer is kept under both keys;
-only a pair with every position active runs the recursion.  Since a
-lookup of an incomparable pair answers ZERO, the recursion looks each
-term up as the formula writes it, with no comparison of its own.
+answers 1 if the raised bottom is w, then answers from the memo.  On a
+miss it finds the inert positions with no rank table (see
+:func:`klpoly.bruhat._inert_values`), and a pair that has one is
+answered by the lookup of its flattening.  Only a pair with every
+position active is compared with w in Bruhat order, and runs the
+recursion when it lies below w.  The order is exact on both counts.
+By the lifting property (Björner-Brenti, Combinatorics of Coxeter
+Groups, Prop. 2.2.7), when s is a descent of w and an ascent of x,
+x <= w holds exactly when xs <= w, on either side, so raising never
+turns an incomparable pair into a comparable one.  Deleting any point
+(p, a) shared by x and w keeps whether x <= w, inert or not: row p of
+r_w - r_x equals row p - 1 (row 0 is zero), since x(p) = w(p), and
+column a equals column a + 1 (column n + 1 is zero), since the value a
+sits at p in both; the other cells keep their differences.  So
+deleting the point deletes a row and a column that copy a row and a
+column the table keeps, or copy zeros, which the table keeps too, in
+its last row: the smallest cell keeps its sign.  Every memo key is
+thus a raised, comparable pair with every position active, stored when
+it is computed, and nothing else is stored.  Since a lookup of an
+incomparable pair answers ZERO, the recursion looks each term up as
+the formula writes it, with no comparison of its own.
 """
 
 from __future__ import annotations
@@ -91,7 +99,7 @@ from itertools import repeat
 from operator import lshift, mul
 from collections.abc import Callable, Iterator, Mapping, Sequence
 
-from .bruhat import _leq_and_active, bruhat_leq, covers_down, interval
+from .bruhat import _inert_values, bruhat_leq, covers_down, interval
 from .perm import (
     Perm,
     _checked_pair,
@@ -117,30 +125,33 @@ _Top = tuple[tuple[int, ...], tuple[int, ...]]
 class KLCache:
     """Shared state for the polynomial recursion.
 
-    memo maps (bottom, top) pairs to finished polynomials; every key in
-    it is a comparable pair.  A pair with every position active (see
-    :func:`active_positions`) is stored when the recursion computes it.
-    A pair with an inert position is stored with the polynomial of its
-    flattening, which is stored too.  tops holds one record per top w,
-    built the first time the cache sees w: its right and left descents.
-    The descent the recursion splits on, the first right descent i whose
-    w s_i keeps the most descents (any right descent gives the same
-    polynomial), is scored from w on each miss and is not kept.
+    memo maps (bottom, top) pairs to finished polynomials: one entry per
+    polynomial the recursion computed, keyed by a raised, comparable pair
+    with every position active (see :func:`active_positions`).  A pair
+    with an inert position is answered through its flattening and is
+    not stored.  tops holds one record per top w, built the first time
+    the cache sees w: its right and left descents.  The descent the
+    recursion splits on, the first right descent i whose w s_i keeps the
+    most descents (any right descent gives the same polynomial), is
+    scored from w on each miss and is not kept.
 
     A lookup raises the bottom first (when raise_bottoms is on),
     answers 1 when the raised bottom is the top, then answers from the
-    memo, and compares the pair in Bruhat order only on a miss.  Raising
-    never changes whether x <= w (the lifting property), so the
-    comparison is needed only for a pair that is about to be computed.
-    hits counts lookups answered from the memo and misses those that
-    ran the recursion and stored a new entry.  A pair that turns out
-    incomparable answers ZERO and counts as neither, and a comparable
-    pair that flattens counts as the lookup of its flattening.
+    memo.  On a miss it flattens a pair with an inert position and looks
+    the flattening up, and it compares the pair in Bruhat order only
+    when every position is active, so only for a pair that is about to
+    be computed.  Neither raising nor flattening changes whether x <= w
+    (see the module docstring).  hits counts lookups answered from the
+    memo and misses those that ran the recursion and stored a new
+    entry.  A pair that turns out incomparable answers ZERO and counts
+    as neither, a pair that flattens counts as the lookup of its
+    flattening, and one whose raised bottom is the top answers 1 and
+    counts as neither.  On an unbounded cache ``len(memo) == misses``.
 
     When ``max_entries`` is set it bounds the memo and the top records
     alike: each drops its oldest entry once it would grow past the
-    bound.  Correctness is unaffected since evicted values are simply
-    recomputed.
+    bound, so in the memo it counts computed polynomials.  Correctness
+    is unaffected since evicted values are simply recomputed.
 
     raise_bottoms turns the bottom-raising normalisation on or off.
     """
@@ -263,16 +274,15 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
     if found is not None:
         cache.hits += 1
         return found
-    leq, kept = _leq_and_active(x, w)
-    if not leq:
-        return ZERO
     # A pair with an inert position has the polynomial of its flattening
-    # (see flatten_pair); that lookup counts the hit or miss, and its
-    # answer is kept under this key too.
-    if len(kept) < len(x):
-        found = _kl(*_restrict(x, w, kept), cache)
-        cache.store(key, found)
-        return found
+    # (see flatten_pair), and that lookup counts the hit or miss.
+    # Flattening keeps whether x <= w, so only a pair with every position
+    # active is compared, and only on its way to the recursion.
+    inert = _inert_values(x, w)
+    if inert:
+        return _kl(_drop_values(x, inert), _drop_values(w, inert), cache)
+    if not bruhat_leq(x, w):
+        return ZERO
     cache.misses += 1
 
     i = _split_descent(w, cache._top(w)[0])
@@ -643,21 +653,15 @@ def check_inversion_identity(
     return not failed
 
 
-def _restrict(x: Perm, w: Perm, kept: list[int]) -> tuple[Perm, Perm]:
-    """x and w restricted to the positions in ``kept`` and flattened.
+def _drop_values(v: Perm, inert: int) -> Perm:
+    """v without the values whose bits are set in ``inert``, each kept
+    value lowered by the number of dropped values below it.
 
-    The other positions must hold the same values in x and w, so one
-    relabelling of the values serves both.
+    >>> _drop_values((2, 1, 4, 3), 0b11000)
+    (2, 1)
     """
-    # shift[v] ends as the number of deleted values <= v.
-    shift = [1] * (len(x) + 1)
-    shift[0] = 0
-    for p in kept:
-        shift[x[p]] = 0
-    for v in range(1, len(shift)):
-        shift[v] += shift[v - 1]
-    return (tuple([x[p] - shift[x[p]] for p in kept]),
-            tuple([w[p] - shift[w[p]] for p in kept]))
+    return tuple([a - (inert & ((1 << a) - 1)).bit_count()
+                  for a in v if not inert >> a & 1])
 
 
 def active_positions(x: Perm, w: Perm) -> tuple[int, ...]:
@@ -670,7 +674,8 @@ def active_positions(x: Perm, w: Perm) -> tuple[int, ...]:
     >>> active_positions((1, 2, 3, 4), (1, 3, 2, 4))
     (2, 3)
     """
-    return tuple(p + 1 for p in _leq_and_active(*_checked_pair(x, w))[1])
+    inert = _inert_values(*_checked_pair(x, w))
+    return tuple([p for p, a in enumerate(x, 1) if not inert >> a & 1])
 
 
 def flatten_pair(x: Perm, w: Perm) -> tuple[Perm, Perm]:
@@ -701,10 +706,10 @@ def flatten_pair(x: Perm, w: Perm) -> tuple[Perm, Perm]:
     ((1,), (1,))
     """
     x, w = _checked_pair(x, w)
-    kept = _leq_and_active(x, w)[1]
-    if not kept:
+    if x == w:
         return identity(1), identity(1)
-    return _restrict(x, w, kept)
+    inert = _inert_values(x, w)
+    return _drop_values(x, inert), _drop_values(w, inert)
 
 
 def is_smooth_top(w: Perm) -> bool:

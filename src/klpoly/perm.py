@@ -153,7 +153,7 @@ def right_descents(w: Perm) -> tuple[int, ...]:
     >>> right_descents((4, 2, 3, 1))
     (1, 3)
     """
-    return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
+    return tuple([i for i in range(1, len(w)) if w[i - 1] > w[i]])
 
 
 def left_descents(w: Perm) -> tuple[int, ...]:
@@ -164,8 +164,11 @@ def left_descents(w: Perm) -> tuple[int, ...]:
     >>> left_descents((3, 1, 4, 2))
     (2,)
     """
-    pos = inverse(w)
-    return tuple(i for i in range(1, len(w)) if pos[i - 1] > pos[i])
+    # pos[v]: the position of the value v.
+    pos = [0] * (len(w) + 1)
+    for p, v in enumerate(w):
+        pos[v] = p
+    return tuple([i for i in range(1, len(w)) if pos[i] > pos[i + 1]])
 
 
 def flatten(values: Sequence[int]) -> Perm:

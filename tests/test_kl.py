@@ -565,6 +565,18 @@ def test_active_positions_match_rank_difference_on_s5():
             assert active_positions(x, w) == want
 
 
+def test_flattening_keeps_comparability_on_s5():
+    # Deleting a point shared by x and w deletes a row of r_w - r_x equal
+    # to the row above it and a column equal to the one to its right, so
+    # the sign of the smallest cell is kept, comparable or not.  The
+    # recursion relies on this: it flattens before it compares.
+    elements = list(all_perms(5))
+    for x in elements:
+        for w in elements:
+            if x != w:
+                assert bruhat_leq(*flatten_pair(x, w)) == bruhat_leq(x, w)
+
+
 def test_flatten_pair():
     assert flatten_pair((1, 3, 2, 4, 5), (3, 4, 1, 2, 5)) == (
         (1, 3, 2, 4),
@@ -629,8 +641,9 @@ def test_cold_s10_pair_and_its_symmetric_images():
     for (bottom, top), cache in zip(pairs, caches):
         p = kl_polynomial(bottom, top, cache)
         assert p.coeffs == (1, 4, 10, 17, 22, 19, 10, 3), (bottom, top)
-    # The recursion's work on the pair itself: its misses and memo keys.
-    assert (caches[0].misses, len(caches[0].memo)) == (95, 267)
+    # The recursion's work on the pair itself: its misses, one memo key
+    # each.
+    assert len(caches[0].memo) == caches[0].misses == 95
 
 
 def test_s4_has_exactly_two_singular_tops():
@@ -681,11 +694,10 @@ def test_each_lookup_counts_once():
         cache = KLCache()
         first = kl_polynomial(x, w, cache)
         # Every miss stores one entry, a pair with every position active,
-        # and nothing is evicted; every other entry is a pair stored with
-        # the polynomial of its flattening.
+        # and nothing is evicted or stored beside it.
         flat = [key for key in cache.memo
                 if len(active_positions(*key)) == len(key[0])]
-        assert cache.misses == len(flat)
+        assert cache.misses == len(flat) == len(cache.memo)
         size = len(cache.memo)
         hits, misses = cache.hits, cache.misses
         assert kl_polynomial(x, w, cache) == first

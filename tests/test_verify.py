@@ -173,17 +173,18 @@ def test_inverse_closed_forms_full_range():
 
 
 def test_max_entries_bounds_every_table():
-    # Unbounded, the sweep keeps 69 polynomials (30 computed, the rest
-    # stored beside their flattening) and 73 top records.
+    # Unbounded, the sweep keeps the 30 polynomials it computes and 73
+    # top records.
     full = KLCache()
     assert verify_regular_closed_forms(8, full).passed
-    assert (full.misses, len(full.memo), len(full.tops)) == (30, 69, 73)
-    cache = KLCache(max_entries=64)
+    assert len(full.memo) == full.misses == 30
+    assert len(full.tops) == 73
+    cache = KLCache(max_entries=24)
     assert verify_regular_closed_forms(8, cache).passed
     # Both tables evict, but no evicted entry is asked for again.
     assert cache.misses == 30
-    assert len(cache.memo) <= 64
-    assert len(cache.tops) <= 64
+    assert len(cache.memo) == 24
+    assert len(cache.tops) == 24
 
 
 def test_every_batch_passes_with_one_entry():
@@ -406,13 +407,29 @@ def test_exhaustive_inversion_reads_each_polynomial_once():
     cache = KLCache()
     assert verify_inversion_identity_batch(5, cache).passed
     # Each of the 12 misses stores one pair with every position active,
-    # computed once; the other 112 entries are pairs stored beside their
-    # flattening.
+    # computed once, and nothing else is stored.
     flat = [key for key in cache.memo
             if len(active_positions(*key)) == len(key[0])]
     assert cache.misses == len(flat) == 12
-    assert len(cache.memo) == 124
+    assert len(cache.memo) == cache.misses
     assert cache.hits + cache.misses < 3781
+
+
+def test_every_memo_key_is_a_raised_pair_with_every_position_active():
+    # The lookup raises, then flattens, and only then computes and
+    # stores, so the memo holds exactly the computed pairs.
+    for run in [
+        lambda c: verify_inversion_identity_batch(5, c),
+        lambda c: verify_regular_closed_forms(8, c),
+        lambda c: verify_inverse_closed_forms(12, c),
+    ]:
+        cache = KLCache()
+        assert run(cache).passed
+        assert len(cache.memo) == cache.misses > 0
+        for x, w in cache.memo:
+            right, left = cache._top(w)
+            assert _raise_bottom(x, right, left) == x
+            assert len(active_positions(x, w)) == len(x)
 
 
 def test_exhaustive_inversion_on_s6():
@@ -423,7 +440,7 @@ def test_exhaustive_inversion_on_s6():
     assert report.parameter_range == "S_6 exhaustive"
     assert report.seed is None
     assert cache.misses == 164
-    assert len(cache.memo) == 2268
+    assert len(cache.memo) == cache.misses
 
 
 def test_inversion_batch_fails_where_the_check_does_on_s6():
@@ -475,10 +492,11 @@ def test_one_pass_reads_the_same_polynomials():
     # hits.
     cache = KLCache()
     assert verify_smoothness_equivalence(6, cache).passed
-    assert (cache.misses, cache.hits) == (106, 420)
+    assert (cache.misses, cache.hits) == (106, 415)
     cache = KLCache()
     assert verify_regular_closed_forms(14, cache).passed
-    assert (cache.hits, cache.misses, len(cache.memo)) == (130, 132, 345)
+    assert (cache.hits, cache.misses) == (130, 132)
+    assert len(cache.memo) == cache.misses
 
 
 def test_maximal_singular_points_of_s5_are_family_pairs():
