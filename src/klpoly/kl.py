@@ -60,18 +60,17 @@ First, P(x, w) only depends on x through the best representative of
 its coset under the descents of w: whenever ws < w and xs > x we have
 P(x, w) = P(xs, w), and likewise on the left.  Raising the bottom
 through such ascents before memoisation collapses many queries onto
-one cache entry and shortens the recursion; the ``raise_bottoms`` flag
-of the cache controls it and is on by default.  Second, a pair keeps
-its polynomial when the positions where x and w agree with no rank
-difference are deleted and the rest flattened (see
-:func:`flatten_pair`).  The recursion applies this to every pair it
-computes, so a frontier sweep, whose pairs differ on a few positions
-only, computes a few hundred small pairs instead of tens of thousands
-of large ones.
+one cache entry and shortens the recursion, so every lookup raises its
+bottom.  Second, a pair keeps its polynomial when the positions where
+x and w agree with no rank difference are deleted and the rest
+flattened (see :func:`flatten_pair`).  The recursion applies this to
+every pair it computes, so a frontier sweep, whose pairs differ on a
+few positions only, computes a few hundred small pairs instead of tens
+of thousands of large ones.
 
-A lookup therefore raises the bottom first (when raising is on), then
-answers 1 if the raised bottom is w, then answers from the memo.  On a
-miss it finds the inert positions with no rank table (see
+A lookup therefore raises the bottom first, then answers 1 if the
+raised bottom is w, then answers from the memo.  On a miss it finds the
+inert positions with no rank table (see
 :func:`klpoly.bruhat._inert_values`), and a pair that has one is
 answered by the lookup of its flattening.  Only a pair with every
 position active is compared with w in Bruhat order, and runs the
@@ -111,7 +110,6 @@ from .perm import (
     left_descents,
     length,
     right_descents,
-    swap_positions,
 )
 from .polynomial import ONE, ZERO, IntPolynomial
 
@@ -135,39 +133,34 @@ class KLCache:
     most descents (any right descent gives the same polynomial), is
     scored from w on each miss and is not kept.
 
-    A lookup raises the bottom first (when raise_bottoms is on),
-    answers 1 when the raised bottom is the top, then answers from the
-    memo.  On a miss it flattens a pair with an inert position and looks
-    the flattening up, and it compares the pair in Bruhat order only
-    when every position is active, so only for a pair that is about to
-    be computed.  Neither raising nor flattening changes whether x <= w
-    (see the module docstring).  hits counts lookups answered from the
-    memo and misses those that ran the recursion and stored a new
-    entry.  A pair that turns out incomparable answers ZERO and counts
-    as neither, a pair that flattens counts as the lookup of its
-    flattening, and one whose raised bottom is the top answers 1 and
-    counts as neither.  On an unbounded cache ``len(memo) == misses``.
+    Every lookup raises the bottom first, answers 1 when the raised
+    bottom is the top, then answers from the memo.  On a miss it
+    flattens a pair with an inert position and looks the flattening up,
+    and it compares the pair in Bruhat order only when every position
+    is active, so only for a pair that is about to be computed.  Neither
+    raising nor flattening changes whether x <= w (see the module
+    docstring).  hits counts lookups answered from the memo and misses
+    those that ran the recursion and stored a new entry.  A pair that
+    turns out incomparable answers ZERO and counts as neither, a pair
+    that flattens counts as the lookup of its flattening, and one whose
+    raised bottom is the top answers 1 and counts as neither.  On an
+    unbounded cache ``len(memo) == misses``.
 
     When ``max_entries`` is set it bounds the memo and the top records
     alike: each drops its oldest entry once it would grow past the
     bound, so in the memo it counts computed polynomials.  Correctness
     is unaffected since evicted values are simply recomputed.
-
-    raise_bottoms turns the bottom-raising normalisation on or off.
     """
 
-    __slots__ = ("memo", "tops", "hits", "misses", "raise_bottoms", "max_entries")
+    __slots__ = ("memo", "tops", "hits", "misses", "max_entries")
 
-    def __init__(
-        self, raise_bottoms: bool = True, max_entries: int | None = None
-    ) -> None:
+    def __init__(self, max_entries: int | None = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.memo: dict[tuple[Perm, Perm], IntPolynomial] = {}
         self.tops: dict[Perm, _Top] = {}
         self.hits = 0
         self.misses = 0
-        self.raise_bottoms = raise_bottoms
         self.max_entries = max_entries
 
     def store(self, key: tuple[Perm, Perm], value: IntPolynomial) -> None:
@@ -264,11 +257,10 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
     """P(x, w), zero unless x <= w."""
     if x == w:
         return ONE
-    if cache.raise_bottoms:
-        right, left = cache._top(w)
-        x = _raise_bottom(x, right, left)
-        if x == w:
-            return ONE
+    right, left = cache._top(w)
+    x = _raise_bottom(x, right, left)
+    if x == w:
+        return ONE
     key = (x, w)
     found = cache.memo.get(key)
     if found is not None:
@@ -382,16 +374,15 @@ def kl_column(
     ValueError unless w is a permutation, the first layer is w alone
     and every entry lies below w.
 
-    With the cache's raise_bottoms off, each entry is read from the
-    cache.  With it on (the default), the layers are filled from the
-    top through coset moves.  A z with an ascent at a right descent s
-    of w (z s > z), or at a left descent (s z > z), takes the value of
-    its neighbour z s or s z, found in the layer above.  The neighbour
-    lies below w, so z < neighbour lies below w too.  By the lifting
-    property the neighbour has the same polynomial against w, which is
-    exactly what the cache answers for z after raising it.  Only the
-    maxima of the double cosets of w's descents, and any z whose
-    neighbour is not in the layer above, are read from the cache.
+    The layers are filled from the top through coset moves.  A z with
+    an ascent at a right descent s of w (z s > z), or at a left descent
+    (s z > z), takes the value of its neighbour z s or s z, found in
+    the layer above.  The neighbour lies below w, so z < neighbour lies
+    below w too.  By the lifting property the neighbour has the same
+    polynomial against w, which is exactly what the cache answers for z
+    after raising it.  Only the maxima of the double cosets of w's
+    descents, and any z whose neighbour is not in the layer above, are
+    read from the cache.
 
     It has three readers: the one-pair check
     :func:`check_inversion_identity`, the exhaustive batch of
@@ -411,8 +402,7 @@ def kl_column(
         raise ValueError(
             f"the layers of a column of {format_perm(w)} must start at it"
         )
-    # With raising off, no z has a neighbour and every entry is read.
-    right, left = cache._top(w) if cache.raise_bottoms else ((), ())
+    right, left = cache._top(w)
     column: list[dict[Perm, IntPolynomial]] = []
     above: dict[Perm, IntPolynomial] = {}
     for layer in layers:
@@ -726,36 +716,3 @@ def is_smooth_top(w: Perm) -> bool:
     w = from_oneline(w)
     return avoids_pattern(w, (3, 4, 1, 2)) and avoids_pattern(w, (4, 2, 3, 1))
 
-
-def check_descent_invariance(
-    x: Perm, w: Perm, cache: KLCache | None = None
-) -> bool:
-    """Confirm that pushing the bottom through any single descent of
-    the top leaves the polynomial unchanged, on both sides.
-
-    For each right descent i of w (w(i) > w(i+1)) the comparison is
-    P(x, w) against P(x s_i, w), where x s_i swaps the entries at
-    positions i and i+1; for each left descent i (the value i+1 stands
-    left of i in w) it is against P(s_i x, w), where s_i x exchanges
-    the values i and i+1.  Requires x <= w.  To make this an honest
-    check rather than a restatement of the normalisation performed by
-    default, pass a cache with raise_bottoms=False.
-    """
-    x, w = _checked_pair(x, w)
-    if not bruhat_leq(x, w):
-        raise ValueError(
-            f"not a valid interval: {format_perm(x)} is not <= {format_perm(w)}"
-        )
-    if cache is None:
-        cache = KLCache(raise_bottoms=False)
-    base = _kl(x, w, cache)
-    for i in right_descents(w):
-        if _kl(swap_positions(x, i, i + 1), w, cache) != base:
-            return False
-    for i in left_descents(w):
-        p, p2 = x.index(i), x.index(i + 1)
-        lst = list(x)
-        lst[p], lst[p2] = i + 1, i
-        if _kl(tuple(lst), w, cache) != base:
-            return False
-    return True

@@ -91,3 +91,13 @@ def test_cli_loads_json_only_for_json_output():
     lines, loaded = _run_cli("kl", "2143", "4231", "--json")
     assert lines == ["[1, 1]"]
     assert "json" in loaded
+
+
+def test_all_is_sorted_unique_and_resolves():
+    import klpoly
+
+    names = klpoly.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(klpoly, name)] == []
+    # The size of the public API; a change to it is a deliberate edit here.
+    assert len(names) == 59

@@ -14,7 +14,6 @@ from klpoly.kl import (
     _split_descent,
     _split_gain,
     active_positions,
-    check_descent_invariance,
     check_inversion_identity,
     flatten_pair,
     inverse_kl,
@@ -49,6 +48,20 @@ def comparable_pairs(n):
                 yield x, w
 
 
+def probed_pairs(n):
+    """The pairs (z, w) of S_n with z < w at which a lookup reads the
+    memo: z is the maximum of its double coset under the descents of w.
+
+    A lookup raises its bottom through the top's descents before it
+    reads the memo, and answers 1 without reading when the raised bottom
+    is the top, so a wrong entry at any other key is never read.
+    """
+    return [
+        (z, w) for z, w in comparable_pairs(n)
+        if z != w and _raise_bottom(z, right_descents(w), left_descents(w)) == z
+    ]
+
+
 def test_base_cases():
     assert kl_polynomial((2, 4, 1, 3), (2, 4, 1, 3)) == ONE
     assert kl_polynomial((3, 4, 1, 2), identity(4)) == ZERO
@@ -69,35 +82,6 @@ def test_axioms_exhaustively_in_s4(shared_cache):
         assert p.coefficient(0) == 1
         assert 2 * p.degree <= max(length(w) - length(x) - 1, 0)
         assert all(c >= 0 for c in p.coeffs)
-
-
-def test_raising_matches_raw_recursion_in_s4():
-    raw = KLCache(raise_bottoms=False)
-    fast = KLCache(raise_bottoms=True)
-    for x, w in comparable_pairs(4):
-        assert kl_polynomial(x, w, raw) == kl_polynomial(x, w, fast)
-
-
-def test_raising_matches_raw_recursion_sampled():
-    rng = random.Random(2024)
-    raw = KLCache(raise_bottoms=False)
-    fast = KLCache(raise_bottoms=True)
-    for n, reps in ((5, 60), (6, 25)):
-        for _ in range(reps):
-            x, w = random_comparable_pair(n, rng)
-            assert kl_polynomial(x, w, raw) == kl_polynomial(x, w, fast)
-
-
-def test_zero_exactly_off_the_order_in_s5():
-    # The bottom is raised before any comparison, so incomparable pairs
-    # must still come out zero, and comparable ones never do.
-    raw = KLCache(raise_bottoms=False)
-    fast = KLCache()
-    for w in all_perms(5):
-        for x in all_perms(5):
-            incomparable = not bruhat_leq(x, w)
-            assert (kl_polynomial(x, w, fast) == ZERO) == incomparable
-            assert (kl_polynomial(x, w, raw) == ZERO) == incomparable
 
 
 def _swap_values(x, i):
@@ -274,16 +258,19 @@ ALIAS_ERRORS = [IntPolynomial([1 << b, -1]) for b in (2, 16, 64)]
 
 
 def test_inversion_identity_fails_on_a_wrong_memo_entry():
-    # One wrong P(z, w) anywhere in [x, w] must break the sum, so the
-    # check cannot pass by default.  The second error has a degree past
-    # any correct product; the others alias at a fixed width.
-    x, w = identity(4), (4, 2, 3, 1)
-    assert check_inversion_identity(x, w, KLCache(raise_bottoms=False))
-    for z in interval(x, w).elements - {w}:
+    # One wrong P(z, w) at any key a lookup reads must break the sum of
+    # (z, w), so the check cannot pass by default: z is the maximum of its
+    # coset, so it is the only z of [z, w] whose value comes from that
+    # entry.  The second error has a degree past any correct product; the
+    # others alias at a fixed width.
+    pairs = probed_pairs(4)
+    assert len(pairs) == 6
+    for z, w in pairs:
+        assert check_inversion_identity(z, w, KLCache())
         for error in (ONE, ONE.shift(8), *ALIAS_ERRORS):
-            cache = KLCache(raise_bottoms=False)
+            cache = KLCache()
             cache.memo[(z, w)] = kl_polynomial(z, w) + error
-            assert not check_inversion_identity(x, w, cache), (z, error)
+            assert not check_inversion_identity(z, w, cache), (z, w, error)
 
 
 def _is_delta(p, x, w):
@@ -293,11 +280,12 @@ def _is_delta(p, x, w):
 def test_inversion_identity_matches_the_polynomial_sum(inversion_sum):
     # The packed integer sum against the signed sum taken in Z[q]: on
     # every comparable pair of S_4, with correct polynomials and with one
-    # wrong memo entry, and on seeded comparable pairs of S_6.
+    # wrong memo entry at a key that lookups read, and on seeded
+    # comparable pairs of S_6.
     w = (4, 2, 3, 1)
-    caches = [KLCache(raise_bottoms=False)]
+    caches = [KLCache()]
     for error in (ONE, *ALIAS_ERRORS):
-        cache = KLCache(raise_bottoms=False)
+        cache = KLCache()
         cache.memo[((2, 1, 4, 3), w)] = kl_polynomial((2, 1, 4, 3), w) + error
         caches.append(cache)
     for i, cache in enumerate(caches):
@@ -395,7 +383,8 @@ def test_packed_rows_sum_only_rows_they_were_built_for():
 
 
 def test_kl_column_reads_only_double_coset_maxima(monkeypatch):
-    # With raising on, every other z takes its value from a coset move.
+    # Every z that is not a double-coset maximum takes its value from a
+    # coset move.
     import klpoly.kl
 
     reads, depth = [], [0]
@@ -411,7 +400,7 @@ def test_kl_column_reads_only_double_coset_maxima(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(klpoly.kl, "_kl", recording)
-    raising, reading = KLCache(), KLCache(raise_bottoms=False)
+    cache = KLCache()
     for w in all_perms(5):
         right, left = right_descents(w), left_descents(w)
         maxima = [
@@ -420,31 +409,29 @@ def test_kl_column_reads_only_double_coset_maxima(monkeypatch):
             and all(z.index(j + 1) < z.index(j) for j in left)
         ]
         reads.clear()
-        column = kl_column(w, raising)
+        kl_column(w, cache)
         assert sorted(reads) == sorted(maxima)
-        reads.clear()
-        assert kl_column(w, reading) == column
-        assert len(reads) == len(interval(identity(5), w))
 
 
 def test_maxima_column_is_the_raised_down_set_in_s5():
     # The pass over [e, w] yields every double-coset maximum of the down
     # set once, in (length, lexicographic) order, from the raised bottom
-    # to w, each with the polynomial that the unraised recursion reads.
-    e, raising, reading = identity(5), KLCache(), KLCache(raise_bottoms=False)
+    # to w, each with the polynomial of the R-polynomial oracle.
+    e, cache = identity(5), KLCache()
     for w in all_perms(5):
         right, left = right_descents(w), left_descents(w)
+        expected = oracle_column(w, {z for z in _perms(5) if _leq(z, w)})
         maxima = sorted(
             (z for z in interval(e, w).sorted_elements()
              if _raise_bottom(z, right, left) == z),
             key=lambda z: (length(z), z),
         )
-        column = list(_maxima_column(e, w, raising))
+        column = list(_maxima_column(e, w, cache))
         assert [z for z, _ in column] == maxima
         assert column[0][0] == _raise_bottom(e, right, left)
         assert column[-1] == (w, ONE)
         for z, p in column:
-            assert p == kl_polynomial(z, w, reading)
+            assert p.coeffs == expected[z], (z, w)
 
 
 def test_maxima_column_reads_each_polynomial_when_asked(monkeypatch):
@@ -526,14 +513,12 @@ def test_public_entry_points_check_each_argument_once(call, monkeypatch):
     [
         (lambda bad: active_positions(bad, (3, 2, 1)), (1, 1, 3)),
         (lambda bad: flatten_pair((3, 2, 1), bad), (1, 1, 3)),
-        (lambda bad: check_descent_invariance(bad, (3, 2, 1)), (1, 1, 3)),
         (is_smooth_top, (5, 5, 5, 5)),
         (kl_column, (3, 3, 1)),
     ],
     ids=[
         "active_positions",
         "flatten_pair",
-        "check_descent_invariance",
         "is_smooth_top",
         "kl_column",
     ],
@@ -649,26 +634,6 @@ def test_cold_s10_pair_and_its_symmetric_images():
 def test_s4_has_exactly_two_singular_tops():
     bad = [w for w in all_perms(4) if not is_smooth_top(w)]
     assert bad == [(3, 4, 1, 2), (4, 2, 3, 1)]
-
-
-def test_descent_invariance():
-    assert check_descent_invariance((1, 2), (2, 1))
-    # Moving the bottom through the descent at position 2 of the top.
-    raw = KLCache(raise_bottoms=False)
-    base = kl_polynomial(identity(4), (3, 4, 1, 2), raw)
-    moved = kl_polynomial(swap_positions(identity(4), 2, 3), (3, 4, 1, 2), raw)
-    assert base == moved == ONE_PLUS_Q
-    assert check_descent_invariance(identity(4), (3, 4, 1, 2))
-    with pytest.raises(ValueError):
-        check_descent_invariance((2, 1, 3), identity(3))
-
-
-def test_descent_invariance_sampled():
-    rng = random.Random(31)
-    cache = KLCache(raise_bottoms=False)
-    for _ in range(25):
-        x, w = random_comparable_pair(5, rng)
-        assert check_descent_invariance(x, w, cache)
 
 
 def test_cache_counters_and_reuse():

@@ -177,16 +177,33 @@ def test_oracle_small_values():
     for w in ((3, 4, 1, 2), (4, 2, 3, 1)):
         column = oracle_column(w, {z for z in _perms(4) if _leq(z, w)})
         assert column[(1, 2, 3, 4)] == (1, 1)
+    # Moving the bottom through the descent at position 2 of the top.
+    top = (3, 4, 1, 2)
+    column = oracle_column(top, {z for z in _perms(4) if _leq(z, top)})
+    assert column[(1, 2, 3, 4)] == column[(1, 3, 2, 4)] == (1, 1)
     assert set(oracle_column((4, 3, 2, 1), set(_perms(4))).values()) == {_ONE}
 
 
 def test_oracle_agrees_on_all_of_s5():
+    # Every ordered pair, incomparable ones included.  The oracle's column
+    # is also constant on each x's moves x s_i and s_i x through the
+    # top's right and left descents (Kazhdan-Lusztig 1979), which is the
+    # invariance the recursion's lookups raise their bottoms by.
     perms = _perms(5)
+    moves = 0
     for w in perms:
         below = {z for z in perms if _leq(z, w)}
         column = oracle_column(w, below)
         for x in perms:
             assert kl_polynomial(x, w).coeffs == column.get(x, ()), (x, w)
+        right, left = _descents(w)
+        for x, p in column.items():
+            moved = [_swap(x, i) for i in right]
+            moved += [_swap_values(x, i) for i in left]
+            for y in moved:
+                assert column[y] == p, (x, y, w)
+            moves += len(moved)
+    assert moves == 17840
 
 
 def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
@@ -232,7 +249,7 @@ def test_kl_column_matches_the_oracle_in_s5():
     # The exhaustive inversion batch reads every polynomial it sums from
     # these columns; one cache per configuration is shared by all tops.
     perms = _perms(5)
-    for cache in (None, KLCache(raise_bottoms=False), KLCache(max_entries=1)):
+    for cache in (None, KLCache(max_entries=1)):
         for w in perms:
             below = {z for z in perms if _leq(z, w)}
             expected = oracle_column(w, below)
@@ -262,9 +279,13 @@ def _sampled_s6_pairs():
 
 
 def test_oracle_agrees_on_sampled_pairs_in_s6():
+    # Each pair with a fresh cache, and again with one cache shared by all
+    # the pairs, so that later lookups read what earlier ones stored.
+    shared = KLCache()
     for x, w, members in _sampled_s6_pairs():
         column = oracle_column(w, members)
         assert kl_polynomial(x, w).coeffs == column[x], (x, w)
+        assert kl_polynomial(x, w, shared).coeffs == column[x], (x, w)
 
 
 def _dominates(a, b):

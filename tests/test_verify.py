@@ -43,6 +43,17 @@ from klpoly.verify import (
 
 import random
 
+from test_kl import probed_pairs
+
+# The bottoms z of S_4 at which some top's lookups read the memo (see
+# probed_pairs): a wrong entry at any other key is never read.
+PROBED_BOTTOMS_S4 = sorted({z for z, _ in probed_pairs(4)})
+
+
+def _probed_tops_s4(z):
+    """The tops w of S_4 whose lookups read the memo at (z, w)."""
+    return [w for bottom, w in probed_pairs(4) if bottom == z]
+
 
 def test_regular_closed_forms_small():
     report = verify_regular_closed_forms(4)
@@ -302,36 +313,37 @@ def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
     [ONE, ONE.shift(8), IntPolynomial([1 << 16, -1])],
     ids=["plus-1", "plus-q8", "plus-2^16-q"],
 )
-@pytest.mark.parametrize("z", [(1, 2, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4)])
+@pytest.mark.parametrize("z", PROBED_BOTTOMS_S4)
 def test_inversion_batch_fails_exactly_where_the_check_does(
     z, error, inversion_sum
 ):
     # A wrong P(z, w) must fail the same cases in the batch as in the
     # one-pair check, whatever way the batch gets its intervals, and
     # those are the cases whose sum, taken in Z[q], is not delta(x, w).
-    # 2^16 - q vanishes at q = 2^16, the width the batch packs correct
-    # S_4 values at, so a width that ignored the values read would miss it.
-    w = (4, 2, 3, 1)
+    # The entry is seeded at every top w whose lookups read it.  2^16 - q
+    # vanishes at q = 2^16, the width the batch packs correct S_4 values
+    # at, so a width that ignored the values read would miss it.
+    for w in _probed_tops_s4(z):
 
-    def seeded():
-        cache = KLCache(raise_bottoms=False)
-        cache.memo[(z, w)] = kl_polynomial(z, w) + error
-        return cache
+        def seeded():
+            cache = KLCache()
+            cache.memo[(z, w)] = kl_polynomial(z, w) + error
+            return cache
 
-    report = verify_inversion_identity_batch(4, seeded())
-    expected = {
-        f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in _down_sets(4)[1]
-        if not check_inversion_identity(x, top, seeded())
-    }
-    assert expected
-    assert sorted(f.case for f in report.failures) == sorted(expected)
-    cache = seeded()
-    assert expected == {
-        f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in _down_sets(4)[1]
-        if inversion_sum(x, top, cache) != (ONE if x == top else 0)
-    }
+        report = verify_inversion_identity_batch(4, seeded())
+        expected = {
+            f"x={format_perm(x)} w={format_perm(top)}"
+            for x, top in _down_sets(4)[1]
+            if not check_inversion_identity(x, top, seeded())
+        }
+        assert expected, w
+        assert sorted(f.case for f in report.failures) == sorted(expected), w
+        cache = seeded()
+        assert expected == {
+            f"x={format_perm(x)} w={format_perm(top)}"
+            for x, top in _down_sets(4)[1]
+            if inversion_sum(x, top, cache) != (ONE if x == top else 0)
+        }, w
 
 
 @pytest.mark.parametrize(
@@ -345,10 +357,9 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
      ((1, 4, 3, 2), (3, 4, 1, 2)), ((3, 2, 1, 4), (3, 4, 1, 2))],
 )
 def test_inversion_batch_fails_where_the_check_does_with_raising_on(m, w, error):
-    # With the default cache the batch reads a column only at its
-    # double-coset maxima and fills the rest through coset moves.  A wrong
-    # entry at a maximum must reach its whole coset, in the batch as in
-    # the one-pair check, which reads every z of [x, w] from the cache.
+    # The batch reads a column only at its double-coset maxima and fills
+    # the rest through coset moves.  A wrong entry at a maximum must reach
+    # its whole coset, in the batch as in the one-pair check.
     assert m in [z for z, _ in _maxima_column(identity(4), w, KLCache())]
 
     def seeded():
@@ -369,36 +380,36 @@ def test_inversion_batch_fails_where_the_check_does_with_raising_on(m, w, error)
 @pytest.mark.parametrize(
     "error", [ONE, ONE.shift(8)], ids=["plus-1", "plus-q8"]
 )
-@pytest.mark.parametrize("z", [(1, 2, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4)])
+@pytest.mark.parametrize("z", PROBED_BOTTOMS_S4)
 def test_capped_inversion_batch_fails_exactly_where_the_check_does(z, error):
-    # A cap that stops partway through the cases of w still reads every
-    # column at the first case, but decides only the tops it keeps; the
-    # cases it keeps must still fail as they do alone.
-    w = (4, 2, 3, 1)
-
-    def seeded():
-        cache = KLCache(raise_bottoms=False)
-        cache.memo[(z, w)] = kl_polynomial(z, w) + error
-        return cache
-
+    # A cap that stops partway through the cases of a top still reads
+    # every column at the first case, but decides only the tops it keeps;
+    # the cases it keeps must still fail as they do alone.  The cap stops
+    # just after the first failing case.
     cases = _down_sets(4)[1]
-    cap = cases.index(((1, 2, 3, 4), w)) + 7
-    assert cases[cap][1] == w
-    failing = [
-        f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in cases
-        if not check_inversion_identity(x, top, seeded())
-    ]
-    expected = [
-        f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in cases[:cap]
-        if not check_inversion_identity(x, top, seeded())
-    ]
-    # The cap keeps some failing cases and drops others.
-    assert expected and len(expected) < len(failing)
-    report = verify_inversion_identity_batch(4, seeded(), case_cap=cap)
-    assert report.cases == cap
-    assert sorted(f.case for f in report.failures) == sorted(expected)
+    for w in _probed_tops_s4(z):
+
+        def seeded():
+            cache = KLCache()
+            cache.memo[(z, w)] = kl_polynomial(z, w) + error
+            return cache
+
+        failing = [
+            i for i, (x, top) in enumerate(cases)
+            if not check_inversion_identity(x, top, seeded())
+        ]
+        cap = failing[0] + 1
+        assert cases[cap][1] == cases[cap - 1][1], w
+        expected = [
+            f"x={format_perm(x)} w={format_perm(top)}"
+            for x, top in cases[:cap]
+            if not check_inversion_identity(x, top, seeded())
+        ]
+        # The cap keeps some failing cases and drops others.
+        assert expected and len(expected) < len(failing), w
+        report = verify_inversion_identity_batch(4, seeded(), case_cap=cap)
+        assert report.cases == cap
+        assert sorted(f.case for f in report.failures) == sorted(expected), w
 
 
 def test_exhaustive_inversion_reads_each_polynomial_once():
@@ -444,15 +455,18 @@ def test_exhaustive_inversion_on_s6():
 
 
 def test_inversion_batch_fails_where_the_check_does_on_s6():
-    # A wrong P(z, w0) is read only by the cases whose top is w0 and those
-    # whose bottom is w0 w0 = e: nothing lies above w0, so no other
-    # polynomial is computed from it.  2^18 - q vanishes at q = 2^18, the
-    # B the batch packs correct S_6 values at.
-    w, z = (6, 5, 4, 3, 2, 1), (2, 1, 4, 3, 6, 5)
-    e = identity(6)
+    # A wrong P(z, w) is read only by the cases whose top is w and those
+    # whose bottom is w0 w: z is the maximum of its double coset under the
+    # descents of w, so lookups read the entry, and w is a coatom of w0,
+    # the only top above it, which raises every bottom to itself, so no
+    # other polynomial is computed from it.  2^18 - q vanishes at
+    # q = 2^18, the B the batch packs correct S_6 values at.
+    w, z = (6, 4, 5, 3, 2, 1), (4, 3, 6, 5, 2, 1)
+    assert _raise_bottom(z, right_descents(w), left_descents(w)) == z
+    w0w = (1, 3, 2, 4, 5, 6)
 
     def seeded():
-        cache = KLCache(raise_bottoms=False)
+        cache = KLCache()
         cache.memo[(z, w)] = kl_polynomial(z, w) + IntPolynomial([1 << 18, -1])
         return cache
 
@@ -461,7 +475,7 @@ def test_inversion_batch_fails_where_the_check_does_on_s6():
     expected = {
         f"x={format_perm(x)} w={format_perm(top)}"
         for x, top in _down_sets(6)[1]
-        if (top == w or x == e) and not check_inversion_identity(x, top, cache)
+        if (top == w or x == w0w) and not check_inversion_identity(x, top, cache)
     }
     assert expected
     assert sorted(f.case for f in report.failures) == sorted(expected)
