@@ -384,10 +384,12 @@ def kl_column(
     descents, and any z whose neighbour is not in the layer above, are
     read from the cache.
 
-    It has three readers: the one-pair check
-    :func:`check_inversion_identity`, the exhaustive batch of
-    :func:`klpoly.verify.verify_inversion_identity_batch`, and
-    :func:`klpoly.families.inverse_kl_from_interval_sum`.
+    It has two readers, each on the layers of one interval: the
+    one-pair check :func:`check_inversion_identity` and
+    :func:`klpoly.families.inverse_kl_from_interval_sum`.  The
+    exhaustive batch of
+    :func:`klpoly.verify.verify_inversion_identity_batch` applies the
+    same moves to all of S_n, by index.
 
     >>> [{format_perm(z): str(p) for z, p in layer.items()}
     ...  for layer in kl_column((2, 3, 1))]

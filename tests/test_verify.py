@@ -11,16 +11,18 @@ from klpoly.families import (
 )
 from klpoly.kl import (
     KLCache,
+    _ascent_neighbour,
+    _kl,
     _maxima_column,
     _raise_bottom,
     active_positions,
     check_inversion_identity,
     flatten_pair,
     inverse_kl,
-    kl_column,
     kl_polynomial,
 )
 from klpoly.perm import (
+    _w0_times,
     all_perms,
     format_perm,
     identity,
@@ -53,6 +55,11 @@ PROBED_BOTTOMS_S4 = sorted({z for z, _ in probed_pairs(4)})
 def _probed_tops_s4(z):
     """The tops w of S_4 whose lookups read the memo at (z, w)."""
     return [w for bottom, w in probed_pairs(4) if bottom == z]
+
+
+def _cases(n):
+    """The cases (x, w) of the exhaustive inversion run over S_n."""
+    return _down_sets(n)[2]
 
 
 def test_regular_closed_forms_small():
@@ -231,7 +238,7 @@ def test_inversion_exhaustive_counts():
 def test_exhaustive_inversion_cases_match_all_pairs_filter(n):
     # The case list, and so what case_cap keeps, is the all-pairs filter.
     old = [(x, w) for w in all_perms(n) for x in all_perms(n) if bruhat_leq(x, w)]
-    assert _down_sets(n)[1] == old
+    assert _cases(n) == old
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -241,9 +248,51 @@ def test_down_layers_match_the_interval_walks(n):
     # the order of the tops and of each layer.
     e = identity(n)
     walked = {w: interval(e, w).layers for w in all_perms(n)}
-    downs = _down_sets(n)[0]
-    assert list(downs) == list(walked)
-    assert downs == walked
+    perms, downs = _down_sets(n)[:2]
+    decoded = {
+        perms[t]: tuple(tuple(perms[x] for x in layer) for layer in layers)
+        for t, layers in enumerate(downs)
+    }
+    assert list(decoded) == list(walked)
+    assert decoded == walked
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_move_tables_pick_the_ascent_neighbour(n):
+    # The batch fills a column through the tables: z s_i for the lowest
+    # right descent i of w at which z ascends, else s_i z for the lowest
+    # such left descent, else z is read.  That is kl._ascent_neighbour,
+    # and z is read exactly at the double-coset maxima of w.
+    perms, downs, _, rdes, ldes, rmul, lmul = _down_sets(n)
+
+    def positions(mask):
+        return tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
+
+    for z, v in enumerate(perms):
+        assert positions(rdes[z]) == right_descents(v)
+        assert positions(ldes[z]) == left_descents(v)
+    for t, w in enumerate(perms):
+        right, left = right_descents(w), left_descents(w)
+        read = []
+        for z in [z for layer in downs[t] for z in layer]:
+            if m := rdes[t] & ~rdes[z]:
+                moved = perms[rmul[z][(m & -m).bit_length() - 1]]
+            elif m := ldes[t] & ~ldes[z]:
+                moved = perms[lmul[z][(m & -m).bit_length() - 1]]
+            else:
+                moved = None
+                read.append(perms[z])
+            assert moved == _ascent_neighbour(perms[z], right, left), (w, z)
+        maxima = [z for z, _ in _maxima_column(identity(n), w, KLCache())]
+        assert sorted(read) == sorted(maxima), w
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_w0_reverses_the_lexicographic_index(n):
+    # The batch reads each dual at the reversed index.
+    perms = _down_sets(n)[0]
+    last = len(perms) - 1
+    assert all(perms[last - i] == _w0_times(v) for i, v in enumerate(perms))
 
 
 def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
@@ -272,7 +321,7 @@ def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
     (rows,) = built
     assert len(rows.packs) == 120
     cache = KLCache()
-    polys = [kl_polynomial(x, w, cache) for x, w in _down_sets(5)[1]]
+    polys = [kl_polynomial(x, w, cache) for x, w in _cases(5)]
     norm = max(sum(map(abs, p.coeffs)) for p in polys)
     degree = max(p.degree for p in polys)
     bound = (120 * norm * norm).bit_length()
@@ -284,27 +333,33 @@ def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
 
 @pytest.mark.parametrize("cap, rows", [(None, 120), (1, 1)])
 def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
-    # The first case reads each of the 120 columns of S_5 once, and sums
-    # the row of each top that the kept cases name: all 120 uncapped, and
-    # only that of e when the cap keeps the case (e, e).
+    # The first case fills each of the 120 columns of S_5 once, reading
+    # the cache exactly once at each double-coset maximum of each top and
+    # nowhere else, and sums the row of each top that the kept cases
+    # name: all 120 uncapped, and only that of e when the cap keeps the
+    # case (e, e).
     import klpoly.verify
 
     read, summed = [], []
 
-    def counted_column(w, cache, layers):
-        read.append(w)
-        return kl_column(w, cache, layers)
+    def counted_kl(z, w, cache):
+        read.append((z, w))
+        return _kl(z, w, cache)
 
     class Counted(klpoly.verify._InversionRows):
         def row(self, column):
             summed.append(column)
             return super().row(column)
 
-    monkeypatch.setattr(klpoly.verify, "kl_column", counted_column)
+    monkeypatch.setattr(klpoly.verify, "_kl", counted_kl)
     monkeypatch.setattr(klpoly.verify, "_InversionRows", Counted)
     report = verify_inversion_identity_batch(5, case_cap=cap)
     assert report.passed
-    assert sorted(read) == sorted(all_perms(5))
+    e, cache = identity(5), KLCache()
+    maxima = [
+        (z, w) for w in all_perms(5) for z, _ in _maxima_column(e, w, cache)
+    ]
+    assert sorted(read) == sorted(maxima)
     assert len(summed) == rows
 
 
@@ -322,8 +377,12 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
     # those are the cases whose sum, taken in Z[q], is not delta(x, w).
     # The entry is seeded at every top w whose lookups read it.  2^16 - q
     # vanishes at q = 2^16, the width the batch packs correct S_4 values
-    # at, so a width that ignored the values read would miss it.
+    # at, so a width that ignored the values read would miss it.  The
+    # batch reads a column only at its double-coset maxima and fills the
+    # rest through coset moves, so the seed, a maximum, must reach its
+    # whole coset.
     for w in _probed_tops_s4(z):
+        assert z in [m for m, _ in _maxima_column(identity(4), w, KLCache())]
 
         def seeded():
             cache = KLCache()
@@ -333,7 +392,7 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
         report = verify_inversion_identity_batch(4, seeded())
         expected = {
             f"x={format_perm(x)} w={format_perm(top)}"
-            for x, top in _down_sets(4)[1]
+            for x, top in _cases(4)
             if not check_inversion_identity(x, top, seeded())
         }
         assert expected, w
@@ -341,40 +400,9 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
         cache = seeded()
         assert expected == {
             f"x={format_perm(x)} w={format_perm(top)}"
-            for x, top in _down_sets(4)[1]
+            for x, top in _cases(4)
             if inversion_sum(x, top, cache) != (ONE if x == top else 0)
         }, w
-
-
-@pytest.mark.parametrize(
-    "error",
-    [ONE, ONE.shift(8), IntPolynomial([1 << 16, -1])],
-    ids=["plus-1", "plus-q8", "plus-2^16-q"],
-)
-@pytest.mark.parametrize(
-    "m, w",
-    [((2, 1, 4, 3), (4, 2, 3, 1)), ((1, 3, 2, 4), (3, 4, 1, 2)),
-     ((1, 4, 3, 2), (3, 4, 1, 2)), ((3, 2, 1, 4), (3, 4, 1, 2))],
-)
-def test_inversion_batch_fails_where_the_check_does_with_raising_on(m, w, error):
-    # The batch reads a column only at its double-coset maxima and fills
-    # the rest through coset moves.  A wrong entry at a maximum must reach
-    # its whole coset, in the batch as in the one-pair check.
-    assert m in [z for z, _ in _maxima_column(identity(4), w, KLCache())]
-
-    def seeded():
-        cache = KLCache()
-        cache.memo[(m, w)] = kl_polynomial(m, w) + error
-        return cache
-
-    report = verify_inversion_identity_batch(4, seeded())
-    expected = {
-        f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in _down_sets(4)[1]
-        if not check_inversion_identity(x, top, seeded())
-    }
-    assert expected
-    assert sorted(f.case for f in report.failures) == sorted(expected)
 
 
 @pytest.mark.parametrize(
@@ -386,7 +414,7 @@ def test_capped_inversion_batch_fails_exactly_where_the_check_does(z, error):
     # every column at the first case, but decides only the tops it keeps;
     # the cases it keeps must still fail as they do alone.  The cap stops
     # just after the first failing case.
-    cases = _down_sets(4)[1]
+    cases = _cases(4)
     for w in _probed_tops_s4(z):
 
         def seeded():
@@ -423,6 +451,7 @@ def test_exhaustive_inversion_reads_each_polynomial_once():
             if len(active_positions(*key)) == len(key[0])]
     assert cache.misses == len(flat) == 12
     assert len(cache.memo) == cache.misses
+    assert cache.hits == 42
     assert cache.hits + cache.misses < 3781
 
 
@@ -450,7 +479,7 @@ def test_exhaustive_inversion_on_s6():
     assert report.cases == 98407
     assert report.parameter_range == "S_6 exhaustive"
     assert report.seed is None
-    assert cache.misses == 164
+    assert (cache.hits, cache.misses) == (1134, 164)
     assert len(cache.memo) == cache.misses
 
 
@@ -474,7 +503,7 @@ def test_inversion_batch_fails_where_the_check_does_on_s6():
     cache = seeded()
     expected = {
         f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in _down_sets(6)[1]
+        for x, top in _cases(6)
         if (top == w or x == w0w) and not check_inversion_identity(x, top, cache)
     }
     assert expected
