@@ -90,13 +90,16 @@ thus a raised, comparable pair with every position active, stored when
 it is computed, and nothing else is stored.  Since a lookup of an
 incomparable pair answers ZERO, the recursion looks each term up as
 the formula writes it, with no comparison of its own.
+
+The inversion identity is checked here on one pair at a time
+(:func:`check_inversion_identity`), as a plain sum in Z[q] over one
+column.  The exhaustive batch over S_n packs the same sums into
+integers; that packing lives in :mod:`klpoly.verify`, its only reader.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import lshift, mul
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 
 from .bruhat import _inert_values, bruhat_leq, covers_down, interval
 from .perm import (
@@ -277,7 +280,7 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
         return ZERO
     cache.misses += 1
 
-    i = _split_descent(w, cache._top(w)[0])
+    i = _split_descent(w, right)
     ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1:]
     xs = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1:]
     # q^c P(x, ws) + q^(1-c) P(xs, ws), with c = 1 when x has the descent
@@ -384,12 +387,14 @@ def kl_column(
     descents, and any z whose neighbour is not in the layer above, are
     read from the cache.
 
-    It has two readers, each on the layers of one interval: the
-    one-pair check :func:`check_inversion_identity` and
-    :func:`klpoly.families.inverse_kl_from_interval_sum`.  The
+    It has two readers, each on the layers of one interval and each
+    summing the column in Z[q]: the one-pair check
+    :func:`check_inversion_identity`, which the sampled inversion batch
+    runs, and :func:`klpoly.families.inverse_kl_from_interval_sum`.  The
     exhaustive batch of
     :func:`klpoly.verify.verify_inversion_identity_batch` applies the
-    same moves to all of S_n, by index.
+    same moves to all of S_n, by index, and packs its sums into
+    integers.
 
     >>> [{format_perm(z): str(p) for z, p in layer.items()}
     ...  for layer in kl_column((2, 3, 1))]
@@ -463,123 +468,6 @@ def _maxima_column(
             yield z, _kl(z, top, cache)
 
 
-class _InversionRows:
-    """Rows of the inversion identity, each summed as one packed integer
-    product over dual packs that the rows share.
-
-    A row is a column P(., w) in layers from w, and its sum is
-
-        T = sum over z in the column of (-1)^k P(z, w)(2^B) D(z),
-
-    with k the layer of z.  The dual pack D(z) holds, in field f, the
-    value P(w0 z, w0 x)(2^B) of the bottom x that f stands for:
-
-        D(z) = sum over f of P(w0 z, w0 x)(2^B) 2^(W f),
-
-    so field f of T is the integer sum of the case (x, w), restricted
-    to the z of the column.
-
-    The rows are built from one column and the duals of its z, which
-    fix N (the column's terms), a and d (the largest norm and degree
-    among the polynomials read), and so the least B and W that
-    :func:`check_inversion_identity` proves exact; each D(z) is packed
-    there, once.  A later row that is longer, or holds a z or a
-    polynomial not read there, raises ValueError or KeyError instead of
-    aliasing.  The exhaustive batch builds the rows from the column of
-    w0: it has every z and the most terms, and its duals read every
-    polynomial.
-
-    The polynomials are read by object: a column read through coset
-    moves shares a few objects among all its entries, so each object's
-    norm, degree and value is taken once.
-    """
-
-    __slots__ = ("terms", "bits", "width", "polys", "values", "packs")
-
-    def __init__(
-        self,
-        column: Sequence[Mapping[object, IntPolynomial]],
-        dual: Callable[[object], Mapping[int, IntPolynomial]],
-    ) -> None:
-        """Read ``column`` and, for each of its z, ``dual(z)``: the
-        polynomials of D(z) by field."""
-        duals = {z: dual(z) for layer in column for z in layer}
-        # Every polynomial read, by id.  Keeping the object keeps its id
-        # from being reused.
-        polys = {id(p): p for layer in column for p in layer.values()}
-        for fields in duals.values():
-            polys.update(zip(map(id, fields.values()), fields.values()))
-        self.polys = polys
-        self.terms = sum(map(len, column))
-        norm = max(sum(map(abs, p.coeffs)) for p in polys.values())
-        degree = max(p.degree for p in polys.values())
-        bound = (self.terms * norm * norm).bit_length()
-        self.bits = bits = bound + 1
-        # A zero polynomial has degree -1, and is 0 at any q.
-        self.width = width = bound + 2 * bits * max(degree, 0) + 1
-        q = 1 << bits
-        # id -> the value at 2^bits; z -> D(z).
-        values = self.values = {i: p.evaluate(q) for i, p in polys.items()}
-        self.packs = {
-            z: sum(map(lshift, map(values.__getitem__, map(id, fields.values())),
-                       map(mul, fields, repeat(width))))
-            for z, fields in duals.items()
-        }
-
-    def row(self, column: Sequence[Mapping[object, IntPolynomial]]) -> int:
-        """T for ``column``.  Raises ValueError when it has more terms
-        than the column the rows were built from, and KeyError when it
-        holds a z or a polynomial that was not read there."""
-        terms = sum(map(len, column))
-        if terms > self.terms:
-            raise ValueError(f"a row of {terms} terms; the widths fit {self.terms}")
-        values, packs = self.values, self.packs
-        total = 0
-        for k, layer in enumerate(column):
-            part = sum(map(mul, map(values.__getitem__, map(id, layer.values())),
-                           map(packs.__getitem__, layer)))
-            total = total - part if k % 2 else total + part
-        return total
-
-    def failures(
-        self,
-        column: Sequence[Mapping[object, IntPolynomial]],
-        diagonal: int | None,
-    ) -> list[int]:
-        """The fields of the row whose sum is not delta: 1 in the field
-        ``diagonal`` (that of the bottom w, when it has one) and 0 in
-        every other field.
-
-        The row passes when T equals the target.  Otherwise the digits
-        of T minus the target are the field sums minus delta: they lie
-        in [-2^(W-1), 2^(W-1)), where balanced digits are unique.
-        """
-        total = self.row(column)
-        if diagonal is not None:
-            total -= 1 << (self.width * diagonal)
-        return [f for f, d in enumerate(_balanced_digits(total, self.width)) if d]
-
-
-def _balanced_digits(value: int, width: int) -> list[int]:
-    """The digits of ``value`` in base 2^width, each in
-    [-2^(width-1), 2^(width-1)), lowest first; none for 0.
-
-    >>> _balanced_digits(-1 + (3 << 8) - (5 << 16), 8)
-    [-1, 3, -5]
-    >>> _balanced_digits(-(1 << 7) + (1 << 8), 8)
-    [-128, 1]
-    """
-    digits = []
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << width
-        digits.append(digit)
-        value = (value - digit) >> width
-    return digits
-
-
 def check_inversion_identity(
     x: Perm, w: Perm, cache: KLCache | None = None
 ) -> bool:
@@ -591,58 +479,22 @@ def check_inversion_identity(
     must be 1 when x = w and 0 otherwise.  Raises ValueError unless x
     and w are permutations of the same size with x <= w.
 
-    The sum is taken in the integers, at q = 2^B (Kronecker
-    substitution): each factor is evaluated once, and each term is one
-    integer product.  This decides the polynomial identity exactly.
-    Evaluation at 2^B is a ring homomorphism Z[q] -> Z, so the integer
-    sum is F(2^B).  It is injective on polynomials whose coefficients
-    all satisfy |c| < 2^(B-1): for two such polynomials F != D, the
-    coefficients of F - D satisfy |c| < 2^B, and with g the lowest
-    nonzero one, of degree j, (F - D)(2^B) = 2^(jB) (g + 2^B m) for an
-    integer m, which is not 0 since 0 < |g| < 2^B.  (Equivalently, the
-    coefficients are the digits of F(2^B) in balanced base 2^B.)  Every
-    coefficient of F is at most M = sum over z of ||P(z, w)||_1
-    ||P(w0 z, w0 x)||_1 in absolute value, since the l1 norm is
-    subadditive and submultiplicative.  With N terms and each norm at
-    most a in the first factor and b in the second, M <= N a b.  B is
-    chosen with 2^(B-1) > N a b, where a and b are taken from the norms
-    of the values actually read, so a wrong memo entry with large
-    coefficients widens B rather than aliasing.  N a b >= 1, since
-    P(w, w) = P(w0 x, w0 x) = 1 are read, so B >= 2 and the target
-    delta, with coefficient at most 1, is in the injective range too.
-    Hence F(2^B) = delta(2^B) exactly when F = delta.
-
-    This pair is the one-field case of a packed row (see
-    :class:`_InversionRows`), which the exhaustive batch uses to decide
-    every bottom x under one top w at once.  The rows are built from
-    one column and its duals: N is that column's number of terms, and a
-    and b are both the largest norm among the polynomials of the column
-    and its duals.  A later row has at most N terms and reads no other
-    polynomial, or it raises.  That only enlarges N, a and b against
-    any one bottom's, so the above holds for each bottom, and B is the
-    least with 2^(B-1) > N a^2: B = bitlen(N a^2) + 1, where bitlen(m)
-    is the least k with m < 2^k.  Field f of the row holds the
-    integer sum f_x = F_x(2^B) of the bottom x that f stands for, and
-    the row is T = sum over f of f_x 2^(W f).  Each f_x has at most N
-    terms.  A value read satisfies |P(2^B)| <= ||P||_1 2^(B deg P), so
-    each term is at most (a 2^(B d))^2 in absolute value, where d is the
-    largest degree among the polynomials read.  W is the least with
-    2^(W-1) > N a^2 2^(2 B d), W = bitlen(N a^2) + 2 B d + 1, so
-    |f_x| < 2^(W-1); with N a^2 = 0 every f_x is 0.  So f_x - delta(x, w)
-    lies in [-2^(W-1), 2^(W-1)).  Those differences are the digits of
-    T - 2^(W f_w) in balanced base 2^W, and such digits are unique, so
-    T = 2^(W f_w) exactly when every f_x is delta(x, w), that is, by
-    the above, when the identity holds for every bottom at once.  Only
-    a failing row is read field by field.
+    F is summed in Z[q]: the first factors are read with
+    ``kl_column(w, cache, interval(x, w).layers)``, whose layer k gives
+    the sign (-1)^k, and each second factor is looked up.  This plain
+    sum is the reference for the packed integer products of
+    :func:`klpoly.verify.verify_inversion_identity_batch`.
     """
     x, w = _checked_pair(x, w)
     if cache is None:
         cache = KLCache()
-    column = kl_column(w, cache, interval(x, w).layers)
     w0x = _w0_times(x)
-    rows = _InversionRows(column, lambda z: {0: _kl(_w0_times(z), w0x, cache)})
-    failed = rows.failures(column, 0 if x == w else None)
-    return not failed
+    # The terms of even and of odd layers, summed apart.
+    sums = [ZERO, ZERO]
+    for k, layer in enumerate(kl_column(w, cache, interval(x, w).layers)):
+        for z, p in layer.items():
+            sums[k % 2] += p * _kl(_w0_times(z), w0x, cache)
+    return sums[0] - sums[1] == (ONE if x == w else ZERO)
 
 
 def _drop_values(v: Perm, inert: int) -> Perm:

@@ -8,14 +8,18 @@ collected rather than raised, with both polynomials recorded verbatim,
 so a report is always produced and discrepancies stay auditable.
 
 Cases run one after another, sharing the caller's cache when one is
-given.  Reports are deterministic for a fixed seed and range, since
-failures are sorted before emission.
+given; the exhaustive inversion batch instead decides all of its cases
+at once, by packed integer products (see :class:`_InversionRows`).
+Reports are deterministic for a fixed seed and range, since failures
+are sorted before emission.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from itertools import repeat
+from operator import lshift, mul
 
 from .bruhat import _Record, bruhat_leq, coatom_count, covers_down
 from .families import (
@@ -26,7 +30,6 @@ from .families import (
 )
 from .kl import (
     KLCache,
-    _InversionRows,
     _kl,
     _maxima_column,
     check_inversion_identity,
@@ -153,8 +156,8 @@ class VerificationReport(_Record):
 def _run_cases(
     check: str,
     parameter_range: str,
-    cases: Sequence[object],
-    evaluate: Callable[..., Failure | None],
+    cases: Sequence[object] | int,
+    evaluate: Callable[..., Failure | None | list[Failure]],
     cache: KLCache | None,
     case_cap: int | None,
     seed: int | None = None,
@@ -163,22 +166,31 @@ def _run_cases(
     """Evaluate the first ``case_cap`` cases (all of them when it is
     None) with one shared cache and report on them.
 
+    ``cases`` is either the case list, and ``evaluate(case, cache)``
+    returns the Failure of one case or None; or the number of cases,
+    and ``evaluate(count, cache)`` is called once with the number kept
+    and returns the failures among the first ``count`` cases.
+
     Only the evaluation is timed.  Failures are sorted by case, and
     ``notes``, which ``evaluate`` may fill as it runs, are sorted too.
     Raises ValueError when ``case_cap`` is below 1.
     """
-    if case_cap is not None:
-        if case_cap < 1:
-            raise ValueError(f"case_cap must be >= 1, got {case_cap}")
-        cases = cases[:case_cap]
+    if case_cap is not None and case_cap < 1:
+        raise ValueError(f"case_cap must be >= 1, got {case_cap}")
     shared = cache if cache is not None else KLCache()
     start = time.perf_counter()
-    results = [evaluate(case, shared) for case in cases]
+    if isinstance(cases, int):
+        count = cases if case_cap is None else min(cases, case_cap)
+        results = evaluate(count, shared)
+    else:
+        kept = cases[:case_cap]
+        count = len(kept)
+        results = [evaluate(case, shared) for case in kept]
     millis = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         check=check,
         parameter_range=parameter_range,
-        cases=len(cases),
+        cases=count,
         failures=sorted((f for f in results if f is not None), key=lambda f: f.case),
         seed=seed,
         millis=millis,
@@ -272,26 +284,21 @@ def _down_sets(
 ) -> tuple[
     list[Perm],
     list[tuple[tuple[int, ...], ...]],
-    list[tuple[Perm, Perm]],
     list[int],
     list[int],
     list[list[int]],
     list[list[int]],
 ]:
     """S_n by lexicographic index: the principal ideal [e, w] of every
-    w, every pair (x, w) with x <= w, and the descents and coset moves
-    of every element.
+    w, and the descents and coset moves of every element.
 
-    It returns ``(perms, downs, cases, rdes, ldes, rmul, lmul)``:
+    It returns ``(perms, downs, rdes, ldes, rmul, lmul)``:
 
     - ``perms``: S_n in lexicographic order.  An element is named by
       its index there.
     - ``downs[w]``: the ideal [e, w] as its layers.  Layer k holds the
       indices of the x <= w of length l(w) - k, in increasing order,
       as in ``interval(identity(n), w).layers``.
-    - ``cases``: the pairs (x, w), as permutations, over w in
-      lexicographic order, and within each w over the x of [e, w] in
-      lexicographic order.
     - ``rdes[z]``, ``ldes[z]``: the right and left descents of z as
       bitmasks, bit i - 1 standing for s_i.
     - ``rmul[z][i - 1]``, ``lmul[z][i - 1]``: the indices of z s_i and
@@ -322,17 +329,15 @@ def _down_sets(
             mask |= masks[index[z]]
         masks[i] = mask
     downs = []
-    cases = []
     # One int object per index, shared by every layer that holds it:
     # CPython shares only the ints up to 256, and S_6 has 720 indices.
     names = list(range(len(perms)))
-    for w, top, mask in zip(perms, lengths, masks):
+    for top, mask in zip(lengths, masks):
         layers: list[list[int]] = [[] for _ in range(top + 1)]
         while mask:
             low = mask & -mask
             j = names[low.bit_length() - 1]
             layers[top - lengths[j]].append(j)
-            cases.append((perms[j], w))
             mask ^= low
         downs.append(tuple(map(tuple, layers)))
     steps = range(n - 1)
@@ -342,7 +347,155 @@ def _down_sets(
     inv = [index[inverse(v)] for v in perms]
     ldes = [rdes[j] for j in inv]
     lmul = [[inv[k] for k in rmul[j]] for j in inv]
-    return perms, downs, cases, rdes, ldes, rmul, lmul
+    return perms, downs, rdes, ldes, rmul, lmul
+
+
+class _InversionRows:
+    """Rows of the inversion identity, each summed as one packed integer
+    product over dual packs that the rows share.
+
+    A row is a column P(., w) in layers from w, and its sum is
+
+        T = sum over z in the column of (-1)^k P(z, w)(2^B) D(z),
+
+    with k the layer of z.  The dual pack D(z) holds, in field f, the
+    value P(w0 z, w0 x)(2^B) of the bottom x that f stands for:
+
+        D(z) = sum over f of P(w0 z, w0 x)(2^B) 2^(W f),
+
+    so field f of T is the integer sum of the case (x, w), restricted
+    to the z of the column.
+
+    The rows are built from one column and the duals of its z, which
+    fix N (the column's terms), a and d (the largest norm and degree
+    among the polynomials read), and so the least B and W that make
+    every field exact (below); each D(z) is packed there, once.  A
+    later row that is longer, or holds a z or a polynomial not read
+    there, raises ValueError or KeyError instead of aliasing.  The
+    exhaustive batch builds the rows from the column of w0: it has
+    every z and the most terms, and its duals read every polynomial.
+
+    The polynomials are read by object: a column read through coset
+    moves shares a few objects among all its entries, so each object's
+    norm, degree and value is taken once.
+
+    Exactness.  The case (x, w) holds when
+
+        F_x = sum over x <= z <= w of
+                  (-1)^(len(z) + len(w)) P(z, w) P(w0 z, w0 x)
+
+    is delta(x, w): 1 when x = w and 0 otherwise.  Field f of a row
+    holds f_x = F_x(2^B), the Kronecker substitution of F_x, for the x
+    that f stands for.  Evaluation at 2^B is a ring homomorphism
+    Z[q] -> Z, and it is injective on polynomials whose coefficients
+    all satisfy |c| < 2^(B-1): for two such polynomials F != D, the
+    coefficients of F - D satisfy |c| < 2^B, and with g the lowest
+    nonzero one, of degree j, (F - D)(2^B) = 2^(jB) (g + 2^B m) for an
+    integer m, which is not 0 since 0 < |g| < 2^B.  (Equivalently, the
+    coefficients are the digits of F(2^B) in balanced base 2^B.)  Every
+    coefficient of F_x is at most M = sum over z of ||P(z, w)||_1
+    ||P(w0 z, w0 x)||_1 in absolute value, since the l1 norm is
+    subadditive and submultiplicative.  A row has at most N terms and
+    reads no polynomial but those the rows were built from, or it
+    raises, so every norm is at most a and M <= N a^2.  B is the least
+    with 2^(B-1) > N a^2: B = bitlen(N a^2) + 1, where bitlen(m) is the
+    least k with m < 2^k.  Since a is taken from the values actually
+    read, a wrong memo entry with large coefficients widens B rather
+    than aliasing.  N a^2 >= 1, since P(w, w) = 1 is read, so B >= 2
+    and the target delta, with coefficient at most 1, is in the
+    injective range too.  Hence f_x = delta(2^B) exactly when
+    F_x = delta.
+
+    A value read satisfies |P(2^B)| <= ||P||_1 2^(B deg P), so each term
+    of f_x is at most (a 2^(B d))^2 in absolute value.  W is the least
+    with 2^(W-1) > N a^2 2^(2 B d), W = bitlen(N a^2) + 2 B d + 1, so
+    |f_x| < 2^(W-1); with N a^2 = 0 every f_x is 0.  So f_x - delta(x, w)
+    lies in [-2^(W-1), 2^(W-1)).  Those differences are the digits of
+    T - 2^(W f_w) in balanced base 2^W, and such digits are unique, so
+    T = 2^(W f_w) exactly when every f_x is delta(x, w), that is, by
+    the above, when the identity holds for every bottom at once.  Only
+    a failing row is read field by field.
+    """
+
+    __slots__ = ("terms", "bits", "width", "polys", "values", "packs")
+
+    def __init__(
+        self,
+        column: Sequence[Mapping[object, IntPolynomial]],
+        dual: Callable[[object], Mapping[int, IntPolynomial]],
+    ) -> None:
+        """Read ``column`` and, for each of its z, ``dual(z)``: the
+        polynomials of D(z) by field."""
+        duals = {z: dual(z) for layer in column for z in layer}
+        # Every polynomial read, by id.  Keeping the object keeps its id
+        # from being reused.
+        polys = {id(p): p for layer in column for p in layer.values()}
+        for fields in duals.values():
+            polys.update(zip(map(id, fields.values()), fields.values()))
+        self.polys = polys
+        self.terms = sum(map(len, column))
+        norm = max(sum(map(abs, p.coeffs)) for p in polys.values())
+        degree = max(p.degree for p in polys.values())
+        bound = (self.terms * norm * norm).bit_length()
+        self.bits = bits = bound + 1
+        # A zero polynomial has degree -1, and is 0 at any q.
+        self.width = width = bound + 2 * bits * max(degree, 0) + 1
+        q = 1 << bits
+        # id -> the value at 2^bits; z -> D(z).
+        values = self.values = {i: p.evaluate(q) for i, p in polys.items()}
+        self.packs = {
+            z: sum(map(lshift, map(values.__getitem__, map(id, fields.values())),
+                       map(mul, fields, repeat(width))))
+            for z, fields in duals.items()
+        }
+
+    def row(self, column: Sequence[Mapping[object, IntPolynomial]]) -> int:
+        """T for ``column``.  Raises ValueError when it has more terms
+        than the column the rows were built from, and KeyError when it
+        holds a z or a polynomial that was not read there."""
+        terms = sum(map(len, column))
+        if terms > self.terms:
+            raise ValueError(f"a row of {terms} terms; the widths fit {self.terms}")
+        values, packs = self.values, self.packs
+        total = 0
+        for k, layer in enumerate(column):
+            part = sum(map(mul, map(values.__getitem__, map(id, layer.values())),
+                           map(packs.__getitem__, layer)))
+            total = total - part if k % 2 else total + part
+        return total
+
+    def failures(
+        self, column: Sequence[Mapping[object, IntPolynomial]], diagonal: int
+    ) -> list[int]:
+        """The fields of the row whose sum is not delta: 1 in the field
+        ``diagonal``, that of the bottom w, and 0 in every other field.
+
+        The row passes when T equals the target.  Otherwise the digits
+        of T minus the target are the field sums minus delta: they lie
+        in [-2^(W-1), 2^(W-1)), where balanced digits are unique.
+        """
+        total = self.row(column) - (1 << (self.width * diagonal))
+        return [f for f, d in enumerate(_balanced_digits(total, self.width)) if d]
+
+
+def _balanced_digits(value: int, width: int) -> list[int]:
+    """The digits of ``value`` in base 2^width, each in
+    [-2^(width-1), 2^(width-1)), lowest first; none for 0.
+
+    >>> _balanced_digits(-1 + (3 << 8) - (5 << 16), 8)
+    [-1, 3, -5]
+    >>> _balanced_digits(-(1 << 7) + (1 << 8), 8)
+    [-128, 1]
+    """
+    digits = []
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << width
+        digits.append(digit)
+        value = (value - digit) >> width
+    return digits
 
 
 def verify_inversion_identity_batch(
@@ -357,63 +510,70 @@ def verify_inversion_identity_batch(
     With ``samples`` unset the check is exhaustive over S_n, which is
     only reasonable for n <= 6; above that a sample count is required
     and pairs are drawn with the given seed.  A sampled pair runs
-    :func:`klpoly.kl.check_inversion_identity` on its own interval.
+    :func:`klpoly.kl.check_inversion_identity`, a sum in Z[q].
 
     The exhaustive run names each element of S_n by its lexicographic
-    index, and builds the ideal [e, w] of every top w, the cases, and
-    the descent masks and coset-move tables of S_n in one pass (see
-    :func:`_down_sets`).  Its first evaluated case decides every case
-    that the cap keeps, so each case after it is one set lookup.
+    index (see :func:`_down_sets`).  Its cases are the pairs (x, w)
+    with x <= w, by top and then by bottom in lexicographic order, and
+    ``case_cap`` keeps the first of them.  They are decided all at
+    once, and the report is built from the failing fields, with no list
+    of cases.
 
-    That case fills every column P(., w) of S_n once, by index, from
-    the top down, with the move rule of :func:`klpoly.kl.kl_column`.
-    With R and L the right and left descent masks of w, a z with
-    R & ~rdes[z] nonzero takes the polynomial of z s_i from the layer
-    above, s_i the lowest set bit; else a z with L & ~ldes[z] nonzero
-    takes that of s_i z; else z is the maximum of its double coset
-    under the descents of w, and only then is P(z, w) read from the
-    cache.  The neighbour lies below w by the lifting property, and has
-    the same polynomial against w.
+    It fills every column P(., w) of S_n once, from the top down, with
+    the move rule of :func:`klpoly.kl.kl_column`.  With R and L the
+    descent masks of w, a z with R & ~rdes[z] nonzero takes the
+    polynomial of z s_i from the layer above, s_i the lowest set bit;
+    else a z with L & ~ldes[z] nonzero takes that of s_i z; else z is
+    the maximum of its double coset under the descents of w, and only
+    then is P(z, w) read from the cache.
 
-    It then decides all cases of a top with one packed integer product
-    (see :class:`klpoly.kl._InversionRows`).  Each z of S_n has one dual
-    pack D(z), the sum over x <= z of P(w0 z, w0 x)(2^B) 2^(W i(x)),
-    with i(x) the index of x.  Since w0 reverses lexicographic order,
-    P(w0 z, w0 x) is entry N - 1 - i(z) of the column of index
-    N - 1 - i(x), at the layer of x in [e, z].  The row of w is the sum
-    over z <= w of (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field
-    i(x) is the integer sum of the case (x, w).  The row passes exactly
-    when it is 2^(W i(w)); only a failing row is read field by field,
-    so the report names the same cases as the one-pair check.  The rows
-    are built from the column of w0: it has every z and the most terms,
-    and its duals read every column, so B and W are fixed there at
-    their least values and each D(z) is packed once.  Only the rows of
-    the tops that the kept cases name are summed.  The columns and
-    packs live for one call.
+    Each top's cases are then decided by one packed integer product
+    (see :class:`_InversionRows`, which holds the proofs).  Each z has
+    one dual pack D(z), the sum over x <= z of
+    P(w0 z, w0 x)(2^B) 2^(W i(x)), with i(x) the index of x.  Since w0
+    reverses lexicographic order, P(w0 z, w0 x) is entry N - 1 - i(z)
+    of the column of index N - 1 - i(x), at the layer of x in [e, z].
+    The row of w is the sum over z <= w of
+    (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field i(x) is the
+    integer sum of the case (x, w).  It passes exactly when it is
+    2^(W i(w)), and each failing field is a failing case.  The rows are
+    built from the column of w0, which has every z and the most terms,
+    and only the rows of the tops that the kept cases name are summed.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if samples is None:
-        if n > _EXHAUSTIVE_MAX_N:
-            raise ValueError(
-                f"exhaustive check over S_{n} is too large; pass a sample count"
-            )
-        perms, downs, cases, rdes, ldes, rmul, lmul = _down_sets(n)
-        parameter_range = f"S_{n} exhaustive"
-        used_seed = None
-    else:
+
+    def failure(x: Perm, w: Perm) -> Failure:
+        case = f"x={format_perm(x)} w={format_perm(w)}"
+        return Failure(case, "delta(x, w)", "nonzero deviation")
+
+    if samples is not None:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         import random
 
         rng = random.Random(seed)
-        cases = [random_comparable_pair(n, rng) for _ in range(samples)]
-        parameter_range = f"S_{n}, {samples} sampled pairs"
-        used_seed = seed
-    # The failing cases of the exhaustive run, decided at its first case.
-    failing: set[tuple[Perm, Perm]] | None = None
 
-    def decide(c: KLCache) -> set[tuple[Perm, Perm]]:
+        def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Failure | None:
+            return None if check_inversion_identity(*case, c) else failure(*case)
+
+        return _run_cases(
+            "inversion-identity",
+            f"S_{n}, {samples} sampled pairs",
+            [random_comparable_pair(n, rng) for _ in range(samples)],
+            evaluate,
+            cache,
+            case_cap,
+            seed=seed,
+        )
+
+    if n > _EXHAUSTIVE_MAX_N:
+        raise ValueError(
+            f"exhaustive check over S_{n} is too large; pass a sample count"
+        )
+    perms, downs, rdes, ldes, rmul, lmul = _down_sets(n)
+
+    def decide(count: int, c: KLCache) -> list[Failure]:
         # Fields and keys are indices in S_n; w0 is the last of them.
         last = len(perms) - 1
         columns = []
@@ -450,41 +610,28 @@ def verify_inversion_identity_batch(
             }
 
         rows = _InversionRows(columns[last], dual)
-        # The kept cases name the first tops in lexicographic order.
-        kept = cases if case_cap is None else cases[:case_cap]
-        tops = perms.index(kept[-1][1]) + 1
-        return {
-            (perms[f], perms[t])
-            for t in range(tops)
-            for f in rows.failures(columns[t], t)
-        }
-
-    def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Failure | None:
-        nonlocal failing
-        if samples is not None:
-            passed = check_inversion_identity(*case, c)
-        else:
-            if failing is None:
-                failing = decide(c)
-            # A passing run skips hashing each case.
-            passed = not failing or case not in failing
-        if not passed:
-            x, w = case
-            return Failure(
-                f"x={format_perm(x)} w={format_perm(w)}",
-                "delta(x, w)",
-                "nonzero deviation",
-            )
-        return None
+        # The first ``count`` cases: whole ideals of the first tops, and
+        # of a top where the count ends, its ``count`` smallest indices.
+        failures = []
+        for t, ideal in enumerate(downs):
+            if count <= 0:
+                break
+            failed = rows.failures(columns[t], t)
+            size = sum(map(len, ideal))
+            if count < size:
+                bound = sorted(x for layer in ideal for x in layer)[count - 1]
+                failed = [f for f in failed if f <= bound]
+            count -= size
+            failures += [failure(perms[f], perms[t]) for f in failed]
+        return failures
 
     return _run_cases(
         "inversion-identity",
-        parameter_range,
-        cases,
-        evaluate,
+        f"S_{n} exhaustive",
+        sum(len(layer) for ideal in downs for layer in ideal),
+        decide,
         cache,
         case_cap,
-        seed=used_seed,
     )
 
 

@@ -195,7 +195,7 @@ def test_verify_defaults_match_the_library(capsys, name, batch):
 
 
 def test_verify_inversion_caps_an_exhaustive_run(capsys):
-    # Up to n = 6, --cases caps the exhaustive case list.
+    # Up to n = 6, --cases caps the cases of the exhaustive run.
     code, out, _ = run(
         capsys, "verify", "inversion", "--n", "5", "--cases", "7", "--json"
     )

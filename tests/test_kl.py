@@ -1,14 +1,10 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from klpoly.bruhat import RankDifferenceTable, bruhat_leq, interval
 from klpoly.kl import (
     KLCache,
-    _balanced_digits,
-    _InversionRows,
     _maxima_column,
     _raise_bottom,
     _split_descent,
@@ -249,11 +245,12 @@ def test_inversion_identity_exhaustive_s3(shared_cache):
         assert check_inversion_identity(x, w, shared_cache)
 
 
-# 2^b - q is zero at q = 2^b, so a sum packed at a width b fixed in
+# 2^b - q is zero at q = 2^b, so a sum evaluated at a width b fixed in
 # advance, rather than bounded from the values it reads, would not see it
 # added to a polynomial.  b = 2 is the least width at which evaluation is
 # injective on each correct polynomial of S_4 (all coefficients 0 or 1),
-# 16 the width the sum packs correct S_4 values at, and 64 a machine word.
+# 16 the width the exhaustive batch packs correct S_4 values at, and 64 a
+# machine word.
 ALIAS_ERRORS = [IntPolynomial([1 << b, -1]) for b in (2, 16, 64)]
 
 
@@ -278,10 +275,11 @@ def _is_delta(p, x, w):
 
 
 def test_inversion_identity_matches_the_polynomial_sum(inversion_sum):
-    # The packed integer sum against the signed sum taken in Z[q]: on
-    # every comparable pair of S_4, with correct polynomials and with one
-    # wrong memo entry at a key that lookups read, and on seeded
-    # comparable pairs of S_6.
+    # The check's sum in Z[q], read from one column through coset moves,
+    # against the signed sum of a lookup per term over the interval's
+    # elements: on every comparable pair of S_4, with correct polynomials
+    # and with one wrong memo entry at a key that lookups read, and on
+    # seeded comparable pairs of S_6.
     w = (4, 2, 3, 1)
     caches = [KLCache()]
     for error in (ONE, *ALIAS_ERRORS):
@@ -295,91 +293,15 @@ def test_inversion_identity_matches_the_polynomial_sum(inversion_sum):
             for x, top in comparable_pairs(4)
         ]
         assert len(verdicts) == 213
-        assert all(packed == polynomial for packed, polynomial in verdicts)
+        assert all(checked == summed for checked, summed in verdicts)
         # Only the correct cache passes everywhere.
-        assert all(packed for packed, _ in verdicts) == (i == 0)
+        assert all(checked for checked, _ in verdicts) == (i == 0)
     rng = random.Random(6)
     cache = KLCache()
     for _ in range(200):
         x, top = random_comparable_pair(6, rng)
         assert _is_delta(inversion_sum(x, top, cache), x, top)
         assert check_inversion_identity(x, top, cache)
-
-
-# A term of a packed row: the layer of z, P(z, w), and D(z) by field.
-ROW_TERMS = st.lists(
-    st.tuples(
-        st.integers(0, 3),
-        st.lists(st.integers(-(1 << 40), 1 << 40), max_size=3).map(IntPolynomial),
-        st.dictionaries(
-            st.integers(0, 5),
-            st.lists(st.integers(0, 1 << 40), max_size=3).map(IntPolynomial),
-            min_size=1,
-            max_size=4,
-        ),
-    ),
-    min_size=1,
-    max_size=8,
-)
-# One term at the largest norm a with a^2 < 2^15: 181^2 = 32761, so
-# B = W = 16 and both fields sum to -32761, next to the edge -(2^15 - 1)
-# of the W bound.  In the second example each value meets
-# |P(2^B)| <= ||P||_1 2^(B deg P) with equality, and the field sum
-# -32761 * 2^32 is next to the edge of W = 48.
-ROW_EDGES = [
-    [(0, IntPolynomial([-181]), {0: IntPolynomial([181]), 1: IntPolynomial([181])})],
-    [(1, IntPolynomial([0, 181]), {0: IntPolynomial([0, 181])})],
-]
-
-
-@given(ROW_TERMS, st.integers(0, 6))
-@example(ROW_EDGES[0], 0)
-@example(ROW_EDGES[0], 1)
-@example(ROW_EDGES[1], 0)
-@settings(deadline=None)
-def test_packed_row_decodes_every_field_to_its_integer_sum(terms, diagonal):
-    column = [{} for _ in range(max(k for k, _, _ in terms) + 1)]
-    for z, (k, p, _) in enumerate(terms):
-        column[k][z] = p
-    rows = _InversionRows(column, lambda z: terms[z][2])
-    total = rows.row(column)
-    q = 1 << rows.bits
-    # Fields run to 6, past every dual field, so the diagonal may be empty.
-    sums = [0] * 7
-    for k, p, dual in terms:
-        for f, d in dual.items():
-            sums[f] += (-1) ** k * p.evaluate(q) * d.evaluate(q)
-    # B and W meet the bounds that make the comparison exact.
-    norms = [sum(map(abs, p.coeffs)) for _, p, _ in terms]
-    dual_norms = [
-        sum(map(abs, d.coeffs)) for _, _, dual in terms for d in dual.values()
-    ]
-    assert 1 << (rows.bits - 1) > len(terms) * max(norms) * max(dual_norms)
-    assert all(abs(f) < 1 << (rows.width - 1) for f in sums)
-    digits = _balanced_digits(total, rows.width)
-    assert digits + [0] * (7 - len(digits)) == sums
-    failed = rows.failures(column, diagonal)
-    assert failed == [f for f in range(7) if sums[f] != (f == diagonal)]
-
-
-def test_packed_rows_sum_only_rows_they_were_built_for():
-    # The widths are fixed for the column the rows are built from.  A row
-    # with more terms, or a z or polynomial not read there, raises rather
-    # than aliasing.
-    p, d = IntPolynomial([1, 1]), IntPolynomial([0, 2])
-    column = [{0: ONE}, {1: p}]
-    rows = _InversionRows(column, lambda z: {z: d})
-    q = 1 << rows.bits
-    assert rows.row(column) == d.evaluate(q) - (
-        p.evaluate(q) * d.evaluate(q) << rows.width
-    )
-    assert rows.row([{1: p}]) == p.evaluate(q) * d.evaluate(q) << rows.width
-    with pytest.raises(ValueError):
-        rows.row(column + [{0: ONE}])
-    with pytest.raises(KeyError):
-        rows.row([{2: ONE}])
-    with pytest.raises(KeyError):
-        rows.row([{1: IntPolynomial([1, 1])}])
 
 
 def test_kl_column_reads_only_double_coset_maxima(monkeypatch):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from klpoly.bruhat import bruhat_leq, covers_up, interval
 from klpoly.families import (
@@ -34,7 +36,9 @@ from klpoly.polynomial import ONE, IntPolynomial
 from klpoly.verify import (
     Failure,
     VerificationReport,
+    _balanced_digits,
     _down_sets,
+    _InversionRows,
     random_comparable_pair,
     verify_coatom_bound,
     verify_inverse_closed_forms,
@@ -58,8 +62,9 @@ def _probed_tops_s4(z):
 
 
 def _cases(n):
-    """The cases (x, w) of the exhaustive inversion run over S_n."""
-    return _down_sets(n)[2]
+    """The cases (x, w) of the exhaustive inversion run over S_n, in
+    order: every comparable pair, by the all-pairs filter."""
+    return [(x, w) for w in all_perms(n) for x in all_perms(n) if bruhat_leq(x, w)]
 
 
 def test_regular_closed_forms_small():
@@ -234,13 +239,6 @@ def test_inversion_exhaustive_counts():
     assert report.seed is None
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_exhaustive_inversion_cases_match_all_pairs_filter(n):
-    # The case list, and so what case_cap keeps, is the all-pairs filter.
-    old = [(x, w) for w in all_perms(n) for x in all_perms(n) if bruhat_leq(x, w)]
-    assert _cases(n) == old
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_down_layers_match_the_interval_walks(n):
     # The one-pass closure over the covers builds every [e, w] at once;
@@ -263,7 +261,7 @@ def test_move_tables_pick_the_ascent_neighbour(n):
     # right descent i of w at which z ascends, else s_i z for the lowest
     # such left descent, else z is read.  That is kl._ascent_neighbour,
     # and z is read exactly at the double-coset maxima of w.
-    perms, downs, _, rdes, ldes, rmul, lmul = _down_sets(n)
+    perms, downs, rdes, ldes, rmul, lmul = _down_sets(n)
 
     def positions(mask):
         return tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
@@ -293,6 +291,82 @@ def test_w0_reverses_the_lexicographic_index(n):
     perms = _down_sets(n)[0]
     last = len(perms) - 1
     assert all(perms[last - i] == _w0_times(v) for i, v in enumerate(perms))
+
+
+# A term of a packed row: the layer of z, P(z, w), and D(z) by field.
+ROW_TERMS = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.lists(st.integers(-(1 << 40), 1 << 40), max_size=3).map(IntPolynomial),
+        st.dictionaries(
+            st.integers(0, 5),
+            st.lists(st.integers(0, 1 << 40), max_size=3).map(IntPolynomial),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+# One term at the largest norm a with a^2 < 2^15: 181^2 = 32761, so
+# B = W = 16 and both fields sum to -32761, next to the edge -(2^15 - 1)
+# of the W bound.  In the second example each value meets
+# |P(2^B)| <= ||P||_1 2^(B deg P) with equality, and the field sum
+# -32761 * 2^32 is next to the edge of W = 48.
+ROW_EDGES = [
+    [(0, IntPolynomial([-181]), {0: IntPolynomial([181]), 1: IntPolynomial([181])})],
+    [(1, IntPolynomial([0, 181]), {0: IntPolynomial([0, 181])})],
+]
+
+
+@given(ROW_TERMS, st.integers(0, 6))
+@example(ROW_EDGES[0], 0)
+@example(ROW_EDGES[0], 1)
+@example(ROW_EDGES[1], 0)
+@settings(deadline=None)
+def test_packed_row_decodes_every_field_to_its_integer_sum(terms, diagonal):
+    column = [{} for _ in range(max(k for k, _, _ in terms) + 1)]
+    for z, (k, p, _) in enumerate(terms):
+        column[k][z] = p
+    rows = _InversionRows(column, lambda z: terms[z][2])
+    total = rows.row(column)
+    q = 1 << rows.bits
+    # Fields run to 6, past every dual field, so the diagonal may be empty.
+    sums = [0] * 7
+    for k, p, dual in terms:
+        for f, d in dual.items():
+            sums[f] += (-1) ** k * p.evaluate(q) * d.evaluate(q)
+    # B and W meet the bounds that make the comparison exact.
+    norms = [sum(map(abs, p.coeffs)) for _, p, _ in terms]
+    dual_norms = [
+        sum(map(abs, d.coeffs)) for _, _, dual in terms for d in dual.values()
+    ]
+    assert 1 << (rows.bits - 1) > len(terms) * max(norms) * max(dual_norms)
+    assert all(abs(f) < 1 << (rows.width - 1) for f in sums)
+    digits = _balanced_digits(total, rows.width)
+    assert digits + [0] * (7 - len(digits)) == sums
+    failed = rows.failures(column, diagonal)
+    assert failed == [f for f in range(7) if sums[f] != (f == diagonal)]
+
+
+def test_packed_rows_sum_only_rows_they_were_built_for():
+    # The widths are fixed for the column the rows are built from.  A row
+    # with more terms, or a z or polynomial not read there, raises rather
+    # than aliasing.
+    p, d = IntPolynomial([1, 1]), IntPolynomial([0, 2])
+    column = [{0: ONE}, {1: p}]
+    rows = _InversionRows(column, lambda z: {z: d})
+    q = 1 << rows.bits
+    assert rows.row(column) == d.evaluate(q) - (
+        p.evaluate(q) * d.evaluate(q) << rows.width
+    )
+    assert rows.row([{1: p}]) == p.evaluate(q) * d.evaluate(q) << rows.width
+    with pytest.raises(ValueError):
+        rows.row(column + [{0: ONE}])
+    with pytest.raises(KeyError):
+        rows.row([{2: ONE}])
+    with pytest.raises(KeyError):
+        rows.row([{1: IntPolynomial([1, 1])}])
 
 
 def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
@@ -333,7 +407,7 @@ def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
 
 @pytest.mark.parametrize("cap, rows", [(None, 120), (1, 1)])
 def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
-    # The first case fills each of the 120 columns of S_5 once, reading
+    # The batch fills each of the 120 columns of S_5 once, reading
     # the cache exactly once at each double-coset maximum of each top and
     # nowhere else, and sums the row of each top that the kept cases
     # name: all 120 uncapped, and only that of e when the cap keeps the
@@ -411,9 +485,9 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
 @pytest.mark.parametrize("z", PROBED_BOTTOMS_S4)
 def test_capped_inversion_batch_fails_exactly_where_the_check_does(z, error):
     # A cap that stops partway through the cases of a top still reads
-    # every column at the first case, but decides only the tops it keeps;
-    # the cases it keeps must still fail as they do alone.  The cap stops
-    # just after the first failing case.
+    # every column, but decides only the tops it keeps; the cases it
+    # keeps must still fail as they do alone.  The cap stops just after
+    # the first failing case.
     cases = _cases(4)
     for w in _probed_tops_s4(z):
 
@@ -438,6 +512,33 @@ def test_capped_inversion_batch_fails_exactly_where_the_check_does(z, error):
         report = verify_inversion_identity_batch(4, seeded(), case_cap=cap)
         assert report.cases == cap
         assert sorted(f.case for f in report.failures) == sorted(expected), w
+
+
+def test_every_cap_keeps_the_failures_of_its_first_cases():
+    # The batch reports from its failing fields, with no case list, so a
+    # cap must keep the first cap pairs of the all-pairs filter, also
+    # when it ends inside a top.  This wrong entry fails four cases under
+    # three tops.
+    z, w = (3, 2, 1, 4), (3, 4, 1, 2)
+
+    def seeded():
+        cache = KLCache()
+        cache.memo[(z, w)] = kl_polynomial(z, w) + ONE
+        return cache
+
+    cache = seeded()
+    failing = [
+        f"x={format_perm(x)} w={format_perm(top)}"
+        if not check_inversion_identity(x, top, cache) else None
+        for x, top in _cases(4)
+    ]
+    assert len(failing) == 213
+    assert sum(f is not None for f in failing) == 4
+    for cap in range(1, 215):
+        report = verify_inversion_identity_batch(4, seeded(), case_cap=cap)
+        assert report.cases == min(cap, 213)
+        expected = sorted(f for f in failing[:cap] if f is not None)
+        assert [f.case for f in report.failures] == expected, cap
 
 
 def test_exhaustive_inversion_reads_each_polynomial_once():
@@ -508,6 +609,30 @@ def test_inversion_batch_fails_where_the_check_does_on_s6():
     }
     assert expected
     assert sorted(f.case for f in report.failures) == sorted(expected)
+
+
+def test_the_one_pair_check_does_not_use_the_packed_rows(monkeypatch):
+    # The one-pair check is the batch's independent reference, so it
+    # must not run through the batch's packing: the rows have one owner,
+    # and with them broken the check and the sampled batch still pass,
+    # and only the exhaustive batch fails.
+    import klpoly.kl
+    import klpoly.verify
+
+    assert not hasattr(klpoly.kl, "_InversionRows")
+
+    class Broken:
+        def __init__(self, *args):
+            raise AssertionError("the packed rows were used")
+
+    monkeypatch.setattr(klpoly.verify, "_InversionRows", Broken)
+    cache = KLCache()
+    pairs = _cases(4)
+    assert len(pairs) == 213
+    assert all(check_inversion_identity(x, w, cache) for x, w in pairs)
+    assert verify_inversion_identity_batch(7, samples=20, seed=1).passed
+    with pytest.raises(AssertionError, match="packed rows"):
+        verify_inversion_identity_batch(4)
 
 
 def test_inversion_sampled_is_seeded():
