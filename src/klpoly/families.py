@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .bruhat import _Record, interval
+from .bruhat import _Record
 from .kl import KLCache, inverse_kl, kl_column
-from .perm import Perm, _checked_pair, format_perm
+from .perm import Perm, format_perm
 from .polynomial import ONE, ZERO, IntPolynomial, geometric_sum
 
 # The one table of the families, one row per pair kind, in the order the
@@ -310,27 +310,28 @@ def inverse_kl_from_interval_sum(
     lexicographically.  The result must agree with inverse_kl(x, w),
     which makes this a useful cross-check.
 
-    P(., w) is read once, as the column of w on [x, w] (see
+    P(., w) is read once, as ``kl_column(x, w, cache)`` (see
     :func:`klpoly.kl.kl_column`).  Its layer k holds the z with
     len(w) - len(z) = k, so a term at layer k has the sign (-1)^(k+1),
     and the last layer holds x alone.  Raises ValueError unless x and w
     are permutations of the same size with x <= w.
     """
-    x, w = _checked_pair(x, w)
-    if x == w:
-        return ONE
     if cache is None:
         cache = KLCache()
-    column = kl_column(w, cache, interval(x, w).layers)
-    *interior, last = column[1:]
+    column = kl_column(x, w, cache)
+    if len(column) == 1:
+        return ONE
+    # kl_column checks both arguments; w and x are read back as Perms
+    # from the first and the last layer, which hold them alone.
+    (w,), *interior, last = column
     for layer in reversed(interior):
         for z in sorted(layer):
             if layer[z] != ONE:
                 raise NontrivialIntervalError(
                     f"P({format_perm(z)}, {format_perm(w)}) = {layer[z]} != 1"
                 )
-    # x is at layer len(column) - 1.
-    total = last[x] * (-1) ** len(column)
+    ((x, p),) = last.items()
+    total = p * (-1) ** len(column)
     for k, layer in enumerate(interior, 1):
         for z in layer:
             total = total + inverse_kl(x, z, cache) * (-1) ** (k + 1)

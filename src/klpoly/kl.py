@@ -99,7 +99,7 @@ integers; that packing lives in :mod:`klpoly.verify`, its only reader.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from .bruhat import _inert_values, bruhat_leq, covers_down, interval
 from .perm import (
@@ -365,64 +365,46 @@ def inverse_kl(x: Perm, w: Perm, cache: KLCache | None = None) -> IntPolynomial:
 
 
 def kl_column(
-    w: Perm,
-    cache: KLCache | None = None,
-    layers: Sequence[Sequence[Perm]] | None = None,
+    x: Perm, w: Perm, cache: KLCache | None = None
 ) -> list[dict[Perm, IntPolynomial]]:
-    """The column of w: layer k maps each z <= w of length len(w) - k
-    to P(z, w).
+    """The column of w on [x, w]: layer k maps each z of the interval
+    with len(z) = len(w) - k to P(z, w).
 
-    The layers are those of [e, w] unless the caller passes others of
-    the same shape, such as ``interval(x, w).layers``.  Raises
-    ValueError unless w is a permutation, the first layer is w alone
-    and every entry lies below w.
+    Raises ValueError unless x and w are permutations of the same size
+    with x <= w.
 
     The layers are filled from the top through coset moves.  A z with
     an ascent at a right descent s of w (z s > z), or at a left descent
-    (s z > z), takes the value of its neighbour z s or s z, found in
-    the layer above.  The neighbour lies below w, so z < neighbour lies
-    below w too.  By the lifting property the neighbour has the same
-    polynomial against w, which is exactly what the cache answers for z
-    after raising it.  Only the maxima of the double cosets of w's
-    descents, and any z whose neighbour is not in the layer above, are
-    read from the cache.
+    (s z > z), takes the value of its neighbour z s or s z.  By the
+    lifting property the neighbour lies below w, and so
+    x <= z < neighbour <= w: it is in the layer above.  It also has the
+    same polynomial against w, which is exactly what the cache answers
+    for z after raising it.  Only the maxima of the double cosets of
+    w's descents are read from the cache.
 
-    It has two readers, each on the layers of one interval and each
-    summing the column in Z[q]: the one-pair check
-    :func:`check_inversion_identity`, which the sampled inversion batch
-    runs, and :func:`klpoly.families.inverse_kl_from_interval_sum`.  The
-    exhaustive batch of
+    It has two readers, each summing the column in Z[q]: the one-pair
+    check :func:`check_inversion_identity`, which the sampled inversion
+    batch runs, and :func:`klpoly.families.inverse_kl_from_interval_sum`.
+    The exhaustive batch of
     :func:`klpoly.verify.verify_inversion_identity_batch` applies the
     same moves to all of S_n, by index, and packs its sums into
     integers.
 
     >>> [{format_perm(z): str(p) for z, p in layer.items()}
-    ...  for layer in kl_column((2, 3, 1))]
+    ...  for layer in kl_column((1, 2, 3), (2, 3, 1))]
     [{'2,3,1': '1'}, {'1,3,2': '1', '2,1,3': '1'}, {'1,2,3': '1'}]
     """
-    w = from_oneline(w)
+    x, w = _checked_pair(x, w)
     if cache is None:
         cache = KLCache()
-    if layers is None:
-        layers = interval(identity(len(w)), w).layers
-    elif not layers or tuple(layers[0]) != (w,):
-        raise ValueError(
-            f"the layers of a column of {format_perm(w)} must start at it"
-        )
     right, left = cache._top(w)
     column: list[dict[Perm, IntPolynomial]] = []
     above: dict[Perm, IntPolynomial] = {}
-    for layer in layers:
+    for layer in interval(x, w).layers:
         here = {}
         for z in layer:
-            p = above.get(_ascent_neighbour(z, right, left))
-            if p is None:
-                p = _kl(z, w, cache)
-                if not p:
-                    raise ValueError(
-                        f"{format_perm(z)} is not below {format_perm(w)}"
-                    )
-            here[z] = p
+            neighbour = _ascent_neighbour(z, right, left)
+            here[z] = _kl(z, w, cache) if neighbour is None else above[neighbour]
         column.append(here)
         above = here
     return column
@@ -480,21 +462,23 @@ def check_inversion_identity(
     and w are permutations of the same size with x <= w.
 
     F is summed in Z[q]: the first factors are read with
-    ``kl_column(w, cache, interval(x, w).layers)``, whose layer k gives
-    the sign (-1)^k, and each second factor is looked up.  This plain
-    sum is the reference for the packed integer products of
-    :func:`klpoly.verify.verify_inversion_identity_batch`.
+    ``kl_column(x, w, cache)``, whose layer k gives the sign (-1)^k and
+    whose last layer holds x alone, and each second factor is looked
+    up.  This plain sum is the reference for the packed integer
+    products of :func:`klpoly.verify.verify_inversion_identity_batch`.
     """
-    x, w = _checked_pair(x, w)
     if cache is None:
         cache = KLCache()
+    column = kl_column(x, w, cache)
+    # kl_column checks both arguments; x is read back as a Perm.
+    (x,) = column[-1]
     w0x = _w0_times(x)
     # The terms of even and of odd layers, summed apart.
     sums = [ZERO, ZERO]
-    for k, layer in enumerate(kl_column(w, cache, interval(x, w).layers)):
+    for k, layer in enumerate(column):
         for z, p in layer.items():
             sums[k % 2] += p * _kl(_w0_times(z), w0x, cache)
-    return sums[0] - sums[1] == (ONE if x == w else ZERO)
+    return sums[0] - sums[1] == (ONE if len(column) == 1 else ZERO)
 
 
 def _drop_values(v: Perm, inert: int) -> Perm:

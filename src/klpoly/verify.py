@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Mapping, Sequence
-from itertools import repeat
-from operator import lshift, mul
+from operator import mul
 
 from .bruhat import _Record, bruhat_leq, coatom_count, covers_down
 from .families import (
@@ -351,31 +350,28 @@ def _down_sets(
 
 
 class _InversionRows:
-    """Rows of the inversion identity, each summed as one packed integer
-    product over dual packs that the rows share.
+    """Rows of the inversion identity over S_n, each summed as one
+    packed integer product over dual packs that the rows share.
 
-    A row is a column P(., w) in layers from w, and its sum is
+    Every element of S_n is named by its lexicographic index, and
+    ``columns[t]`` is the column P(., w) of the w of index t, in layers
+    from w over the ideal ``downs[t]`` (see :func:`_down_sets`).  The
+    row of t is
 
-        T = sum over z in the column of (-1)^k P(z, w)(2^B) D(z),
+        T = sum over z <= w of (-1)^k P(z, w)(2^B) D(z),
 
-    with k the layer of z.  The dual pack D(z) holds, in field f, the
-    value P(w0 z, w0 x)(2^B) of the bottom x that f stands for:
+    with k the layer of z.  The dual pack D(z) holds, in field x, the
+    value P(w0 z, w0 x)(2^B) of each bottom x <= z:
 
-        D(z) = sum over f of P(w0 z, w0 x)(2^B) 2^(W f),
+        D(z) = sum over x <= z of P(w0 z, w0 x)(2^B) 2^(W x),
 
-    so field f of T is the integer sum of the case (x, w), restricted
-    to the z of the column.
+    so field x of T is the integer sum of the case (x, w).  Since w0
+    reverses lexicographic order (N - 1 - i is the index of w0 v when i
+    is that of v, with N = n!), P(w0 z, w0 x) is entry N - 1 - z of the
+    column of N - 1 - x, at the layer of x in the ideal of z: it is
+    read straight from the columns, once per pack.
 
-    The rows are built from one column and the duals of its z, which
-    fix N (the column's terms), a and d (the largest norm and degree
-    among the polynomials read), and so the least B and W that make
-    every field exact (below); each D(z) is packed there, once.  A
-    later row that is longer, or holds a z or a polynomial not read
-    there, raises ValueError or KeyError instead of aliasing.  The
-    exhaustive batch builds the rows from the column of w0: it has
-    every z and the most terms, and its duals read every polynomial.
-
-    The polynomials are read by object: a column read through coset
+    The polynomials are read by object: a column filled through coset
     moves shares a few objects among all its entries, so each object's
     norm, degree and value is taken once.
 
@@ -384,97 +380,83 @@ class _InversionRows:
         F_x = sum over x <= z <= w of
                   (-1)^(len(z) + len(w)) P(z, w) P(w0 z, w0 x)
 
-    is delta(x, w): 1 when x = w and 0 otherwise.  Field f of a row
-    holds f_x = F_x(2^B), the Kronecker substitution of F_x, for the x
-    that f stands for.  Evaluation at 2^B is a ring homomorphism
-    Z[q] -> Z, and it is injective on polynomials whose coefficients
-    all satisfy |c| < 2^(B-1): for two such polynomials F != D, the
-    coefficients of F - D satisfy |c| < 2^B, and with g the lowest
-    nonzero one, of degree j, (F - D)(2^B) = 2^(jB) (g + 2^B m) for an
-    integer m, which is not 0 since 0 < |g| < 2^B.  (Equivalently, the
-    coefficients are the digits of F(2^B) in balanced base 2^B.)  Every
-    coefficient of F_x is at most M = sum over z of ||P(z, w)||_1
-    ||P(w0 z, w0 x)||_1 in absolute value, since the l1 norm is
-    subadditive and submultiplicative.  A row has at most N terms and
-    reads no polynomial but those the rows were built from, or it
-    raises, so every norm is at most a and M <= N a^2.  B is the least
-    with 2^(B-1) > N a^2: B = bitlen(N a^2) + 1, where bitlen(m) is the
-    least k with m < 2^k.  Since a is taken from the values actually
-    read, a wrong memo entry with large coefficients widens B rather
-    than aliasing.  N a^2 >= 1, since P(w, w) = 1 is read, so B >= 2
-    and the target delta, with coefficient at most 1, is in the
-    injective range too.  Hence f_x = delta(2^B) exactly when
-    F_x = delta.
+    is delta(x, w): 1 when x = w and 0 otherwise.  Field x of the row
+    of w holds f_x = F_x(2^B), the Kronecker substitution of F_x.
+    Evaluation at 2^B is a ring homomorphism Z[q] -> Z, and it is
+    injective on polynomials whose coefficients all satisfy
+    |c| < 2^(B-1): for two such polynomials F != D, the coefficients of
+    F - D satisfy |c| < 2^B, and with g the lowest nonzero one, of
+    degree j, (F - D)(2^B) = 2^(jB) (g + 2^B m) for an integer m, which
+    is not 0 since 0 < |g| < 2^B.  (Equivalently, the coefficients are
+    the digits of F(2^B) in balanced base 2^B.)  Every coefficient of
+    F_x is at most M = sum over z of ||P(z, w)||_1 ||P(w0 z, w0 x)||_1
+    in absolute value, since the l1 norm is subadditive and
+    submultiplicative.  Every factor of every row and pack is an entry
+    of the columns, so with a and d the largest norm and degree among
+    all of their polynomials, each norm is at most a; and a row has at
+    most N terms, the N of the column of w0, which holds every z.  So
+    M <= N a^2.  B is the least with 2^(B-1) > N a^2:
+    B = bitlen(N a^2) + 1, where bitlen(m) is the least k with
+    m < 2^k.  Since a is taken from the values actually read, a wrong
+    memo entry with large coefficients widens B rather than aliasing.
+    N a^2 >= 1, since P(w, w) = 1 is read, so B >= 2 and the target
+    delta, with coefficient at most 1, is in the injective range too.
+    Hence f_x = delta(2^B) exactly when F_x = delta.
 
     A value read satisfies |P(2^B)| <= ||P||_1 2^(B deg P), so each term
     of f_x is at most (a 2^(B d))^2 in absolute value.  W is the least
     with 2^(W-1) > N a^2 2^(2 B d), W = bitlen(N a^2) + 2 B d + 1, so
     |f_x| < 2^(W-1); with N a^2 = 0 every f_x is 0.  So f_x - delta(x, w)
     lies in [-2^(W-1), 2^(W-1)).  Those differences are the digits of
-    T - 2^(W f_w) in balanced base 2^W, and such digits are unique, so
-    T = 2^(W f_w) exactly when every f_x is delta(x, w), that is, by
-    the above, when the identity holds for every bottom at once.  Only
-    a failing row is read field by field.
+    T - 2^(W t) in balanced base 2^W, t the index of w, and such digits
+    are unique, so T = 2^(W t) exactly when every f_x is delta(x, w),
+    that is, by the above, when the identity holds for every bottom at
+    once.  Only a failing row is read field by field.
     """
 
-    __slots__ = ("terms", "bits", "width", "polys", "values", "packs")
+    __slots__ = ("columns", "bits", "width", "values", "packs")
 
     def __init__(
         self,
-        column: Sequence[Mapping[object, IntPolynomial]],
-        dual: Callable[[object], Mapping[int, IntPolynomial]],
+        columns: Sequence[Sequence[Mapping[int, IntPolynomial]]],
+        downs: Sequence[Sequence[Sequence[int]]],
     ) -> None:
-        """Read ``column`` and, for each of its z, ``dual(z)``: the
-        polynomials of D(z) by field."""
-        duals = {z: dual(z) for layer in column for z in layer}
-        # Every polynomial read, by id.  Keeping the object keeps its id
-        # from being reused.
-        polys = {id(p): p for layer in column for p in layer.values()}
-        for fields in duals.values():
-            polys.update(zip(map(id, fields.values()), fields.values()))
-        self.polys = polys
-        self.terms = sum(map(len, column))
+        # Every polynomial read, by id; the columns keep the objects, so
+        # no id is reused while the rows are in use.
+        polys = {id(p): p for column in columns for layer in column
+                 for p in layer.values()}
+        self.columns = columns
+        last = len(columns) - 1
         norm = max(sum(map(abs, p.coeffs)) for p in polys.values())
         degree = max(p.degree for p in polys.values())
-        bound = (self.terms * norm * norm).bit_length()
+        bound = (len(columns) * norm * norm).bit_length()
         self.bits = bits = bound + 1
         # A zero polynomial has degree -1, and is 0 at any q.
         self.width = width = bound + 2 * bits * max(degree, 0) + 1
         q = 1 << bits
-        # id -> the value at 2^bits; z -> D(z).
         values = self.values = {i: p.evaluate(q) for i, p in polys.items()}
-        self.packs = {
-            z: sum(map(lshift, map(values.__getitem__, map(id, fields.values())),
-                       map(mul, fields, repeat(width))))
-            for z, fields in duals.items()
-        }
+        # x at layer k of the ideal of z puts w0 z at layer k of the
+        # column of w0 x.
+        self.packs = [
+            sum(values[id(columns[last - x][k][last - z])] << (width * x)
+                for k, layer in enumerate(ideal) for x in layer)
+            for z, ideal in enumerate(downs)
+        ]
 
-    def row(self, column: Sequence[Mapping[object, IntPolynomial]]) -> int:
-        """T for ``column``.  Raises ValueError when it has more terms
-        than the column the rows were built from, and KeyError when it
-        holds a z or a polynomial that was not read there."""
-        terms = sum(map(len, column))
-        if terms > self.terms:
-            raise ValueError(f"a row of {terms} terms; the widths fit {self.terms}")
-        values, packs = self.values, self.packs
-        total = 0
-        for k, layer in enumerate(column):
-            part = sum(map(mul, map(values.__getitem__, map(id, layer.values())),
-                           map(packs.__getitem__, layer)))
-            total = total - part if k % 2 else total + part
-        return total
-
-    def failures(
-        self, column: Sequence[Mapping[object, IntPolynomial]], diagonal: int
-    ) -> list[int]:
-        """The fields of the row whose sum is not delta: 1 in the field
-        ``diagonal``, that of the bottom w, and 0 in every other field.
+    def failures(self, t: int) -> list[int]:
+        """The fields of the row of top t whose sum is not delta: 1 in
+        field t, that of the bottom w, and 0 in every other field.
 
         The row passes when T equals the target.  Otherwise the digits
         of T minus the target are the field sums minus delta: they lie
         in [-2^(W-1), 2^(W-1)), where balanced digits are unique.
         """
-        total = self.row(column) - (1 << (self.width * diagonal))
+        values, packs = self.values, self.packs
+        total = -(1 << (self.width * t))
+        for k, layer in enumerate(self.columns[t]):
+            part = sum(map(mul, map(values.__getitem__, map(id, layer.values())),
+                           map(packs.__getitem__, layer)))
+            total = total - part if k % 2 else total + part
         return [f for f, d in enumerate(_balanced_digits(total, self.width)) if d]
 
 
@@ -536,9 +518,9 @@ def verify_inversion_identity_batch(
     The row of w is the sum over z <= w of
     (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field i(x) is the
     integer sum of the case (x, w).  It passes exactly when it is
-    2^(W i(w)), and each failing field is a failing case.  The rows are
-    built from the column of w0, which has every z and the most terms,
-    and only the rows of the tops that the kept cases name are summed.
+    2^(W i(w)), and each failing field is a failing case.  The packs
+    are built once, straight from the columns, and only the rows of the
+    tops that the kept cases name are summed.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -574,8 +556,7 @@ def verify_inversion_identity_batch(
     perms, downs, rdes, ldes, rmul, lmul = _down_sets(n)
 
     def decide(count: int, c: KLCache) -> list[Failure]:
-        # Fields and keys are indices in S_n; w0 is the last of them.
-        last = len(perms) - 1
+        # Fields and keys are indices in S_n.
         columns = []
         for t, w in enumerate(perms):
             right, left = rdes[t], ldes[t]
@@ -600,23 +581,14 @@ def verify_inversion_identity_batch(
                 above = here
             columns.append(column)
 
-        def dual(z: int) -> dict[int, IntPolynomial]:
-            # x at layer k of [e, z] puts w0 z at layer k of the column of w0 x.
-            u = last - z
-            return {
-                x: columns[last - x][k][u]
-                for k, layer in enumerate(downs[z])
-                for x in layer
-            }
-
-        rows = _InversionRows(columns[last], dual)
+        rows = _InversionRows(columns, downs)
         # The first ``count`` cases: whole ideals of the first tops, and
         # of a top where the count ends, its ``count`` smallest indices.
         failures = []
         for t, ideal in enumerate(downs):
             if count <= 0:
                 break
-            failed = rows.failures(columns[t], t)
+            failed = rows.failures(t)
             size = sum(map(len, ideal))
             if count < size:
                 bound = sorted(x for layer in ideal for x in layer)[count - 1]

@@ -331,7 +331,7 @@ def test_kl_column_reads_only_double_coset_maxima(monkeypatch):
             and all(z.index(j + 1) < z.index(j) for j in left)
         ]
         reads.clear()
-        kl_column(w, cache)
+        kl_column(identity(5), w, cache)
         assert sorted(reads) == sorted(maxima)
 
 
@@ -386,21 +386,17 @@ def test_maxima_column_reads_each_polynomial_when_asked(monkeypatch):
     assert reads == [z for z, _ in [first, second, *rest]]
 
 
-def test_kl_column_rejects_layers_of_another_top():
-    layers = interval((1, 2, 3), (3, 2, 1)).layers
-    with pytest.raises(ValueError, match="must start at it"):
-        kl_column((2, 1, 3), layers=layers)
-    with pytest.raises(ValueError):
-        kl_column((2, 1, 3), layers=[])
-    assert kl_column((3, 2, 1), layers=layers)[-1] == {(1, 2, 3): ONE}
-    # Entries past the first layer that do not lie below the top.
-    with pytest.raises(ValueError, match="1,3,2 is not below 2,1,3"):
-        kl_column((2, 1, 3), layers=[((2, 1, 3),), ((1, 3, 2),)])
-    with pytest.raises(ValueError, match="1,4,2,3 is not below 2,3,1,4"):
-        kl_column((2, 3, 1, 4), layers=[((2, 3, 1, 4),), ((1, 4, 2, 3),)])
+def test_kl_column_rejects_a_bottom_not_below_the_top():
+    assert kl_column((1, 2, 3), (3, 2, 1))[-1] == {(1, 2, 3): ONE}
+    with pytest.raises(ValueError, match="1,3,2 is not <= 2,1,3"):
+        kl_column((1, 3, 2), (2, 1, 3))
+    with pytest.raises(ValueError, match="3,2,1 is not <= 1,2,3"):
+        kl_column((3, 2, 1), (1, 2, 3))
 
 
-PAIR_ENTRY_POINTS = [kl_polynomial, inverse_kl, mu, check_inversion_identity]
+PAIR_ENTRY_POINTS = [
+    kl_polynomial, inverse_kl, mu, check_inversion_identity, kl_column
+]
 
 
 @pytest.mark.parametrize("call", PAIR_ENTRY_POINTS, ids=lambda f: f.__name__)
@@ -436,7 +432,7 @@ def test_public_entry_points_check_each_argument_once(call, monkeypatch):
         (lambda bad: active_positions(bad, (3, 2, 1)), (1, 1, 3)),
         (lambda bad: flatten_pair((3, 2, 1), bad), (1, 1, 3)),
         (is_smooth_top, (5, 5, 5, 5)),
-        (kl_column, (3, 3, 1)),
+        (lambda bad: kl_column((1, 2, 3), bad), (3, 3, 1)),
     ],
     ids=[
         "active_positions",

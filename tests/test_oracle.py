@@ -247,20 +247,24 @@ def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
 
 def test_kl_column_matches_the_oracle_in_s5():
     # The exhaustive inversion batch reads every polynomial it sums from
-    # these columns; one cache per configuration is shared by all tops.
-    perms = _perms(5)
+    # the columns on [e, w]; one cache per configuration is shared by all
+    # tops.  The one-pair checks read columns on [x, w], so every
+    # comparable pair of S_4 checks too that each coset move finds its
+    # neighbour in the layer above when the bottom is not e.
+    pairs = [(tuple(range(1, 6)), w) for w in _perms(5)]
+    pairs += [(x, w) for w in _perms(4) for x in _perms(4) if _leq(x, w)]
     for cache in (None, KLCache(max_entries=1)):
-        for w in perms:
-            below = {z for z in perms if _leq(z, w)}
-            expected = oracle_column(w, below)
-            column = kl_column(w, cache)
-            assert len(column) == _length(w) + 1, w
+        for x, w in pairs:
+            members = {z for z in _perms(len(w)) if _leq(x, z) and _leq(z, w)}
+            expected = oracle_column(w, members)
+            column = kl_column(x, w, cache)
+            assert len(column) == _length(w) - _length(x) + 1, (x, w)
             for k, layer in enumerate(column):
                 assert set(layer) == {
-                    z for z in below if _length(z) == _length(w) - k
-                }, (w, k)
+                    z for z in members if _length(z) == _length(w) - k
+                }, (x, w, k)
                 for z, p in layer.items():
-                    assert p.coeffs == expected[z], (z, w)
+                    assert p.coeffs == expected[z], (z, x, w)
 
 
 def _sampled_s6_pairs():

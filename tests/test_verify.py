@@ -1,4 +1,5 @@
 import json
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,11 +33,10 @@ from klpoly.perm import (
     length,
     right_descents,
 )
-from klpoly.polynomial import ONE, IntPolynomial
+from klpoly.polynomial import ONE, ZERO, IntPolynomial
 from klpoly.verify import (
     Failure,
     VerificationReport,
-    _balanced_digits,
     _down_sets,
     _InversionRows,
     random_comparable_pair,
@@ -293,105 +293,109 @@ def test_w0_reverses_the_lexicographic_index(n):
     assert all(perms[last - i] == _w0_times(v) for i, v in enumerate(perms))
 
 
-# A term of a packed row: the layer of z, P(z, w), and D(z) by field.
-ROW_TERMS = st.lists(
-    st.tuples(
-        st.integers(0, 3),
-        st.lists(st.integers(-(1 << 40), 1 << 40), max_size=3).map(IntPolynomial),
+@lru_cache(maxsize=None)
+def _true_columns(n):
+    """The ideals of S_n by index, and every column of S_n by index, in
+    layers, with its true polynomials."""
+    perms, downs = _down_sets(n)[:2]
+    cache = KLCache()
+    columns = [
+        [{z: kl_polynomial(perms[z], w, cache) for z in layer} for layer in downs[t]]
+        for t, w in enumerate(perms)
+    ]
+    return downs, columns
+
+
+def _entries(n):
+    """The number of entries of the columns of S_n: 3, 19 and 213 for
+    n = 2, 3, 4."""
+    return sum(len(layer) for ideal in _true_columns(n)[0] for layer in ideal)
+
+
+# Polynomials to put on entries of the columns of S_2, S_3 or S_4, each
+# entry named by its place in the order (top, layer, z).
+OVERRIDES = st.sampled_from([2, 3, 4]).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
         st.dictionaries(
-            st.integers(0, 5),
-            st.lists(st.integers(0, 1 << 40), max_size=3).map(IntPolynomial),
-            min_size=1,
+            st.integers(0, _entries(n) - 1),
+            st.lists(st.integers(-(1 << 40), 1 << 40), max_size=3).map(IntPolynomial),
             max_size=4,
         ),
-    ),
-    min_size=1,
-    max_size=8,
-)
-# One term at the largest norm a with a^2 < 2^15: 181^2 = 32761, so
-# B = W = 16 and both fields sum to -32761, next to the edge -(2^15 - 1)
-# of the W bound.  In the second example each value meets
-# |P(2^B)| <= ||P||_1 2^(B deg P) with equality, and the field sum
-# -32761 * 2^32 is next to the edge of W = 48.
-ROW_EDGES = [
-    [(0, IntPolynomial([-181]), {0: IntPolynomial([181]), 1: IntPolynomial([181])})],
-    [(1, IntPolynomial([0, 181]), {0: IntPolynomial([0, 181])})],
-]
-
-
-@given(ROW_TERMS, st.integers(0, 6))
-@example(ROW_EDGES[0], 0)
-@example(ROW_EDGES[0], 1)
-@example(ROW_EDGES[1], 0)
-@settings(deadline=None)
-def test_packed_row_decodes_every_field_to_its_integer_sum(terms, diagonal):
-    column = [{} for _ in range(max(k for k, _, _ in terms) + 1)]
-    for z, (k, p, _) in enumerate(terms):
-        column[k][z] = p
-    rows = _InversionRows(column, lambda z: terms[z][2])
-    total = rows.row(column)
-    q = 1 << rows.bits
-    # Fields run to 6, past every dual field, so the diagonal may be empty.
-    sums = [0] * 7
-    for k, p, dual in terms:
-        for f, d in dual.items():
-            sums[f] += (-1) ** k * p.evaluate(q) * d.evaluate(q)
-    # B and W meet the bounds that make the comparison exact.
-    norms = [sum(map(abs, p.coeffs)) for _, p, _ in terms]
-    dual_norms = [
-        sum(map(abs, d.coeffs)) for _, _, dual in terms for d in dual.values()
-    ]
-    assert 1 << (rows.bits - 1) > len(terms) * max(norms) * max(dual_norms)
-    assert all(abs(f) < 1 << (rows.width - 1) for f in sums)
-    digits = _balanced_digits(total, rows.width)
-    assert digits + [0] * (7 - len(digits)) == sums
-    failed = rows.failures(column, diagonal)
-    assert failed == [f for f in range(7) if sums[f] != (f == diagonal)]
-
-
-def test_packed_rows_sum_only_rows_they_were_built_for():
-    # The widths are fixed for the column the rows are built from.  A row
-    # with more terms, or a z or polynomial not read there, raises rather
-    # than aliasing.
-    p, d = IntPolynomial([1, 1]), IntPolynomial([0, 2])
-    column = [{0: ONE}, {1: p}]
-    rows = _InversionRows(column, lambda z: {z: d})
-    q = 1 << rows.bits
-    assert rows.row(column) == d.evaluate(q) - (
-        p.evaluate(q) * d.evaluate(q) << rows.width
     )
-    assert rows.row([{1: p}]) == p.evaluate(q) * d.evaluate(q) << rows.width
-    with pytest.raises(ValueError):
-        rows.row(column + [{0: ONE}])
-    with pytest.raises(KeyError):
-        rows.row([{2: ONE}])
-    with pytest.raises(KeyError):
-        rows.row([{1: IntPolynomial([1, 1])}])
+)
+
+
+@given(OVERRIDES)
+@example((2, {}))
+@example((4, {}))
+# 2^8 - q vanishes at q = 2^8, the B of the true S_4 values, so a B
+# that ignored the values read would miss it.
+@example((4, {100: IntPolynomial([1 << 8, -1])}))
+@example((4, {0: IntPolynomial([-(1 << 40)] * 3), 212: IntPolynomial([1 << 40] * 3)}))
+@settings(deadline=None)
+def test_packed_row_decodes_every_field_to_its_integer_sum(case):
+    # Random polynomials on the entries of the real columns of a small
+    # S_n: every row must fail exactly at the fields whose sum, taken in
+    # Z[q], is not delta, with B and W within the bounds of the proof.
+    n, overrides = case
+    downs, true = _true_columns(n)
+    columns, entry = [], 0
+    for column in true:
+        columns.append([])
+        for layer in column:
+            here = {}
+            for z, p in layer.items():
+                here[z] = overrides.get(entry, p)
+                entry += 1
+            columns[-1].append(here)
+    rows = _InversionRows(columns, downs)
+    last = len(columns) - 1
+    layer_of = [{x: k for k, layer in enumerate(ideal) for x in layer}
+                for ideal in downs]
+    polys = [p for column in columns for layer in column for p in layer.values()]
+    norm = max(sum(map(abs, p.coeffs)) for p in polys)
+    # B and W meet the bounds that make the comparison exact.
+    assert 1 << (rows.bits - 1) > len(columns) * norm * norm
+    q = 1 << rows.bits
+    for t, column in enumerate(columns):
+        sums = [ZERO] * len(columns)
+        fields = [0] * len(columns)
+        for k, layer in enumerate(column):
+            for z, p in layer.items():
+                for x, j in layer_of[z].items():
+                    d = columns[last - x][j][last - z]
+                    sums[x] += p * d * (-1) ** k
+                    fields[x] += (-1) ** k * p.evaluate(q) * d.evaluate(q)
+        assert all(abs(f) < 1 << (rows.width - 1) for f in fields)
+        expected = [x for x, f in enumerate(sums) if f != (ONE if x == t else ZERO)]
+        # Each field's integer decides its case as the sum in Z[q] does.
+        assert [x for x, f in enumerate(fields) if f != (x == t)] == expected
+        assert rows.failures(t) == expected, (t, overrides)
 
 
 def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
-    # The rows are built once, from the column of w0: it has every z and
-    # the N = 120 terms of the longest row, and its duals read every
-    # polynomial, so each z is packed once and every row is summed over
-    # those packs.  B and W are the least the proof allows, with a and d
-    # the largest norm and degree among all polynomials of S_5:
-    # B = bitlen(N a^2) + 1 and W = bitlen(N a^2) + 2 B d + 1.
+    # The rows are built once, from every column of S_5: each z is packed
+    # once and every row is summed over those packs.  B and W are the
+    # least the proof allows, with N = 120, the terms of the column of
+    # w0, and a and d the largest norm and degree among all polynomials
+    # of S_5: B = bitlen(N a^2) + 1 and W = bitlen(N a^2) + 2 B d + 1.
     import klpoly.verify
 
     built, summed = [], []
 
     class Counted(klpoly.verify._InversionRows):
-        def __init__(self, column, dual):
-            super().__init__(column, dual)
+        def __init__(self, columns, downs):
+            super().__init__(columns, downs)
             built.append(self)
 
-        def row(self, column):
-            summed.append(column)
-            return super().row(column)
+        def failures(self, t):
+            summed.append(t)
+            return super().failures(t)
 
     monkeypatch.setattr(klpoly.verify, "_InversionRows", Counted)
     assert verify_inversion_identity_batch(5).passed
-    assert len(summed) == 120
+    assert sorted(summed) == list(range(120))
     (rows,) = built
     assert len(rows.packs) == 120
     cache = KLCache()
@@ -399,7 +403,6 @@ def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
     norm = max(sum(map(abs, p.coeffs)) for p in polys)
     degree = max(p.degree for p in polys)
     bound = (120 * norm * norm).bit_length()
-    assert rows.terms == 120
     assert rows.bits == bound + 1
     assert rows.width == bound + 2 * rows.bits * degree + 1
     assert (rows.bits, rows.width) == (12, 60)
@@ -421,9 +424,9 @@ def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
         return _kl(z, w, cache)
 
     class Counted(klpoly.verify._InversionRows):
-        def row(self, column):
-            summed.append(column)
-            return super().row(column)
+        def failures(self, t):
+            summed.append(t)
+            return super().failures(t)
 
     monkeypatch.setattr(klpoly.verify, "_kl", counted_kl)
     monkeypatch.setattr(klpoly.verify, "_InversionRows", Counted)
@@ -602,10 +605,15 @@ def test_inversion_batch_fails_where_the_check_does_on_s6():
 
     report = verify_inversion_identity_batch(6, seeded())
     cache = seeded()
+    # The cases with top w, and those with bottom w0 w: 1,343 of the
+    # 98,407, walked directly rather than filtered from all pairs.
+    pairs = {(x, w) for x in interval(identity(6), w).elements}
+    pairs |= {(w0w, top) for top in interval(w0w, (6, 5, 4, 3, 2, 1)).elements}
+    assert len(pairs) == 1343
     expected = {
         f"x={format_perm(x)} w={format_perm(top)}"
-        for x, top in _cases(6)
-        if (top == w or x == w0w) and not check_inversion_identity(x, top, cache)
+        for x, top in pairs
+        if not check_inversion_identity(x, top, cache)
     }
     assert expected
     assert sorted(f.case for f in report.failures) == sorted(expected)
