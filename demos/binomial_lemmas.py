@@ -16,8 +16,8 @@ from klpoly import (
     inverse_kl,
     lemma_one_sides,
     lemma_two_sides,
-    signed_weight,
 )
+from klpoly.families import signed_weight
 
 # The first identity collapses a triple sum to a geometric sum with a
 # sign.  A few parameter choices, then a sweep.

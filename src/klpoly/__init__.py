@@ -5,6 +5,12 @@ defining recursion, Bruhat-order machinery (rank counts, comparison,
 intervals, covers, text pictures), parametric permutation families
 with known closed forms, and a verification harness that cross-checks
 every closed form against the recursion.
+
+``import klpoly`` loads only the recursion: the modules ``perm``,
+``polynomial``, ``bruhat`` and ``kl``.  The families and the
+verification harness (``klpoly.families``, ``klpoly.verify``) load on
+first use of any of their names, so a polynomial query does not pay
+for them.
 """
 
 from .bruhat import (
@@ -18,20 +24,6 @@ from .bruhat import (
     interval,
     rank_count,
     render_picture,
-)
-from .families import (
-    FamilySpec,
-    LemmaSides,
-    NontrivialIntervalError,
-    closed_form_inverse,
-    closed_form_regular,
-    family_pair,
-    inverse_kl_from_interval_sum,
-    lemma_one_sides,
-    lemma_two_sides,
-    make_family,
-    parse_family_spec,
-    signed_weight,
 )
 from .kl import (
     KLCache,
@@ -63,16 +55,6 @@ from .perm import (
     swap_positions,
 )
 from .polynomial import ONE, Q, ZERO, IntPolynomial, geometric_sum
-from .verify import (
-    Failure,
-    VerificationReport,
-    random_comparable_pair,
-    verify_coatom_bound,
-    verify_inverse_closed_forms,
-    verify_inversion_identity_batch,
-    verify_regular_closed_forms,
-    verify_smoothness_equivalence,
-)
 
 __version__ = "0.1.0"
 
@@ -137,3 +119,28 @@ __all__ = [
     "verify_regular_closed_forms",
     "verify_smoothness_equivalence",
 ]
+
+
+# The submodules that load on first use; every public name that the four
+# modules above do not define is one of theirs.
+_DEFERRED = ("families", "verify")
+
+
+def __getattr__(name: str) -> object:
+    """Load ``families`` and ``verify`` on first use of a name of theirs
+    (PEP 562), and bind all their public names here."""
+    if name not in __all__ and name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    namespace = globals()
+    unbound = set(__all__) - namespace.keys()
+    for module in _DEFERRED:
+        # Importing a submodule also binds it in this namespace.
+        loaded = vars(import_module(f".{module}", __name__))
+        namespace.update((key, loaded[key]) for key in unbound & loaded.keys())
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

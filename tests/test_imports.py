@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Run in isolated mode (-I), so that neither the environment nor the
@@ -31,6 +33,35 @@ except SystemExit as stop:
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
+# After a bare ``import klpoly``: the public names dir() lists, whether
+# the two deferred submodules are loaded, the public names a star import
+# binds, and whether the names it loaded resolve to the submodules' own
+# objects.
+DEFERRED_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import klpoly
+print(sorted(set(klpoly.__all__) - set(dir(klpoly))))
+print("klpoly.families" in sys.modules, "klpoly.verify" in sys.modules)
+star = {}
+exec("from klpoly import *", star)
+print(sorted(set(klpoly.__all__) ^ (star.keys() - {"__builtins__"})))
+verify, families = sys.modules["klpoly.verify"], sys.modules["klpoly.families"]
+print(
+    klpoly.verify_regular_closed_forms is verify.verify_regular_closed_forms,
+    klpoly.FamilySpec is families.FamilySpec,
+    klpoly.verify is verify,
+    klpoly.families is families,
+)
+"""
+
+# The modules of the package that ``import klpoly`` loads: the recursion
+# and what it stands on, but neither the families nor the verification
+# batches.
+CORE_MODULES = [
+    "klpoly", "klpoly.bruhat", "klpoly.kl", "klpoly.perm", "klpoly.polynomial",
+]
+
 # Standard-library modules that cost most of the start-up time when
 # klpoly used them: dataclasses pulls in inspect, which pulls in ast and
 # dis, and json is needed only for JSON output.
@@ -42,11 +73,17 @@ SLOW_MODULES = ("dataclasses", "inspect", "ast", "dis", "json")
 LAZY_MODULES = ("typing", "random")
 
 
-def _loaded_by_import(*flags):
+def _probe(code, *flags):
+    """The output of ``code`` run in isolated mode with the given extra
+    flags and the source directory as its argument."""
     return subprocess.run(
-        [sys.executable, "-I", *flags, "-c", PROBE, str(SRC)],
+        [sys.executable, "-I", *flags, "-c", code, str(SRC)],
         capture_output=True, text=True, check=True, timeout=60,
-    ).stdout.split()
+    ).stdout
+
+
+def _loaded_by_import(*flags):
+    return _probe(PROBE, *flags).split()
 
 
 def _run_cli(*args):
@@ -83,6 +120,18 @@ def test_import_loads_neither_typing_nor_random():
     assert [name for name in LAZY_MODULES if name in out] == []
 
 
+def test_import_loads_only_the_recursion():
+    out = _loaded_by_import("-S")
+    assert [name for name in out if name.partition(".")[0] == "klpoly"] == (
+        CORE_MODULES
+    )
+
+
+def test_deferred_names_resolve_on_first_use():
+    lines = _probe(DEFERRED_PROBE, "-S").splitlines()
+    assert lines == ["[]", "False False", "[]", "True True True True"]
+
+
 def test_cli_loads_json_only_for_json_output():
     lines, loaded = _run_cli("kl", "2143", "4231")
     assert lines == ["1 + q"]
@@ -99,5 +148,11 @@ def test_all_is_sorted_unique_and_resolves():
     names = klpoly.__all__
     assert names == sorted(set(names))
     assert [name for name in names if not hasattr(klpoly, name)] == []
+    star = {}
+    exec("from klpoly import *", star)
+    assert star.keys() - {"__builtins__"} == set(names)
+    assert set(names) <= set(dir(klpoly))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        klpoly.no_such_name
     # The size of the public API; a change to it is a deliberate edit here.
     assert len(names) == 59

@@ -441,29 +441,35 @@ def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
 
 
 @pytest.mark.parametrize(
-    "error",
-    [ONE, ONE.shift(8), IntPolynomial([1 << 16, -1])],
-    ids=["plus-1", "plus-q8", "plus-2^16-q"],
+    "wrong",
+    [
+        lambda p: p + ONE,
+        lambda p: p + ONE.shift(8),
+        lambda p: p + IntPolynomial([1 << 16, -1]),
+        lambda p: ZERO,
+    ],
+    ids=["plus-1", "plus-q8", "plus-2^16-q", "zero"],
 )
 @pytest.mark.parametrize("z", PROBED_BOTTOMS_S4)
 def test_inversion_batch_fails_exactly_where_the_check_does(
-    z, error, inversion_sum
+    z, wrong, inversion_sum
 ):
     # A wrong P(z, w) must fail the same cases in the batch as in the
     # one-pair check, whatever way the batch gets its intervals, and
     # those are the cases whose sum, taken in Z[q], is not delta(x, w).
     # The entry is seeded at every top w whose lookups read it.  2^16 - q
     # vanishes at q = 2^16, the width the batch packs correct S_4 values
-    # at, so a width that ignored the values read would miss it.  The
-    # batch reads a column only at its double-coset maxima and fills the
-    # rest through coset moves, so the seed, a maximum, must reach its
-    # whole coset.
+    # at, so a width that ignored the values read would miss it.  A zero
+    # entry is wrong like any other: z lies below w, so neither check
+    # may take it for an incomparable pair.  The batch reads a column
+    # only at its double-coset maxima and fills the rest through coset
+    # moves, so the seed, a maximum, must reach its whole coset.
     for w in _probed_tops_s4(z):
         assert z in [m for m, _ in _maxima_column(identity(4), w, KLCache())]
 
         def seeded():
             cache = KLCache()
-            cache.memo[(z, w)] = kl_polynomial(z, w) + error
+            cache.memo[(z, w)] = wrong(kl_polynomial(z, w))
             return cache
 
         report = verify_inversion_identity_batch(4, seeded())
