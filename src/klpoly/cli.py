@@ -10,6 +10,10 @@ Exit codes: 0 on success, 1 when a mathematical check reports a
 failure (a verify run with failures, or a lemma whose sides differ),
 2 on usage or parse errors, 141 (128 + SIGPIPE) when the reader of
 standard output closed it before the output was written.
+
+The library is reached through the package, so a command loads
+``klpoly.families`` and ``klpoly.verify`` only when it uses a name of
+theirs (see ``klpoly.__getattr__``).
 """
 
 from __future__ import annotations
@@ -17,43 +21,41 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
 
-from .bruhat import (
-    bruhat_leq,
-    format_interval,
-    interval,
-    render_picture,
-)
-from .families import (
-    closed_form_inverse,
-    closed_form_regular,
-    lemma_one_sides,
-    lemma_two_sides,
-    make_family,
-    parse_family_spec,
-)
-from .kl import KLCache, inverse_kl, is_smooth_top, kl_polynomial, mu
-from .perm import Perm, _checked_pair, format_perm, parse_perm
-from .verify import (
-    _EXHAUSTIVE_MAX_N,
-    VerificationReport,
-    verify_coatom_bound,
-    verify_inverse_closed_forms,
-    verify_inversion_identity_batch,
-    verify_regular_closed_forms,
-    verify_smoothness_equivalence,
-)
+import klpoly
 
-# Verify name -> (batch, the batch's size keyword, the flag that sets it).
-# A size is passed only when its flag is given, so every default lives in
-# the batch's signature.
-_VERIFY_BATCHES: dict[str, tuple[Callable[..., VerificationReport], str, str]] = {
-    "regular": (verify_regular_closed_forms, "max_n", "n"),
-    "inverse": (verify_inverse_closed_forms, "max_n", "n"),
-    "inversion": (verify_inversion_identity_batch, "n", "n"),
-    "smoothness": (verify_smoothness_equivalence, "n", "n"),
-    "coatom-bound": (verify_coatom_bound, "k_max", "kmax"),
+from .perm import Perm, _checked_pair
+
+# Command -> (help, positional arguments, whether it takes
+# --max-cache-entries).  Every command takes --json.
+_COMMANDS: dict[str, tuple[str, tuple[str, ...], bool]] = {
+    "kl": ("polynomial of a pair x <= w", ("x", "w"), True),
+    "inv-kl": ("inverse polynomial of a pair", ("x", "w"), True),
+    "mu": ("mu-coefficient of a pair", ("x", "w"), True),
+    "interval": ("list the Bruhat interval [x, w]", ("x", "w"), False),
+    "leq": ("decide x <= w in Bruhat order", ("x", "w"), False),
+    "smooth": ("pattern test for an all-ones column", ("w",), False),
+    "picture": ("draw the pair on an n x n grid", ("x", "w"), False),
+    "family": ("construct a family member from kind:k,m", ("spec",), False),
+    "closed-form": (
+        "closed-form polynomial of a family pair (kinds x/w name the "
+        "x-pair, y/v the y-pair)",
+        ("spec",),
+        False,
+    ),
+    "verify": ("run a verification batch", (), True),
+    "lemma": ("evaluate both sides of a binomial identity", (), False),
+}
+
+# Verify name -> (the batch's name in the package, its size keyword, the
+# flag that sets it).  A size is passed only when its flag is given, so
+# every default lives in the batch's signature.
+_VERIFY_BATCHES = {
+    "regular": ("verify_regular_closed_forms", "max_n", "n"),
+    "inverse": ("verify_inverse_closed_forms", "max_n", "n"),
+    "inversion": ("verify_inversion_identity_batch", "n", "n"),
+    "smoothness": ("verify_smoothness_equivalence", "n", "n"),
+    "coatom-bound": ("verify_coatom_bound", "k_max", "kmax"),
 }
 
 
@@ -64,116 +66,52 @@ def build_parser() -> argparse.ArgumentParser:
         "closed-form verification for the symmetric group.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p: argparse.ArgumentParser) -> None:
+    for name, (text, positionals, cached) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg in positionals:
+            p.add_argument(arg)
+        if name == "closed-form":
+            p.add_argument(
+                "--inverse",
+                action="store_true",
+                help="the inverse polynomial instead of the ordinary one",
+            )
+        elif name == "verify":
+            p.add_argument("name", choices=_VERIFY_BATCHES)
+            p.add_argument("--n", type=int, help="size bound (default depends on check)")
+            p.add_argument("--kmax", type=int, help="diagonal bound for coatom-bound")
+            p.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
+            p.add_argument(
+                "--cases",
+                type=int,
+                help="cap the number of cases; for `inversion` with n above "
+                "the exhaustive sizes this is the sample count",
+            )
+        elif name == "lemma":
+            p.add_argument("which", choices=("1", "2"))
+            p.add_argument("k", type=int)
+            p.add_argument("m", type=int)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    def add_cache(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-cache-entries",
-            type=int,
-            metavar="N",
-            help="bound the memo table; evicted entries are recomputed",
-        )
-
-    p = sub.add_parser("kl", help="polynomial of a pair x <= w")
-    p.add_argument("x")
-    p.add_argument("w")
-    add_json(p)
-    add_cache(p)
-
-    p = sub.add_parser("inv-kl", help="inverse polynomial of a pair")
-    p.add_argument("x")
-    p.add_argument("w")
-    add_json(p)
-    add_cache(p)
-
-    p = sub.add_parser("mu", help="mu-coefficient of a pair")
-    p.add_argument("x")
-    p.add_argument("w")
-    add_json(p)
-    add_cache(p)
-
-    p = sub.add_parser("interval", help="list the Bruhat interval [x, w]")
-    p.add_argument("x")
-    p.add_argument("w")
-    add_json(p)
-
-    p = sub.add_parser("leq", help="decide x <= w in Bruhat order")
-    p.add_argument("x")
-    p.add_argument("w")
-    add_json(p)
-
-    p = sub.add_parser("smooth", help="pattern test for an all-ones column")
-    p.add_argument("w")
-    add_json(p)
-
-    p = sub.add_parser("picture", help="draw the pair on an n x n grid")
-    p.add_argument("x")
-    p.add_argument("w")
-    add_json(p)
-
-    p = sub.add_parser("family", help="construct a family member from kind:k,m")
-    p.add_argument("spec")
-    add_json(p)
-
-    p = sub.add_parser(
-        "closed-form",
-        help="closed-form polynomial of a family pair (kinds x/w name the "
-        "x-pair, y/v the y-pair)",
-    )
-    p.add_argument("spec")
-    p.add_argument(
-        "--inverse",
-        action="store_true",
-        help="the inverse polynomial instead of the ordinary one",
-    )
-    add_json(p)
-
-    p = sub.add_parser("verify", help="run a verification batch")
-    p.add_argument("name", choices=_VERIFY_BATCHES)
-    p.add_argument("--n", type=int, help="size bound (default depends on check)")
-    p.add_argument("--kmax", type=int, help="diagonal bound for coatom-bound")
-    p.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
-    p.add_argument(
-        "--cases",
-        type=int,
-        help="cap the number of cases; for `inversion` with n > "
-        f"{_EXHAUSTIVE_MAX_N} this is the sample count",
-    )
-    add_json(p)
-    add_cache(p)
-
-    p = sub.add_parser("lemma", help="evaluate both sides of a binomial identity")
-    p.add_argument("which", choices=("1", "2"))
-    p.add_argument("k", type=int)
-    p.add_argument("m", type=int)
-    add_json(p)
-
+        if cached:
+            p.add_argument(
+                "--max-cache-entries",
+                type=int,
+                metavar="N",
+                help="bound the memo table; evicted entries are recomputed",
+            )
     return parser
 
 
-def _json(value: object) -> str:
-    """value as one line of JSON.  The json module is imported here, so
-    only --json output loads it."""
-    import json
-
-    return json.dumps(value)
-
-
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _make_cache(args: argparse.Namespace) -> KLCache:
-    limit = getattr(args, "max_cache_entries", None)
+def _make_cache(args: argparse.Namespace) -> klpoly.KLCache:
+    limit = args.max_cache_entries
     if limit is not None and limit < 1:
         raise ValueError(f"--max-cache-entries must be >= 1, got {limit}")
-    return KLCache(max_entries=limit)
+    return klpoly.KLCache(max_entries=limit)
 
 
-def _run_verify(args: argparse.Namespace) -> VerificationReport:
+def _run_verify(args: argparse.Namespace) -> klpoly.VerificationReport:
     batch, size_keyword, size_flag = _VERIFY_BATCHES[args.name]
+    ceiling = klpoly.verify._EXHAUSTIVE_MAX_N
     for _, _, flag in _VERIFY_BATCHES.values():
         if flag != size_flag and getattr(args, flag) is not None:
             raise ValueError(f"verify {args.name} reads --{size_flag}, not --{flag}")
@@ -181,10 +119,8 @@ def _run_verify(args: argparse.Namespace) -> VerificationReport:
     size = getattr(args, size_flag)
     if size is not None and size < 2:
         raise ValueError(f"--{size_flag} must be >= 2, got {size}")
-    if args.name == "smoothness" and (size or 0) > _EXHAUSTIVE_MAX_N:
-        raise ValueError(
-            f"--n must be between 2 and {_EXHAUSTIVE_MAX_N}, got {size}"
-        )
+    if args.name == "smoothness" and (size or 0) > ceiling:
+        raise ValueError(f"--n must be between 2 and {ceiling}, got {size}")
     if args.cases is not None and args.cases < 1:
         raise ValueError(f"--cases must be >= 1, got {args.cases}")
     kwargs = {"cache": _make_cache(args), "case_cap": args.cases}
@@ -192,7 +128,7 @@ def _run_verify(args: argparse.Namespace) -> VerificationReport:
         kwargs[size_keyword] = size
     # Above the exhaustive ceiling the inversion check samples, with
     # --cases as the sample count; no other run reads --seed.
-    if args.name == "inversion" and (size or 0) > _EXHAUSTIVE_MAX_N:
+    if args.name == "inversion" and (size or 0) > ceiling:
         if args.cases is None:
             raise ValueError(
                 f"verify inversion --n {size} samples; pass --cases, the sample count"
@@ -202,14 +138,73 @@ def _run_verify(args: argparse.Namespace) -> VerificationReport:
             kwargs["seed"] = args.seed
     elif args.seed is not None:
         raise ValueError("--seed is read only by a sampled inversion run")
-    return batch(**kwargs)
+    return getattr(klpoly, batch)(**kwargs)
+
+
+def _pair(args: argparse.Namespace) -> tuple[Perm, Perm]:
+    """The x and w arguments; ValueError unless they are permutations
+    of one size."""
+    return _checked_pair(klpoly.parse_perm(args.x), klpoly.parse_perm(args.w))
+
+
+def _answer(args: argparse.Namespace) -> tuple[str, object, int]:
+    """The command's text, its JSON value and its exit code."""
+    match args.command:
+        case "kl" | "inv-kl" as cmd:
+            query = klpoly.kl_polynomial if cmd == "kl" else klpoly.inverse_kl
+            poly = query(*_pair(args), _make_cache(args))
+            return str(poly), poly.to_list(), 0
+        case "mu":
+            value = klpoly.mu(*_pair(args), _make_cache(args))
+            return str(value), value, 0
+        case "interval":
+            iv = klpoly.interval(*_pair(args))
+            lines = [klpoly.format_perm(z) for z in iv.sorted_elements()]
+            return "\n".join(lines), lines, 0
+        case "leq":
+            answer = klpoly.bruhat_leq(*_pair(args))
+            return str(answer).lower(), answer, 0
+        case "smooth":
+            answer = klpoly.is_smooth_top(klpoly.parse_perm(args.w))
+            return str(answer).lower(), answer, 0
+        case "picture":
+            grid = klpoly.render_picture(*_pair(args))
+            return grid, grid.split("\n"), 0
+        case "family":
+            spec = klpoly.parse_family_spec(args.spec)
+            member = klpoly.format_perm(klpoly.make_family(spec))
+            return member, member, 0
+        case "closed-form":
+            spec = klpoly.parse_family_spec(args.spec)
+            closed_form = (
+                klpoly.closed_form_inverse if args.inverse else klpoly.closed_form_regular
+            )
+            poly = closed_form(spec.pair, spec.k, spec.m)
+            return str(poly), poly.to_list(), 0
+        case "lemma":
+            lemma = klpoly.lemma_one_sides if args.which == "1" else klpoly.lemma_two_sides
+            sides = lemma(args.k, args.m)
+            equal = sides.equal
+            text = f"lhs: {sides.lhs}\nrhs: {sides.rhs}\nequal: {str(equal).lower()}"
+            value = {"lhs": sides.lhs.to_list(), "rhs": sides.rhs.to_list(), "equal": equal}
+            return text, value, int(not equal)
+        case "verify":
+            report = _run_verify(args)
+            return report.text(), report, int(not report.passed)
+    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = _dispatch(args)
+        text, value, code = _answer(args)
+        if args.json:
+            # Imported here, so only --json output loads the json module.
+            # A report prints its own indented JSON.
+            import json
+
+            text = value.to_json() if args.command == "verify" else json.dumps(value)
+        print(text)
         # Flushed here, so that a closed pipe raises below and not at exit.
         sys.stdout.flush()
         return code
@@ -221,101 +216,6 @@ def main(argv: list[str] | None = None) -> int:
         # devnull keeps that flush from raising too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-
-
-def _pair(args: argparse.Namespace) -> tuple[Perm, Perm]:
-    """The x and w arguments; ValueError unless they are permutations
-    of one size."""
-    return _checked_pair(parse_perm(args.x), parse_perm(args.w))
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    out = sys.stdout
-    cmd = args.command
-
-    if cmd == "kl":
-        poly = kl_polynomial(*_pair(args), _make_cache(args))
-        print(_json(poly.to_list()) if args.json else str(poly), file=out)
-        return 0
-
-    if cmd == "inv-kl":
-        poly = inverse_kl(*_pair(args), _make_cache(args))
-        print(_json(poly.to_list()) if args.json else str(poly), file=out)
-        return 0
-
-    if cmd == "mu":
-        value = mu(*_pair(args), _make_cache(args))
-        print(_json(value) if args.json else str(value), file=out)
-        return 0
-
-    if cmd == "interval":
-        iv = interval(*_pair(args))
-        if args.json:
-            print(
-                _json([format_perm(z) for z in iv.sorted_elements()]),
-                file=out,
-            )
-        else:
-            print(format_interval(iv), file=out)
-        return 0
-
-    if cmd == "leq":
-        answer = bruhat_leq(*_pair(args))
-        print(_json(answer) if args.json else _bool_text(answer), file=out)
-        return 0
-
-    if cmd == "smooth":
-        answer = is_smooth_top(parse_perm(args.w))
-        print(_json(answer) if args.json else _bool_text(answer), file=out)
-        return 0
-
-    if cmd == "picture":
-        grid = render_picture(*_pair(args))
-        if args.json:
-            print(_json(grid.split("\n")), file=out)
-        else:
-            print(grid, file=out)
-        return 0
-
-    if cmd == "family":
-        member = format_perm(make_family(parse_family_spec(args.spec)))
-        print(_json(member) if args.json else member, file=out)
-        return 0
-
-    if cmd == "closed-form":
-        spec = parse_family_spec(args.spec)
-        closed_form = closed_form_inverse if args.inverse else closed_form_regular
-        poly = closed_form(spec.pair, spec.k, spec.m)
-        print(_json(poly.to_list()) if args.json else str(poly), file=out)
-        return 0
-
-    if cmd == "verify":
-        report = _run_verify(args)
-        print(report.to_json() if args.json else report.text(), file=out)
-        return 0 if report.passed else 1
-
-    if cmd == "lemma":
-        sides = lemma_one_sides(args.k, args.m) if args.which == "1" else (
-            lemma_two_sides(args.k, args.m)
-        )
-        if args.json:
-            print(
-                _json(
-                    {
-                        "lhs": sides.lhs.to_list(),
-                        "rhs": sides.rhs.to_list(),
-                        "equal": sides.equal,
-                    }
-                ),
-                file=out,
-            )
-        else:
-            print(f"lhs: {sides.lhs}", file=out)
-            print(f"rhs: {sides.rhs}", file=out)
-            print(f"equal: {_bool_text(sides.equal)}", file=out)
-        return 0 if sides.equal else 1
-
-    raise AssertionError(f"unhandled command {cmd!r}")
 
 
 def console_main() -> None:

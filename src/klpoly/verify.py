@@ -10,8 +10,8 @@ so a report is always produced and discrepancies stay auditable.
 Cases run one after another, sharing the caller's cache when one is
 given; the exhaustive inversion batch instead decides all of its cases
 at once, by packed integer products (see :class:`_InversionRows`).
-Reports are deterministic for a fixed seed and range, since failures
-are sorted before emission.
+Reports are deterministic for a fixed seed and range, since cases run
+in a fixed order and failures and notes are reported in that order.
 """
 
 from __future__ import annotations
@@ -170,8 +170,9 @@ def _run_cases(
     and ``evaluate(count, cache)`` is called once with the number kept
     and returns the failures among the first ``count`` cases.
 
-    Only the evaluation is timed.  Failures are sorted by case, and
-    ``notes``, which ``evaluate`` may fill as it runs, are sorted too.
+    Only the evaluation is timed.  Failures, and the ``notes`` that
+    ``evaluate`` may fill as it runs, are reported in the order of the
+    cases.
     Raises ValueError when ``case_cap`` is below 1.
     """
     if case_cap is not None and case_cap < 1:
@@ -190,10 +191,10 @@ def _run_cases(
         check=check,
         parameter_range=parameter_range,
         cases=count,
-        failures=sorted((f for f in results if f is not None), key=lambda f: f.case),
+        failures=[f for f in results if f is not None],
         seed=seed,
         millis=millis,
-        notes=sorted(notes),
+        notes=list(notes),
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +158,65 @@ def test_verify_inversion_sampled(capsys):
     assert code == 0
     assert "seed: 3" in out
     assert "5 sampled pairs" in out
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("inv-kl", "2,1,5,4,3", "5,2,4,3,1"), "[1, 2]\n"),
+        (("mu", "2143", "4231"), "1\n"),
+        (("interval", "123", "321"),
+         '["1,2,3", "1,3,2", "2,1,3", "2,3,1", "3,1,2", "3,2,1"]\n'),
+        (("smooth", "3412"), "false\n"),
+        (("picture", "132", "321"),
+         r'["\u25cf\u2592\u2592", "\u00b7\u2592\u25cf", "\u25cb\u25cf\u00b7"]'
+         "\n"),
+        (("family", "v:1,1"), '"3,4,1,2"\n'),
+        (("closed-form", "x:3,3", "--inverse"), "[1, 4, 1]\n"),
+    ],
+    ids=["inv-kl", "mu", "interval", "smooth", "picture", "family", "closed-form"],
+)
+def test_json_output_bytes(capsys, argv, out):
+    assert run(capsys, *argv, "--json") == (0, out, "")
+
+
+def _zero_millis(out):
+    """The output with its time field zeroed, the one field that varies
+    between runs."""
+    return re.sub(r'(millis"?: )\d+', r"\g<1>0", out)
+
+
+def test_verify_text_bytes(capsys):
+    code, out, err = run(capsys, "verify", "coatom-bound", "--kmax", "3")
+    assert (code, err) == (0, "")
+    assert _zero_millis(out) == (
+        "check: coatom-bound\n"
+        "range: 2 <= k <= 3\n"
+        "cases: 2\n"
+        "millis: 0\n"
+        "note: k=2: coefficient 1, coatoms 4, ratio 0.250\n"
+        "note: k=3: coefficient 4, coatoms 9, ratio 0.444\n"
+        "result: PASS\n"
+    )
+
+
+def test_verify_json_bytes(capsys):
+    # Indented, unlike every other command's one-line JSON.
+    code, out, err = run(capsys, "verify", "coatom-bound", "--kmax", "3", "--json")
+    assert (code, err) == (0, "")
+    assert _zero_millis(out) == (
+        '{\n  "check": "coatom-bound",\n  "range": "2 <= k <= 3",\n'
+        '  "cases": 2,\n  "failures": [],\n  "seed": null,\n  "millis": 0\n}\n'
+    )
+
+
+def test_lemma_text_bytes(capsys):
+    assert run(capsys, "lemma", "2", "1", "1") == (
+        1, "lhs: 1 - q\nrhs: 1 + q\nequal: false\n", ""
+    )
+    assert run(capsys, "lemma", "2", "1", "1", "--json") == (
+        1, '{"lhs": [1, -1], "rhs": [1, 1], "equal": false}\n', ""
+    )
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["regular", "inverse"])

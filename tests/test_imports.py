@@ -142,6 +142,35 @@ def test_cli_loads_json_only_for_json_output():
     assert "json" in loaded
 
 
+DEFERRED_MODULES = ["klpoly.families", "klpoly.verify"]
+
+
+# Each command of the CLI, and the deferred modules its run loads.
+CLI_RUNS = [
+    (("kl", "2143", "4231"), []),
+    (("inv-kl", "2143", "4231"), []),
+    (("mu", "2143", "4231"), []),
+    (("leq", "2143", "4231"), []),
+    (("interval", "2143", "4231"), []),
+    (("smooth", "4231"), []),
+    (("picture", "2143", "4231"), []),
+    # The package loads both deferred modules on first use of either.
+    (("family", "x:2,2"), DEFERRED_MODULES),
+    (("closed-form", "x:2,2"), DEFERRED_MODULES),
+    (("lemma", "1", "2", "2"), DEFERRED_MODULES),
+    (("verify", "coatom-bound", "--kmax", "2"), DEFERRED_MODULES),
+]
+
+
+@pytest.mark.parametrize(
+    "args, deferred", CLI_RUNS, ids=[args[0] for args, _ in CLI_RUNS]
+)
+def test_cli_loads_the_deferred_modules_only_where_used(args, deferred):
+    lines, loaded = _run_cli(*args)
+    assert lines
+    assert [name for name in DEFERRED_MODULES if name in loaded] == deferred
+
+
 def test_all_is_sorted_unique_and_resolves():
     import klpoly
 

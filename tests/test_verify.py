@@ -546,7 +546,7 @@ def test_every_cap_keeps_the_failures_of_its_first_cases():
     for cap in range(1, 215):
         report = verify_inversion_identity_batch(4, seeded(), case_cap=cap)
         assert report.cases == min(cap, 213)
-        expected = sorted(f for f in failing[:cap] if f is not None)
+        expected = [f for f in failing[:cap] if f is not None]
         assert [f.case for f in report.failures] == expected, cap
 
 
@@ -741,6 +741,14 @@ def test_coatom_bound():
     assert any("k=3: coefficient 4, coatoms 9" in note for note in report.notes)
     with pytest.raises(ValueError):
         verify_coatom_bound(1)
+
+
+def test_coatom_bound_notes_follow_the_cases():
+    # Sorted as strings, k=10 and k=11 would come before k=2.
+    notes = verify_coatom_bound(11).notes
+    assert [note.partition(":")[0] for note in notes] == [
+        f"k={k}" for k in range(2, 12)
+    ]
 
 
 _CAPPED_RUNS = pytest.mark.parametrize(
