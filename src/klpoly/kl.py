@@ -387,8 +387,10 @@ def kl_column(
     batch runs, and :func:`klpoly.families.inverse_kl_from_interval_sum`.
     The exhaustive batch of
     :func:`klpoly.verify.verify_inversion_identity_batch` applies the
-    same moves to all of S_n, by index, and packs its sums into
-    integers.
+    same moves by index, walking the layers of each ideal [e, w] as the
+    set bits of a bitmask.  It keeps no layers: each column is two
+    dicts, split by the parity of the layer, which is the sign of the
+    entry in the identity, and it packs its sums into integers.
 
     >>> [{format_perm(z): str(p) for z, p in layer.items()}
     ...  for layer in kl_column((1, 2, 3), (2, 3, 1))]

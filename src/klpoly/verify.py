@@ -17,8 +17,7 @@ in a fixed order and failures and notes are reported in that order.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Mapping, Sequence
-from operator import mul
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .bruhat import _Record, bruhat_leq, coatom_count, covers_down
 from .families import (
@@ -283,22 +282,30 @@ def _down_sets(
     n: int,
 ) -> tuple[
     list[Perm],
-    list[tuple[tuple[int, ...], ...]],
+    list[int],
+    list[int],
+    list[int],
     list[int],
     list[int],
     list[list[int]],
     list[list[int]],
 ]:
     """S_n by lexicographic index: the principal ideal [e, w] of every
-    w, and the descents and coset moves of every element.
+    w as a bitmask, and the lengths, descents and coset moves of every
+    element.
 
-    It returns ``(perms, downs, rdes, ldes, rmul, lmul)``:
+    It returns ``(perms, lengths, ideals, by_length, rdes, ldes, rmul,
+    lmul)``:
 
     - ``perms``: S_n in lexicographic order.  An element is named by
       its index there.
-    - ``downs[w]``: the ideal [e, w] as its layers.  Layer k holds the
-      indices of the x <= w of length l(w) - k, in increasing order,
-      as in ``interval(identity(n), w).layers``.
+    - ``lengths[z]``: the length of z.
+    - ``ideals[w]``: the ideal [e, w] as a bitmask over the indices, bit
+      i standing for the element of index i.
+    - ``by_length[l]``: the elements of length l, as a bitmask.  So
+      ``ideals[w] & by_length[lengths[w] - k]`` is layer k of [e, w],
+      the layer ``interval(identity(n), w).layers[k]``, and its set
+      bits, lowest first, list that layer in order.
     - ``rdes[z]``, ``ldes[z]``: the right and left descents of z as
       bitmasks, bit i - 1 standing for s_i.
     - ``rmul[z][i - 1]``, ``lmul[z][i - 1]``: the indices of z s_i and
@@ -308,38 +315,24 @@ def _down_sets(
     lexicographic order, so w0 v has index N - 1 - i(v), with N = n!.
 
     One pass over the covers, in order of increasing length, builds
-    every ideal as a bitmask over the indices: the ideal of w is w
-    together with the ideals of its coatoms, since Bruhat order is
-    graded and so every x < w lies below some coatom of w.  Each mask
-    is then decoded once, lowest index first.  The left moves and
-    descents are the right ones of the inverse, s_i z = (z^-1 s_i)^-1,
-    so the tables build N (n - 1) right neighbours and N inverses.
-
-    Walking ``interval(identity(n), w)`` once per top instead took 22 ms
-    against 3.1 ms at S_5, and 715 ms against 60 ms at S_6 (2 vCPU,
-    Python 3.11.7).
+    every ideal: the ideal of w is w together with the ideals of its
+    coatoms, since Bruhat order is graded and so every x < w lies below
+    some coatom of w.  Nothing is decoded: a reader walks the set bits
+    of the layers it needs.  The left moves and descents are the right
+    ones of the inverse, s_i z = (z^-1 s_i)^-1, so the tables build
+    N (n - 1) right neighbours and N inverses.
     """
     perms = list(all_perms(n))
     index = {v: i for i, v in enumerate(perms)}
     lengths = [length(v) for v in perms]
-    masks = [0] * len(perms)
+    ideals = [0] * len(perms)
+    by_length = [0] * (n * (n - 1) // 2 + 1)
     for i in sorted(range(len(perms)), key=lengths.__getitem__):
         mask = 1 << i
+        by_length[lengths[i]] |= mask
         for z in covers_down(perms[i]):
-            mask |= masks[index[z]]
-        masks[i] = mask
-    downs = []
-    # One int object per index, shared by every layer that holds it:
-    # CPython shares only the ints up to 256, and S_6 has 720 indices.
-    names = list(range(len(perms)))
-    for top, mask in zip(lengths, masks):
-        layers: list[list[int]] = [[] for _ in range(top + 1)]
-        while mask:
-            low = mask & -mask
-            j = names[low.bit_length() - 1]
-            layers[top - lengths[j]].append(j)
-            mask ^= low
-        downs.append(tuple(map(tuple, layers)))
+            mask |= ideals[index[z]]
+        ideals[i] = mask
     steps = range(n - 1)
     rdes = [sum(1 << i for i in steps if v[i] > v[i + 1]) for v in perms]
     rmul = [[index[v[:i] + (v[i + 1], v[i]) + v[i + 2:]] for i in steps]
@@ -347,34 +340,44 @@ def _down_sets(
     inv = [index[inverse(v)] for v in perms]
     ldes = [rdes[j] for j in inv]
     lmul = [[inv[k] for k in rmul[j]] for j in inv]
-    return perms, downs, rdes, ldes, rmul, lmul
+    return perms, lengths, ideals, by_length, rdes, ldes, rmul, lmul
 
 
 class _InversionRows:
     """Rows of the inversion identity over S_n, each summed as one
     packed integer product over dual packs that the rows share.
 
-    Every element of S_n is named by its lexicographic index, and
-    ``columns[t]`` is the column P(., w) of the w of index t, in layers
-    from w over the ideal ``downs[t]`` (see :func:`_down_sets`).  The
-    row of t is
+    Every element of S_n is named by its lexicographic index.
+    ``columns[t]`` is the column P(., w) of the w of index t over the
+    ideal [e, w], split by parity as a pair ``(even, odd)`` of dicts:
+    ``even`` maps each z <= w with l(w) - l(z) even to P(z, w), and
+    ``odd`` each z with l(w) - l(z) odd.  A column that no row or pack
+    needs may be None.  ``reads`` holds every polynomial read into the
+    columns: each entry is one of those objects.  The row of t is
 
-        T = sum over z <= w of (-1)^k P(z, w)(2^B) D(z),
+        T = sum over z <= w of (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z),
 
-    with k the layer of z.  The dual pack D(z) holds, in field x, the
-    value P(w0 z, w0 x)(2^B) of each bottom x <= z:
+    the products over ``even`` minus those over ``odd``.  The dual pack
+    D(z) holds, in field x, the value P(w0 z, w0 x)(2^B) of each bottom
+    x <= z:
 
         D(z) = sum over x <= z of P(w0 z, w0 x)(2^B) 2^(W x),
 
     so field x of T is the integer sum of the case (x, w).  Since w0
     reverses lexicographic order (N - 1 - i is the index of w0 v when i
-    is that of v, with N = n!), P(w0 z, w0 x) is entry N - 1 - z of the
-    column of N - 1 - x, at the layer of x in the ideal of z: it is
-    read straight from the columns, once per pack.
+    is that of v, with N = n!), and w0 z <= w0 x exactly when x <= z,
+    P(w0 z, w0 x) is entry N - 1 - z of the column of N - 1 - x.  So
+    the packs are scattered from the columns: each entry P(u, t') of
+    the column of t' is added into field N - 1 - t' of pack N - 1 - u.
+    The columns are walked from t' = N - 1 down, so each pack grows
+    from its low fields.  A pack D(z) is complete when the columns of
+    w0 x are filled for every x <= z; a row reads only packs of z below
+    its top, and its caller fills the columns that those packs read.
 
     The polynomials are read by object: a column filled through coset
     moves shares a few objects among all its entries, so each object's
-    norm, degree and value is taken once.
+    norm, degree and value is taken once, and a row adds the packs of
+    each object's entries before it multiplies by the value.
 
     Exactness.  The case (x, w) holds when
 
@@ -393,16 +396,17 @@ class _InversionRows:
     F_x is at most M = sum over z of ||P(z, w)||_1 ||P(w0 z, w0 x)||_1
     in absolute value, since the l1 norm is subadditive and
     submultiplicative.  Every factor of every row and pack is an entry
-    of the columns, so with a and d the largest norm and degree among
-    all of their polynomials, each norm is at most a; and a row has at
-    most N terms, the N of the column of w0, which holds every z.  So
-    M <= N a^2.  B is the least with 2^(B-1) > N a^2:
-    B = bitlen(N a^2) + 1, where bitlen(m) is the least k with
-    m < 2^k.  Since a is taken from the values actually read, a wrong
-    memo entry with large coefficients widens B rather than aliasing.
-    N a^2 >= 1, since P(w, w) = 1 is read, so B >= 2 and the target
-    delta, with coefficient at most 1, is in the injective range too.
-    Hence f_x = delta(2^B) exactly when F_x = delta.
+    of the columns, and so one of the polynomials read, so with a and d
+    the largest norm and degree among those, each norm is at most a;
+    and a row has at most N terms, the N of the column of w0, which
+    holds every z.  So M <= N a^2.  B is the least with
+    2^(B-1) > N a^2: B = bitlen(N a^2) + 1, where bitlen(m) is the
+    least k with m < 2^k.  Since a is taken from the values actually
+    read, a wrong memo entry with large coefficients widens B rather
+    than aliasing.  N a^2 >= 1, since P(w, w) = 1 is read, so B >= 2
+    and the target delta, with coefficient at most 1, is in the
+    injective range too.  Hence f_x = delta(2^B) exactly when
+    F_x = delta.
 
     A value read satisfies |P(2^B)| <= ||P||_1 2^(B deg P), so each term
     of f_x is at most (a 2^(B d))^2 in absolute value.  W is the least
@@ -419,13 +423,13 @@ class _InversionRows:
 
     def __init__(
         self,
-        columns: Sequence[Sequence[Mapping[int, IntPolynomial]]],
-        downs: Sequence[Sequence[Sequence[int]]],
+        columns: Sequence[tuple[Mapping[int, IntPolynomial],
+                                Mapping[int, IntPolynomial]] | None],
+        reads: Iterable[IntPolynomial],
     ) -> None:
-        # Every polynomial read, by id; the columns keep the objects, so
-        # no id is reused while the rows are in use.
-        polys = {id(p): p for column in columns for layer in column
-                 for p in layer.values()}
+        # By id; the columns keep the objects, so no id is reused while
+        # the rows are in use.
+        polys = {id(p): p for p in reads}
         self.columns = columns
         last = len(columns) - 1
         norm = max(sum(map(abs, p.coeffs)) for p in polys.values())
@@ -436,13 +440,14 @@ class _InversionRows:
         self.width = width = bound + 2 * bits * max(degree, 0) + 1
         q = 1 << bits
         values = self.values = {i: p.evaluate(q) for i, p in polys.items()}
-        # x at layer k of the ideal of z puts w0 z at layer k of the
-        # column of w0 x.
-        self.packs = [
-            sum(values[id(columns[last - x][k][last - z])] << (width * x)
-                for k, layer in enumerate(ideal) for x in layer)
-            for z, ideal in enumerate(downs)
-        ]
+        packs = self.packs = [0] * len(columns)
+        for t in range(last, -1, -1):
+            if columns[t] is None:
+                continue
+            shift = width * (last - t)
+            for part in columns[t]:
+                for u, p in part.items():
+                    packs[last - u] += values[id(p)] << shift
 
     def failures(self, t: int) -> list[int]:
         """The fields of the row of top t whose sum is not delta: 1 in
@@ -452,13 +457,22 @@ class _InversionRows:
         of T minus the target are the field sums minus delta: they lie
         in [-2^(W-1), 2^(W-1)), where balanced digits are unique.
         """
-        values, packs = self.values, self.packs
-        total = -(1 << (self.width * t))
-        for k, layer in enumerate(self.columns[t]):
-            part = sum(map(mul, map(values.__getitem__, map(id, layer.values())),
-                           map(packs.__getitem__, layer)))
-            total = total - part if k % 2 else total + part
+        even, odd = map(self._products, self.columns[t])
+        total = even - odd - (1 << (self.width * t))
         return [f for f, d in enumerate(_balanced_digits(total, self.width)) if d]
+
+    def _products(self, part: Mapping[int, IntPolynomial]) -> int:
+        """The sum over the entries z of ``part`` of P(z, w)(2^B) D(z).
+
+        The entries share a few polynomial objects, so the packs are
+        added per object first, and each object's value multiplies once.
+        """
+        packs, sums = self.packs, {}
+        for z, p in part.items():
+            i = id(p)
+            sums[i] = sums.get(i, 0) + packs[z]
+        values = self.values
+        return sum(values[i] * s for i, s in sums.items())
 
 
 def _balanced_digits(value: int, width: int) -> list[int]:
@@ -502,28 +516,38 @@ def verify_inversion_identity_batch(
     once, and the report is built from the failing fields, with no list
     of cases.
 
-    It fills every column P(., w) of S_n once, from the top down, with
-    the move rule of :func:`klpoly.kl.kl_column`.  With R and L the
-    descent masks of w, a z with R & ~rdes[z] nonzero takes the
-    polynomial of z s_i from the layer above, s_i the lowest set bit;
-    else a z with L & ~ldes[z] nonzero takes that of s_i z; else z is
-    the maximum of its double coset under the descents of w, and only
-    then is P(z, w) read from the cache.  Such a z lies below w by
+    It fills each column P(., w) it needs once, from the top down: layer
+    k is the set bits of ideals[w] & by_length[l(w) - k], lowest first,
+    and each entry goes into the ``even`` or ``odd`` dict of the column
+    by the parity of k = l(w) - l(z).  The move rule is that of
+    :func:`klpoly.kl.kl_column`.  With R and L the descent masks of w, a
+    z with R & ~rdes[z] nonzero takes the polynomial of z s_i from the
+    layer above, in the other dict, s_i the lowest set bit; else a z
+    with L & ~ldes[z] nonzero takes that of s_i z; else z is the
+    maximum of its double coset under the descents of w, and only then
+    is P(z, w) read from the cache.  Such a z lies below w by
     construction, so a zero read there is a wrong entry like any other,
-    and the rows report the cases it breaks.
+    and the rows report the cases it breaks.  Every other entry is a
+    copy of a polynomial read, so the reads are the polynomials that
+    fix the widths.
 
     Each top's cases are then decided by one packed integer product
     (see :class:`_InversionRows`, which holds the proofs).  Each z has
     one dual pack D(z), the sum over x <= z of
     P(w0 z, w0 x)(2^B) 2^(W i(x)), with i(x) the index of x.  Since w0
     reverses lexicographic order, P(w0 z, w0 x) is entry N - 1 - i(z)
-    of the column of index N - 1 - i(x), at the layer of x in [e, z].
-    The row of w is the sum over z <= w of
+    of the column of index N - 1 - i(x), so the packs are scattered
+    from the columns.  The row of w is the sum over z <= w of
     (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field i(x) is the
     integer sum of the case (x, w).  It passes exactly when it is
-    2^(W i(w)), and each failing field is a failing case.  The packs
-    are built once, straight from the columns, and only the rows of the
-    tops that the kept cases name are summed.
+    2^(W i(w)), and each failing field is a failing case.
+
+    Only what the kept cases read is filled.  With U the union of the
+    ideals of the kept tops, the kept rows read only the packs of the z
+    in U, and those read only the columns of w0 x for the x in U, since
+    U is closed downward.  So the batch fills the columns of the kept
+    tops and of w0 U, in index order, and sums only the kept rows; an
+    uncapped run fills every column of S_n once.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -556,49 +580,68 @@ def verify_inversion_identity_batch(
         raise ValueError(
             f"exhaustive check over S_{n} is too large; pass a sample count"
         )
-    perms, downs, rdes, ldes, rmul, lmul = _down_sets(n)
+    perms, lengths, ideals, by_length, rdes, ldes, rmul, lmul = _down_sets(n)
+    last = len(perms) - 1
 
     def decide(count: int, c: KLCache) -> list[Failure]:
-        # Fields and keys are indices in S_n.
-        columns = []
-        for t, w in enumerate(perms):
-            right, left = rdes[t], ldes[t]
-            column: list[dict[int, IntPolynomial]] = []
-            above: dict[int, IntPolynomial] = {}
-            for layer in downs[t]:
-                here = {}
-                for z in layer:
+        # Fields and keys are indices in S_n.  The kept tops, each with
+        # the number of its cases kept (all of them when it is at least
+        # the size of the ideal), and the union U of their ideals.
+        kept, reach = [], 0
+        for t, ideal in enumerate(ideals):
+            if count <= 0:
+                break
+            kept.append((t, count))
+            count -= ideal.bit_count()
+            reach |= ideal
+        needed = {t for t, _ in kept}
+        while reach:
+            low = reach & -reach
+            needed.add(last - (low.bit_length() - 1))
+            reach ^= low
+
+        columns: list[tuple[dict, dict] | None] = [None] * len(perms)
+        reads: list[IntPolynomial] = []
+        # One int object per index, shared by every column that holds it
+        # as a key: CPython shares only the ints up to 256, and S_6 has
+        # 720 indices.
+        names = list(range(len(perms)))
+        for t in sorted(needed):
+            w, right, left, top = perms[t], rdes[t], ldes[t], lengths[t]
+            parts: tuple[dict, dict] = ({}, {})
+            for k in range(top + 1):
+                here, above = parts[k & 1], parts[~k & 1]
+                layer = ideals[t] & by_length[top - k]
+                while layer:
+                    low = layer & -layer
+                    layer ^= low
+                    z = names[low.bit_length() - 1]
                     if m := right & ~rdes[z]:
                         p = above[rmul[z][(m & -m).bit_length() - 1]]
                     elif m := left & ~ldes[z]:
                         p = above[lmul[z][(m & -m).bit_length() - 1]]
                     else:
                         p = _kl(perms[z], w, c)
+                        reads.append(p)
                     here[z] = p
-                column.append(here)
-                above = here
-            columns.append(column)
+            columns[t] = parts
 
-        rows = _InversionRows(columns, downs)
-        # The first ``count`` cases: whole ideals of the first tops, and
-        # of a top where the count ends, its ``count`` smallest indices.
+        rows = _InversionRows(columns, reads)
         failures = []
-        for t, ideal in enumerate(downs):
-            if count <= 0:
-                break
+        for t, keep in kept:
             failed = rows.failures(t)
-            size = sum(map(len, ideal))
-            if count < size:
-                bound = sorted(x for layer in ideal for x in layer)[count - 1]
-                failed = [f for f in failed if f <= bound]
-            count -= size
+            # A top where the count ends keeps its ``keep`` smallest
+            # indices: the f with at most ``keep`` set bits up to f.
+            ideal = ideals[t]
+            failed = [f for f in failed
+                      if (ideal & ((2 << f) - 1)).bit_count() <= keep]
             failures += [failure(perms[f], perms[t]) for f in failed]
         return failures
 
     return _run_cases(
         "inversion-identity",
         f"S_{n} exhaustive",
-        sum(len(layer) for ideal in downs for layer in ideal),
+        sum(ideal.bit_count() for ideal in ideals),
         decide,
         cache,
         case_cap,

@@ -22,6 +22,7 @@ from klpoly.kl import (
     check_inversion_identity,
     flatten_pair,
     inverse_kl,
+    kl_column,
     kl_polynomial,
 )
 from klpoly.perm import (
@@ -239,20 +240,46 @@ def test_inversion_exhaustive_counts():
     assert report.seed is None
 
 
+def _bits(mask):
+    """The set bits of ``mask``, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_down_layers_match_the_interval_walks(n):
-    # The one-pass closure over the covers builds every [e, w] at once;
-    # the walker of a single interval is its independent check, down to
-    # the order of the tops and of each layer.
+    # The one-pass closure over the covers builds every [e, w] at once
+    # as a bitmask; the walker of a single interval is its independent
+    # check.  Each mask decodes to exactly the walked elements, and its
+    # parts by length to the walked layers, in order.
     e = identity(n)
-    walked = {w: interval(e, w).layers for w in all_perms(n)}
-    perms, downs = _down_sets(n)[:2]
-    decoded = {
-        perms[t]: tuple(tuple(perms[x] for x in layer) for layer in layers)
-        for t, layers in enumerate(downs)
-    }
-    assert list(decoded) == list(walked)
-    assert decoded == walked
+    perms, lengths, ideals, by_length = _down_sets(n)[:4]
+    assert perms == list(all_perms(n))
+    assert lengths == [length(v) for v in perms]
+    # The length masks partition S_n, each holding the elements of its
+    # length.
+    assert len(by_length) == n * (n - 1) // 2 + 1
+    assert sum(by_length) == (1 << len(perms)) - 1
+    assert sum(mask.bit_count() for mask in by_length) == len(perms)
+    for l, mask in enumerate(by_length):
+        assert all(lengths[z] == l for z in _bits(mask))
+    for t, w in enumerate(perms):
+        walked = interval(e, w)
+        assert {perms[x] for x in _bits(ideals[t])} == walked.elements
+        layers = tuple(
+            tuple(perms[x] for x in _bits(ideals[t] & by_length[lengths[t] - k]))
+            for k in range(lengths[t] + 1)
+        )
+        assert layers == walked.layers, w
+
+
+def test_s7_ideals_hold_every_comparable_pair():
+    # The tables of S_7 hold its 3,550,919 comparable pairs as 5,040
+    # masks, with nothing decoded.
+    perms, lengths, ideals, by_length = _down_sets(7)[:4]
+    assert len(perms) == len(ideals) == 5040
+    assert sum(ideal.bit_count() for ideal in ideals) == 3550919
+    assert sum(by_length) == (1 << 5040) - 1
+    assert ideals[0] == 1 and ideals[-1] == (1 << 5040) - 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -261,7 +288,7 @@ def test_move_tables_pick_the_ascent_neighbour(n):
     # right descent i of w at which z ascends, else s_i z for the lowest
     # such left descent, else z is read.  That is kl._ascent_neighbour,
     # and z is read exactly at the double-coset maxima of w.
-    perms, downs, rdes, ldes, rmul, lmul = _down_sets(n)
+    perms, lengths, ideals, by_length, rdes, ldes, rmul, lmul = _down_sets(n)
 
     def positions(mask):
         return tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
@@ -272,14 +299,19 @@ def test_move_tables_pick_the_ascent_neighbour(n):
     for t, w in enumerate(perms):
         right, left = right_descents(w), left_descents(w)
         read = []
-        for z in [z for layer in downs[t] for z in layer]:
+        for z in _bits(ideals[t]):
             if m := rdes[t] & ~rdes[z]:
-                moved = perms[rmul[z][(m & -m).bit_length() - 1]]
+                moved = rmul[z][(m & -m).bit_length() - 1]
             elif m := ldes[t] & ~ldes[z]:
-                moved = perms[lmul[z][(m & -m).bit_length() - 1]]
+                moved = lmul[z][(m & -m).bit_length() - 1]
             else:
                 moved = None
                 read.append(perms[z])
+            if moved is not None:
+                # The neighbour is in the ideal, one length up.
+                assert ideals[t] >> moved & 1
+                assert lengths[moved] == lengths[z] + 1
+                moved = perms[moved]
             assert moved == _ascent_neighbour(perms[z], right, left), (w, z)
         maxima = [z for z, _ in _maxima_column(identity(n), w, KLCache())]
         assert sorted(read) == sorted(maxima), w
@@ -293,27 +325,66 @@ def test_w0_reverses_the_lexicographic_index(n):
     assert all(perms[last - i] == _w0_times(v) for i, v in enumerate(perms))
 
 
+def test_parity_columns_are_the_signed_interval_columns(monkeypatch):
+    # The batch's column of w is kl_column(e, w) with its layers merged
+    # by sign: layer k goes into the even dict when (-1)^k = 1, and into
+    # the odd one otherwise, in the order of the layers.
+    import klpoly.verify
+
+    built = []
+
+    class Kept(klpoly.verify._InversionRows):
+        def __init__(self, columns, reads):
+            reads = list(reads)
+            super().__init__(columns, reads)
+            built.append((columns, reads))
+
+    monkeypatch.setattr(klpoly.verify, "_InversionRows", Kept)
+    assert verify_inversion_identity_batch(4).passed
+    ((columns, reads),) = built
+    perms = list(all_perms(4))
+    index = {v: i for i, v in enumerate(perms)}
+    assert len(columns) == 24
+    entries = [p for column in columns for part in column for p in part.values()]
+    assert len(entries) == 213
+    # Every entry is one of the objects read.
+    assert {id(p) for p in entries} <= {id(p) for p in reads}
+    cache = KLCache()
+    for t, w in enumerate(perms):
+        signed = ({}, {})
+        for k, layer in enumerate(kl_column(identity(4), w, cache)):
+            signed[k % 2].update({index[z]: p for z, p in layer.items()})
+        even, odd = columns[t]
+        assert (list(even.items()), list(odd.items())) == (
+            list(signed[0].items()),
+            list(signed[1].items()),
+        ), w
+
+
 @lru_cache(maxsize=None)
 def _true_columns(n):
-    """The ideals of S_n by index, and every column of S_n by index, in
-    layers, with its true polynomials."""
-    perms, downs = _down_sets(n)[:2]
+    """The ideals of S_n by index, and every column of S_n by index as
+    its parity dicts ``(even, odd)``, with its true polynomials."""
+    perms, lengths, ideals, by_length = _down_sets(n)[:4]
     cache = KLCache()
-    columns = [
-        [{z: kl_polynomial(perms[z], w, cache) for z in layer} for layer in downs[t]]
-        for t, w in enumerate(perms)
-    ]
-    return downs, columns
+    columns = []
+    for t, w in enumerate(perms):
+        parts = ({}, {})
+        for k in range(lengths[t] + 1):
+            for z in _bits(ideals[t] & by_length[lengths[t] - k]):
+                parts[k % 2][z] = kl_polynomial(perms[z], w, cache)
+        columns.append(parts)
+    return ideals, columns
 
 
 def _entries(n):
     """The number of entries of the columns of S_n: 3, 19 and 213 for
     n = 2, 3, 4."""
-    return sum(len(layer) for ideal in _true_columns(n)[0] for layer in ideal)
+    return sum(ideal.bit_count() for ideal in _true_columns(n)[0])
 
 
 # Polynomials to put on entries of the columns of S_2, S_3 or S_4, each
-# entry named by its place in the order (top, layer, z).
+# entry named by its place in the order (top, parity, z).
 OVERRIDES = st.sampled_from([2, 3, 4]).flatmap(
     lambda n: st.tuples(
         st.just(n),
@@ -335,25 +406,29 @@ OVERRIDES = st.sampled_from([2, 3, 4]).flatmap(
 @example((4, {0: IntPolynomial([-(1 << 40)] * 3), 212: IntPolynomial([1 << 40] * 3)}))
 @settings(deadline=None)
 def test_packed_row_decodes_every_field_to_its_integer_sum(case):
-    # Random polynomials on the entries of the real columns of a small
-    # S_n: every row must fail exactly at the fields whose sum, taken in
-    # Z[q], is not delta, with B and W within the bounds of the proof.
+    # Random polynomials on the entries of the real parity columns of a
+    # small S_n: every row must fail exactly at the fields whose sum,
+    # taken in Z[q], is not delta, with B and W within the bounds of the
+    # proof.
     n, overrides = case
-    downs, true = _true_columns(n)
+    ideals, true = _true_columns(n)
     columns, entry = [], 0
     for column in true:
-        columns.append([])
-        for layer in column:
-            here = {}
-            for z, p in layer.items():
-                here[z] = overrides.get(entry, p)
+        parts = ({}, {})
+        for sign, part in enumerate(column):
+            for z, p in part.items():
+                parts[sign][z] = overrides.get(entry, p)
                 entry += 1
-            columns[-1].append(here)
-    rows = _InversionRows(columns, downs)
+        columns.append(parts)
+    polys = [p for column in columns for part in column for p in part.values()]
+    rows = _InversionRows(columns, polys)
     last = len(columns) - 1
-    layer_of = [{x: k for k, layer in enumerate(ideal) for x in layer}
-                for ideal in downs]
-    polys = [p for column in columns for layer in column for p in layer.values()]
+
+    def dual(z, x):
+        # P(w0 z, w0 x): entry N - 1 - z of the column of N - 1 - x.
+        even, odd = columns[last - x]
+        return even[last - z] if last - z in even else odd[last - z]
+
     norm = max(sum(map(abs, p.coeffs)) for p in polys)
     # B and W meet the bounds that make the comparison exact.
     assert 1 << (rows.bits - 1) > len(columns) * norm * norm
@@ -361,12 +436,12 @@ def test_packed_row_decodes_every_field_to_its_integer_sum(case):
     for t, column in enumerate(columns):
         sums = [ZERO] * len(columns)
         fields = [0] * len(columns)
-        for k, layer in enumerate(column):
-            for z, p in layer.items():
-                for x, j in layer_of[z].items():
-                    d = columns[last - x][j][last - z]
-                    sums[x] += p * d * (-1) ** k
-                    fields[x] += (-1) ** k * p.evaluate(q) * d.evaluate(q)
+        for sign, part in zip((1, -1), column):
+            for z, p in part.items():
+                for x in _bits(ideals[z]):
+                    d = dual(z, x)
+                    sums[x] += p * d * sign
+                    fields[x] += sign * p.evaluate(q) * d.evaluate(q)
         assert all(abs(f) < 1 << (rows.width - 1) for f in fields)
         expected = [x for x, f in enumerate(sums) if f != (ONE if x == t else ZERO)]
         # Each field's integer decides its case as the sum in Z[q] does.
@@ -385,8 +460,8 @@ def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
     built, summed = [], []
 
     class Counted(klpoly.verify._InversionRows):
-        def __init__(self, columns, downs):
-            super().__init__(columns, downs)
+        def __init__(self, columns, reads):
+            super().__init__(columns, reads)
             built.append(self)
 
         def failures(self, t):
@@ -410,11 +485,12 @@ def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
 
 @pytest.mark.parametrize("cap, rows", [(None, 120), (1, 1)])
 def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
-    # The batch fills each of the 120 columns of S_5 once, reading
-    # the cache exactly once at each double-coset maximum of each top and
-    # nowhere else, and sums the row of each top that the kept cases
-    # name: all 120 uncapped, and only that of e when the cap keeps the
-    # case (e, e).
+    # Uncapped, the batch fills each of the 120 columns of S_5 once,
+    # reading the cache exactly once at each double-coset maximum of
+    # each top and nowhere else, and sums the row of each top.  A cap
+    # that keeps only the case (e, e) fills only what that row reads:
+    # its own column, which reads (e, e), and the column of w0, whose
+    # only maximum is w0, for the pack of e.
     import klpoly.verify
 
     read, summed = [], []
@@ -433,10 +509,14 @@ def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
     report = verify_inversion_identity_batch(5, case_cap=cap)
     assert report.passed
     e, cache = identity(5), KLCache()
-    maxima = [
-        (z, w) for w in all_perms(5) for z, _ in _maxima_column(e, w, cache)
-    ]
-    assert sorted(read) == sorted(maxima)
+    if cap is None:
+        maxima = [
+            (z, w) for w in all_perms(5) for z, _ in _maxima_column(e, w, cache)
+        ]
+        assert sorted(read) == sorted(maxima)
+    else:
+        w0 = (5, 4, 3, 2, 1)
+        assert read == [(e, e), (w0, w0)]
     assert len(summed) == rows
 
 
@@ -493,9 +573,9 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
 )
 @pytest.mark.parametrize("z", PROBED_BOTTOMS_S4)
 def test_capped_inversion_batch_fails_exactly_where_the_check_does(z, error):
-    # A cap that stops partway through the cases of a top still reads
-    # every column, but decides only the tops it keeps; the cases it
-    # keeps must still fail as they do alone.  The cap stops just after
+    # A cap that stops partway through the cases of a top fills only
+    # the columns that its kept rows read, and decides only the tops it
+    # keeps; the cases it keeps must still fail as they do alone.  The cap stops just after
     # the first failing case.
     cases = _cases(4)
     for w in _probed_tops_s4(z):
