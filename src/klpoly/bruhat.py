@@ -20,8 +20,8 @@ updates it with a few whole-table operations per cover.  This module
 alone knows that layout: :func:`_offset_difference` builds every packed
 table.  The recursion of :mod:`klpoly.kl` reads one only through
 :func:`bruhat_leq`, and only on a miss, for a pair that is about to be
-computed; it finds the inert positions of a pair without a table, by
-:func:`_inert_values`.
+computed, and finds the inert positions of a pair itself, without a
+table.
 
 Covers and intervals are computed combinatorially from the
 transposition description of the covering relation.  :func:`interval`
@@ -165,29 +165,6 @@ def _offset_difference(x: Perm, w: Perm) -> tuple[int, int, int]:
             table += row << shift
         shift += row_bits
     return table, high, b
-
-
-def _inert_values(x: Perm, w: Perm) -> int:
-    """The inert values of a pair of equal size, as a bitmask: bit a is
-    set when some position p has x(p) = w(p) = a and r_w(p, a) =
-    r_x(p, a) (see :func:`klpoly.kl.flatten_pair`); 0 when every
-    position is active.  The pair need not be comparable.
-
-    One pass keeps the sets of values seen so far in x and in w as
-    bitmasks, bit v for the value v.  The rank difference at (p, a) is
-    then the number of values >= a seen in w less the number seen in x.
-    No packed table is built.
-
-    >>> bin(_inert_values((1, 2, 4, 3), (2, 1, 4, 3)))
-    '0b11000'
-    """
-    inert = seen_x = seen_w = 0
-    for a, b in zip(x, w):
-        seen_x |= 1 << a
-        seen_w |= 1 << b
-        if a == b and (seen_w >> a).bit_count() == (seen_x >> a).bit_count():
-            inert |= 1 << a
-    return inert
 
 
 def bruhat_leq(x: Perm, w: Perm) -> bool:

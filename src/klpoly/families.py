@@ -17,7 +17,8 @@ closed forms are also evaluated here term by term, so the algebra can
 be checked independently of any recursion.  The standard identity
 relating P(x, w) and P(w0 w, w0 x) on an interval with a trivial
 interior (:func:`inverse_kl_from_interval_sum`) reads one column,
-P(., w) on [x, w], once.
+P(., w) on [x, w], once, and sums it with the one signed sum of
+:mod:`klpoly.kl`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from math import comb
 
 from .bruhat import _Record
-from .kl import KLCache, inverse_kl, kl_column
+from .kl import KLCache, _identity_sum, kl_column
 from .perm import Perm, format_perm
 from .polynomial import ONE, ZERO, IntPolynomial, geometric_sum
 
@@ -311,28 +312,27 @@ def inverse_kl_from_interval_sum(
     which makes this a useful cross-check.
 
     P(., w) is read once, as ``kl_column(x, w, cache)`` (see
-    :func:`klpoly.kl.kl_column`).  Its layer k holds the z with
-    len(w) - len(z) = k, so a term at layer k has the sign (-1)^(k+1),
-    and the last layer holds x alone.  Raises ValueError unless x and w
-    are permutations of the same size with x <= w.
+    :func:`klpoly.kl.kl_column`); its layer k holds the z with
+    len(w) - len(z) = k.  The result is the standard identity's signed
+    sum, :func:`klpoly.kl._identity_sum`, over the layers below the top:
+    dropping the top layer flips every layer's sign, so that sum is
+    minus the identity's terms below the top, which is the top's term,
+    the inverse polynomial.  Under the precondition it is the formula
+    above.  Raises ValueError unless x and w are permutations of the
+    same size with x <= w.
     """
     if cache is None:
         cache = KLCache()
     column = kl_column(x, w, cache)
     if len(column) == 1:
         return ONE
-    # kl_column checks both arguments; w and x are read back as Perms
-    # from the first and the last layer, which hold them alone.
-    (w,), *interior, last = column
+    # kl_column checks both arguments; w is read back as a Perm from the
+    # first layer, which holds it alone.
+    (w,), *interior, _ = column
     for layer in reversed(interior):
         for z in sorted(layer):
             if layer[z] != ONE:
                 raise NontrivialIntervalError(
                     f"P({format_perm(z)}, {format_perm(w)}) = {layer[z]} != 1"
                 )
-    ((x, p),) = last.items()
-    total = p * (-1) ** len(column)
-    for k, layer in enumerate(interior, 1):
-        for z in layer:
-            total = total + inverse_kl(x, z, cache) * (-1) ** (k + 1)
-    return total
+    return _identity_sum(column[1:], cache)

@@ -1,6 +1,6 @@
 import pytest
 
-from klpoly.bruhat import bruhat_leq
+from klpoly.bruhat import bruhat_leq, interval
 from klpoly.families import (
     _FAMILIES,
     FamilySpec,
@@ -16,8 +16,15 @@ from klpoly.families import (
     parse_family_spec,
     signed_weight,
 )
-from klpoly.kl import KLCache, inverse_kl
-from klpoly.perm import avoids_pattern, identity, length, longest_element
+from klpoly.kl import KLCache, inverse_kl, kl_polynomial
+from klpoly.perm import (
+    all_perms,
+    avoids_pattern,
+    format_perm,
+    identity,
+    length,
+    longest_element,
+)
 from klpoly.polynomial import ONE, IntPolynomial
 
 
@@ -293,6 +300,37 @@ def test_interval_sum_rejects_nontrivial_interiors(shared_cache):
         inverse_kl_from_interval_sum((1, 2), (1, 2, 3), shared_cache)
     with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
         inverse_kl_from_interval_sum((1, 1, 3), (3, 2, 1), shared_cache)
+
+
+@pytest.mark.parametrize(
+    "n, trivial, nontrivial", [(4, 209, 4), (5, 3428, 353)], ids=["s4", "s5"]
+)
+def test_interval_sum_on_every_comparable_pair(n, trivial, nontrivial):
+    # Where P(z, w) = 1 on (x, w] the sum is the inverse polynomial.
+    # Elsewhere the error names the first z of (x, w] with P(z, w) != 1
+    # by length, then lexicographically, found here from kl_polynomial
+    # over the walked interval.
+    cache = KLCache()
+    counts = [0, 0]
+    for w in all_perms(n):
+        for x in interval(identity(n), w).elements:
+            bad = sorted(
+                (length(z), z, p)
+                for z in interval(x, w).elements
+                if z != x and (p := kl_polynomial(z, w, cache)) != ONE
+            )
+            counts[bool(bad)] += 1
+            if not bad:
+                total = inverse_kl_from_interval_sum(x, w, cache)
+                assert total == inverse_kl(x, w, cache), (x, w)
+                continue
+            _, z, p = bad[0]
+            with pytest.raises(NontrivialIntervalError) as error:
+                inverse_kl_from_interval_sum(x, w, cache)
+            assert str(error.value) == (
+                f"P({format_perm(z)}, {format_perm(w)}) = {p} != 1"
+            ), (x, w)
+    assert counts == [trivial, nontrivial]
 
 
 def test_nontrivial_interval_error_is_a_value_error():

@@ -5,6 +5,7 @@ import pytest
 from klpoly.bruhat import RankDifferenceTable, bruhat_leq, interval
 from klpoly.kl import (
     KLCache,
+    _ascent_neighbour,
     _maxima_column,
     _raise_bottom,
     _split_descent,
@@ -84,8 +85,13 @@ def _swap_values(x, i):
     return tuple(i + 1 if v == i else i if v == i + 1 else v for v in x)
 
 
-def test_raise_bottom_reaches_double_coset_maximum_in_s4():
-    for x, w in comparable_pairs(4):
+@pytest.mark.parametrize("n", [4, 5])
+def test_raise_bottom_reaches_double_coset_maximum(n):
+    # Each double coset is found by brute force, closing {x} under the
+    # moves at the top's descents.  Its top is where _raise_bottom lands,
+    # and the one element at which _ascent_neighbour, the maximum test
+    # of the correction walk and of _maxima_column, finds no move.
+    for x, w in comparable_pairs(n):
         right, left = right_descents(w), left_descents(w)
         coset, frontier = {x}, [x]
         while frontier:
@@ -99,6 +105,8 @@ def test_raise_bottom_reaches_double_coset_maximum_in_s4():
         top = max(coset, key=length)
         assert all(bruhat_leq(y, top) for y in coset)
         assert _raise_bottom(x, right, left) == top
+        for y in coset:
+            assert (_ascent_neighbour(y, right, left) is None) == (y == top), (y, w)
 
 
 def test_symmetries_in_s5(shared_cache):
