@@ -99,15 +99,19 @@ The standard identity, the sum over x <= z <= w of
 polynomial off it.  The exhaustive batch over S_n packs the same sums
 into integers; that packing lives in :mod:`klpoly.verify`, its only
 reader.  One rule, :func:`_ascent_neighbour`, decides whether z ascends
-at a descent of the top, for the column moves and the maxima tests
-alike; only :func:`_raise_bottom` keeps its own loop.
+at a descent of the top, for the column moves and for the maxima test
+of the correction walk; only :func:`_raise_bottom` keeps its own loop.
+The checks that read a top's polynomials on the double-coset maxima of
+an interval, through :func:`_maxima_column`, walk nothing: the maxima
+are listed from their block corner counts
+(:func:`klpoly.bruhat._double_coset_maxima`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .bruhat import bruhat_leq, covers_down, interval
+from .bruhat import _double_coset_maxima, bruhat_leq, covers_down, interval
 from .perm import (
     Perm,
     _checked_pair,
@@ -435,8 +439,9 @@ def _ascent_neighbour(
     else None: z is then the maximum of its double coset.
 
     This is the one statement of the rule for the column moves of
-    :func:`kl_column` and for the maxima tests of :func:`_maxima_column`
-    and of the correction walk in the recursion."""
+    :func:`kl_column` and for the maxima test of the correction walk in
+    the recursion.  :func:`_maxima_column` needs no test: it lists only
+    maxima."""
     for i in right:
         if z[i - 1] < z[i]:
             lst = list(z)
@@ -456,21 +461,20 @@ def _maxima_column(
 ) -> Iterator[tuple[Perm, IntPolynomial]]:
     """(z, P(z, top)) at each z of [bottom, top] that is the maximum of
     its double coset W_I z W_J, with I and J the left and right descents
-    of top, in (length, lexicographic) order; requires bottom <= top.
+    of top, in (length, lexicographic) order.  Raises ValueError, when
+    the first pair is asked for, unless bottom <= top.
 
     Every z of [bottom, top] raises through those descents to one of
     these z, with the same P, so they carry the column of top on the
     interval.  The first is the raised bottom, which carries
     P(bottom, top), and the last is top.  Each P is read only when its
-    pair is asked for.  The walk visits only the z with every right
-    descent of top, and keeps those at which :func:`_ascent_neighbour`
-    finds no move at a left descent.
+    pair is asked for.  The maxima are listed from their block corner
+    counts by :func:`klpoly.bruhat._double_coset_maxima`, with no walk
+    and no raise.
     """
     right, left = cache._top(top)
-    walk = interval(_raise_bottom(bottom, right, left), top, right)
-    for z in walk.sorted_elements():
-        if _ascent_neighbour(z, (), left) is None:
-            yield z, _kl(z, top, cache)
+    for z in _double_coset_maxima(bottom, top, right, left):
+        yield z, _kl(z, top, cache)
 
 
 def check_inversion_identity(

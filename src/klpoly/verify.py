@@ -207,10 +207,11 @@ def verify_regular_closed_forms(
     polynomial 1 against the top.
 
     Both read one pass over the double-coset maxima of the interval (see
-    :func:`klpoly.kl._maxima_column`): the first, the raised bottom, is
-    held to the closed form and every later one to 1.  A failure names
-    the shortest interior maximum whose polynomial is not 1, the
-    lexicographically first among those of its length.
+    :func:`klpoly.kl._maxima_column`), listed from their block corner
+    counts with no walk: the first, the raised bottom, is held to the
+    closed form and every later one to 1.  A failure names the shortest
+    interior maximum whose polynomial is not 1, the lexicographically
+    first among those of its length.
     """
 
     def evaluate(case: tuple[str, int, int], c: KLCache) -> Failure | None:
@@ -655,7 +656,9 @@ def verify_smoothness_equivalence(
 ) -> VerificationReport:
     """Check, for every top in S_n, that the pattern test for an
     all-ones column agrees with direct computation of the column, read
-    through :func:`klpoly.kl._maxima_column` up to its first P != 1."""
+    through :func:`klpoly.kl._maxima_column` up to its first P != 1.
+    The column's maxima on [e, w] are listed from their block corner
+    counts, so no interval is walked."""
     if not (2 <= n <= _EXHAUSTIVE_MAX_N):
         raise ValueError(f"n must be between 2 and {_EXHAUSTIVE_MAX_N}, got {n}")
     e = identity(n)

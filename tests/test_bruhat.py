@@ -3,6 +3,7 @@ import random
 import pytest
 
 from klpoly.bruhat import (
+    _double_coset_maxima,
     bruhat_leq,
     coatom_count,
     covers_down,
@@ -18,10 +19,13 @@ from klpoly.perm import (
     compose,
     from_oneline,
     identity,
+    left_descents,
     length,
     longest_element,
     right_descents,
 )
+from klpoly.kl import KLCache, _ascent_neighbour, _maxima_column, _raise_bottom
+from klpoly.verify import random_comparable_pair
 
 # Reference implementations, written as directly from the definitions
 # as possible so they share no code with the module under test.
@@ -517,6 +521,116 @@ def test_interval_sorted_elements_ordering():
     text = format_interval(iv)
     assert text.splitlines()[0] == "1,2,3"
     assert text.splitlines()[-1] == "3,2,1"
+
+
+# The double-coset maxima of an interval, listed from block corner
+# counts, against a walk-and-filter reference kept only here.
+
+
+def walked_maxima(x, w):
+    """The maxima of the double cosets of w's descents that meet [x, w],
+    in (length, lexicographic) order: walk [x', w] over the z with every
+    right descent of w, x' being x raised through w's descents, and keep
+    the z with no ascent at a left descent of w."""
+    right, left = right_descents(w), left_descents(w)
+    walk = interval(_raise_bottom(x, right, left), w, right)
+    return [z for z in walk.sorted_elements()
+            if _ascent_neighbour(z, (), left) is None]
+
+
+def listed_maxima(x, w):
+    return _double_coset_maxima(x, w, right_descents(w), left_descents(w))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_double_coset_maxima_match_the_walk(n):
+    # Every w of S_n with every distinct raised bottom below it, which
+    # are the maxima of [e, w]: the same maxima in the same order.
+    pairs = 0
+    for w in all_perms(n):
+        for b in walked_maxima(identity(n), w):
+            assert listed_maxima(b, w) == walked_maxima(b, w), (b, w)
+            pairs += 1
+    assert pairs == {1: 1, 2: 2, 3: 6, 4: 30, 5: 242, 6: 2940}[n]
+
+
+def test_double_coset_maxima_match_the_walk_on_s7_pairs():
+    # Seeded comparable pairs, with bottoms that are not raised first.
+    rng = random.Random(7)
+    for _ in range(300):
+        x, w = random_comparable_pair(7, rng)
+        assert listed_maxima(x, w) == walked_maxima(x, w), (x, w)
+
+
+def test_double_coset_maxima_reject_a_bottom_not_below_the_top():
+    # A corner of the bottom above the top's is exactly x not <= w.
+    elements = list(all_perms(4))
+    for w in elements:
+        for x in elements:
+            if not bruhat_leq(x, w):
+                with pytest.raises(ValueError, match="is not <="):
+                    listed_maxima(x, w)
+    with pytest.raises(ValueError, match="3,4,1,2 is not <= 4,2,3,1"):
+        next(_maxima_column((3, 4, 1, 2), (4, 2, 3, 1), KLCache()))
+
+
+def blocks(w):
+    """The last position of each block of positions joined across w's
+    right descents, and the first value of each block of values joined
+    across its left descents."""
+    n = len(w)
+    right, left = right_descents(w), left_descents(w)
+    ends = [p for p in range(1, n + 1) if p not in right]
+    firsts = [v for v in range(1, n + 1) if v - 1 not in left]
+    return ends, firsts
+
+
+def corner_table(u, ends, firsts):
+    return [[naive_rank(u, p, q) for q in firsts] for p in ends]
+
+
+def test_maxima_compare_exactly_when_their_corners_do():
+    # The lemma behind the enumeration, over every top of S_5.  Corners
+    # are a double-coset invariant.  The rank table of a maximum z is
+    # r_z(p, q) = min(R(j - 1) + t, R(j)) at p = (end of block j - 1) + t,
+    # with R(j) = min(C[j][a], C[j][a + 1] + L), q in value block a and
+    # L = (last value of block a) - q + 1; it is nondecreasing in the
+    # corners, so two maxima compare exactly when their corners do.
+    n = 5
+    elements = list(all_perms(n))
+    for w in elements:
+        right, left = right_descents(w), left_descents(w)
+        ends, firsts = blocks(w)
+        for x in elements:
+            raised = _raise_bottom(x, right, left)
+            assert corner_table(x, ends, firsts) == corner_table(raised, ends, firsts)
+        maxima = walked_maxima(identity(n), w)
+        corners = {z: corner_table(z, ends, firsts) for z in maxima}
+        starts = [0] + ends
+        lasts = [v - 1 for v in firsts[1:]] + [n]
+        for z, table in corners.items():
+            # C[j][a], with a zero row before the first position block
+            # and a zero column past the last value block.
+            c = [[0] * (len(firsts) + 1)] + [row + [0] for row in table]
+            for j in range(1, len(starts)):
+                for p in range(starts[j - 1] + 1, starts[j] + 1):
+                    t = p - starts[j - 1]
+                    for a, (first, last) in enumerate(zip(firsts, lasts)):
+                        for q in range(first, last + 1):
+                            before, after = (
+                                min(c[i][a], c[i][a + 1] + last - q + 1)
+                                for i in (j - 1, j)
+                            )
+                            expected = min(before + t, after)
+                            assert naive_rank(z, p, q) == expected, (z, w, p, q)
+        for u in maxima:
+            for z in maxima:
+                below = all(
+                    c <= d
+                    for row_u, row_z in zip(corners[u], corners[z])
+                    for c, d in zip(row_u, row_z)
+                )
+                assert bruhat_leq(u, z) == below, (u, z, w)
 
 
 def test_coatom_count_small_cases():

@@ -90,7 +90,7 @@ def test_raise_bottom_reaches_double_coset_maximum(n):
     # Each double coset is found by brute force, closing {x} under the
     # moves at the top's descents.  Its top is where _raise_bottom lands,
     # and the one element at which _ascent_neighbour, the maximum test
-    # of the correction walk and of _maxima_column, finds no move.
+    # of the correction walk, finds no move.
     for x, w in comparable_pairs(n):
         right, left = right_descents(w), left_descents(w)
         coset, frontier = {x}, [x]
