@@ -34,24 +34,17 @@ right cosets z W_J inside the interval, which is all the
 Kazhdan-Lusztig recursion needs.  The maxima of the two-sided cosets
 W_I z W_J that meet an interval, which the family and smoothness checks
 read, are not walked to: :func:`_double_coset_maxima` builds each from
-its table of block corner counts.  Nothing here is memoised: packed
-tables and intervals are rebuilt on every call, so the module holds no
-state.
+its table of block corner counts, when it is asked for.  Nothing here
+is memoised: packed tables and intervals are rebuilt on every call, so
+the module holds no state.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from operator import gt
 
-from .perm import (
-    Perm,
-    _checked_pair,
-    _w0_times,
-    format_perm,
-    from_oneline,
-    length,
-)
+from .perm import Perm, _checked_pair, _w0_times, format_perm, from_oneline
 
 
 def rank_count(w: Perm, p: int, q: int) -> int:
@@ -411,15 +404,16 @@ def interval(
 
 def _double_coset_maxima(
     x: Perm, w: Perm, right: tuple[int, ...], left: tuple[int, ...]
-) -> list[Perm]:
+) -> Iterator[Perm]:
     """The maxima of the double cosets W_I z W_J that meet [x, w], with
     J the right descents ``right`` (positions) and I the left descents
-    ``left`` (values) of w, in (length, lexicographic) order.  None of
-    them is walked to: each is built from a table of counts.
+    ``left`` (values) of w, each yielded as soon as its table of counts
+    is complete.  None of them is walked to, and none is kept.
 
     x and w must be permutations of the same size, and ``right`` and
     ``left`` descents of w, in increasing order.  That is not checked:
-    the callers pass a top's record.  Raises ValueError unless x <= w.
+    the callers pass a top's record.  Raises ValueError, on the first
+    ``next``, unless x <= w.
 
     J cuts the positions into blocks of consecutive positions, joined
     across each p of J, and I cuts the values likewise.  The double
@@ -452,9 +446,12 @@ def _double_coset_maxima(
     fixed by the block sizes, so the enumeration chooses the other
     cells, row by row and, within a row, from the last value block
     down, keeping every M nonnegative and each row and column within
-    its block's size.
+    its block's size.  Every free cell starts at its least value, which
+    is C_x, since M_x >= 0 and x's rows and columns fit their blocks.
+    So the first table listed is x's own corners, and the first maximum
+    is x raised; the rest come in no order by length.
 
-    >>> _double_coset_maxima((1, 2, 3, 4), (3, 4, 1, 2), (2,), (2,))
+    >>> list(_double_coset_maxima((1, 2, 3, 4), (3, 4, 1, 2), (2,), (2,)))
     [(1, 3, 2, 4), (1, 4, 3, 2), (3, 2, 1, 4), (3, 4, 1, 2)]
     """
     n = len(w)
@@ -515,7 +512,6 @@ def _double_coset_maxima(
     ]
     values = [0] * len(cells)
     caps = [0] * len(cells)
-    maxima: list[Perm] = []
     k = 0
     while True:
         # Set every cell from k on to its least value, as long as each
@@ -543,7 +539,7 @@ def _double_coset_maxima(
                 heads[j] = heads[j - 1] + segment(above, row)
             k += 1
         else:
-            maxima.append(tuple(heads[-1] + segment(table[-2], table[-1])))
+            yield tuple(heads[-1] + segment(table[-2], table[-1]))
         # Back to the last cell that can still grow, and grow it.
         k -= 1
         while k >= 0 and values[k] == caps[k]:
@@ -555,8 +551,6 @@ def _double_coset_maxima(
         if a == 1:
             heads[j] = heads[j - 1] + segment(above, row)
         k += 1
-    maxima.sort(key=lambda z: (length(z), z))
-    return maxima
 
 
 def format_interval(iv: BruhatInterval) -> str:

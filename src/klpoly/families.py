@@ -136,8 +136,8 @@ def make_family(spec: FamilySpec) -> Perm:
 def family_pair(pair: str, k: int, m: int) -> tuple[Perm, Perm]:
     """The (bottom, top) interval pair for a pair kind: the members of
     its row in the family table, built at (k, m)."""
-    members = _row(pair, k, m)["members"]
-    bottom, top = [make_family(FamilySpec(member, k, m)) for member in members]
+    members = _row(pair, k, m)["members"].values()
+    bottom, top = [tuple(build(k, m)) for build in members]
     return bottom, top
 
 

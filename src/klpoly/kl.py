@@ -103,7 +103,7 @@ at a descent of the top, for the column moves and for the maxima test
 of the correction walk; only :func:`_raise_bottom` keeps its own loop.
 The checks that read a top's polynomials on the double-coset maxima of
 an interval, through :func:`_maxima_column`, walk nothing: the maxima
-are listed from their block corner counts
+are listed lazily, raised bottom first, from their block corner counts
 (:func:`klpoly.bruhat._double_coset_maxima`).
 """
 
@@ -461,16 +461,16 @@ def _maxima_column(
 ) -> Iterator[tuple[Perm, IntPolynomial]]:
     """(z, P(z, top)) at each z of [bottom, top] that is the maximum of
     its double coset W_I z W_J, with I and J the left and right descents
-    of top, in (length, lexicographic) order.  Raises ValueError, when
-    the first pair is asked for, unless bottom <= top.
+    of top.  Raises ValueError, when the first pair is asked for, unless
+    bottom <= top.
 
     Every z of [bottom, top] raises through those descents to one of
     these z, with the same P, so they carry the column of top on the
     interval.  The first is the raised bottom, which carries
-    P(bottom, top), and the last is top.  Each P is read only when its
-    pair is asked for.  The maxima are listed from their block corner
-    counts by :func:`klpoly.bruhat._double_coset_maxima`, with no walk
-    and no raise.
+    P(bottom, top); the rest come in no particular order.  Each maximum
+    is listed, from its block corner counts by
+    :func:`klpoly.bruhat._double_coset_maxima`, and its P read, only
+    when its pair is asked for, with no walk and no raise.
     """
     right, left = cache._top(top)
     for z in _double_coset_maxima(bottom, top, right, left):

@@ -209,9 +209,9 @@ def verify_regular_closed_forms(
     Both read one pass over the double-coset maxima of the interval (see
     :func:`klpoly.kl._maxima_column`), listed from their block corner
     counts with no walk: the first, the raised bottom, is held to the
-    closed form and every later one to 1.  A failure names the shortest
-    interior maximum whose polynomial is not 1, the lexicographically
-    first among those of its length.
+    closed form and every later one to 1.  A failure reads them all and
+    names the shortest interior maximum whose polynomial is not 1, the
+    lexicographically first among those of its length.
     """
 
     def evaluate(case: tuple[str, int, int], c: KLCache) -> Failure | None:
@@ -222,14 +222,13 @@ def verify_regular_closed_forms(
         _, actual = next(column)
         if actual != expected:
             return Failure(f"{pair}-pair k={k} m={m}", str(expected), str(actual))
-        for z, p in column:
-            if p != ONE:
-                return Failure(
-                    f"{pair}-pair k={k} m={m} interior z={format_perm(z)}",
-                    "1",
-                    str(p),
-                )
-        return None
+        bad = [(length(z), z, p) for z, p in column if p != ONE]
+        if not bad:
+            return None
+        _, z, p = min(bad)
+        return Failure(
+            f"{pair}-pair k={k} m={m} interior z={format_perm(z)}", "1", str(p)
+        )
 
     return _run_cases(
         "regular-closed-forms",
@@ -507,8 +506,9 @@ def verify_inversion_identity_batch(
 
     With ``samples`` unset the check is exhaustive over S_n, which is
     only reasonable for n <= 6; above that a sample count is required
-    and pairs are drawn with the given seed.  A sampled pair runs
-    :func:`klpoly.kl.check_inversion_identity`, a sum in Z[q].
+    and the pairs that ``case_cap`` keeps are drawn with the given seed.
+    A sampled pair runs :func:`klpoly.kl.check_inversion_identity`, a
+    sum in Z[q].
 
     The exhaustive run names each element of S_n by its lexicographic
     index (see :func:`_down_sets`).  Its cases are the pairs (x, w)
@@ -563,6 +563,7 @@ def verify_inversion_identity_batch(
         import random
 
         rng = random.Random(seed)
+        drawn = samples if case_cap is None else min(samples, case_cap)
 
         def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Failure | None:
             return None if check_inversion_identity(*case, c) else failure(*case)
@@ -570,7 +571,7 @@ def verify_inversion_identity_batch(
         return _run_cases(
             "inversion-identity",
             f"S_{n}, {samples} sampled pairs",
-            [random_comparable_pair(n, rng) for _ in range(samples)],
+            [random_comparable_pair(n, rng) for _ in range(drawn)],
             evaluate,
             cache,
             case_cap,
@@ -657,8 +658,8 @@ def verify_smoothness_equivalence(
     """Check, for every top in S_n, that the pattern test for an
     all-ones column agrees with direct computation of the column, read
     through :func:`klpoly.kl._maxima_column` up to its first P != 1.
-    The column's maxima on [e, w] are listed from their block corner
-    counts, so no interval is walked."""
+    The column's maxima on [e, w] are listed lazily from their block
+    corner counts: none is walked to, and none listed past that P."""
     if not (2 <= n <= _EXHAUSTIVE_MAX_N):
         raise ValueError(f"n must be between 2 and {_EXHAUSTIVE_MAX_N}, got {n}")
     e = identity(n)

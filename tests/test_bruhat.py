@@ -539,17 +539,23 @@ def walked_maxima(x, w):
 
 
 def listed_maxima(x, w):
-    return _double_coset_maxima(x, w, right_descents(w), left_descents(w))
+    return list(_double_coset_maxima(x, w, right_descents(w), left_descents(w)))
+
+
+def by_length(maxima):
+    return sorted(maxima, key=lambda z: (length(z), z))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_double_coset_maxima_match_the_walk(n):
     # Every w of S_n with every distinct raised bottom below it, which
-    # are the maxima of [e, w]: the same maxima in the same order.
+    # are the maxima of [e, w]: the same maxima, the bottom first.
     pairs = 0
     for w in all_perms(n):
         for b in walked_maxima(identity(n), w):
-            assert listed_maxima(b, w) == walked_maxima(b, w), (b, w)
+            listed = listed_maxima(b, w)
+            assert listed[0] == b, (b, w)
+            assert by_length(listed) == walked_maxima(b, w), (b, w)
             pairs += 1
     assert pairs == {1: 1, 2: 2, 3: 6, 4: 30, 5: 242, 6: 2940}[n]
 
@@ -559,7 +565,26 @@ def test_double_coset_maxima_match_the_walk_on_s7_pairs():
     rng = random.Random(7)
     for _ in range(300):
         x, w = random_comparable_pair(7, rng)
-        assert listed_maxima(x, w) == walked_maxima(x, w), (x, w)
+        listed = listed_maxima(x, w)
+        right, left = right_descents(w), left_descents(w)
+        assert listed[0] == _raise_bottom(x, right, left), (x, w)
+        assert by_length(listed) == walked_maxima(x, w), (x, w)
+
+
+def test_double_coset_maxima_yield_the_raised_bottom_first():
+    # The regular check reads the first maximum yielded as the bottom's:
+    # over every comparable pair of S_5 it is the bottom raised through
+    # w's descents, whatever order the rest come in.  The seeded S_7
+    # pairs above check the same rule.
+    elements = list(all_perms(5))
+    pairs = [(x, w) for w in elements for x in elements if bruhat_leq(x, w)]
+    assert len(pairs) == 3781
+    for x, w in pairs:
+        right, left = right_descents(w), left_descents(w)
+        maxima = _double_coset_maxima(x, w, right, left)
+        first = next(maxima)
+        assert first == _raise_bottom(x, right, left), (x, w)
+        assert sorted([first, *maxima]) == sorted(walked_maxima(x, w)), (x, w)
 
 
 def test_double_coset_maxima_reject_a_bottom_not_below_the_top():

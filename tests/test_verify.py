@@ -1,5 +1,6 @@
 import json
 from functools import lru_cache
+from operator import length_hint
 
 import pytest
 from hypothesis import example, given, settings
@@ -104,6 +105,10 @@ def test_inverse_closed_forms_at_twelve():
     assert report.cases == 111
 
 
+def by_length(maxima):
+    return sorted(maxima, key=lambda z: (length(z), z))
+
+
 def reference_regular_failures(max_n, cache):
     """The regular check with its interior loop over all of
     ``interval(bottom, top)``.  Of the interior z with P(z, top) != 1
@@ -152,7 +157,7 @@ def test_interior_check_fails_exactly_where_the_full_loop_does(family, which):
     # maximum whose polynomial is not 1.  (The x-pairs have no interior
     # maxima: every interior z raises to the top.)
     bottom, top = family_pair(*family)
-    maxima = [z for z, _ in _maxima_column(bottom, top, KLCache())]
+    maxima = by_length(z for z, _ in _maxima_column(bottom, top, KLCache()))
     assert maxima[0] == bottom
     seeds = {
         "bottom": [bottom],
@@ -185,9 +190,9 @@ def test_double_coset_maxima_are_the_raised_interval(n):
             if not bruhat_leq(x, w):
                 continue
             maxima = [z for z, _ in _maxima_column(x, w, cache)]
-            assert maxima == sorted(maxima, key=lambda z: (length(z), z))
+            assert maxima[0] == _raise_bottom(x, right, left)
             raised = {_raise_bottom(z, right, left) for z in interval(x, w).elements}
-            assert set(maxima) == raised
+            assert by_length(maxima) == by_length(raised)
 
 
 def test_inverse_closed_forms_full_range():
@@ -738,6 +743,32 @@ def test_inversion_sampled_is_seeded():
     assert a.parameter_range == b.parameter_range
 
 
+def test_capped_sampled_inversion_draws_only_the_pairs_it_runs(monkeypatch):
+    # A capped sampled run draws the pairs it keeps and no more, and
+    # reports as if all of them had been drawn.
+    import klpoly.verify
+
+    drawn = []
+    real = klpoly.verify.random_comparable_pair
+
+    def counting(n, rng):
+        drawn.append(real(n, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(klpoly.verify, "random_comparable_pair", counting)
+    full = verify_inversion_identity_batch(5, samples=30, seed=11)
+    assert len(drawn) == 30
+    drawn.clear()
+    capped = verify_inversion_identity_batch(5, samples=30, seed=11, case_cap=4)
+    assert len(drawn) == 4
+    assert capped.passed and capped.cases == 4 and capped.seed == 11
+    assert capped.parameter_range == full.parameter_range == "S_5, 30 sampled pairs"
+    drawn.clear()
+    above = verify_inversion_identity_batch(5, samples=30, seed=11, case_cap=40)
+    assert len(drawn) == 30
+    assert above.cases == 30
+
+
 def test_inversion_rejects_unbounded_exhaustive_run():
     with pytest.raises(ValueError):
         verify_inversion_identity_batch(7)
@@ -759,6 +790,39 @@ def test_one_pass_reads_the_same_polynomials():
     assert verify_regular_closed_forms(14, cache).passed
     assert (cache.hits, cache.misses) == (130, 132)
     assert len(cache.memo) == cache.misses
+
+
+def test_smoothness_lists_only_the_maxima_it_reads(monkeypatch):
+    # Each top's pass lists a maximum only when the check asks for its
+    # pair, so no maximum is listed past a top's first P != 1.  Listing
+    # every maximum of every top would take 2,940.
+    import klpoly.kl
+    import klpoly.verify
+
+    listed, read = [0], [0]
+    real_maxima = klpoly.kl._double_coset_maxima
+    real_column = klpoly.verify._maxima_column
+
+    def counting_maxima(*args):
+        maxima = iter(real_maxima(*args))
+        try:
+            for z in maxima:
+                listed[0] += 1
+                yield z
+        finally:
+            # Maxima already built but never asked for, as a list would
+            # hold them; a lazy listing holds none.
+            listed[0] += length_hint(maxima)
+
+    def counting_column(*args):
+        for pair in real_column(*args):
+            read[0] += 1
+            yield pair
+
+    monkeypatch.setattr(klpoly.kl, "_double_coset_maxima", counting_maxima)
+    monkeypatch.setattr(klpoly.verify, "_maxima_column", counting_column)
+    assert verify_smoothness_equivalence(6).passed
+    assert listed[0] == read[0] == 954
 
 
 def test_maximal_singular_points_of_s5_are_family_pairs():
