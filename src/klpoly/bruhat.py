@@ -31,7 +31,9 @@ with ``depth=1``.  It goes down from the top a length at a time and
 carries each element's packed difference.  Given a set of right
 descents it walks only the z that have all of them, the maxima of the
 right cosets z W_J inside the interval, which is all the
-Kazhdan-Lusztig recursion needs.  The maxima of the two-sided cosets
+Kazhdan-Lusztig recursion needs; its correction sum takes the coatoms
+of a top with one given descent from :func:`_coatoms_descending_at`,
+which builds no other cover.  The maxima of the two-sided cosets
 W_I z W_J that meet an interval, which the family and smoothness checks
 read, are not walked to: :func:`_double_coset_maxima` builds each from
 its table of block corner counts, when it is asked for.  Nothing here
@@ -193,8 +195,9 @@ def covers_down(w: Perm) -> list[Perm]:
 
     Each cover comes from exchanging an inversion (i, j) of w such that
     no intermediate position holds a value between w(j) and w(i).  w
-    must be a permutation.  That is not checked: the recursion takes
-    the covers of a top on every miss.
+    must be a permutation.  That is not checked: the exhaustive
+    inversion batch (``verify._down_sets``) takes the covers of every
+    permutation of S_n.
 
     >>> sorted(covers_down((3, 2, 1)))
     [(2, 3, 1), (3, 1, 2)]
@@ -210,6 +213,49 @@ def covers_down(w: Perm) -> list[Perm]:
             if floor < wj < wi:
                 floor = wj
                 out.append(w[:i] + (wj,) + w[i + 1:j] + (wi,) + w[j + 1:])
+    return out
+
+
+def _coatoms_descending_at(w: Perm, i: int) -> list[Perm]:
+    """The z covered by w that have a right descent at i, for an ascent
+    i of w, a = w(i) < b = w(i + 1): the ``covers_down(w)`` with
+    z(i) > z(i + 1), in the same order, in O(n) steps.
+
+    A cover z = w t(p, q) with neither p nor q in {i, i + 1} keeps
+    z(i) = a < b = z(i + 1), and t(i, i + 1) lengthens w.  Moving a to
+    some q > i + 1 puts a smaller value at i, and moving b to some p < i
+    puts a larger one at i + 1.  So z swaps a with a larger w(p), p < i,
+    and needs w(p) > b, or swaps b with a smaller w(q), q > i + 1, and
+    needs w(q) < a.  Each side is scanned outward from the pair, keeping
+    the cover rule's nearest value between, and stops once that value
+    breaks the bound, since every later candidate must lie beyond it.
+    w must be a permutation, and i an ascent of it.  That is not
+    checked: the recursion's correction sum calls this on each miss.
+
+    >>> _coatoms_descending_at((5, 2, 4, 1, 3), 2)
+    [(2, 5, 4, 1, 3), (5, 2, 1, 4, 3)]
+    """
+    a, b = w[i - 1], w[i]
+    out: list[Perm] = []
+    # The smallest value above a seen so far between p and i.
+    ceiling = len(w) + 1
+    for p in range(i - 2, -1, -1):
+        v = w[p]
+        if a < v < ceiling:
+            if v < b:
+                break
+            ceiling = v
+            out.append(w[:p] + (a,) + w[p + 1:i - 1] + (v,) + w[i:])
+    out.reverse()
+    # The largest value below b seen so far between i + 1 and q.
+    floor = 0
+    for q in range(i + 1, len(w)):
+        v = w[q]
+        if floor < v < b:
+            if v > a:
+                break
+            floor = v
+            out.append(w[:i] + (v,) + w[i + 1:q] + (b,) + w[q + 1:])
     return out
 
 

@@ -18,12 +18,24 @@ count.
 Most of those z cannot count either (Kazhdan-Lusztig 1979): if t is a
 left or right descent of ws that z lacks, mu(z, ws) is nonzero only
 when z is ws t or t ws, a coatom of ws.  So the sum takes the coatoms
-of ws, each with mu = 1, from the covers of ws, and past them visits
-only z with every descent of ws.  By the lifting property each such z
-lies above x raised through the descents of ws, so those z are found
-in the odd layers of that shorter interval, walked one length at a
+of ws that have the descent s, each with mu = 1, in one scan
+(:func:`klpoly.bruhat._coatoms_descending_at`), and past them visits
+only z with every descent of ws and the descent s.
+
+Those z lie above x raised through all of these descents, s included.
+Such a z is the maximum of its double coset W_I z W_J, with I the left
+descents of ws and J its right descents and s, and the maximum of a
+parabolic double coset is monotone in Bruhat order: the maps to the
+maximum of a left or of a right coset are (Björner-Brenti,
+Combinatorics of Coxeter Groups, Prop. 2.5.1 and Section 2.5), and
+alternating them reaches the double coset's maximum.  So x <= z gives
+max(W_I x W_J) <= max(W_I z W_J) = z, and the z are found in the
+odd layers of the interval above that raised x, walked one length at a
 time from ws through the z with every right descent of ws only (the
-maxima of their right cosets, see :func:`klpoly.bruhat.interval`).
+maxima of their right cosets, see :func:`klpoly.bruhat.interval`), and
+there are none when that raised x is not below ws.  The raised x only
+starts the walk; it is never a memo key, since s is an ascent of ws, and
+raising through it can change P(x, ws).
 
 Nor need that walk go deep.  KL polynomials are monotone in the
 bottom: P(z, ws) <= P(x, ws) coefficientwise whenever x <= z <= ws
@@ -32,10 +44,9 @@ groups; Braden-MacPherson, "From moment graphs to intersection
 cohomology", Math. Ann. 2001).  A z at distance 2k + 1 below ws has
 mu(z, ws) = [q^k] P(z, ws), so it vanishes for every k past
 D = deg P(x, ws), one of the two terms the recursion has just looked
-up.  The walk therefore stops at distance 2D + 1, and a pair with
-P(x, ws) = 1 walks nothing past the coatoms.  Raising x through
-descents of ws keeps P(x, ws), so the same D bounds the walk from the
-raised x.
+up.  The walk therefore stops at distance 2D + 1, its layers counted
+from ws, and a pair with P(x, ws) = 1 walks nothing past the coatoms;
+nor does one whose raised x lies less than 3 lengths below ws.
 
 Base cases: P(w, w) = 1 and P(x, w) = 0 unless x <= w.  A
 :class:`KLCache` shares results across calls.
@@ -111,7 +122,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .bruhat import _double_coset_maxima, bruhat_leq, covers_down, interval
+from .bruhat import (
+    _coatoms_descending_at,
+    _double_coset_maxima,
+    bruhat_leq,
+    interval,
+)
 from .perm import (
     Perm,
     _checked_pair,
@@ -308,38 +324,40 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
 
     if p_x:
         # x <= ws.  Only the coatoms of ws and the z with every descent of
-        # ws can have mu(z, ws) != 0 (see the module docstring).  A coatom
-        # has mu = 1 and exponent 1; P(x, z) is ZERO unless x <= z.
-        for z in covers_down(ws):
-            if z[i - 1] > z[i]:
-                acc = acc - _kl(x, z, cache).shift(1)
+        # ws can have mu(z, ws) != 0 (see the module docstring), and the
+        # sum reads only z with the descent i.  A coatom has mu = 1 and
+        # exponent 1; P(x, z) is ZERO unless x <= z.
+        for z in _coatoms_descending_at(ws, i):
+            acc = acc - _kl(x, z, cache).shift(1)
         # Layer 2k + 1 of [x, ws] holds the z with len(w) - len(z) = 2k + 2:
         # the exponent is k + 1 and mu(z, ws) is the coefficient of q^k in
         # P(z, ws).  By monotonicity, P(z, ws) <= P(x, ws) coefficientwise
         # for x <= z <= ws (Irving 1988; Braden-MacPherson 2001), so that
         # coefficient vanishes for k > D = deg P(x, ws): only layers 3, 5,
         # ..., 2D + 1 can count, and none do when D = 0.  From layer 3 on
-        # only z with every descent of ws count, and by the lifting
-        # property each of them lies above x raised through those
-        # descents, so the walk starts there and visits only z with the
-        # right descents of ws; its layers keep their index, since both
-        # walks start at ws and skip no length.  Raising keeps P(x, ws),
-        # so D bounds the raised walk too, and D >= 1 means the raised
-        # interval spans at least 2D + 1 >= 3 lengths.
+        # only z with every descent of ws and the descent i count.  Such a
+        # z is the maximum of its double coset under those descents, and
+        # double-coset maxima are monotone (Björner-Brenti, Prop. 2.5.1),
+        # so x <= z puts z above x raised through them.  The walk starts
+        # there, visits only z with the right descents of ws, and counts
+        # its layers from ws, as [x, ws] does.  A bottom not below ws, or
+        # less than 3 lengths below it, leaves no z to read.
         degree = p_x.degree
         if degree:
             right, left = cache._top(ws)
-            bottom = _raise_bottom(x, right, left)
-            odd = interval(bottom, ws, right, 2 * degree + 1).layers[3::2]
-            for k, layer in enumerate(odd, 1):
-                for z in layer:
-                    # z must have the descent s and be the maximum of its
-                    # double coset under the descents of ws; the walk keeps
-                    # the right ones, so only the left ones are tested.
-                    if z[i - 1] > z[i] and _ascent_neighbour(z, (), left) is None:
-                        m = _kl(z, ws, cache).coefficient(k)
-                        if m:
-                            acc = acc - _kl(x, z, cache).shift(k + 1) * m
+            bottom = _raise_bottom(x, right + (i,), left)
+            if length(ws) - length(bottom) >= 3 and bruhat_leq(bottom, ws):
+                odd = interval(bottom, ws, right, 2 * degree + 1).layers[3::2]
+                for k, layer in enumerate(odd, 1):
+                    for z in layer:
+                        # z must have the descent i and be the maximum of its
+                        # double coset under the descents of ws; the walk
+                        # keeps the right ones, so only the left ones are
+                        # tested.
+                        if z[i - 1] > z[i] and _ascent_neighbour(z, (), left) is None:
+                            m = _kl(z, ws, cache).coefficient(k)
+                            if m:
+                                acc = acc - _kl(x, z, cache).shift(k + 1) * m
 
     cache.store(key, acc)
     return acc

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from klpoly.bruhat import (
+    _coatoms_descending_at,
     _double_coset_maxima,
     bruhat_leq,
     coatom_count,
@@ -311,6 +312,22 @@ def test_covers_up_is_dual_to_covers_down():
             assert w in covers_down(z)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_coatoms_descending_at_an_ascent_are_the_filtered_covers(n):
+    # The correction sum's coatoms: for every ascent i of every w, the
+    # covers of w with a descent at i, in covers_down's order.
+    checked = 0
+    for w in all_perms(n):
+        covers = covers_down(w)
+        for i in range(1, n):
+            if w[i - 1] < w[i]:
+                expected = [z for z in covers if z[i - 1] > z[i]]
+                assert _coatoms_descending_at(w, i) == expected, (w, i)
+                checked += 1
+    # Every w has n - 1 adjacent pairs, half of them ascents on average.
+    assert checked == len(list(all_perms(n))) * (n - 1) // 2
+
+
 def test_covers_change_length_by_one():
     for w in all_perms(4):
         for z in covers_down(w):
@@ -575,7 +592,9 @@ def test_double_coset_maxima_yield_the_raised_bottom_first():
     # The regular check reads the first maximum yielded as the bottom's:
     # over every comparable pair of S_5 it is the bottom raised through
     # w's descents, whatever order the rest come in.  The seeded S_7
-    # pairs above check the same rule.
+    # pairs above check the same rule.  The maxima are the walk-and-filter
+    # reference's, and also every z of [x, w] raised through w's
+    # descents, so they carry every value of the column.
     elements = list(all_perms(5))
     pairs = [(x, w) for w in elements for x in elements if bruhat_leq(x, w)]
     assert len(pairs) == 3781
@@ -584,7 +603,10 @@ def test_double_coset_maxima_yield_the_raised_bottom_first():
         maxima = _double_coset_maxima(x, w, right, left)
         first = next(maxima)
         assert first == _raise_bottom(x, right, left), (x, w)
-        assert sorted([first, *maxima]) == sorted(walked_maxima(x, w)), (x, w)
+        listed = by_length([first, *maxima])
+        assert listed == walked_maxima(x, w), (x, w)
+        raised = {_raise_bottom(z, right, left) for z in interval(x, w).elements}
+        assert listed == by_length(raised), (x, w)
 
 
 def test_double_coset_maxima_reject_a_bottom_not_below_the_top():

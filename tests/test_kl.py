@@ -109,6 +109,64 @@ def test_raise_bottom_reaches_double_coset_maximum(n):
             assert (_ascent_neighbour(y, right, left) is None) == (y == top), (y, w)
 
 
+def _walk_cut_pairs():
+    """(x, w) for every top w of S_5 and for 120 seeded tops of S_6 and
+    40 of S_7, with every x of the same size; the identity has no
+    descent to split at."""
+    rng = random.Random(36)
+    for n, tops in ((5, None), (6, 120), (7, 40)):
+        perms = list(all_perms(n))
+        assert perms[0] == identity(n)
+        chosen = perms[1:] if tops is None else rng.sample(perms[1:], tops)
+        for w in chosen:
+            for x in perms:
+                yield x, w
+
+
+def _read_by_the_sum(start, ws, i):
+    """The z of interval(start, ws, right) that the correction sum reads
+    past the coatoms: those with the descent i and no ascent at a left
+    descent of ws (the walk keeps only z with its right descents)."""
+    right, left = right_descents(ws), left_descents(ws)
+    return {z for z in interval(start, ws, right).elements
+            if z[i - 1] > z[i] and _ascent_neighbour(z, (), left) is None}
+
+
+def test_correction_walk_cut_keeps_every_z_the_sum_reads():
+    # The z of the sum past the coatoms have every descent of ws and the
+    # split descent i, so each is the maximum of its double coset under
+    # them, and lies above x raised through them (the double-coset
+    # maximum is monotone).  Checked with no mu: the walk from x raised
+    # through the descents of ws alone reads exactly the z of the walk
+    # from the new bottom, each above that bottom, and none at all when
+    # that bottom is not below ws.
+    pairs = cut = kept = 0
+    bottoms = set()
+    for x, w in _walk_cut_pairs():
+        i = _split_descent(w, right_descents(w))
+        ws = swap_positions(w, i, i + 1)
+        if not bruhat_leq(x, ws):
+            continue
+        pairs += 1
+        right, left = right_descents(ws), left_descents(ws)
+        raised = _raise_bottom(x, right, left)
+        bottom = _raise_bottom(x, right + (i,), left)
+        if (raised, bottom, ws, i) in bottoms:
+            continue
+        bottoms.add((raised, bottom, ws, i))
+        read = _read_by_the_sum(raised, ws, i)
+        kept += len(read)
+        if _leq(bottom, ws):
+            assert read == _read_by_the_sum(bottom, ws, i), (x, w)
+            assert all(_leq(bottom, z) for z in read), (x, w)
+        else:
+            assert not read, (x, w)
+            cut += 1
+    # 658 distinct bottoms; 585 of them are not below ws, and the other
+    # 73 read 111 z.
+    assert (pairs, len(bottoms), cut, kept) == (31075, 658, 585, 111)
+
+
 def test_symmetries_in_s5(shared_cache):
     w0 = longest_element(5)
     for x, w in comparable_pairs(5):

@@ -207,42 +207,44 @@ def test_oracle_agrees_on_all_of_s5():
 
 
 def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
-    # The sum reads layers 3, 5, ..., 2 deg P(x, ws) + 1 of [raised x, ws]
-    # (monotonicity); a pair with P(x, ws) = 1, or a shorter interval, has
-    # none of them and must not be walked, and skipping it changes no
-    # value.
+    # The sum reads layers 3, 5, ..., 2 deg P(x, ws) + 1 of [x, ws]
+    # (monotonicity), walked from x raised through the descents of ws and
+    # the split descent.  A pair with P(x, ws) = 1 walks nothing, nor one
+    # whose raised bottom is not below ws or lies less than 3 lengths
+    # below it, and skipping those walks changes no value.
     import klpoly.kl
 
-    perms = _perms(5)
-    columns = {w: oracle_column(w, {z for z in perms if _leq(z, w)}) for w in perms}
-    sums, gaps, walks = [0], [], []
-    covers, walk = klpoly.kl.covers_down, klpoly.kl.interval
+    sums, last_x, walks = [0], [None], []
+    coatoms = klpoly.kl._coatoms_descending_at
+    lift, walk = klpoly.kl._raise_bottom, klpoly.kl.interval
 
-    def counted_covers(ws):
+    def counted_coatoms(ws, i):
         sums[0] += 1
-        return covers(ws)
+        return coatoms(ws, i)
 
-    def counted_walk(x, w, descents=(), depth=None):
-        gaps.append(_length(w) - _length(x))
-        walks.append((x, w, depth))
-        return walk(x, w, descents, depth)
+    def recorded_lift(x, right, left):
+        last_x[0] = x
+        return lift(x, right, left)
 
-    monkeypatch.setattr(klpoly.kl, "covers_down", counted_covers)
-    monkeypatch.setattr(klpoly.kl, "interval", counted_walk)
-    for w in perms:
-        column = columns[w]
-        cache = KLCache()
-        for x in perms:
-            assert kl_polynomial(x, w, cache).coeffs == column.get(x, ()), (x, w)
-    assert gaps and min(gaps) >= 3
-    # Most sums skip their walk.
-    assert sums[0] > 2 * len(gaps)
-    # The walk starts at x raised through the descents of ws, which keeps
-    # P(x, ws), so the oracle's P(bottom, ws) is the P(x, ws) of the sum.
-    for bottom, ws, depth in walks:
-        p = columns[ws][bottom]
-        assert p != _ONE, (bottom, ws)
-        assert depth == 2 * (len(p) - 1) + 1 >= 3, (bottom, ws, depth)
+    def recorded_walk(bottom, ws, descents=(), depth=None):
+        # The sum raises its x just before it walks, so the last x raised
+        # is the x of the sum.
+        walks.append((last_x[0], bottom, ws, depth))
+        return walk(bottom, ws, descents, depth)
+
+    monkeypatch.setattr(klpoly.kl, "_coatoms_descending_at", counted_coatoms)
+    monkeypatch.setattr(klpoly.kl, "_raise_bottom", recorded_lift)
+    monkeypatch.setattr(klpoly.kl, "interval", recorded_walk)
+    for x, w, members in _sampled_s6_pairs():
+        column = oracle_column(w, members)
+        assert kl_polynomial(x, w, KLCache()).coeffs == column[x], (x, w)
+    # Most sums skip their walk: 3 of the 64 walk.
+    assert (sums[0], len(walks)) == (64, 3)
+    for x, bottom, ws, depth in walks:
+        assert _length(ws) - _length(bottom) >= 3, (x, bottom, ws)
+        members = {z for z in _perms(len(ws)) if _leq(x, z) and _leq(z, ws)}
+        p = oracle_column(ws, members)[x]
+        assert depth == 2 * (len(p) - 1) + 1 >= 3, (x, ws, depth)
 
 
 def test_kl_column_matches_the_oracle_in_s5():

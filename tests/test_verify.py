@@ -178,23 +178,6 @@ def test_interior_check_fails_exactly_where_the_full_loop_does(family, which):
     assert verify_regular_closed_forms(7, seeded()).failures == expected
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_double_coset_maxima_are_the_raised_interval(n):
-    # For every bottom x below every top w, raising every z of [x, w]
-    # through the descents of w lands exactly on the listed maxima, so
-    # they carry every value of the column.
-    cache = KLCache()
-    for w in all_perms(n):
-        right, left = right_descents(w), left_descents(w)
-        for x in all_perms(n):
-            if not bruhat_leq(x, w):
-                continue
-            maxima = [z for z, _ in _maxima_column(x, w, cache)]
-            assert maxima[0] == _raise_bottom(x, right, left)
-            raised = {_raise_bottom(z, right, left) for z in interval(x, w).elements}
-            assert by_length(maxima) == by_length(raised)
-
-
 def test_inverse_closed_forms_full_range():
     report = verify_inverse_closed_forms(7)
     assert report.passed
