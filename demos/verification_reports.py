@@ -9,7 +9,6 @@ collected with both polynomials printed verbatim.
 """
 
 from klpoly import (
-    verify_coatom_bound,
     verify_inversion_identity_batch,
     verify_regular_closed_forms,
     verify_smoothness_equivalence,
@@ -33,11 +32,6 @@ print()
 
 # The pattern test against direct computation, all tops of S_4.
 report = verify_smoothness_equivalence(4)
-print(report.text())
-print()
-
-# The coatom bound along the diagonal, with the ratio in the notes.
-report = verify_coatom_bound(3)
 print(report.text())
 print()
 

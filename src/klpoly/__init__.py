@@ -113,7 +113,6 @@ __all__ = [
     "render_picture",
     "right_descents",
     "swap_positions",
-    "verify_coatom_bound",
     "verify_inverse_closed_forms",
     "verify_inversion_identity_batch",
     "verify_regular_closed_forms",

@@ -47,15 +47,14 @@ _COMMANDS: dict[str, tuple[str, tuple[str, ...], bool]] = {
     "lemma": ("evaluate both sides of a binomial identity", (), False),
 }
 
-# Verify name -> (the batch's name in the package, its size keyword, the
-# flag that sets it).  A size is passed only when its flag is given, so
-# every default lives in the batch's signature.
+# Verify name -> (the batch's name in the package, the size keyword that
+# --n sets).  A size is passed only when --n is given, so every default
+# lives in the batch's signature.
 _VERIFY_BATCHES = {
-    "regular": ("verify_regular_closed_forms", "max_n", "n"),
-    "inverse": ("verify_inverse_closed_forms", "max_n", "n"),
-    "inversion": ("verify_inversion_identity_batch", "n", "n"),
-    "smoothness": ("verify_smoothness_equivalence", "n", "n"),
-    "coatom-bound": ("verify_coatom_bound", "k_max", "kmax"),
+    "regular": ("verify_regular_closed_forms", "max_n"),
+    "inverse": ("verify_inverse_closed_forms", "max_n"),
+    "inversion": ("verify_inversion_identity_batch", "n"),
+    "smoothness": ("verify_smoothness_equivalence", "n"),
 }
 
 
@@ -79,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         elif name == "verify":
             p.add_argument("name", choices=_VERIFY_BATCHES)
             p.add_argument("--n", type=int, help="size bound (default depends on check)")
-            p.add_argument("--kmax", type=int, help="diagonal bound for coatom-bound")
             p.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
             p.add_argument(
                 "--cases",
@@ -110,28 +108,24 @@ def _make_cache(args: argparse.Namespace) -> klpoly.KLCache:
 
 
 def _run_verify(args: argparse.Namespace) -> klpoly.VerificationReport:
-    batch, size_keyword, size_flag = _VERIFY_BATCHES[args.name]
+    batch, size_keyword = _VERIFY_BATCHES[args.name]
     ceiling = klpoly.verify._EXHAUSTIVE_MAX_N
-    for _, _, flag in _VERIFY_BATCHES.values():
-        if flag != size_flag and getattr(args, flag) is not None:
-            raise ValueError(f"verify {args.name} reads --{size_flag}, not --{flag}")
     # Every batch's size floor is 2; the errors name flags, not parameters.
-    size = getattr(args, size_flag)
-    if size is not None and size < 2:
-        raise ValueError(f"--{size_flag} must be >= 2, got {size}")
-    if args.name == "smoothness" and (size or 0) > ceiling:
-        raise ValueError(f"--n must be between 2 and {ceiling}, got {size}")
+    if args.n is not None and args.n < 2:
+        raise ValueError(f"--n must be >= 2, got {args.n}")
+    if args.name == "smoothness" and (args.n or 0) > ceiling:
+        raise ValueError(f"--n must be between 2 and {ceiling}, got {args.n}")
     if args.cases is not None and args.cases < 1:
         raise ValueError(f"--cases must be >= 1, got {args.cases}")
     kwargs = {"cache": _make_cache(args), "case_cap": args.cases}
-    if size is not None:
-        kwargs[size_keyword] = size
+    if args.n is not None:
+        kwargs[size_keyword] = args.n
     # Above the exhaustive ceiling the inversion check samples, with
     # --cases as the sample count; no other run reads --seed.
-    if args.name == "inversion" and (size or 0) > ceiling:
+    if args.name == "inversion" and (args.n or 0) > ceiling:
         if args.cases is None:
             raise ValueError(
-                f"verify inversion --n {size} samples; pass --cases, the sample count"
+                f"verify inversion --n {args.n} samples; pass --cases, the sample count"
             )
         kwargs["samples"] = kwargs.pop("case_cap")
         if args.seed is not None:
@@ -158,9 +152,8 @@ def _answer(args: argparse.Namespace) -> tuple[str, object, int]:
             value = klpoly.mu(*_pair(args), _make_cache(args))
             return str(value), value, 0
         case "interval":
-            iv = klpoly.interval(*_pair(args))
-            lines = [klpoly.format_perm(z) for z in iv.sorted_elements()]
-            return "\n".join(lines), lines, 0
+            text = klpoly.format_interval(klpoly.interval(*_pair(args)))
+            return text, text.split("\n"), 0
         case "leq":
             answer = klpoly.bruhat_leq(*_pair(args))
             return str(answer).lower(), answer, 0

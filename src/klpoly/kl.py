@@ -111,7 +111,9 @@ polynomial off it.  The exhaustive batch over S_n packs the same sums
 into integers; that packing lives in :mod:`klpoly.verify`, its only
 reader.  One rule, :func:`_ascent_neighbour`, decides whether z ascends
 at a descent of the top, for the column moves and for the maxima test
-of the correction walk; only :func:`_raise_bottom` keeps its own loop.
+of the correction walk.  Two loops apply the same move rule by
+themselves: :func:`_raise_bottom`, and the exhaustive batch's fill in
+:mod:`klpoly.verify`, which reads it off descent masks by index.
 The checks that read a top's polynomials on the double-coset maxima of
 an interval, through :func:`_maxima_column`, walk nothing: the maxima
 are listed lazily, raised bottom first, from their block corner counts

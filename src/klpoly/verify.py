@@ -11,7 +11,7 @@ Cases run one after another, sharing the caller's cache when one is
 given; the exhaustive inversion batch instead decides all of its cases
 at once, by packed integer products (see :class:`_InversionRows`).
 Reports are deterministic for a fixed seed and range, since cases run
-in a fixed order and failures and notes are reported in that order.
+in a fixed order and failures are reported in that order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
-from .bruhat import _Record, bruhat_leq, coatom_count, covers_down
+from .bruhat import _Record, bruhat_leq, covers_down
 from .families import (
     _family_cases,
     closed_form_inverse,
@@ -36,7 +36,6 @@ from .kl import (
 )
 from .perm import (
     Perm,
-    _w0_times,
     all_perms,
     format_perm,
     identity,
@@ -66,8 +65,7 @@ class Failure(_Record):
 
 class VerificationReport(_Record):
     """The outcome of one verification batch.  Unlike the other records
-    it is mutable, and so unhashable; each report gets its own
-    ``notes`` list unless one is given."""
+    it is mutable, and so unhashable."""
 
     __slots__ = __match_args__ = (
         "check",
@@ -76,7 +74,6 @@ class VerificationReport(_Record):
         "failures",
         "seed",
         "millis",
-        "notes",
     )
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
@@ -87,7 +84,6 @@ class VerificationReport(_Record):
     failures: list[Failure]
     seed: int | None
     millis: int
-    notes: list[str]
 
     def __init__(
         self,
@@ -97,7 +93,6 @@ class VerificationReport(_Record):
         failures: list[Failure],
         seed: int | None = None,
         millis: int = 0,
-        notes: list[str] | None = None,
     ) -> None:
         self.check = check
         self.parameter_range = parameter_range
@@ -105,7 +100,6 @@ class VerificationReport(_Record):
         self.failures = failures
         self.seed = seed
         self.millis = millis
-        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -140,8 +134,6 @@ class VerificationReport(_Record):
         if self.seed is not None:
             lines.append(f"seed: {self.seed}")
         lines.append(f"millis: {self.millis}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
         if self.failures:
             lines.append(f"result: FAIL ({len(self.failures)} failures)")
             for f in self.failures:
@@ -159,7 +151,6 @@ def _run_cases(
     cache: KLCache | None,
     case_cap: int | None,
     seed: int | None = None,
-    notes: Sequence[str] = (),
 ) -> VerificationReport:
     """Evaluate the first ``case_cap`` cases (all of them when it is
     None) with one shared cache and report on them.
@@ -169,9 +160,8 @@ def _run_cases(
     and ``evaluate(count, cache)`` is called once with the number kept
     and returns the failures among the first ``count`` cases.
 
-    Only the evaluation is timed.  Failures, and the ``notes`` that
-    ``evaluate`` may fill as it runs, are reported in the order of the
-    cases.
+    Only the evaluation is timed.  Failures are reported in the order
+    of the cases.
     Raises ValueError when ``case_cap`` is below 1.
     """
     if case_cap is not None and case_cap < 1:
@@ -193,7 +183,6 @@ def _run_cases(
         failures=[f for f in results if f is not None],
         seed=seed,
         millis=millis,
-        notes=list(notes),
     )
 
 
@@ -684,51 +673,3 @@ def verify_smoothness_equivalence(
         case_cap,
     )
 
-
-def verify_coatom_bound(
-    k_max: int = 3,
-    cache: KLCache | None = None,
-    case_cap: int | None = None,
-) -> VerificationReport:
-    """Check the coatom bound on the linear coefficient along the
-    diagonal family: [q^1] of the inverse closed form at (k, k) must be
-    (k-1)^2 and at most coatom_count - 1 for its interval.
-
-    The ratio coefficient/coatoms is reported as a note per k so the
-    asymptotic behaviour can be eyeballed.
-    """
-    if k_max < 2:
-        raise ValueError(f"k_max must be >= 2, got {k_max}")
-    notes: list[str] = []
-
-    def evaluate(k: int, c: KLCache) -> Failure | None:
-        coefficient = closed_form_inverse("x", k, k).coefficient(1)
-        if coefficient != (k - 1) ** 2:
-            return Failure(
-                f"k={k} linear coefficient",
-                str((k - 1) ** 2),
-                str(coefficient),
-            )
-        bottom, top = family_pair("x", k, k)
-        coatoms = coatom_count(_w0_times(top), _w0_times(bottom))
-        notes.append(
-            f"k={k}: coefficient {coefficient}, coatoms {coatoms}, "
-            f"ratio {coefficient / coatoms:.3f}"
-        )
-        if coefficient > coatoms - 1:
-            return Failure(
-                f"k={k} bound",
-                f"<= {coatoms - 1}",
-                str(coefficient),
-            )
-        return None
-
-    return _run_cases(
-        "coatom-bound",
-        f"2 <= k <= {k_max}",
-        list(range(2, k_max + 1)),
-        evaluate,
-        cache,
-        case_cap,
-        notes=notes,
-    )

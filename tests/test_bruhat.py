@@ -15,7 +15,9 @@ from klpoly.bruhat import (
     rank_count,
     render_picture,
 )
+from klpoly.families import _family_cases, family_pair
 from klpoly.perm import (
+    _w0_times,
     all_perms,
     compose,
     from_oneline,
@@ -726,6 +728,24 @@ def test_coatom_count_rejects_bad_input():
         coatom_count((2, 1, 3), (1, 2, 3))
     with pytest.raises(ValueError):
         coatom_count((2, 1, 3), (2, 1, 3))
+
+
+def test_family_coatom_counts():
+    # coatom_count(w0 w, w0 x) counts the atoms of [x, w], since v -> w0 v
+    # reverses Bruhat order.  On the family pairs it is k m on x/w and
+    # 2(k + m) on y/v: observed here, not proved.  Both fit [x, w] being
+    # (B_k minus the empty set) x (B_m minus the empty set) under a new
+    # bottom, with y/v of the x/w shape at (2, k + m).
+    cases = _family_cases(14)
+    assert len(cases) == 91 + 66
+    for pair, k, m in cases:
+        bottom, top = family_pair(pair, k, m)
+        atoms = coatom_count(_w0_times(top), _w0_times(bottom))
+        assert atoms == (k * m if pair == "x" else 2 * (k + m)), (pair, k, m)
+    # The x/w diagonal up to size 24.
+    for k in range(1, 13):
+        bottom, top = family_pair("x", k, k)
+        assert coatom_count(_w0_times(top), _w0_times(bottom)) == k * k, k
 
 
 def test_render_picture_identity_pair():

@@ -10,7 +10,6 @@ import pytest
 from klpoly.cli import build_parser, main
 from klpoly.families import _FAMILIES, closed_form_inverse, closed_form_regular
 from klpoly.verify import (
-    verify_coatom_bound,
     verify_inverse_closed_forms,
     verify_inversion_identity_batch,
     verify_regular_closed_forms,
@@ -143,11 +142,11 @@ def test_verify_text(capsys):
 
 
 def test_verify_json_schema(capsys):
-    code, out, _ = run(capsys, "verify", "coatom-bound", "--kmax", "2", "--json")
+    code, out, _ = run(capsys, "verify", "smoothness", "--n", "2", "--json")
     assert code == 0
     data = json.loads(out)
     assert list(data) == ["check", "range", "cases", "failures", "seed", "millis"]
-    assert data["cases"] == 1
+    assert data["cases"] == 2
     assert data["failures"] == []
 
 
@@ -187,26 +186,24 @@ def _zero_millis(out):
 
 
 def test_verify_text_bytes(capsys):
-    code, out, err = run(capsys, "verify", "coatom-bound", "--kmax", "3")
+    code, out, err = run(capsys, "verify", "inversion", "--n", "3")
     assert (code, err) == (0, "")
     assert _zero_millis(out) == (
-        "check: coatom-bound\n"
-        "range: 2 <= k <= 3\n"
-        "cases: 2\n"
+        "check: inversion-identity\n"
+        "range: S_3 exhaustive\n"
+        "cases: 19\n"
         "millis: 0\n"
-        "note: k=2: coefficient 1, coatoms 4, ratio 0.250\n"
-        "note: k=3: coefficient 4, coatoms 9, ratio 0.444\n"
         "result: PASS\n"
     )
 
 
 def test_verify_json_bytes(capsys):
     # Indented, unlike every other command's one-line JSON.
-    code, out, err = run(capsys, "verify", "coatom-bound", "--kmax", "3", "--json")
+    code, out, err = run(capsys, "verify", "inversion", "--n", "3", "--json")
     assert (code, err) == (0, "")
     assert _zero_millis(out) == (
-        '{\n  "check": "coatom-bound",\n  "range": "2 <= k <= 3",\n'
-        '  "cases": 2,\n  "failures": [],\n  "seed": null,\n  "millis": 0\n}\n'
+        '{\n  "check": "inversion-identity",\n  "range": "S_3 exhaustive",\n'
+        '  "cases": 19,\n  "failures": [],\n  "seed": null,\n  "millis": 0\n}\n'
     )
 
 
@@ -240,7 +237,6 @@ _BATCHES = [
     ("inverse", verify_inverse_closed_forms),
     ("inversion", verify_inversion_identity_batch),
     ("smoothness", verify_smoothness_equivalence),
-    ("coatom-bound", verify_coatom_bound),
 ]
 
 
@@ -279,12 +275,12 @@ def test_verify_inversion_exhaustive_at_benchmark_size(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("coatom-bound", "--kmax", "4", "--cases", "-1"),
+        ("smoothness", "--n", "4", "--cases", "-1"),
         ("regular", "--cases", "0"),
         ("inversion", "--n", "5", "--cases", "0"),
         ("inversion", "--n", "7", "--cases", "0"),
     ],
-    ids=["coatom-bound-negative", "regular-zero", "inversion-exhaustive-zero",
+    ids=["smoothness-negative", "regular-zero", "inversion-exhaustive-zero",
          "inversion-sampled-zero"],
 )
 def test_verify_rejects_a_case_count_below_one(capsys, argv):
@@ -296,22 +292,21 @@ def test_verify_rejects_a_case_count_below_one(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv",
     [
-        (("regular", "--n", "1"), "--n"),
-        (("inverse", "--n", "0"), "--n"),
-        (("inversion", "--n", "1"), "--n"),
-        (("smoothness", "--n", "-3"), "--n"),
-        (("coatom-bound", "--kmax", "1"), "--kmax"),
+        ("regular", "--n", "1"),
+        ("inverse", "--n", "0"),
+        ("inversion", "--n", "1"),
+        ("smoothness", "--n", "-3"),
     ],
-    ids=["regular", "inverse", "inversion", "smoothness", "coatom-bound"],
+    ids=["regular", "inverse", "inversion", "smoothness"],
 )
-def test_verify_rejects_a_size_below_two(capsys, argv, flag):
+def test_verify_rejects_a_size_below_two(capsys, argv):
     # Every batch's floor is 2; the message names the flag.
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: {flag} must be >= 2, got {argv[-1]}\n"
+    assert err == f"error: --n must be >= 2, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize(
@@ -346,24 +341,6 @@ def test_verify_inversion_above_six_asks_for_cases(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "pass --cases" in err
-
-
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (("coatom-bound", "--n", "5"), "--n"),
-        (("smoothness", "--kmax", "3"), "--kmax"),
-        (("regular", "--n", "3", "--kmax", "9"), "--kmax"),
-        (("inversion", "--kmax", "2"), "--kmax"),
-    ],
-    ids=["coatom-bound-n", "smoothness-kmax", "regular-kmax", "inversion-kmax"],
-)
-def test_verify_rejects_a_size_flag_the_batch_does_not_read(capsys, argv, flag):
-    code, out, err = run(capsys, "verify", *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert f"not {flag}" in err
 
 
 @pytest.mark.parametrize(

@@ -158,7 +158,7 @@ CLI_RUNS = [
     (("family", "x:2,2"), DEFERRED_MODULES),
     (("closed-form", "x:2,2"), DEFERRED_MODULES),
     (("lemma", "1", "2", "2"), DEFERRED_MODULES),
-    (("verify", "coatom-bound", "--kmax", "2"), DEFERRED_MODULES),
+    (("verify", "smoothness", "--n", "2"), DEFERRED_MODULES),
 ]
 
 
@@ -184,4 +184,4 @@ def test_all_is_sorted_unique_and_resolves():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         klpoly.no_such_name
     # The size of the public API; a change to it is a deliberate edit here.
-    assert len(names) == 59
+    assert len(names) == 58

@@ -206,12 +206,10 @@ def test_oracle_agrees_on_all_of_s5():
     assert moves == 17840
 
 
-def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
-    # The sum reads layers 3, 5, ..., 2 deg P(x, ws) + 1 of [x, ws]
-    # (monotonicity), walked from x raised through the descents of ws and
-    # the split descent.  A pair with P(x, ws) = 1 walks nothing, nor one
-    # whose raised bottom is not below ws or lies less than 3 lengths
-    # below it, and skipping those walks changes no value.
+def _record_correction_sums(monkeypatch):
+    """Hook the recursion's correction sum.  Returns ``sums``, whose one
+    entry counts the sums made, and ``walks``, which gets one
+    (x, bottom, ws, depth) per walk of a sum."""
     import klpoly.kl
 
     sums, last_x, walks = [0], [None], []
@@ -235,6 +233,16 @@ def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
     monkeypatch.setattr(klpoly.kl, "_coatoms_descending_at", counted_coatoms)
     monkeypatch.setattr(klpoly.kl, "_raise_bottom", recorded_lift)
     monkeypatch.setattr(klpoly.kl, "interval", recorded_walk)
+    return sums, walks
+
+
+def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
+    # The sum reads layers 3, 5, ..., 2 deg P(x, ws) + 1 of [x, ws]
+    # (monotonicity), walked from x raised through the descents of ws and
+    # the split descent.  A pair with P(x, ws) = 1 walks nothing, nor one
+    # whose raised bottom is not below ws or lies less than 3 lengths
+    # below it, and skipping those walks changes no value.
+    sums, walks = _record_correction_sums(monkeypatch)
     for x, w, members in _sampled_s6_pairs():
         column = oracle_column(w, members)
         assert kl_polynomial(x, w, KLCache()).coeffs == column[x], (x, w)
@@ -244,6 +252,28 @@ def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
         assert _length(ws) - _length(bottom) >= 3, (x, bottom, ws)
         members = {z for z in _perms(len(ws)) if _leq(x, z) and _leq(z, ws)}
         p = oracle_column(ws, members)[x]
+        assert depth == 2 * (len(p) - 1) + 1 >= 3, (x, ws, depth)
+
+
+def test_correction_walks_of_the_s6_inversion_batch_match_the_oracle(monkeypatch):
+    # The exhaustive S_6 batch on a fresh cache walks 9 intervals.  They
+    # are all the distinct (bottom, ws) walks that the 98,407 comparable
+    # pairs of S_6 make, each on a fresh cache (670 walks in all).  Each
+    # walk's depth is 2 deg P(x, ws) + 1, with P(x, ws) read off one
+    # oracle column of [e, ws] per ws.
+    from klpoly.verify import verify_inversion_identity_batch
+
+    sums, walks = _record_correction_sums(monkeypatch)
+    assert verify_inversion_identity_batch(6, KLCache()).passed
+    assert (sums[0], len(walks)) == (161, 9)
+    assert len({(bottom, ws) for _, bottom, ws, _ in walks}) == 9
+    perms = _perms(6)
+    columns = {}
+    for x, bottom, ws, depth in walks:
+        assert _length(ws) - _length(bottom) >= 3, (x, bottom, ws)
+        if ws not in columns:
+            columns[ws] = oracle_column(ws, {z for z in perms if _leq(z, ws)})
+        p = columns[ws][x]
         assert depth == 2 * (len(p) - 1) + 1 >= 3, (x, ws, depth)
 
 

@@ -70,7 +70,6 @@ def _report(**changes):
         failures=[Failure("k=1", "1", "1 + q")],
         seed=4,
         millis=5,
-        notes=["a"],
     )
     fields.update(changes)
     return VerificationReport(**fields)
@@ -167,12 +166,12 @@ def test_lemma_sides_equal_reads_the_fields():
 
 def test_report_construction_defaults_and_equality():
     report = VerificationReport("demo", "none", 2, [])
-    assert report.seed is None and report.millis == 0 and report.notes == []
+    assert report.seed is None and report.millis == 0
     assert report == VerificationReport(
         check="demo", parameter_range="none", cases=2, failures=[]
     )
     full = VerificationReport(
-        "demo", "none", 2, [Failure("k=1", "1", "1 + q")], 4, 5, ["a"]
+        "demo", "none", 2, [Failure("k=1", "1", "1 + q")], 4, 5
     )
     assert full == _report()
     for change in (
@@ -182,11 +181,10 @@ def test_report_construction_defaults_and_equality():
         {"failures": []},
         {"seed": None},
         {"millis": 6},
-        {"notes": []},
     ):
         assert _report(**change) != _report()
     assert _report() != (
-        "demo", "none", 2, [Failure("k=1", "1", "1 + q")], 4, 5, ["a"]
+        "demo", "none", 2, [Failure("k=1", "1", "1 + q")], 4, 5
     )
 
 
@@ -194,7 +192,7 @@ def test_report_repr_names_every_field():
     assert repr(_report()) == (
         "VerificationReport(check='demo', parameter_range='none', cases=2, "
         "failures=[Failure(case='k=1', expected='1', actual='1 + q')], "
-        "seed=4, millis=5, notes=['a'])"
+        "seed=4, millis=5)"
     )
 
 
@@ -208,17 +206,9 @@ def test_report_is_mutable_and_unhashable():
         hash(report)
 
 
-def test_reports_do_not_share_notes():
-    first = VerificationReport("demo", "none", 1, [])
-    second = VerificationReport("demo", "none", 1, [])
-    first.notes.append("only here")
-    assert second.notes == []
-    assert first.notes is not second.notes
-
-
 def test_report_survives_copy_and_pickle():
     report = _report()
     for twin in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
         assert type(twin) is VerificationReport
         assert twin == report
-        assert twin.notes is not report.notes
+        assert twin.failures is not report.failures

@@ -42,7 +42,6 @@ from klpoly.verify import (
     _down_sets,
     _InversionRows,
     random_comparable_pair,
-    verify_coatom_bound,
     verify_inverse_closed_forms,
     verify_inversion_identity_batch,
     verify_regular_closed_forms,
@@ -205,7 +204,6 @@ def test_every_batch_passes_with_one_entry():
         lambda c: verify_inverse_closed_forms(6, c),
         lambda c: verify_inversion_identity_batch(4, c),
         lambda c: verify_smoothness_equivalence(4, c),
-        lambda c: verify_coatom_bound(3, c),
     ]
     for run in batches:
         assert run(KLCache(max_entries=1)).passed
@@ -860,24 +858,6 @@ def test_smoothness_small():
         verify_smoothness_equivalence(7)
 
 
-def test_coatom_bound():
-    report = verify_coatom_bound(3)
-    assert report.passed
-    assert report.cases == 2
-    assert any("k=2: coefficient 1, coatoms 4" in note for note in report.notes)
-    assert any("k=3: coefficient 4, coatoms 9" in note for note in report.notes)
-    with pytest.raises(ValueError):
-        verify_coatom_bound(1)
-
-
-def test_coatom_bound_notes_follow_the_cases():
-    # Sorted as strings, k=10 and k=11 would come before k=2.
-    notes = verify_coatom_bound(11).notes
-    assert [note.partition(":")[0] for note in notes] == [
-        f"k={k}" for k in range(2, 12)
-    ]
-
-
 _CAPPED_RUNS = pytest.mark.parametrize(
     "run",
     [
@@ -885,9 +865,8 @@ _CAPPED_RUNS = pytest.mark.parametrize(
         lambda cap: verify_inverse_closed_forms(6, case_cap=cap),
         lambda cap: verify_inversion_identity_batch(4, case_cap=cap),
         lambda cap: verify_smoothness_equivalence(4, case_cap=cap),
-        lambda cap: verify_coatom_bound(3, case_cap=cap),
     ],
-    ids=["regular", "inverse", "inversion", "smoothness", "coatom-bound"],
+    ids=["regular", "inverse", "inversion", "smoothness"],
 )
 
 
@@ -912,11 +891,11 @@ def test_case_cap_below_one_is_rejected(run, cap):
 
 
 def test_report_json_schema():
-    report = verify_coatom_bound(2)
+    report = verify_smoothness_equivalence(2)
     data = report.to_json_dict()
     assert list(data.keys()) == ["check", "range", "cases", "failures", "seed", "millis"]
     parsed = json.loads(report.to_json())
-    assert parsed["check"] == "coatom-bound"
+    assert parsed["check"] == "smoothness-equivalence"
     assert parsed["failures"] == []
     assert isinstance(parsed["millis"], int)
 
