@@ -66,7 +66,7 @@ gain(i) - 1, where
 so each descent is scored in O(1) (see :func:`_split_gain`).  The split
 is chosen on a miss only; a top's record keeps just its descents.
 
-Two well-known invariance properties keep the computation tractable.
+Three well-known invariance properties keep the computation tractable.
 First, P(x, w) only depends on x through the best representative of
 its coset under the descents of w: whenever ws < w and xs > x we have
 P(x, w) = P(xs, w), and likewise on the left.  Raising the bottom
@@ -77,15 +77,33 @@ x and w agree with no rank difference are deleted and the rest
 flattened (see :func:`flatten_pair`).  The recursion applies this to
 every pair it computes, so a frontier sweep, whose pairs differ on a
 few positions only, computes a few hundred small pairs instead of tens
-of thousands of large ones.
+of thousands of large ones.  Third, conjugation by w0, v -> w0 v w0,
+which reverses both positions and values, is an automorphism of the
+Coxeter system, sending s_i to s_(n-i); so P(x, w) = P(w0 x w0,
+w0 w w0) (Kazhdan-Lusztig 1979; Björner-Brenti, Combinatorics of
+Coxeter Groups, ch. 5).  The family sweeps compute such mirror pairs,
+at (k, m) and (m, k) and below them, so a pair about to be computed is
+first answered from the memo entry of its image, when there is one.
+That hit is exact: the image of a memo key (below) is a memo key.  The
+right descent i of w becomes n - i of the image and the left descent a
+becomes n - a, so a raised bottom stays raised.  Rotating both
+permutation matrices by 180 degrees keeps the rank difference at a
+shared point (p, a): in x and in w alike, the rank at its image point
+is a - p plus the rank at (p, a), so an active position stays active.
+And Bruhat order is kept.  The hit is not stored, so the memo keeps one
+key per computed polynomial.  The image's bottom is built only when the
+image's top has a record in the cache, as the top of every memo key
+does unless a bound evicted it; then the pair is computed, which is
+never wrong.
 
 A lookup therefore raises the bottom first, then answers 1 if the
 raised bottom is w, then answers from the memo.  On a miss it finds the
 inert positions with no rank table (see :func:`_inert_values`), and a
-pair that has one is answered by the lookup of its flattening.  Only a
-pair with every position active is compared with w in Bruhat order,
-and runs the recursion when it lies below w.  The order is exact on
-both counts.
+pair that has one is answered by the lookup of its flattening.  A pair
+with every position active is answered from the memo entry of its
+w0-image when there is one.  Only a pair with no inert position and no
+image entry is compared with w in Bruhat order, and runs the recursion
+when it lies below w.  The order is exact on every count.
 By the lifting property (Björner-Brenti, Combinatorics of Coxeter
 Groups, Prop. 2.2.7), when s is a descent of w and an ascent of x,
 x <= w holds exactly when xs <= w, on either side, so raising never
@@ -133,6 +151,7 @@ from .bruhat import (
 from .perm import (
     Perm,
     _checked_pair,
+    _w0_conjugate,
     _w0_times,
     avoids_pattern,
     format_perm,
@@ -168,10 +187,14 @@ class KLCache:
     bottom is the top, then answers from the memo.  On a miss it
     flattens a pair with an inert position and looks the flattening up,
     and it compares the pair in Bruhat order only when every position
-    is active, so only for a pair that is about to be computed.  Neither
-    raising nor flattening changes whether x <= w (see the module
-    docstring).  hits counts lookups answered from the memo and misses
-    those that ran the recursion and stored a new entry.  A pair that
+    is active, so only for a pair that is about to be computed.  Just
+    before that comparison it reads the memo entry of the pair's
+    w0-image (w0 x w0, w0 w w0), which has the same polynomial, but only
+    when the image's top has a record in tops.  Neither raising nor
+    flattening changes whether x <= w (see the module docstring).  hits
+    counts lookups answered from the memo, at the pair's own key or at
+    its image's, and misses those that ran the recursion and stored a
+    new entry.  An image hit stores nothing.  A pair that
     turns out incomparable answers ZERO and counts as neither, a pair
     that flattens counts as the lookup of its flattening, and one whose
     raised bottom is the top answers 1 and counts as neither.  On an
@@ -311,6 +334,16 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
     inert = _inert_values(x, w)
     if inert:
         return _kl(_drop_values(x, inert), _drop_values(w, inert), cache)
+    # The w0-conjugate pair has the same polynomial, and is a memo key
+    # exactly when this pair is one (see the module docstring).  Its
+    # bottom is built only when its top has a record: a memo key's top
+    # always has one, unless a bound evicted it.
+    wc = _w0_conjugate(w)
+    if wc in cache.tops:
+        found = cache.memo.get((_w0_conjugate(x), wc))
+        if found is not None:
+            cache.hits += 1
+            return found
     if not bruhat_leq(x, w):
         return ZERO
     cache.misses += 1

@@ -100,6 +100,18 @@ def _w0_times(v: Perm) -> Perm:
     return tuple([top - a for a in v])
 
 
+def _w0_conjugate(v: Perm) -> Perm:
+    """w0 v w0, with w0 the longest element: it reverses positions and
+    values, (w0 v w0)(i) = n + 1 - v(n + 1 - i), and sends s_i to
+    s_(n-i).  v is not checked.
+
+    >>> _w0_conjugate((2, 3, 1, 4))
+    (1, 4, 2, 3)
+    """
+    top = len(v) + 1
+    return tuple([top - a for a in v[::-1]])
+
+
 def inverse(w: Perm) -> Perm:
     """The inverse permutation.
 

@@ -20,6 +20,7 @@ from klpoly.kl import (
     mu,
 )
 from klpoly.perm import (
+    _w0_conjugate,
     all_perms,
     compose,
     from_oneline,
@@ -51,7 +52,9 @@ def probed_pairs(n):
 
     A lookup raises its bottom through the top's descents before it
     reads the memo, and answers 1 without reading when the raised bottom
-    is the top, so a wrong entry at any other key is never read.
+    is the top.  The w0-image of such a pair, whose entry a miss reads
+    too, is again such a pair.  So a wrong entry at any other key is
+    never read.
     """
     return [
         (z, w) for z, w in comparable_pairs(n)
@@ -168,13 +171,53 @@ def test_correction_walk_cut_keeps_every_z_the_sum_reads():
 
 
 def test_symmetries_in_s5(shared_cache):
+    # The inverse and the w0-flipped pair each run on a fresh cache: the
+    # recursion answers a pair from the memo entry of its w0-flip when it
+    # has one, so a shared cache would read the flip's P from the pair's.
     w0 = longest_element(5)
     for x, w in comparable_pairs(5):
         p = kl_polynomial(x, w, shared_cache)
-        assert kl_polynomial(inverse(x), inverse(w), shared_cache) == p
+        assert kl_polynomial(inverse(x), inverse(w), KLCache()) == p
         flip_x = compose(compose(w0, x), w0)
         flip_w = compose(compose(w0, w), w0)
-        assert kl_polynomial(flip_x, flip_w, shared_cache) == p
+        assert kl_polynomial(flip_x, flip_w, KLCache()) == p
+
+
+def test_w0_image_of_every_memo_key_is_one_in_s6():
+    # The keys the recursion stores are the raised, comparable pairs
+    # x < w with every position active.  A miss is answered from the
+    # entry of its w0-image (w0 x w0, w0 w w0), so that image must be
+    # such a key too, with the same P (each on a fresh cache).
+    keys = [(x, w) for x, w in probed_pairs(6) if len(active_positions(x, w)) == 6]
+    assert len(keys) == 152
+    key_set = set(keys)
+    w0 = longest_element(6)
+    for x, w in keys:
+        image = compose(compose(w0, x), w0), compose(compose(w0, w), w0)
+        assert image == (_w0_conjugate(x), _w0_conjugate(w))
+        assert image in key_set, (x, w)
+        assert kl_polynomial(*image, KLCache()) == kl_polynomial(x, w, KLCache())
+
+
+def test_a_miss_is_answered_from_the_entry_of_its_w0_image():
+    # (1, 4, 2, 3, 5), (4, 5, 1, 2, 3) is the w0-image of the pair, and
+    # both are memo keys of the form the recursion stores.
+    x, w = (1, 3, 4, 2, 5), (3, 4, 5, 1, 2)
+    image = (1, 4, 2, 3, 5), (4, 5, 1, 2, 3)
+    sentinel = IntPolynomial([7, 7, 7])
+    cache = KLCache()
+    cache.memo[image] = sentinel
+    cache._top(image[1])
+    assert kl_polynomial(x, w, cache) is sentinel
+    # An image hit counts as a hit and stores nothing.
+    assert (cache.hits, cache.misses) == (1, 0)
+    assert list(cache.memo) == [image]
+    # With no record of the image's top, as after a bound evicts it, the
+    # image's entry is not read and the pair is computed.
+    cache = KLCache()
+    cache.memo[image] = sentinel
+    assert kl_polynomial(x, w, cache) == IntPolynomial([1, 2])
+    assert cache.misses == 2
 
 
 def test_recursion_holds_at_every_right_descent_in_s5(split_at_descent):
@@ -613,7 +656,7 @@ def test_cold_s10_pair_and_its_symmetric_images():
         assert p.coeffs == (1, 4, 10, 17, 22, 19, 10, 3), (bottom, top)
     # The recursion's work on the pair itself: its misses, one memo key
     # each.
-    assert len(caches[0].memo) == caches[0].misses == 95
+    assert len(caches[0].memo) == caches[0].misses == 84
 
 
 def test_s4_has_exactly_two_singular_tops():

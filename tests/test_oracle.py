@@ -256,16 +256,22 @@ def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
 
 
 def test_correction_walks_of_the_s6_inversion_batch_match_the_oracle(monkeypatch):
-    # The exhaustive S_6 batch on a fresh cache walks 9 intervals.  They
-    # are all the distinct (bottom, ws) walks that the 98,407 comparable
-    # pairs of S_6 make, each on a fresh cache (670 walks in all).  Each
-    # walk's depth is 2 deg P(x, ws) + 1, with P(x, ws) read off one
-    # oracle column of [e, ws] per ws.
+    # The exhaustive S_6 batch on a fresh cache walks 8 intervals.  It
+    # answers some pairs from the memo entry of their w0-image, so the
+    # w0-image of each of its memo keys is computed too, each on a fresh
+    # cache.  Together they walk 9 distinct (bottom, ws): all the distinct
+    # walks that the 98,407 comparable pairs of S_6 make, each on a fresh
+    # cache (670 walks in all).  Each walk's depth is 2 deg P(x, ws) + 1,
+    # with P(x, ws) read off one oracle column of [e, ws] per ws.
+    from klpoly.perm import _w0_conjugate
     from klpoly.verify import verify_inversion_identity_batch
 
     sums, walks = _record_correction_sums(monkeypatch)
-    assert verify_inversion_identity_batch(6, KLCache()).passed
-    assert (sums[0], len(walks)) == (161, 9)
+    cache = KLCache()
+    assert verify_inversion_identity_batch(6, cache).passed
+    assert (sums[0], len(walks)) == (95, 8)
+    for x, w in list(cache.memo):
+        kl_polynomial(_w0_conjugate(x), _w0_conjugate(w), KLCache())
     assert len({(bottom, ws) for _, bottom, ws, _ in walks}) == 9
     perms = _perms(6)
     columns = {}

@@ -27,6 +27,7 @@ from klpoly.kl import (
     kl_polynomial,
 )
 from klpoly.perm import (
+    _w0_conjugate,
     _w0_times,
     all_perms,
     format_perm,
@@ -99,9 +100,13 @@ def test_regular_closed_forms_at_twelve():
 
 
 def test_inverse_closed_forms_at_twelve():
-    report = verify_inverse_closed_forms(12)
+    cache = KLCache()
+    report = verify_inverse_closed_forms(12, cache)
     assert report.passed
     assert report.cases == 111
+    # One memo key per computed polynomial: a pair answered from the
+    # entry of its w0-image stores nothing.
+    assert len(cache.memo) == cache.misses == 89
 
 
 def by_length(maxima):
@@ -184,18 +189,24 @@ def test_inverse_closed_forms_full_range():
 
 
 def test_max_entries_bounds_every_table():
-    # Unbounded, the sweep keeps the 30 polynomials it computes and 73
+    # Unbounded, the sweep keeps the 18 polynomials it computes and 59
     # top records.
     full = KLCache()
     assert verify_regular_closed_forms(8, full).passed
-    assert len(full.memo) == full.misses == 30
-    assert len(full.tops) == 73
+    assert len(full.memo) == full.misses == 18
+    assert len(full.tops) == 59
     cache = KLCache(max_entries=24)
     assert verify_regular_closed_forms(8, cache).passed
-    # Both tables evict, but no evicted entry is asked for again.
-    assert cache.misses == 30
-    assert len(cache.memo) == 24
+    # The top records evict, but no pair is computed twice.
+    assert cache.misses == 18
+    assert len(cache.memo) == 18
     assert len(cache.tops) == 24
+    cache = KLCache(max_entries=12)
+    assert verify_regular_closed_forms(8, cache).passed
+    # Both tables evict, and evicted polynomials are computed again.
+    assert cache.misses == 24
+    assert len(cache.memo) == 12
+    assert len(cache.tops) == 12
 
 
 def test_every_batch_passes_with_one_entry():
@@ -619,15 +630,29 @@ def test_every_cap_keeps_the_failures_of_its_first_cases():
 def test_exhaustive_inversion_reads_each_polynomial_once():
     # Per-term lookups made 20,459 memo hits per S_5 sweep; reading each
     # column once makes fewer lookups than there are cases.
+    reads = set()
+
+    class RecordedReads(dict):
+        def get(self, key, default=None):
+            reads.add(key)
+            return super().get(key, default)
+
     cache = KLCache()
+    cache.memo = RecordedReads()
     assert verify_inversion_identity_batch(5, cache).passed
-    # Each of the 12 misses stores one pair with every position active,
-    # computed once, and nothing else is stored.
-    flat = [key for key in cache.memo
-            if len(active_positions(*key)) == len(key[0])]
-    assert cache.misses == len(flat) == 12
-    assert len(cache.memo) == cache.misses
-    assert cache.hits == 42
+    # The flattened reads are the keys looked up that are comparable with
+    # every position active.  A pair and its w0-image (w0 x w0, w0 w w0)
+    # share P, and the lookup of either reads the other's entry, so each
+    # of the 8 misses computes one w0-class of those reads, stores it
+    # under the one key it computed, and nothing else is stored.
+    def w0_class(key):
+        return min(key, (_w0_conjugate(key[0]), _w0_conjugate(key[1])))
+
+    flat = {key for key in reads
+            if bruhat_leq(*key) and len(active_positions(*key)) == len(key[0])}
+    assert cache.misses == len({w0_class(key) for key in flat}) == 8
+    assert len({w0_class(key) for key in cache.memo}) == len(cache.memo) == 8
+    assert cache.hits == 44
     assert cache.hits + cache.misses < 3781
 
 
@@ -655,7 +680,7 @@ def test_exhaustive_inversion_on_s6():
     assert report.cases == 98407
     assert report.parameter_range == "S_6 exhaustive"
     assert report.seed is None
-    assert (cache.hits, cache.misses) == (1134, 164)
+    assert (cache.hits, cache.misses) == (1096, 96)
     assert len(cache.memo) == cache.misses
 
 
@@ -762,14 +787,14 @@ def test_inversion_rejects_unbounded_exhaustive_run():
 def test_one_pass_reads_the_same_polynomials():
     # The checks stop reading a top's pass at the first polynomial that
     # fails them, so the pass must read lazily.  Reading every maximum of
-    # every top instead takes smoothness at S_6 to 164 misses and 1,183
+    # every top instead takes smoothness at S_6 to 96 misses and 1,096
     # hits.
     cache = KLCache()
     assert verify_smoothness_equivalence(6, cache).passed
-    assert (cache.misses, cache.hits) == (106, 415)
+    assert (cache.misses, cache.hits) == (63, 393)
     cache = KLCache()
     assert verify_regular_closed_forms(14, cache).passed
-    assert (cache.hits, cache.misses) == (130, 132)
+    assert (cache.hits, cache.misses) == (126, 72)
     assert len(cache.memo) == cache.misses
 
 
