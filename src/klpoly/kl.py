@@ -130,8 +130,9 @@ into integers; that packing lives in :mod:`klpoly.verify`, its only
 reader.  One rule, :func:`_ascent_neighbour`, decides whether z ascends
 at a descent of the top, for the column moves and for the maxima test
 of the correction walk.  Two loops apply the same move rule by
-themselves: :func:`_raise_bottom`, and the exhaustive batch's fill in
-:mod:`klpoly.verify`, which reads it off descent masks by index.
+themselves: :func:`_raise_bottom`, and the exhaustive batch's fill,
+:func:`klpoly.verify._fill_columns`, which reads it off descent masks
+by index.
 The checks that read a top's polynomials on the double-coset maxima of
 an interval, through :func:`_maxima_column`, walk nothing: the maxima
 are listed lazily, raised bottom first, from their block corner counts
@@ -459,10 +460,12 @@ def kl_column(
     :func:`klpoly.families.inverse_kl_from_interval_sum` over the layers
     below the top.  The exhaustive batch of
     :func:`klpoly.verify.verify_inversion_identity_batch` applies the
-    same moves by index, walking the layers of each ideal [e, w] as the
-    set bits of a bitmask.  It keeps no layers: each column is two
-    dicts, split by the parity of the layer, which is the sign of the
-    entry in the identity, and it packs its sums into integers.
+    same moves by index, in :func:`klpoly.verify._fill_columns`, walking
+    the layers of each ideal [e, w] as the set bits of a bitmask.  It
+    keeps no layers and no dicts: each column is a list of groups, one
+    per read, each listing the z that copy it split by the parity of
+    the layer, which is the sign of the entry in the identity, and it
+    packs its sums into integers.
 
     >>> [{format_perm(z): str(p) for z, p in layer.items()}
     ...  for layer in kl_column((1, 2, 3), (2, 3, 1))]

@@ -9,7 +9,9 @@ so a report is always produced and discrepancies stay auditable.
 
 Cases run one after another, sharing the caller's cache when one is
 given; the exhaustive inversion batch instead decides all of its cases
-at once, by packed integer products (see :class:`_InversionRows`).
+at once, by packed integer products (see :class:`_InversionRows`), over
+columns that one private generator fills over the tables of S_n
+(:func:`_fill_columns`), one group of z per polynomial read.
 Reports are deterministic for a fixed seed and range, since cases run
 in a fixed order and failures are reported in that order.
 """
@@ -17,7 +19,8 @@ in a fixed order and failures are reported in that order.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 
 from .bruhat import _Record, bruhat_leq, covers_down
 from .families import (
@@ -332,23 +335,88 @@ def _down_sets(
     return perms, lengths, ideals, by_length, rdes, ldes, rmul, lmul
 
 
+# A group of a column of w: the polynomial p read from the cache at one
+# double-coset maximum of [e, w], and the indices z <= w that copy that
+# read, split by the parity of l(w) - l(z): ``(p, even, odd)``.
+_Group = tuple[IntPolynomial, list[int], list[int]]
+
+
+def _fill_columns(
+    tables: tuple, cache: KLCache, tops: Iterable[int] | None = None
+) -> Iterator[tuple[int, list[_Group]]]:
+    """Fill the column P(., w) over the ideal [e, w] of every top w of
+    S_n, or of the tops whose indices are in ``tops``, and yield
+    ``(t, column)`` for each, t the index of w, in increasing order.
+
+    ``tables`` is what :func:`_down_sets` returns.  The column is a list
+    of groups ``(p, even, odd)``, one per polynomial read from
+    ``cache``, in the order of the reads: every z in ``even`` and in
+    ``odd`` has P(z, w) = p, ``even`` holds those with l(w) - l(z) even
+    and ``odd`` the others, and every z <= w is in exactly one group.
+    The z are listed layer by layer from w down, lowest index first
+    within a layer, as shared int objects, one per index.
+
+    A column is filled from the top down by the move rule of
+    :func:`klpoly.kl.kl_column`: layer k is the set bits of
+    ideals[w] & by_length[l(w) - k], lowest first.  With R and L the
+    descent masks of w, a z with R & ~rdes[z] nonzero copies the read of
+    z s_i, s_i the lowest set bit; else a z with L & ~ldes[z] nonzero
+    copies that of s_i z; else z is the maximum of its double coset
+    under the descents of w, and only then is P(z, w) read from the
+    cache, as a new group.  A maximum read lies below w by
+    construction, so a zero read there is a wrong entry like any other.
+    By the lifting property a neighbour lies below w, one layer up, so
+    it was filled before z.  One list ``src`` of length N, shared by all
+    columns, holds the group of each z filled so far, so a move is
+    ``src[z] = src[rmul[z][j]]``: a neighbour is always in the column
+    being filled, so what earlier columns left there is never read.
+    """
+    perms, lengths, ideals, by_length, rdes, ldes, rmul, lmul = tables
+    # One int object per index, shared by every group that lists it:
+    # CPython shares only the ints up to 256, and S_6 has 720 indices.
+    names = list(range(len(perms)))
+    src: list[_Group] = [None] * len(perms)  # type: ignore[list-item]
+    for t in range(len(perms)) if tops is None else sorted(tops):
+        w, right, left, top = perms[t], rdes[t], ldes[t], lengths[t]
+        column: list[_Group] = []
+        for k in range(top + 1):
+            side = 1 + (k & 1)
+            layer = ideals[t] & by_length[top - k]
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                z = names[low.bit_length() - 1]
+                if m := right & ~rdes[z]:
+                    group = src[rmul[z][(m & -m).bit_length() - 1]]
+                elif m := left & ~ldes[z]:
+                    group = src[lmul[z][(m & -m).bit_length() - 1]]
+                else:
+                    group = (_kl(perms[z], w, cache), [], [])
+                    column.append(group)
+                src[z] = group
+                group[side].append(z)
+        yield t, column
+
+
 class _InversionRows:
     """Rows of the inversion identity over S_n, each summed as one
     packed integer product over dual packs that the rows share.
 
     Every element of S_n is named by its lexicographic index.
     ``columns[t]`` is the column P(., w) of the w of index t over the
-    ideal [e, w], split by parity as a pair ``(even, odd)`` of dicts:
-    ``even`` maps each z <= w with l(w) - l(z) even to P(z, w), and
-    ``odd`` each z with l(w) - l(z) odd.  A column that no row or pack
-    needs may be None.  ``reads`` holds every polynomial read into the
-    columns: each entry is one of those objects.  The row of t is
+    ideal [e, w], as :func:`_fill_columns` yields it: a list of groups
+    ``(p, even, odd)``, where every z in ``even`` or ``odd`` has
+    P(z, w) = p, ``even`` holds the z with l(w) - l(z) even and ``odd``
+    the others, and every z <= w is in exactly one group.  A column that
+    no row or pack needs may be None.  The polynomials read are the p of
+    the groups, and every entry P(z, w) is one of them.  The row of t is
 
         T = sum over z <= w of (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z),
 
-    the products over ``even`` minus those over ``odd``.  The dual pack
-    D(z) holds, in field x, the value P(w0 z, w0 x)(2^B) of each bottom
-    x <= z:
+    summed per group as p(2^B) times the packs of ``even`` minus those
+    of ``odd``: the same integer, since every z of the group has the
+    same P and the sign of its parity.  The dual pack D(z) holds, in
+    field x, the value P(w0 z, w0 x)(2^B) of each bottom x <= z:
 
         D(z) = sum over x <= z of P(w0 z, w0 x)(2^B) 2^(W x),
 
@@ -356,17 +424,14 @@ class _InversionRows:
     reverses lexicographic order (N - 1 - i is the index of w0 v when i
     is that of v, with N = n!), and w0 z <= w0 x exactly when x <= z,
     P(w0 z, w0 x) is entry N - 1 - z of the column of N - 1 - x.  So
-    the packs are scattered from the columns: each entry P(u, t') of
-    the column of t' is added into field N - 1 - t' of pack N - 1 - u.
-    The columns are walked from t' = N - 1 down, so each pack grows
-    from its low fields.  A pack D(z) is complete when the columns of
-    w0 x are filled for every x <= z; a row reads only packs of z below
-    its top, and its caller fills the columns that those packs read.
-
-    The polynomials are read by object: a column filled through coset
-    moves shares a few objects among all its entries, so each object's
-    norm, degree and value is taken once, and a row adds the packs of
-    each object's entries before it multiplies by the value.
+    the packs are scattered from the columns: each group (p, ...) of
+    the column of t' adds p(2^B), shifted to field N - 1 - t', into
+    pack N - 1 - u for each of its u.  The columns are walked from
+    t' = N - 1 down, so each pack grows from its low fields.  A pack
+    D(z) is complete when the columns of w0 x are filled for every
+    x <= z; a row reads only packs of z below its top, and its caller
+    fills the columns that those packs read.  Each polynomial object's
+    norm, degree and value is taken once.
 
     Exactness.  The case (x, w) holds when
 
@@ -410,15 +475,10 @@ class _InversionRows:
 
     __slots__ = ("columns", "bits", "width", "values", "packs")
 
-    def __init__(
-        self,
-        columns: Sequence[tuple[Mapping[int, IntPolynomial],
-                                Mapping[int, IntPolynomial]] | None],
-        reads: Iterable[IntPolynomial],
-    ) -> None:
+    def __init__(self, columns: Sequence[list[_Group] | None]) -> None:
         # By id; the columns keep the objects, so no id is reused while
         # the rows are in use.
-        polys = {id(p): p for p in reads}
+        polys = {id(p): p for column in columns if column for p, _, _ in column}
         self.columns = columns
         last = len(columns) - 1
         norm = max(sum(map(abs, p.coeffs)) for p in polys.values())
@@ -434,9 +494,10 @@ class _InversionRows:
             if columns[t] is None:
                 continue
             shift = width * (last - t)
-            for part in columns[t]:
-                for u, p in part.items():
-                    packs[last - u] += values[id(p)] << shift
+            for p, even, odd in columns[t]:
+                value = values[id(p)] << shift
+                for u in chain(even, odd):
+                    packs[last - u] += value
 
     def failures(self, t: int) -> list[int]:
         """The fields of the row of top t whose sum is not delta: 1 in
@@ -446,22 +507,12 @@ class _InversionRows:
         of T minus the target are the field sums minus delta: they lie
         in [-2^(W-1), 2^(W-1)), where balanced digits are unique.
         """
-        even, odd = map(self._products, self.columns[t])
-        total = even - odd - (1 << (self.width * t))
+        pack, values = self.packs.__getitem__, self.values
+        total = sum(
+            values[id(p)] * (sum(map(pack, even)) - sum(map(pack, odd)))
+            for p, even, odd in self.columns[t]
+        ) - (1 << (self.width * t))
         return [f for f, d in enumerate(_balanced_digits(total, self.width)) if d]
-
-    def _products(self, part: Mapping[int, IntPolynomial]) -> int:
-        """The sum over the entries z of ``part`` of P(z, w)(2^B) D(z).
-
-        The entries share a few polynomial objects, so the packs are
-        added per object first, and each object's value multiplies once.
-        """
-        packs, sums = self.packs, {}
-        for z, p in part.items():
-            i = id(p)
-            sums[i] = sums.get(i, 0) + packs[z]
-        values = self.values
-        return sum(values[i] * s for i, s in sums.items())
 
 
 def _balanced_digits(value: int, width: int) -> list[int]:
@@ -506,20 +557,15 @@ def verify_inversion_identity_batch(
     once, and the report is built from the failing fields, with no list
     of cases.
 
-    It fills each column P(., w) it needs once, from the top down: layer
-    k is the set bits of ideals[w] & by_length[l(w) - k], lowest first,
-    and each entry goes into the ``even`` or ``odd`` dict of the column
-    by the parity of k = l(w) - l(z).  The move rule is that of
-    :func:`klpoly.kl.kl_column`.  With R and L the descent masks of w, a
-    z with R & ~rdes[z] nonzero takes the polynomial of z s_i from the
-    layer above, in the other dict, s_i the lowest set bit; else a z
-    with L & ~ldes[z] nonzero takes that of s_i z; else z is the
-    maximum of its double coset under the descents of w, and only then
-    is P(z, w) read from the cache.  Such a z lies below w by
+    It fills each column P(., w) it needs once, through
+    :func:`_fill_columns`: from the top down, by the coset moves of
+    :func:`klpoly.kl.kl_column`, reading the cache only at the maxima of
+    the double cosets of w's descents.  Such a z lies below w by
     construction, so a zero read there is a wrong entry like any other,
-    and the rows report the cases it breaks.  Every other entry is a
-    copy of a polynomial read, so the reads are the polynomials that
-    fix the widths.
+    and the rows report the cases it breaks.  A column is a list of
+    groups, one per read, each listing the z that copy it, split by the
+    parity of l(w) - l(z), which is the sign of the entry in the
+    identity.  So the reads are the polynomials that fix the widths.
 
     Each top's cases are then decided by one packed integer product
     (see :class:`_InversionRows`, which holds the proofs).  Each z has
@@ -527,10 +573,12 @@ def verify_inversion_identity_batch(
     P(w0 z, w0 x)(2^B) 2^(W i(x)), with i(x) the index of x.  Since w0
     reverses lexicographic order, P(w0 z, w0 x) is entry N - 1 - i(z)
     of the column of index N - 1 - i(x), so the packs are scattered
-    from the columns.  The row of w is the sum over z <= w of
-    (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), whose field i(x) is the
-    integer sum of the case (x, w).  It passes exactly when it is
-    2^(W i(w)), and each failing field is a failing case.
+    from the columns, each group's value once per z.  The row of w is
+    the sum over z <= w of (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z), taken
+    per group as its value times the packs of its even z minus those of
+    its odd z, and its field i(x) is the integer sum of the case (x, w).
+    It passes exactly when it is 2^(W i(w)), and each failing field is a
+    failing case.
 
     Only what the kept cases read is filled.  With U the union of the
     ideals of the kept tops, the kept rows read only the packs of the z
@@ -571,7 +619,8 @@ def verify_inversion_identity_batch(
         raise ValueError(
             f"exhaustive check over S_{n} is too large; pass a sample count"
         )
-    perms, lengths, ideals, by_length, rdes, ldes, rmul, lmul = _down_sets(n)
+    tables = _down_sets(n)
+    perms, ideals = tables[0], tables[2]
     last = len(perms) - 1
 
     def decide(count: int, c: KLCache) -> list[Failure]:
@@ -591,33 +640,10 @@ def verify_inversion_identity_batch(
             needed.add(last - (low.bit_length() - 1))
             reach ^= low
 
-        columns: list[tuple[dict, dict] | None] = [None] * len(perms)
-        reads: list[IntPolynomial] = []
-        # One int object per index, shared by every column that holds it
-        # as a key: CPython shares only the ints up to 256, and S_6 has
-        # 720 indices.
-        names = list(range(len(perms)))
-        for t in sorted(needed):
-            w, right, left, top = perms[t], rdes[t], ldes[t], lengths[t]
-            parts: tuple[dict, dict] = ({}, {})
-            for k in range(top + 1):
-                here, above = parts[k & 1], parts[~k & 1]
-                layer = ideals[t] & by_length[top - k]
-                while layer:
-                    low = layer & -layer
-                    layer ^= low
-                    z = names[low.bit_length() - 1]
-                    if m := right & ~rdes[z]:
-                        p = above[rmul[z][(m & -m).bit_length() - 1]]
-                    elif m := left & ~ldes[z]:
-                        p = above[lmul[z][(m & -m).bit_length() - 1]]
-                    else:
-                        p = _kl(perms[z], w, c)
-                        reads.append(p)
-                    here[z] = p
-            columns[t] = parts
-
-        rows = _InversionRows(columns, reads)
+        columns: list[list[_Group] | None] = [None] * len(perms)
+        for t, column in _fill_columns(tables, c, needed):
+            columns[t] = column
+        rows = _InversionRows(columns)
         failures = []
         for t, keep in kept:
             failed = rows.failures(t)

@@ -41,6 +41,7 @@ from klpoly.verify import (
     Failure,
     VerificationReport,
     _down_sets,
+    _fill_columns,
     _InversionRows,
     random_comparable_pair,
     verify_inverse_closed_forms,
@@ -324,38 +325,47 @@ def test_w0_reverses_the_lexicographic_index(n):
 
 def test_parity_columns_are_the_signed_interval_columns(monkeypatch):
     # The batch's column of w is kl_column(e, w) with its layers merged
-    # by sign: layer k goes into the even dict when (-1)^k = 1, and into
-    # the odd one otherwise, in the order of the layers.
+    # by sign and grouped by the read each entry copies: layer k goes
+    # into the even lists when (-1)^k = 1, and into the odd ones
+    # otherwise, each list in the order of the layers, and every z
+    # carries P(z, w).
     import klpoly.verify
 
-    built = []
+    built, read = [], []
+
+    def recorded_kl(z, w, cache):
+        read.append(_kl(z, w, cache))
+        return read[-1]
 
     class Kept(klpoly.verify._InversionRows):
-        def __init__(self, columns, reads):
-            reads = list(reads)
-            super().__init__(columns, reads)
-            built.append((columns, reads))
+        def __init__(self, columns):
+            super().__init__(columns)
+            built.append(columns)
 
+    monkeypatch.setattr(klpoly.verify, "_kl", recorded_kl)
     monkeypatch.setattr(klpoly.verify, "_InversionRows", Kept)
     assert verify_inversion_identity_batch(4).passed
-    ((columns, reads),) = built
+    (columns,) = built
     perms = list(all_perms(4))
     index = {v: i for i, v in enumerate(perms)}
     assert len(columns) == 24
-    entries = [p for column in columns for part in column for p in part.values()]
-    assert len(entries) == 213
-    # Every entry is one of the objects read.
-    assert {id(p) for p in entries} <= {id(p) for p in reads}
+    groups = [group for column in columns for group in column]
+    assert sum(len(even) + len(odd) for _, even, odd in groups) == 213
+    # The groups are the reads, in order, each object as it was read.
+    assert [p for p, _, _ in groups] == read
+    assert all(p is q for (p, _, _), q in zip(groups, read))
     cache = KLCache()
     for t, w in enumerate(perms):
         signed = ({}, {})
         for k, layer in enumerate(kl_column(identity(4), w, cache)):
             signed[k % 2].update({index[z]: p for z, p in layer.items()})
-        even, odd = columns[t]
-        assert (list(even.items()), list(odd.items())) == (
-            list(signed[0].items()),
-            list(signed[1].items()),
-        ), w
+        for sign in (0, 1):
+            parts = [(group[0], group[1 + sign]) for group in columns[t]]
+            listed = [z for _, part in parts for z in part]
+            assert sorted(listed) == sorted(signed[sign]), w
+            for p, part in parts:
+                assert part == [z for z in signed[sign] if z in part], w
+                assert all(signed[sign][z] == p for z in part), w
 
 
 @lru_cache(maxsize=None)
@@ -406,19 +416,29 @@ def test_packed_row_decodes_every_field_to_its_integer_sum(case):
     # Random polynomials on the entries of the real parity columns of a
     # small S_n: every row must fail exactly at the fields whose sum,
     # taken in Z[q], is not delta, with B and W within the bounds of the
-    # proof.
+    # proof.  The rows take each column as groups: the true entries share
+    # one group per polynomial, as the batch's copies of a read do, and
+    # each overridden entry is a group of its own.
     n, overrides = case
     ideals, true = _true_columns(n)
-    columns, entry = [], 0
+    columns, grouped, entry = [], [], 0
     for column in true:
-        parts = ({}, {})
+        parts, shared, own = ({}, {}), {}, []
         for sign, part in enumerate(column):
             for z, p in part.items():
-                parts[sign][z] = overrides.get(entry, p)
+                if entry in overrides:
+                    p = overrides[entry]
+                    group = (p, [], [])
+                    own.append(group)
+                else:
+                    group = shared.setdefault(p, (p, [], []))
+                group[1 + sign].append(z)
+                parts[sign][z] = p
                 entry += 1
         columns.append(parts)
-    polys = [p for column in columns for part in column for p in part.values()]
-    rows = _InversionRows(columns, polys)
+        grouped.append(list(shared.values()) + own)
+    polys = [p for column in grouped for p, _, _ in column]
+    rows = _InversionRows(grouped)
     last = len(columns) - 1
 
     def dual(z, x):
@@ -457,8 +477,8 @@ def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
     built, summed = [], []
 
     class Counted(klpoly.verify._InversionRows):
-        def __init__(self, columns, reads):
-            super().__init__(columns, reads)
+        def __init__(self, columns):
+            super().__init__(columns)
             built.append(self)
 
         def failures(self, t):
@@ -515,6 +535,72 @@ def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
         w0 = (5, 4, 3, 2, 1)
         assert read == [(e, e), (w0, w0)]
     assert len(summed) == rows
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fill_columns_groups_every_ideal_by_its_reads(n):
+    # Every top's groups split its ideal [e, w]: no z sits in two groups,
+    # every z carries its group's P(z, w), and the even lists hold the z
+    # with l(w) - l(z) even.  Each group is one read, at a double-coset
+    # maximum of w's descents.
+    tables = _down_sets(n)
+    perms, lengths, ideals = tables[:3]
+    cache, reference = KLCache(), KLCache()
+    yielded = []
+    for t, column in _fill_columns(tables, cache):
+        yielded.append(t)
+        w = perms[t]
+        listed = [z for _, even, odd in column for z in even + odd]
+        assert len(listed) == len(set(listed)) == ideals[t].bit_count(), w
+        assert sum(1 << z for z in listed) == ideals[t], w
+        for p, even, odd in column:
+            for sign, part in enumerate((even, odd)):
+                for z in part:
+                    assert (lengths[t] - lengths[z]) % 2 == sign, (w, z)
+                    assert kl_polynomial(perms[z], w, reference) == p, (w, z)
+        maxima = [z for z, _ in _maxima_column(identity(n), w, reference)]
+        assert len(column) == len(maxima), w
+    assert yielded == list(range(len(perms)))
+
+
+@pytest.mark.parametrize("cap, filled", [(1, 2), (7, 8), (100, 34), (3000, 120)])
+def test_capped_fill_yields_only_the_columns_its_rows_read(
+    monkeypatch, cap, filled
+):
+    # A capped S_5 run fills the columns of its kept tops and of w0 x for
+    # every x below one of them, each once, in increasing index order.
+    # Its first 3,000 cases end inside the 112th top, and need every
+    # column.
+    import klpoly.verify
+
+    yielded = []
+
+    def recorded(tables, cache, tops=None):
+        for t, column in _fill_columns(tables, cache, tops):
+            yielded.append(t)
+            yield t, column
+
+    monkeypatch.setattr(klpoly.verify, "_fill_columns", recorded)
+    assert verify_inversion_identity_batch(5, case_cap=cap).passed
+    perms = list(all_perms(5))
+    index = {v: i for i, v in enumerate(perms)}
+    e, kept = identity(5), {w for _, w in _cases(5)[:cap]}
+    below = set().union(*(interval(e, w).elements for w in kept))
+    needed = {index[w] for w in kept} | {index[_w0_times(x)] for x in below}
+    assert yielded == sorted(needed)
+    assert len(yielded) == filled
+
+
+def test_fill_columns_shares_one_int_per_index():
+    # The groups of every column list an index as one int object, also
+    # past CPython's small ints.
+    tables = _down_sets(6)
+    seen = {}
+    for _, column in _fill_columns(tables, KLCache(), range(600, 720)):
+        for _, even, odd in column:
+            for z in even + odd:
+                assert seen.setdefault(z, z) is z
+    assert len(seen) == 720
 
 
 @pytest.mark.parametrize(
