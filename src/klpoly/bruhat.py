@@ -33,8 +33,8 @@ enumerator, :func:`klpoly.verify._down_sets`, which builds every ideal
 pass serves the whole batch, and it took the ``inversion-s5`` benchmark
 from about 308,000 to 389,000 cases/s on 2 vCPUs.
 ``tests/test_verify.py::test_down_layers_match_the_interval_walks`` pins
-its layers to the order of :func:`interval`.  That walk goes down from
-the top a length at a time and carries each element's packed
+each ideal to the elements :func:`interval` walks.  That walk goes down
+from the top a length at a time and carries each element's packed
 difference.  Given a set of right descents it walks only the z that
 have all of them, the maxima of the right cosets z W_J inside the
 interval, which is all the Kazhdan-Lusztig recursion needs; its

@@ -91,10 +91,9 @@ permutation matrices by 180 degrees keeps the rank difference at a
 shared point (p, a): in x and in w alike, the rank at its image point
 is a - p plus the rank at (p, a), so an active position stays active.
 And Bruhat order is kept.  The hit is not stored, so the memo keeps one
-key per computed polynomial.  The image's bottom is built only when the
-image's top has a record in the cache, as the top of every memo key
-does unless a bound evicted it; then the pair is computed, which is
-never wrong.
+key per computed polynomial.  The image's entry is read whether or not
+its top still has a record, so on a bounded cache an evicted record
+hides no image hit.
 
 A lookup therefore raises the bottom first, then answers 1 if the
 raised bottom is w, then answers from the memo.  On a miss it finds the
@@ -190,8 +189,8 @@ class KLCache:
     and it compares the pair in Bruhat order only when every position
     is active, so only for a pair that is about to be computed.  Just
     before that comparison it reads the memo entry of the pair's
-    w0-image (w0 x w0, w0 w w0), which has the same polynomial, but only
-    when the image's top has a record in tops.  Neither raising nor
+    w0-image (w0 x w0, w0 w w0), which has the same polynomial, whether
+    or not the image's top has a record in tops.  Neither raising nor
     flattening changes whether x <= w (see the module docstring).  hits
     counts lookups answered from the memo, at the pair's own key or at
     its image's, and misses those that ran the recursion and stored a
@@ -336,15 +335,11 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
     if inert:
         return _kl(_drop_values(x, inert), _drop_values(w, inert), cache)
     # The w0-conjugate pair has the same polynomial, and is a memo key
-    # exactly when this pair is one (see the module docstring).  Its
-    # bottom is built only when its top has a record: a memo key's top
-    # always has one, unless a bound evicted it.
-    wc = _w0_conjugate(w)
-    if wc in cache.tops:
-        found = cache.memo.get((_w0_conjugate(x), wc))
-        if found is not None:
-            cache.hits += 1
-            return found
+    # exactly when this pair is one (see the module docstring).
+    found = cache.memo.get((_w0_conjugate(x), _w0_conjugate(w)))
+    if found is not None:
+        cache.hits += 1
+        return found
     if not bruhat_leq(x, w):
         return ZERO
     cache.misses += 1
@@ -458,14 +453,8 @@ def kl_column(
     :func:`check_inversion_identity`, which the sampled inversion batch
     runs, over the whole column, and
     :func:`klpoly.families.inverse_kl_from_interval_sum` over the layers
-    below the top.  The exhaustive batch of
-    :func:`klpoly.verify.verify_inversion_identity_batch` applies the
-    same moves by index, in :func:`klpoly.verify._fill_columns`, walking
-    the layers of each ideal [e, w] as the set bits of a bitmask.  It
-    keeps no layers and no dicts: each column is a list of groups, one
-    per read, each listing the z that copy it split by the parity of
-    the layer, which is the sign of the entry in the identity, and it
-    packs its sums into integers.
+    below the top.  The exhaustive batch applies the same moves by
+    index, in :func:`klpoly.verify._fill_columns`.
 
     >>> [{format_perm(z): str(p) for z, p in layer.items()}
     ...  for layer in kl_column((1, 2, 3), (2, 3, 1))]

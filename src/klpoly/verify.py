@@ -278,26 +278,20 @@ def _down_sets(
     list[int],
     list[int],
     list[int],
-    list[int],
     list[list[int]],
     list[list[int]],
 ]:
     """S_n by lexicographic index: the principal ideal [e, w] of every
-    w as a bitmask, and the lengths, descents and coset moves of every
-    element.
+    w as a bitmask, and the length parities, descents and coset moves of
+    every element.
 
-    It returns ``(perms, lengths, ideals, by_length, rdes, ldes, rmul,
-    lmul)``:
+    It returns ``(perms, parity, ideals, rdes, ldes, rmul, lmul)``:
 
     - ``perms``: S_n in lexicographic order.  An element is named by
       its index there.
-    - ``lengths[z]``: the length of z.
+    - ``parity[z]``: the length of z mod 2.
     - ``ideals[w]``: the ideal [e, w] as a bitmask over the indices, bit
       i standing for the element of index i.
-    - ``by_length[l]``: the elements of length l, as a bitmask.  So
-      ``ideals[w] & by_length[lengths[w] - k]`` is layer k of [e, w],
-      the layer ``interval(identity(n), w).layers[k]``, and its set
-      bits, lowest first, list that layer in order.
     - ``rdes[z]``, ``ldes[z]``: the right and left descents of z as
       bitmasks, bit i - 1 standing for s_i.
     - ``rmul[z][i - 1]``, ``lmul[z][i - 1]``: the indices of z s_i and
@@ -306,25 +300,27 @@ def _down_sets(
     No table is needed for w0 v, which reverses values: that reverses
     lexicographic order, so w0 v has index N - 1 - i(v), with N = n!.
 
-    One pass over the covers, in order of increasing length, builds
-    every ideal: the ideal of w is w together with the ideals of its
-    coatoms, since Bruhat order is graded and so every x < w lies below
-    some coatom of w.  Nothing is decoded: a reader walks the set bits
-    of the layers it needs.  The left moves and descents are the right
-    ones of the inverse, s_i z = (z^-1 s_i)^-1, so the tables build
-    N (n - 1) right neighbours and N inverses.
+    Lexicographic order is a linear extension of Bruhat order: x <= w
+    gives x <= w as tuples, since going up a cover swaps the values at
+    positions i < j with x(i) < x(j), which raises the first position
+    that changes.  So every coatom of w has a smaller index than w, and
+    one pass over the covers in index order builds every ideal: the
+    ideal of w is w together with the ideals of its coatoms, since
+    Bruhat order is graded and so every x < w lies below some coatom of
+    w.  Nothing is decoded: a reader walks the set bits it needs.  The
+    left moves and descents are the right ones of the inverse,
+    s_i z = (z^-1 s_i)^-1, so the tables build N (n - 1) right
+    neighbours and N inverses.
     """
     perms = list(all_perms(n))
     index = {v: i for i, v in enumerate(perms)}
-    lengths = [length(v) for v in perms]
-    ideals = [0] * len(perms)
-    by_length = [0] * (n * (n - 1) // 2 + 1)
-    for i in sorted(range(len(perms)), key=lengths.__getitem__):
+    ideals = []
+    for i, v in enumerate(perms):
         mask = 1 << i
-        by_length[lengths[i]] |= mask
-        for z in covers_down(perms[i]):
+        for z in covers_down(v):
             mask |= ideals[index[z]]
-        ideals[i] = mask
+        ideals.append(mask)
+    parity = [length(v) & 1 for v in perms]
     steps = range(n - 1)
     rdes = [sum(1 << i for i in steps if v[i] > v[i + 1]) for v in perms]
     rmul = [[index[v[:i] + (v[i + 1], v[i]) + v[i + 2:]] for i in steps]
@@ -332,7 +328,7 @@ def _down_sets(
     inv = [index[inverse(v)] for v in perms]
     ldes = [rdes[j] for j in inv]
     lmul = [[inv[k] for k in rmul[j]] for j in inv]
-    return perms, lengths, ideals, by_length, rdes, ldes, rmul, lmul
+    return perms, parity, ideals, rdes, ldes, rmul, lmul
 
 
 # A group of a column of w: the polynomial p read from the cache at one
@@ -353,48 +349,45 @@ def _fill_columns(
     ``cache``, in the order of the reads: every z in ``even`` and in
     ``odd`` has P(z, w) = p, ``even`` holds those with l(w) - l(z) even
     and ``odd`` the others, and every z <= w is in exactly one group.
-    The z are listed layer by layer from w down, lowest index first
-    within a layer, as shared int objects, one per index.
+    The z are listed highest index first, w first, as shared int
+    objects, one per index.
 
     A column is filled from the top down by the move rule of
-    :func:`klpoly.kl.kl_column`: layer k is the set bits of
-    ideals[w] & by_length[l(w) - k], lowest first.  With R and L the
-    descent masks of w, a z with R & ~rdes[z] nonzero copies the read of
-    z s_i, s_i the lowest set bit; else a z with L & ~ldes[z] nonzero
-    copies that of s_i z; else z is the maximum of its double coset
-    under the descents of w, and only then is P(z, w) read from the
-    cache, as a new group.  A maximum read lies below w by
-    construction, so a zero read there is a wrong entry like any other.
-    By the lifting property a neighbour lies below w, one layer up, so
-    it was filled before z.  One list ``src`` of length N, shared by all
-    columns, holds the group of each z filled so far, so a move is
-    ``src[z] = src[rmul[z][j]]``: a neighbour is always in the column
-    being filled, so what earlier columns left there is never read.
+    :func:`klpoly.kl.kl_column`, over the set bits of ideals[w], highest
+    first.  With R and L the descent masks of w, a z with R & ~rdes[z]
+    nonzero copies the read of z s_i, s_i the lowest set bit; else a z
+    with L & ~ldes[z] nonzero copies that of s_i z; else z is the
+    maximum of its double coset under the descents of w, and only then
+    is P(z, w) read from the cache, as a new group.  A maximum read lies
+    below w by construction, so a zero read there is a wrong entry like
+    any other.  By the lifting property a neighbour lies below w, and it
+    lies above z, so it has a larger index and was filled before z.  One
+    list ``src`` of length N, shared by all columns, holds the group of
+    each z filled so far, so a move is ``src[z] = src[rmul[z][j]]``: a
+    neighbour is always in the column being filled, so what earlier
+    columns left there is never read.
     """
-    perms, lengths, ideals, by_length, rdes, ldes, rmul, lmul = tables
+    perms, parity, ideals, rdes, ldes, rmul, lmul = tables
     # One int object per index, shared by every group that lists it:
     # CPython shares only the ints up to 256, and S_6 has 720 indices.
     names = list(range(len(perms)))
     src: list[_Group] = [None] * len(perms)  # type: ignore[list-item]
     for t in range(len(perms)) if tops is None else sorted(tops):
-        w, right, left, top = perms[t], rdes[t], ldes[t], lengths[t]
+        w, right, left, top = perms[t], rdes[t], ldes[t], parity[t]
         column: list[_Group] = []
-        for k in range(top + 1):
-            side = 1 + (k & 1)
-            layer = ideals[t] & by_length[top - k]
-            while layer:
-                low = layer & -layer
-                layer ^= low
-                z = names[low.bit_length() - 1]
-                if m := right & ~rdes[z]:
-                    group = src[rmul[z][(m & -m).bit_length() - 1]]
-                elif m := left & ~ldes[z]:
-                    group = src[lmul[z][(m & -m).bit_length() - 1]]
-                else:
-                    group = (_kl(perms[z], w, cache), [], [])
-                    column.append(group)
-                src[z] = group
-                group[side].append(z)
+        rest = ideals[t]
+        while rest:
+            z = names[rest.bit_length() - 1]
+            rest ^= 1 << z
+            if m := right & ~rdes[z]:
+                group = src[rmul[z][(m & -m).bit_length() - 1]]
+            elif m := left & ~ldes[z]:
+                group = src[lmul[z][(m & -m).bit_length() - 1]]
+            else:
+                group = (_kl(perms[z], w, cache), [], [])
+                column.append(group)
+            src[z] = group
+            group[1 + (top ^ parity[z])].append(z)
         yield t, column
 
 

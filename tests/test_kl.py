@@ -213,11 +213,12 @@ def test_a_miss_is_answered_from_the_entry_of_its_w0_image():
     assert (cache.hits, cache.misses) == (1, 0)
     assert list(cache.memo) == [image]
     # With no record of the image's top, as after a bound evicts it, the
-    # image's entry is not read and the pair is computed.
+    # image's entry is still read.
     cache = KLCache()
     cache.memo[image] = sentinel
-    assert kl_polynomial(x, w, cache) == IntPolynomial([1, 2])
-    assert cache.misses == 2
+    assert kl_polynomial(x, w, cache) is sentinel
+    assert (cache.hits, cache.misses) == (1, 0)
+    assert image[1] not in cache.tops
 
 
 def test_recursion_holds_at_every_right_descent_in_s5(split_at_descent):

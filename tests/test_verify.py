@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from klpoly.bruhat import bruhat_leq, covers_up, interval
+from klpoly.bruhat import bruhat_leq, covers_down, covers_up, interval
 from klpoly.families import (
     _family_cases,
     closed_form_inverse,
@@ -204,8 +204,9 @@ def test_max_entries_bounds_every_table():
     assert len(cache.tops) == 24
     cache = KLCache(max_entries=12)
     assert verify_regular_closed_forms(8, cache).passed
-    # Both tables evict, and evicted polynomials are computed again.
-    assert cache.misses == 24
+    # Both tables evict, yet no pair is computed twice: an evicted top
+    # record does not hide the memo entry of a pair's w0-image.
+    assert cache.misses == 18
     assert len(cache.memo) == 12
     assert len(cache.tops) == 12
 
@@ -247,36 +248,51 @@ def _bits(mask):
 def test_down_layers_match_the_interval_walks(n):
     # The one-pass closure over the covers builds every [e, w] at once
     # as a bitmask; the walker of a single interval is its independent
-    # check.  Each mask decodes to exactly the walked elements, and its
-    # parts by length to the walked layers, in order.
+    # check.  Each mask decodes to exactly the walked elements, and the
+    # parity bits are the length parities.
     e = identity(n)
-    perms, lengths, ideals, by_length = _down_sets(n)[:4]
+    perms, parity, ideals = _down_sets(n)[:3]
     assert perms == list(all_perms(n))
-    assert lengths == [length(v) for v in perms]
-    # The length masks partition S_n, each holding the elements of its
-    # length.
-    assert len(by_length) == n * (n - 1) // 2 + 1
-    assert sum(by_length) == (1 << len(perms)) - 1
-    assert sum(mask.bit_count() for mask in by_length) == len(perms)
-    for l, mask in enumerate(by_length):
-        assert all(lengths[z] == l for z in _bits(mask))
+    assert parity == [length(v) % 2 for v in perms]
     for t, w in enumerate(perms):
         walked = interval(e, w)
-        assert {perms[x] for x in _bits(ideals[t])} == walked.elements
-        layers = tuple(
-            tuple(perms[x] for x in _bits(ideals[t] & by_length[lengths[t] - k]))
-            for k in range(lengths[t] + 1)
-        )
-        assert layers == walked.layers, w
+        assert {perms[x] for x in _bits(ideals[t])} == walked.elements, w
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lexicographic_index_extends_bruhat_order(n):
+    # The tables build each ideal from those of its coatoms, and the fill
+    # copies each z from a neighbour above it, both in index order.  So
+    # every coatom of w has a smaller index than w, and every move at an
+    # ascent, z s_i or s_i z, a larger index than z.
+    perms, _, _, rdes, ldes, rmul, lmul = _down_sets(n)
+    index = {v: i for i, v in enumerate(perms)}
+    for t, w in enumerate(perms):
+        assert all(index[z] < t for z in covers_down(w)), w
+    for z in range(len(perms)):
+        for i in range(n - 1):
+            for des, mul in ((rdes, rmul), (ldes, lmul)):
+                ascent = not des[z] >> i & 1
+                assert (mul[z][i] > z) == ascent, (perms[z], i + 1)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_comparable_pairs_are_ordered_as_tuples(n):
+    # Past the exhaustive sizes, seeded comparable pairs: x <= w in Bruhat
+    # order gives x <= w lexicographically.
+    rng = random.Random(n)
+    for _ in range(200):
+        x, w = random_comparable_pair(n, rng)
+        assert bruhat_leq(x, w) and x <= w, (x, w)
 
 
 def test_s7_ideals_hold_every_comparable_pair():
     # The tables of S_7 hold its 3,550,919 comparable pairs as 5,040
     # masks, with nothing decoded.
-    perms, lengths, ideals, by_length = _down_sets(7)[:4]
+    perms, parity, ideals = _down_sets(7)[:3]
     assert len(perms) == len(ideals) == 5040
     assert sum(ideal.bit_count() for ideal in ideals) == 3550919
-    assert sum(by_length) == (1 << 5040) - 1
+    assert sum(parity) == 2520
     assert ideals[0] == 1 and ideals[-1] == (1 << 5040) - 1
 
 
@@ -286,7 +302,7 @@ def test_move_tables_pick_the_ascent_neighbour(n):
     # right descent i of w at which z ascends, else s_i z for the lowest
     # such left descent, else z is read.  That is kl._ascent_neighbour,
     # and z is read exactly at the double-coset maxima of w.
-    perms, lengths, ideals, by_length, rdes, ldes, rmul, lmul = _down_sets(n)
+    perms, parity, ideals, rdes, ldes, rmul, lmul = _down_sets(n)
 
     def positions(mask):
         return tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
@@ -308,7 +324,7 @@ def test_move_tables_pick_the_ascent_neighbour(n):
             if moved is not None:
                 # The neighbour is in the ideal, one length up.
                 assert ideals[t] >> moved & 1
-                assert lengths[moved] == lengths[z] + 1
+                assert length(perms[moved]) == length(perms[z]) + 1
                 moved = perms[moved]
             assert moved == _ascent_neighbour(perms[z], right, left), (w, z)
         maxima = [z for z, _ in _maxima_column(identity(n), w, KLCache())]
@@ -327,8 +343,8 @@ def test_parity_columns_are_the_signed_interval_columns(monkeypatch):
     # The batch's column of w is kl_column(e, w) with its layers merged
     # by sign and grouped by the read each entry copies: layer k goes
     # into the even lists when (-1)^k = 1, and into the odd ones
-    # otherwise, each list in the order of the layers, and every z
-    # carries P(z, w).
+    # otherwise, each list highest index first, and every z carries
+    # P(z, w).
     import klpoly.verify
 
     built, read = [], []
@@ -364,7 +380,7 @@ def test_parity_columns_are_the_signed_interval_columns(monkeypatch):
             listed = [z for _, part in parts for z in part]
             assert sorted(listed) == sorted(signed[sign]), w
             for p, part in parts:
-                assert part == [z for z in signed[sign] if z in part], w
+                assert part == sorted(part, reverse=True), w
                 assert all(signed[sign][z] == p for z in part), w
 
 
@@ -372,14 +388,13 @@ def test_parity_columns_are_the_signed_interval_columns(monkeypatch):
 def _true_columns(n):
     """The ideals of S_n by index, and every column of S_n by index as
     its parity dicts ``(even, odd)``, with its true polynomials."""
-    perms, lengths, ideals, by_length = _down_sets(n)[:4]
+    perms, parity, ideals = _down_sets(n)[:3]
     cache = KLCache()
     columns = []
     for t, w in enumerate(perms):
         parts = ({}, {})
-        for k in range(lengths[t] + 1):
-            for z in _bits(ideals[t] & by_length[lengths[t] - k]):
-                parts[k % 2][z] = kl_polynomial(perms[z], w, cache)
+        for z in _bits(ideals[t]):
+            parts[parity[t] ^ parity[z]][z] = kl_polynomial(perms[z], w, cache)
         columns.append(parts)
     return ideals, columns
 
@@ -544,7 +559,7 @@ def test_fill_columns_groups_every_ideal_by_its_reads(n):
     # with l(w) - l(z) even.  Each group is one read, at a double-coset
     # maximum of w's descents.
     tables = _down_sets(n)
-    perms, lengths, ideals = tables[:3]
+    perms, parity, ideals = tables[:3]
     cache, reference = KLCache(), KLCache()
     yielded = []
     for t, column in _fill_columns(tables, cache):
@@ -556,7 +571,7 @@ def test_fill_columns_groups_every_ideal_by_its_reads(n):
         for p, even, odd in column:
             for sign, part in enumerate((even, odd)):
                 for z in part:
-                    assert (lengths[t] - lengths[z]) % 2 == sign, (w, z)
+                    assert parity[t] ^ parity[z] == sign, (w, z)
                     assert kl_polynomial(perms[z], w, reference) == p, (w, z)
         maxima = [z for z, _ in _maxima_column(identity(n), w, reference)]
         assert len(column) == len(maxima), w
@@ -766,7 +781,7 @@ def test_exhaustive_inversion_on_s6():
     assert report.cases == 98407
     assert report.parameter_range == "S_6 exhaustive"
     assert report.seed is None
-    assert (cache.hits, cache.misses) == (1096, 96)
+    assert (cache.hits, cache.misses) == (1095, 96)
     assert len(cache.memo) == cache.misses
 
 
