@@ -15,7 +15,7 @@ field.  Then R_w + H - R_x has field H + r_w(p, q) - r_x(p, q), which
 lies in [0, 2^b) whatever the pair, so no borrow crosses a field, and
 x <= w exactly when the high bit of every field survives:
 (R_w + H - R_x) & H == H.  A difference table with no negative cell is
-itself a packed table, and the walk of :func:`interval` tests and
+itself a packed table, and the walk of :func:`_layers` tests and
 updates it with a few whole-table operations per cover.  This module
 alone knows that layout: :func:`_offset_difference` builds every packed
 table.  The recursion of :mod:`klpoly.kl` reads one only through
@@ -24,13 +24,16 @@ computed, and finds the inert positions of a pair itself, without a
 table.
 
 Covers and intervals are computed combinatorially from the
-transposition description of the covering relation.  :func:`interval`
-enumerates one Bruhat interval: a down-set [e, w] is
-``interval(identity(n), w)``, and the coatoms of [u, v] are its layer 1
-with ``depth=1``.  The exhaustive inversion batch has a second
-enumerator, :func:`klpoly.verify._down_sets`, which builds every ideal
-[e, w] of S_n as a bitmask from :func:`covers_down`, with no walk: one
-pass serves the whole batch, and it took the ``inversion-s5`` benchmark
+transposition description of the covering relation.  :func:`_layers`
+walks one Bruhat interval a layer at a time, each only when it is
+asked for, so a caller that stops pulling stops the walk;
+:func:`interval` keeps every layer.  A down-set [e, w] is
+``interval(identity(n), w)``, and the coatoms of [u, v] are the second
+layer that :func:`_layers` yields, with nothing walked below it.  The
+exhaustive inversion batch has a second enumerator,
+:func:`klpoly.verify._down_sets`, which builds every ideal [e, w] of
+S_n as a bitmask from :func:`covers_down`, with no walk: one pass
+serves the whole batch, and it took the ``inversion-s5`` benchmark
 from about 308,000 to 389,000 cases/s on 2 vCPUs.
 ``tests/test_verify.py::test_down_layers_match_the_interval_walks`` pins
 each ideal to the elements :func:`interval` walks.  That walk goes down
@@ -282,10 +285,9 @@ class BruhatInterval(_Record):
     """The set of z with bottom <= z <= top, by length.
 
     ``layers[k]`` holds the elements of length length(top) - k, so the
-    first layer is (top,) and the last is (bottom,), unless the walk
-    was stopped at a depth (see :func:`interval`), when the layers end
-    above the bottom.  When ``descents`` is not empty only the z with a
-    right descent at each of those positions are members.
+    first layer is (top,) and the last is (bottom,).  When ``descents``
+    is not empty only the z with a right descent at each of those
+    positions are members.
     """
 
     __match_args__ = ("bottom", "top", "layers", "descents")
@@ -328,21 +330,41 @@ class BruhatInterval(_Record):
         return [z for layer in reversed(self.layers) for z in sorted(layer)]
 
 
-def interval(
-    x: Perm, w: Perm, descents: Sequence[int] = (), depth: int | None = None
-) -> BruhatInterval:
+def interval(x: Perm, w: Perm, descents: Sequence[int] = ()) -> BruhatInterval:
     """The Bruhat interval [x, w], walked down from w one length at a
-    time; with ``descents``, only its z that have a right descent
-    (z(p) > z(p + 1)) at every listed position p.  With ``depth``, the
-    walk stops after layer ``depth``, so only the z with
-    l(w) - l(z) <= depth are walked: the layers are the first
-    depth + 1 of the full walk, or all of them when
-    depth >= l(w) - l(x).
+    time by :func:`_layers`; with ``descents``, only its z that have a
+    right descent (z(p) > z(p + 1)) at every listed position p.
+
+    x and w must be permutations of the same size; that is not checked.
+    Raises ValueError unless x <= w, every position lies in 1..n-1, and
+    x and w both have every listed descent.
+
+    >>> iv = interval((1, 2, 3), (3, 2, 1))
+    >>> len(iv)
+    6
+    >>> iv.layers
+    (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3),))
+    >>> interval((2, 1, 3), (3, 2, 1), descents=[1]).layers
+    (((3, 2, 1),), ((3, 1, 2),), ((2, 1, 3),))
+    """
+    descents = tuple(descents)
+    return BruhatInterval(x, w, tuple(_layers(x, w, descents)), descents)
+
+
+def _layers(
+    x: Perm, w: Perm, descents: Sequence[int] = ()
+) -> Iterator[tuple[Perm, ...]]:
+    """The layers of [x, w], top first: layer k holds the z of the
+    interval with l(z) = l(w) - k, and with ``descents``, only those
+    that have a right descent at every listed position.  Each layer is
+    walked only when it is asked for, from the packed differences of
+    the layer above, and only the current layer's are held; a caller
+    that stops pulling stops the walk.
 
     x and w must be permutations of the same size.  That is not
     checked: the recursion walks an interval on every miss.  Raises
-    ValueError unless x <= w, every position lies in 1..n-1, x and w
-    both have every listed descent, and depth is None or nonnegative.
+    ValueError, on the first ``next``, unless x <= w, every position
+    lies in 1..n-1, and x and w both have every listed descent.
     Every element z of the walk carries its rank difference
     d_z = r_z - r_x as one packed int (see the module docstring); its
     cells are nonnegative exactly when x <= z.  An element
@@ -374,21 +396,8 @@ def interval(
     so a descent at i has z(i + 1) < z(j), and one at j - 1 has
     z(j - 1) > z(i).  So the walk drops just the adjacent swap at each
     listed position, and an empty list costs nothing.
-
-    >>> iv = interval((1, 2, 3), (3, 2, 1))
-    >>> len(iv)
-    6
-    >>> iv.layers
-    (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3),))
-    >>> interval((2, 1, 3), (3, 2, 1), descents=[1]).layers
-    (((3, 2, 1),), ((3, 1, 2),), ((2, 1, 3),))
-    >>> interval((1, 2, 3), (3, 2, 1), depth=1).layers
-    (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)))
     """
-    if depth is not None and depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
     n = len(x)
-    descents = tuple(descents)
     for p in descents:
         if not 1 <= p < n:
             raise ValueError(f"descent position {p} outside 1..{n - 1}")
@@ -403,7 +412,6 @@ def interval(
                 raise ValueError(f"{format_perm(z)} has no right descent at {p}")
     row_bits = n * b
     ones = high >> (b - 1)
-    top_diff = table - high
     # first[i]: the first j tried for a swap t(i, j); the adjacent swap
     # at a listed position would lose that descent.
     first = list(range(1, n))
@@ -417,11 +425,10 @@ def interval(
     ones_row = rows[1]
     every_row = _ones(n, row_bits)
     cols = [(ones_row >> ((n - v) * b)) * every_row for v in range(n + 1)]
-    layers = [(w,)]
-    diffs = {w: top_diff}
-    stop = None if depth is None else depth + 1
+    diffs = {w: table - high}
+    yield (w,)
     # The bottom is the only member of its length, so it ends the walk.
-    while layers[-1][0] != x and len(layers) != stop:
+    while x not in diffs:
         below: dict[Perm, int] = {}
         for z, d in diffs.items():
             positive = ((d + fill) >> shift) & ones
@@ -450,9 +457,8 @@ def interval(
                             y[i] = zj
                             y[j] = zi
                             below[tuple(y)] = d - rect
-        layers.append(tuple(below))
         diffs = below
-    return BruhatInterval(bottom=x, top=w, layers=tuple(layers), descents=descents)
+        yield tuple(below)
 
 
 def _double_coset_maxima(
@@ -624,7 +630,9 @@ def coatom_count(u: Perm, v: Perm) -> int:
     u, v = _checked_pair(u, v)
     if u == v:
         raise ValueError("coatoms are undefined for a one-point interval")
-    return len(interval(u, v, (), 1).layers[1])
+    layers = _layers(u, v)
+    next(layers)
+    return len(next(layers))
 
 
 # Glyphs for the text rendering of a pair of permutations on the n x n

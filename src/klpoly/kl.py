@@ -32,7 +32,7 @@ alternating them reaches the double coset's maximum.  So x <= z gives
 max(W_I x W_J) <= max(W_I z W_J) = z, and the z are found in the
 odd layers of the interval above that raised x, walked one length at a
 time from ws through the z with every right descent of ws only (the
-maxima of their right cosets, see :func:`klpoly.bruhat.interval`), and
+maxima of their right cosets, see :func:`klpoly.bruhat._layers`), and
 there are none when that raised x is not below ws.  The raised x only
 starts the walk; it is never a memo key, since s is an ascent of ws, and
 raising through it can change P(x, ws).
@@ -44,9 +44,10 @@ groups; Braden-MacPherson, "From moment graphs to intersection
 cohomology", Math. Ann. 2001).  A z at distance 2k + 1 below ws has
 mu(z, ws) = [q^k] P(z, ws), so it vanishes for every k past
 D = deg P(x, ws), one of the two terms the recursion has just looked
-up.  The walk therefore stops at distance 2D + 1, its layers counted
-from ws, and a pair with P(x, ws) = 1 walks nothing past the coatoms;
-nor does one whose raised x lies less than 3 lengths below ws.
+up.  The sum therefore stops pulling the walk's layers at distance
+2D + 1, counted from ws, so none deeper is walked, and a pair with
+P(x, ws) = 1 walks nothing past the coatoms; nor does one whose raised
+x lies less than 3 lengths below ws.
 
 Base cases: P(w, w) = 1 and P(x, w) = 0 unless x <= w.  A
 :class:`KLCache` shares results across calls.
@@ -141,12 +142,13 @@ are listed lazily, raised bottom first, from their block corner counts
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import islice
 
 from .bruhat import (
     _coatoms_descending_at,
     _double_coset_maxima,
+    _layers,
     bruhat_leq,
-    interval,
 )
 from .perm import (
     Perm,
@@ -378,7 +380,8 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
             right, left = cache._top(ws)
             bottom = _raise_bottom(x, right + (i,), left)
             if length(ws) - length(bottom) >= 3 and bruhat_leq(bottom, ws):
-                odd = interval(bottom, ws, right, 2 * degree + 1).layers[3::2]
+                # islice pulls no layer past 2D + 1, so none is walked.
+                odd = islice(_layers(bottom, ws, right), 3, 2 * degree + 2, 2)
                 for k, layer in enumerate(odd, 1):
                     for z in layer:
                         # z must have the descent i and be the maximum of its
@@ -439,10 +442,11 @@ def kl_column(
     Raises ValueError unless x and w are permutations of the same size
     with x <= w.
 
-    The layers are filled from the top through coset moves.  A z with
-    an ascent at a right descent s of w (z s > z), or at a left descent
-    (s z > z), takes the value of its neighbour z s or s z.  By the
-    lifting property the neighbour lies below w, and so
+    The layers are filled from the top through coset moves, each as
+    :func:`klpoly.bruhat._layers` walks it; no interval is kept.  A z
+    with an ascent at a right descent s of w (z s > z), or at a left
+    descent (s z > z), takes the value of its neighbour z s or s z.  By
+    the lifting property the neighbour lies below w, and so
     x <= z < neighbour <= w: it is in the layer above.  It also has the
     same polynomial against w, which is exactly what the cache answers
     for z after raising it.  Only the maxima of the double cosets of
@@ -466,7 +470,7 @@ def kl_column(
     right, left = cache._top(w)
     column: list[dict[Perm, IntPolynomial]] = []
     above: dict[Perm, IntPolynomial] = {}
-    for layer in interval(x, w).layers:
+    for layer in _layers(x, w):
         here = {}
         for z in layer:
             neighbour = _ascent_neighbour(z, right, left)

@@ -19,7 +19,7 @@ in a fixed order and failures are reported in that order.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain
 
 from .bruhat import _Record, bruhat_leq, covers_down
@@ -337,12 +337,9 @@ def _down_sets(
 _Group = tuple[IntPolynomial, list[int], list[int]]
 
 
-def _fill_columns(
-    tables: tuple, cache: KLCache, tops: Iterable[int] | None = None
-) -> Iterator[tuple[int, list[_Group]]]:
+def _fill_columns(tables: tuple, cache: KLCache) -> Iterator[list[_Group]]:
     """Fill the column P(., w) over the ideal [e, w] of every top w of
-    S_n, or of the tops whose indices are in ``tops``, and yield
-    ``(t, column)`` for each, t the index of w, in increasing order.
+    S_n and yield each, in increasing order of the index of w.
 
     ``tables`` is what :func:`_down_sets` returns.  The column is a list
     of groups ``(p, even, odd)``, one per polynomial read from
@@ -372,10 +369,8 @@ def _fill_columns(
     # CPython shares only the ints up to 256, and S_6 has 720 indices.
     names = list(range(len(perms)))
     src: list[_Group] = [None] * len(perms)  # type: ignore[list-item]
-    for t in range(len(perms)) if tops is None else sorted(tops):
-        w, right, left, top = perms[t], rdes[t], ldes[t], parity[t]
+    for w, right, left, top, rest in zip(perms, rdes, ldes, parity, ideals):
         column: list[_Group] = []
-        rest = ideals[t]
         while rest:
             z = names[rest.bit_length() - 1]
             rest ^= 1 << z
@@ -388,7 +383,7 @@ def _fill_columns(
                 column.append(group)
             src[z] = group
             group[1 + (top ^ parity[z])].append(z)
-        yield t, column
+        yield column
 
 
 class _InversionRows:
@@ -400,9 +395,9 @@ class _InversionRows:
     ideal [e, w], as :func:`_fill_columns` yields it: a list of groups
     ``(p, even, odd)``, where every z in ``even`` or ``odd`` has
     P(z, w) = p, ``even`` holds the z with l(w) - l(z) even and ``odd``
-    the others, and every z <= w is in exactly one group.  A column that
-    no row or pack needs may be None.  The polynomials read are the p of
-    the groups, and every entry P(z, w) is one of them.  The row of t is
+    the others, and every z <= w is in exactly one group.  The
+    polynomials read are the p of the groups, and every entry P(z, w) is
+    one of them.  The row of t is
 
         T = sum over z <= w of (-1)^(l(w) - l(z)) P(z, w)(2^B) D(z),
 
@@ -420,11 +415,8 @@ class _InversionRows:
     the packs are scattered from the columns: each group (p, ...) of
     the column of t' adds p(2^B), shifted to field N - 1 - t', into
     pack N - 1 - u for each of its u.  The columns are walked from
-    t' = N - 1 down, so each pack grows from its low fields.  A pack
-    D(z) is complete when the columns of w0 x are filled for every
-    x <= z; a row reads only packs of z below its top, and its caller
-    fills the columns that those packs read.  Each polynomial object's
-    norm, degree and value is taken once.
+    t' = N - 1 down, so each pack grows from its low fields.  Each
+    polynomial object's norm, degree and value is taken once.
 
     Exactness.  The case (x, w) holds when
 
@@ -468,10 +460,10 @@ class _InversionRows:
 
     __slots__ = ("columns", "bits", "width", "values", "packs")
 
-    def __init__(self, columns: Sequence[list[_Group] | None]) -> None:
+    def __init__(self, columns: Sequence[list[_Group]]) -> None:
         # By id; the columns keep the objects, so no id is reused while
         # the rows are in use.
-        polys = {id(p): p for column in columns if column for p, _, _ in column}
+        polys = {id(p): p for column in columns for p, _, _ in column}
         self.columns = columns
         last = len(columns) - 1
         norm = max(sum(map(abs, p.coeffs)) for p in polys.values())
@@ -484,8 +476,6 @@ class _InversionRows:
         values = self.values = {i: p.evaluate(q) for i, p in polys.items()}
         packs = self.packs = [0] * len(columns)
         for t in range(last, -1, -1):
-            if columns[t] is None:
-                continue
             shift = width * (last - t)
             for p, even, odd in columns[t]:
                 value = values[id(p)] << shift
@@ -550,7 +540,7 @@ def verify_inversion_identity_batch(
     once, and the report is built from the failing fields, with no list
     of cases.
 
-    It fills each column P(., w) it needs once, through
+    It fills every column P(., w) of S_n once, in index order, through
     :func:`_fill_columns`: from the top down, by the coset moves of
     :func:`klpoly.kl.kl_column`, reading the cache only at the maxima of
     the double cosets of w's descents.  Such a z lies below w by
@@ -573,12 +563,9 @@ def verify_inversion_identity_batch(
     It passes exactly when it is 2^(W i(w)), and each failing field is a
     failing case.
 
-    Only what the kept cases read is filled.  With U the union of the
-    ideals of the kept tops, the kept rows read only the packs of the z
-    in U, and those read only the columns of w0 x for the x in U, since
-    U is closed downward.  So the batch fills the columns of the kept
-    tops and of w0 U, in index order, and sums only the kept rows; an
-    uncapped run fills every column of S_n once.
+    A capped run fills every column too, and reports its first cases:
+    it sums the rows of the tops those cases reach and keeps the
+    failures among them.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -614,38 +601,20 @@ def verify_inversion_identity_batch(
         )
     tables = _down_sets(n)
     perms, ideals = tables[0], tables[2]
-    last = len(perms) - 1
 
     def decide(count: int, c: KLCache) -> list[Failure]:
-        # Fields and keys are indices in S_n.  The kept tops, each with
-        # the number of its cases kept (all of them when it is at least
-        # the size of the ideal), and the union U of their ideals.
-        kept, reach = [], 0
+        # Fields are indices in S_n.  count is the number of cases left
+        # to report, all of a top's when it is at least its ideal's size.
+        rows = _InversionRows(list(_fill_columns(tables, c)))
+        failures = []
         for t, ideal in enumerate(ideals):
             if count <= 0:
                 break
-            kept.append((t, count))
+            # A top where the count ends keeps its ``count`` smallest
+            # indices: the f with at most ``count`` set bits up to f.
+            failures += [failure(perms[f], perms[t]) for f in rows.failures(t)
+                         if (ideal & ((2 << f) - 1)).bit_count() <= count]
             count -= ideal.bit_count()
-            reach |= ideal
-        needed = {t for t, _ in kept}
-        while reach:
-            low = reach & -reach
-            needed.add(last - (low.bit_length() - 1))
-            reach ^= low
-
-        columns: list[list[_Group] | None] = [None] * len(perms)
-        for t, column in _fill_columns(tables, c, needed):
-            columns[t] = column
-        rows = _InversionRows(columns)
-        failures = []
-        for t, keep in kept:
-            failed = rows.failures(t)
-            # A top where the count ends keeps its ``keep`` smallest
-            # indices: the f with at most ``keep`` set bits up to f.
-            ideal = ideals[t]
-            failed = [f for f in failed
-                      if (ideal & ((2 << f) - 1)).bit_count() <= keep]
-            failures += [failure(perms[f], perms[t]) for f in failed]
         return failures
 
     return _run_cases(

@@ -1,10 +1,12 @@
 import random
+from itertools import islice
 
 import pytest
 
 from klpoly.bruhat import (
     _coatoms_descending_at,
     _double_coset_maxima,
+    _layers,
     bruhat_leq,
     coatom_count,
     covers_down,
@@ -497,9 +499,10 @@ def test_interval_rejects_bad_descents():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_interval_depth_stops_the_walk_after_that_layer(n):
-    # With descents or without, a walk stopped at depth d holds the first
-    # d + 1 layers of the full walk, each in the same order: the top alone
-    # at d = 0, and the whole interval from d = l(w) - l(x) on.
+    # With descents or without, the first d + 1 layers that the walker
+    # yields are the first d + 1 of the full walk, each in the same
+    # order: the top alone at d = 0, and the whole interval once d
+    # reaches l(w) - l(x), where the walker ends.
     checked = 0
     elements = list(all_perms(n))
     for w in elements:
@@ -513,22 +516,15 @@ def test_interval_depth_stops_the_walk_after_that_layer(n):
             for chosen in choices:
                 full = interval(x, w, chosen)
                 gap = length(w) - length(x)
-                assert interval(x, w, chosen, 0).layers == ((w,),)
-                for depth in range(gap):
-                    stopped = interval(x, w, chosen, depth).layers
-                    assert stopped == full.layers[: depth + 1]
+                assert next(_layers(x, w, chosen)) == (w,)
+                for d in range(gap):
+                    pulled = list(islice(_layers(x, w, chosen), d + 1))
+                    assert pulled == list(full.layers[: d + 1])
                     checked += 1
-                for depth in (gap, gap + 1, gap + 5):
-                    assert interval(x, w, chosen, depth) == full
+                for d in (gap, gap + 1, gap + 5):
+                    pulled = list(islice(_layers(x, w, chosen), d + 1))
+                    assert tuple(pulled) == full.layers
     assert checked == {4: 470, 5: 13486}[n]
-
-
-def test_interval_rejects_a_negative_depth():
-    for depth in (-1, -5):
-        with pytest.raises(ValueError, match="depth"):
-            interval((1, 2, 3), (3, 2, 1), depth=depth)
-        with pytest.raises(ValueError, match="depth"):
-            interval((2, 1, 3), (3, 2, 1), [1], depth)
 
 
 def test_interval_sorted_elements_ordering():
@@ -721,6 +717,25 @@ def test_coatom_count_matches_naive_covers_on_s5():
             assert coatom_count(u, v) == expected, (u, v)
             pairs += 1
     assert pairs == 3661
+
+
+def test_coatom_count_pulls_exactly_two_layers(monkeypatch):
+    # The coatoms are the second layer of the walk; the walker is asked
+    # for nothing below it, so no deeper layer is walked.
+    import klpoly.bruhat
+
+    pulled = []
+
+    def counted(x, w, descents=()):
+        pulled.append(0)
+        for layer in _layers(x, w, descents):
+            pulled[-1] += 1
+            yield layer
+
+    monkeypatch.setattr(klpoly.bruhat, "_layers", counted)
+    assert coatom_count(identity(5), longest_element(5)) == 4
+    assert coatom_count((1, 3, 2, 4), (3, 4, 1, 2)) == 4
+    assert pulled == [2, 2]
 
 
 def test_coatom_count_rejects_bad_input():

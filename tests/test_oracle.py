@@ -208,13 +208,14 @@ def test_oracle_agrees_on_all_of_s5():
 
 def _record_correction_sums(monkeypatch):
     """Hook the recursion's correction sum.  Returns ``sums``, whose one
-    entry counts the sums made, and ``walks``, which gets one
-    (x, bottom, ws, depth) per walk of a sum."""
+    entry counts the sums made, and ``walks``, which gets one list
+    [x, bottom, ws, layers] per walk of a sum, layers counting the
+    layers the walk yielded."""
     import klpoly.kl
 
     sums, last_x, walks = [0], [None], []
     coatoms = klpoly.kl._coatoms_descending_at
-    lift, walk = klpoly.kl._raise_bottom, klpoly.kl.interval
+    lift, walk = klpoly.kl._raise_bottom, klpoly.kl._layers
 
     def counted_coatoms(ws, i):
         sums[0] += 1
@@ -224,35 +225,45 @@ def _record_correction_sums(monkeypatch):
         last_x[0] = x
         return lift(x, right, left)
 
-    def recorded_walk(bottom, ws, descents=(), depth=None):
+    def recorded_walk(bottom, ws, descents=()):
         # The sum raises its x just before it walks, so the last x raised
         # is the x of the sum.
-        walks.append((last_x[0], bottom, ws, depth))
-        return walk(bottom, ws, descents, depth)
+        record = [last_x[0], bottom, ws, 0]
+        walks.append(record)
+        for layer in walk(bottom, ws, descents):
+            record[3] += 1
+            yield layer
 
     monkeypatch.setattr(klpoly.kl, "_coatoms_descending_at", counted_coatoms)
     monkeypatch.setattr(klpoly.kl, "_raise_bottom", recorded_lift)
-    monkeypatch.setattr(klpoly.kl, "interval", recorded_walk)
+    monkeypatch.setattr(klpoly.kl, "_layers", recorded_walk)
     return sums, walks
+
+
+def _assert_walk_stopped(x, bottom, ws, layers, p):
+    """A walk of the sum for x, with P(x, ws) = p, yielded its layers
+    down to 2 deg p + 1, or all of them when the interval is shorter."""
+    gap = _length(ws) - _length(bottom)
+    assert gap >= 3 and len(p) >= 2, (x, bottom, ws)
+    assert layers == min(2 * (len(p) - 1) + 2, gap + 1), (x, ws, layers)
 
 
 def test_correction_sum_walks_only_intervals_with_a_layer_3(monkeypatch):
     # The sum reads layers 3, 5, ..., 2 deg P(x, ws) + 1 of [x, ws]
     # (monotonicity), walked from x raised through the descents of ws and
-    # the split descent.  A pair with P(x, ws) = 1 walks nothing, nor one
-    # whose raised bottom is not below ws or lies less than 3 lengths
-    # below it, and skipping those walks changes no value.
+    # the split descent, and pulls no layer past the last.  A pair with
+    # P(x, ws) = 1 walks nothing, nor one whose raised bottom is not below
+    # ws or lies less than 3 lengths below it, and skipping those walks
+    # changes no value.
     sums, walks = _record_correction_sums(monkeypatch)
     for x, w, members in _sampled_s6_pairs():
         column = oracle_column(w, members)
         assert kl_polynomial(x, w, KLCache()).coeffs == column[x], (x, w)
     # Most sums skip their walk: 3 of the 64 walk.
     assert (sums[0], len(walks)) == (64, 3)
-    for x, bottom, ws, depth in walks:
-        assert _length(ws) - _length(bottom) >= 3, (x, bottom, ws)
+    for x, bottom, ws, layers in walks:
         members = {z for z in _perms(len(ws)) if _leq(x, z) and _leq(z, ws)}
-        p = oracle_column(ws, members)[x]
-        assert depth == 2 * (len(p) - 1) + 1 >= 3, (x, ws, depth)
+        _assert_walk_stopped(x, bottom, ws, layers, oracle_column(ws, members)[x])
 
 
 def test_correction_walks_of_the_s6_inversion_batch_match_the_oracle(monkeypatch):
@@ -261,8 +272,9 @@ def test_correction_walks_of_the_s6_inversion_batch_match_the_oracle(monkeypatch
     # w0-image of each of its memo keys is computed too, each on a fresh
     # cache.  Together they walk 9 distinct (bottom, ws): all the distinct
     # walks that the 98,407 comparable pairs of S_6 make, each on a fresh
-    # cache (670 walks in all).  Each walk's depth is 2 deg P(x, ws) + 1,
-    # with P(x, ws) read off one oracle column of [e, ws] per ws.
+    # cache (670 walks in all).  Each walk yields its layers down to
+    # 2 deg P(x, ws) + 1, with P(x, ws) read off one oracle column of
+    # [e, ws] per ws.
     from klpoly.perm import _w0_conjugate
     from klpoly.verify import verify_inversion_identity_batch
 
@@ -275,12 +287,10 @@ def test_correction_walks_of_the_s6_inversion_batch_match_the_oracle(monkeypatch
     assert len({(bottom, ws) for _, bottom, ws, _ in walks}) == 9
     perms = _perms(6)
     columns = {}
-    for x, bottom, ws, depth in walks:
-        assert _length(ws) - _length(bottom) >= 3, (x, bottom, ws)
+    for x, bottom, ws, layers in walks:
         if ws not in columns:
             columns[ws] = oracle_column(ws, {z for z in perms if _leq(z, ws)})
-        p = columns[ws][x]
-        assert depth == 2 * (len(p) - 1) + 1 >= 3, (x, ws, depth)
+        _assert_walk_stopped(x, bottom, ws, layers, columns[ws][x])
 
 
 def test_kl_column_matches_the_oracle_in_s5():
