@@ -39,14 +39,15 @@ print("3412 <= 4231:", bruhat_leq(a, b))
 print("4231 <= 3412:", bruhat_leq(b, a))
 
 # Everything below a fixed top is the interval from the identity,
-# walked down through covers a length at a time.  Of the 24 elements of
-# S_4, only four fail to sit below 4231: the two other elements of its
-# length, the longest element, and the incomparable 3412.  Its down-set
+# walked down through covers a length at a time; it comes back as its
+# layers, one per length, top first.  Of the 24 elements of S_4, only
+# four fail to sit below 4231: the two other elements of its length,
+# the longest element, and the incomparable 3412.  Its down-set
 # therefore has 20 elements counting 4231 itself.
-print("elements below 4231:", len(interval(identity(4), b)))
+print("elements below 4231:", sum(map(len, interval(identity(4), b))))
 
 # An interval [x, w] is the slice of the order between two comparable
-# elements, listed bottom to top.
+# elements; format_interval lists its layers bottom to top.
 small = interval((1, 2, 3), (3, 2, 1))
 print("the full interval of S_3, smallest to largest:")
 print(format_interval(small))

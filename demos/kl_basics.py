@@ -8,6 +8,7 @@ at every descent of the top.
 """
 
 import random
+from itertools import chain
 
 from klpoly import (
     KLCache,
@@ -77,7 +78,7 @@ for _ in range(40):
         rhs = kl_polynomial(x, ws, sample_cache).shift(c)
         rhs = rhs + kl_polynomial(xs, ws, sample_cache).shift(1 - c)
         if bruhat_leq(x, ws):
-            for z in interval(x, ws).elements:
+            for z in chain.from_iterable(interval(x, ws)):
                 m = mu(z, ws, sample_cache) if z[i - 1] > z[i] else 0
                 if m:
                     gap = (length(w) - length(z)) // 2

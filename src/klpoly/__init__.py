@@ -14,7 +14,6 @@ for them.
 """
 
 from .bruhat import (
-    BruhatInterval,
     RankDifferenceTable,
     bruhat_leq,
     coatom_count,
@@ -59,7 +58,6 @@ from .polynomial import ONE, Q, ZERO, IntPolynomial, geometric_sum
 __version__ = "0.1.0"
 
 __all__ = [
-    "BruhatInterval",
     "Failure",
     "FamilySpec",
     "IntPolynomial",

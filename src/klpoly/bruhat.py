@@ -27,22 +27,22 @@ Covers and intervals are computed combinatorially from the
 transposition description of the covering relation.  :func:`_layers`
 walks one Bruhat interval a layer at a time, each only when it is
 asked for, so a caller that stops pulling stops the walk;
-:func:`interval` keeps every layer.  A down-set [e, w] is
-``interval(identity(n), w)``, and the coatoms of [u, v] are the second
-layer that :func:`_layers` yields, with nothing walked below it.  The
-exhaustive inversion batch has a second enumerator,
+:func:`interval` checks its pair and returns every layer.  A down-set
+[e, w] is ``interval(identity(n), w)``, and the coatoms of [u, v] are
+the second layer that :func:`_layers` yields, with nothing walked below
+it.  The exhaustive inversion batch has a second enumerator,
 :func:`klpoly.verify._down_sets`, which builds every ideal [e, w] of
 S_n as a bitmask from :func:`covers_down`, with no walk: one pass
 serves the whole batch, and it took the ``inversion-s5`` benchmark
 from about 308,000 to 389,000 cases/s on 2 vCPUs.
-``tests/test_verify.py::test_down_layers_match_the_interval_walks`` pins
-each ideal to the elements :func:`interval` walks.  That walk goes down
-from the top a length at a time and carries each element's packed
-difference.  Given a set of right descents it walks only the z that
-have all of them, the maxima of the right cosets z W_J inside the
-interval, which is all the Kazhdan-Lusztig recursion needs; its
-correction sum takes the coatoms of a top with one given descent from
-:func:`_coatoms_descending_at`, which builds no other cover.  The
+``tests/test_verify.py::test_down_set_ideals_match_the_interval_walks``
+pins each ideal to the elements :func:`interval` walks.  That walk goes
+down from the top a length at a time and carries each element's packed
+difference.  Given a set of right descents, :func:`_layers` walks only
+the z that have all of them, the maxima of the right cosets z W_J
+inside the interval, which is all the Kazhdan-Lusztig recursion needs;
+its correction sum takes the coatoms of a top with one given descent
+from :func:`_coatoms_descending_at`, which builds no other cover.  The
 maxima of the two-sided cosets W_I z W_J that meet an interval, which
 the family and smoothness checks read, are not walked to:
 :func:`_double_coset_maxima` builds each from its table of block corner
@@ -81,9 +81,10 @@ class _Record:
     dataclasses do.
 
     A subclass names its fields, in order, in ``__match_args__``, holds
-    each in a slot, and sets them in its ``__init__`` with
-    ``object.__setattr__``, since assigning or deleting an attribute
-    raises AttributeError.  Equality and hashing compare the fields, and
+    each in a slot and nothing else, and sets them in its ``__init__``
+    with ``object.__setattr__``, since assigning or deleting an
+    attribute raises AttributeError; no field is computed later.
+    Equality and hashing compare the fields, and
     only between records of one class; the repr is
     ``Name(field=value, ...)``; a copy or an unpickled record is built
     by calling the class with the fields.  A mutable record restores
@@ -187,15 +188,17 @@ def bruhat_leq(x: Perm, w: Perm) -> bool:
     """Decide x <= w in Bruhat order by one whole-table test,
     (R_w + H - R_x) & H == H (see the module docstring).
 
-    x and w must be permutations of the same size.  That is not
-    checked: the recursion makes this test on each pair it is about to
-    compute.
+    Raises ValueError unless x and w have the same size.  That they are
+    permutations is not checked: the recursion makes this test on each
+    pair it is about to compute.
 
     >>> bruhat_leq((2, 1, 4, 3), (4, 2, 3, 1))
     True
     >>> bruhat_leq((3, 4, 1, 2), (4, 2, 3, 1))
     False
     """
+    if len(x) != len(w):
+        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
     table, high, _ = _offset_difference(x, w)
     return table & high == high
 
@@ -281,74 +284,18 @@ def covers_up(w: Perm) -> list[Perm]:
     return [_w0_times(z) for z in covers_down(_w0_times(from_oneline(w)))]
 
 
-class BruhatInterval(_Record):
-    """The set of z with bottom <= z <= top, by length.
+def interval(x: Perm, w: Perm) -> tuple[tuple[Perm, ...], ...]:
+    """The Bruhat interval [x, w] as its layers, top first, walked by
+    :func:`_layers`: layer k holds the z with l(z) = l(w) - k, so the
+    first layer is (w,) and the last is (x,).
 
-    ``layers[k]`` holds the elements of length length(top) - k, so the
-    first layer is (top,) and the last is (bottom,).  When ``descents``
-    is not empty only the z with a right descent at each of those
-    positions are members.
-    """
+    Raises ValueError unless x and w are permutations of the same size
+    with x <= w.
 
-    __match_args__ = ("bottom", "top", "layers", "descents")
-    __slots__ = __match_args__ + ("_elements",)
-    bottom: Perm
-    top: Perm
-    layers: tuple[tuple[Perm, ...], ...]
-    descents: tuple[int, ...]
-    _elements: frozenset[Perm] | None
-
-    def __init__(
-        self,
-        bottom: Perm,
-        top: Perm,
-        layers: tuple[tuple[Perm, ...], ...],
-        descents: tuple[int, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "descents", descents)
-        object.__setattr__(self, "_elements", None)
-
-    @property
-    def elements(self) -> frozenset[Perm]:
-        """Every member, computed on first use and kept."""
-        if self._elements is None:
-            object.__setattr__(
-                self,
-                "_elements",
-                frozenset(z for layer in self.layers for z in layer),
-            )
-        return self._elements
-
-    def __len__(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
-    def sorted_elements(self) -> list[Perm]:
-        """Elements ordered by (length, lexicographic one-line form)."""
-        return [z for layer in reversed(self.layers) for z in sorted(layer)]
-
-
-def interval(x: Perm, w: Perm, descents: Sequence[int] = ()) -> BruhatInterval:
-    """The Bruhat interval [x, w], walked down from w one length at a
-    time by :func:`_layers`; with ``descents``, only its z that have a
-    right descent (z(p) > z(p + 1)) at every listed position p.
-
-    x and w must be permutations of the same size; that is not checked.
-    Raises ValueError unless x <= w, every position lies in 1..n-1, and
-    x and w both have every listed descent.
-
-    >>> iv = interval((1, 2, 3), (3, 2, 1))
-    >>> len(iv)
-    6
-    >>> iv.layers
+    >>> interval((1, 2, 3), (3, 2, 1))
     (((3, 2, 1),), ((2, 3, 1), (3, 1, 2)), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3),))
-    >>> interval((2, 1, 3), (3, 2, 1), descents=[1]).layers
-    (((3, 2, 1),), ((3, 1, 2),), ((2, 1, 3),))
     """
-    descents = tuple(descents)
-    return BruhatInterval(x, w, tuple(_layers(x, w, descents)), descents)
+    return tuple(_layers(*_checked_pair(x, w)))
 
 
 def _layers(
@@ -612,14 +559,18 @@ def _double_coset_maxima(
         k += 1
 
 
-def format_interval(iv: BruhatInterval) -> str:
-    """One permutation per line, sorted by (length, lexicographic)."""
-    return "\n".join(format_perm(z) for z in iv.sorted_elements())
+def format_interval(layers: Sequence[Sequence[Perm]]) -> str:
+    """The layers of an interval, top first as :func:`interval` gives
+    them, one permutation per line, sorted by (length, lexicographic)."""
+    return "\n".join(
+        format_perm(z) for layer in reversed(layers) for z in sorted(layer)
+    )
 
 
 def coatom_count(u: Perm, v: Perm) -> int:
-    """Number of elements covered by v inside the interval [u, v]:
-    layer 1 of its walk.
+    """Number of elements covered by v inside the interval [u, v]: the
+    length of ``interval(u, v)[1]``, with nothing walked below that
+    layer.
 
     Raises ValueError unless u and v are permutations of the same size
     with u < v.

@@ -13,6 +13,17 @@ from klpoly import (
 from klpoly.polynomial import ZERO
 
 
+def members(layers):
+    """Every element of an interval given as its layers."""
+    return frozenset(z for layer in layers for z in layer)
+
+
+def sorted_members(layers):
+    """The elements of an interval given as its layers, top first, in
+    (length, lexicographic) order."""
+    return [z for layer in reversed(layers) for z in sorted(layer)]
+
+
 @pytest.fixture(scope="session")
 def shared_cache() -> KLCache:
     """One memo table for the whole run; values never go stale."""
@@ -40,7 +51,7 @@ def _split_at_descent(x, w, i, cache):
         xs, ws, cache
     ).shift(1 - c)
     if bruhat_leq(x, ws):
-        for z in interval(x, ws).elements:
+        for z in members(interval(x, ws)):
             if z[i - 1] > z[i]:
                 m = mu(z, ws, cache)
                 if m:
@@ -67,7 +78,7 @@ def _inversion_sum(x, w, cache):
     """
     w0x = compose(longest_element(len(x)), x)
     total = ZERO
-    for k, layer in enumerate(interval(x, w).layers):
+    for k, layer in enumerate(interval(x, w)):
         for z in layer:
             term = kl_polynomial(z, w, cache) * kl_polynomial(
                 compose(longest_element(len(z)), z), w0x, cache

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from itertools import islice
 
 import pytest
@@ -31,6 +33,7 @@ from klpoly.perm import (
 )
 from klpoly.kl import KLCache, _ascent_neighbour, _maxima_column, _raise_bottom
 from klpoly.verify import random_comparable_pair
+from conftest import members, sorted_members
 
 # Reference implementations, written as directly from the definitions
 # as possible so they share no code with the module under test.
@@ -247,7 +250,7 @@ def test_bruhat_leq_field_width_follows_n(n):
     # an 8-bit field with its high bit as the sign cannot hold.
     e, w0 = identity(n), longest_element(n)
     assert bruhat_leq(e, w0) and not bruhat_leq(w0, e)
-    assert len(interval(e, (2, 1) + e[2:]).layers) == 2
+    assert len(interval(e, (2, 1) + e[2:])) == 2
     pairs = random_pairs(n, 8, seed=3)
     answers = [tableau_leq(x, w) for x, w in pairs]
     assert True in answers and False in answers
@@ -261,6 +264,15 @@ def test_bruhat_leq_edges():
     for n in (2, 4):
         for w in all_perms(n):
             assert bruhat_leq(w, w)
+
+
+def test_bruhat_leq_rejects_a_size_mismatch():
+    # Unchecked, a shorter bottom would read as below, and a shorter top
+    # would fail inside the packing.
+    with pytest.raises(ValueError, match="size mismatch: 2 vs 3"):
+        bruhat_leq((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError, match="size mismatch: 3 vs 2"):
+        bruhat_leq((3, 1, 2), (1, 2))
 
 
 def test_bruhat_is_partial_order_on_s3():
@@ -339,36 +351,36 @@ def test_covers_change_length_by_one():
 
 
 def test_down_set_counts():
-    assert len(interval(identity(4), longest_element(4))) == 24
-    assert interval(identity(5), identity(5)).sorted_elements() == [identity(5)]
+    assert len(members(interval(identity(4), longest_element(4)))) == 24
+    assert sorted_members(interval(identity(5), identity(5))) == [identity(5)]
     for w in all_perms(4):
-        assert set(interval(identity(4), w).sorted_elements()) == {
+        assert set(sorted_members(interval(identity(4), w))) == {
             z for z in all_perms(4) if naive_leq(z, w)
         }
 
 
 def test_interval_trivial_cases():
     w = (2, 4, 1, 3)
-    assert interval(w, w).elements == frozenset({w})
-    assert interval((1, 2), (2, 1)).elements == frozenset({(1, 2), (2, 1)})
-    assert len(interval(identity(3), (3, 2, 1))) == 6
+    assert members(interval(w, w)) == frozenset({w})
+    assert members(interval((1, 2), (2, 1))) == frozenset({(1, 2), (2, 1)})
+    assert len(members(interval(identity(3), (3, 2, 1)))) == 6
 
 
 def test_interval_is_full_group_between_extremes():
     for n in (2, 3, 4):
-        iv = interval(identity(n), longest_element(n))
-        assert len(iv) == len(list(all_perms(n)))
+        layers = interval(identity(n), longest_element(n))
+        assert len(members(layers)) == len(list(all_perms(n)))
 
 
-def check_layers(iv):
-    """Layer k holds exactly the members of length l(top) - k."""
-    assert iv.layers[0] == (iv.top,)
-    assert iv.layers[-1] == (iv.bottom,)
-    assert len(iv) == len(iv.elements)
-    for k, layer in enumerate(iv.layers):
+def check_layers(x, w, layers):
+    """Layer k holds exactly the members of length l(w) - k, each once."""
+    assert layers[0] == (w,)
+    assert layers[-1] == (x,)
+    assert sum(map(len, layers)) == len(members(layers))
+    for k, layer in enumerate(layers):
         assert layer
         for z in layer:
-            assert length(z) == length(iv.top) - k
+            assert length(z) == length(w) - k
 
 
 def test_interval_walk_matches_brute_force_in_s4():
@@ -379,10 +391,10 @@ def test_interval_walk_matches_brute_force_in_s4():
                 with pytest.raises(ValueError):
                     interval(x, w)
                 continue
-            iv = interval(x, w)
+            layers = interval(x, w)
             want = {z for z in elements if naive_leq(x, z) and naive_leq(z, w)}
-            assert iv.elements == want
-            check_layers(iv)
+            assert members(layers) == want
+            check_layers(x, w, layers)
 
 
 def test_interval_matches_naive_filter():
@@ -391,10 +403,10 @@ def test_interval_matches_naive_filter():
     for _ in range(40):
         w = rng.choice(elements)
         x = rng.choice([z for z in elements if naive_leq(z, w)])
-        iv = interval(x, w)
+        layers = interval(x, w)
         want = {z for z in elements if naive_leq(x, z) and naive_leq(z, w)}
-        assert iv.elements == want
-        check_layers(iv)
+        assert members(layers) == want
+        check_layers(x, w, layers)
 
 
 def test_interval_matches_brute_force_on_s6_pairs():
@@ -404,21 +416,21 @@ def test_interval_matches_brute_force_on_s6_pairs():
         w = rng.choice(elements)
         x = rng.choice([z for z in elements if tableau_leq(z, w)])
         want = [z for z in elements if tableau_leq(x, z) and tableau_leq(z, w)]
-        iv = interval(x, w)
-        assert iv.elements == set(want)
+        layers = interval(x, w)
+        assert members(layers) == set(want)
         top = tableau_length(w)
         sizes = [0] * (top - tableau_length(x) + 1)
         for z in want:
             sizes[top - tableau_length(z)] += 1
-        assert [len(layer) for layer in iv.layers] == sizes
-        for k, layer in enumerate(iv.layers):
+        assert [len(layer) for layer in layers] == sizes
+        for k, layer in enumerate(layers):
             assert all(tableau_length(z) == top - k for z in layer)
 
 
 def test_interval_edges():
-    assert interval((1,), (1,)).layers == (((1,),),)
+    assert interval((1,), (1,)) == (((1,),),)
     for w in all_perms(4):
-        assert interval(w, w).layers == ((w,),)
+        assert interval(w, w) == ((w,),)
 
 
 def test_interval_rejects_incomparable_pairs():
@@ -426,6 +438,34 @@ def test_interval_rejects_incomparable_pairs():
         interval((2, 1, 3), (1, 2, 3))
     with pytest.raises(ValueError):
         interval((3, 4, 1, 2), (4, 2, 3, 1))
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, before)
+
+
+def test_interval_checks_its_pair_before_the_walk():
+    # A pair of two sizes, or a bottom that is not a permutation, fails
+    # at once: the walk would lose the bottom and yield empty layers for
+    # ever.
+    with deadline(2):
+        with pytest.raises(ValueError, match="size mismatch: 2 vs 3"):
+            interval((1, 2), (1, 2, 3))
+        with pytest.raises(ValueError, match="not a permutation of 1..2"):
+            interval((1, 1), (2, 1))
+    with pytest.raises(ValueError, match="not a valid interval: 2,1 is not <= 1,2"):
+        interval((2, 1), (1, 2))
 
 
 def has_descents(z, descents):
@@ -436,10 +476,9 @@ def check_pruned_walk(x, w, descents):
     """The walk through ``descents`` is the full walk filtered to the z
     with those right descents, layer by layer, and skips no length."""
     full = interval(x, w)
-    pruned = interval(x, w, descents)
-    assert pruned.descents == tuple(descents)
-    assert len(pruned.layers) == len(full.layers)
-    for whole, kept in zip(full.layers, pruned.layers):
+    pruned = tuple(_layers(x, w, descents))
+    assert len(pruned) == len(full)
+    for whole, kept in zip(full, pruned):
         assert kept
         assert len(set(kept)) == len(kept)
         assert set(kept) == {z for z in whole if has_descents(z, descents)}
@@ -485,20 +524,20 @@ def test_pruned_walk_matches_filtered_walk_on_s6_tops():
 
 def test_interval_rejects_bad_descents():
     x, w = (2, 1, 3, 4), (4, 3, 1, 2)
-    assert interval(x, w, [1]).layers[-1] == (x,)
+    assert tuple(_layers(x, w, [1]))[-1] == (x,)
     # A position outside 1..n-1.
     for p in (0, 4, -1):
         with pytest.raises(ValueError, match="outside"):
-            interval(x, w, [p])
+            next(_layers(x, w, [p]))
     # The bottom, or the top, lacks a listed descent.
     with pytest.raises(ValueError, match="2,1,3,4 has no right descent at 2"):
-        interval(x, w, [1, 2])
+        next(_layers(x, w, [1, 2]))
     with pytest.raises(ValueError, match="2,3,1 has no right descent at 1"):
-        interval((2, 1, 3), (2, 3, 1), [1])
+        next(_layers((2, 1, 3), (2, 3, 1), [1]))
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_interval_depth_stops_the_walk_after_that_layer(n):
+def test_pulling_d_layers_stops_the_walk_after_them(n):
     # With descents or without, the first d + 1 layers that the walker
     # yields are the first d + 1 of the full walk, each in the same
     # order: the top alone at d = 0, and the whole interval once d
@@ -514,28 +553,27 @@ def test_interval_depth_stops_the_walk_after_that_layer(n):
             if descents and has_descents(x, descents):
                 choices.append(descents)
             for chosen in choices:
-                full = interval(x, w, chosen)
+                full = tuple(_layers(x, w, chosen))
                 gap = length(w) - length(x)
                 assert next(_layers(x, w, chosen)) == (w,)
                 for d in range(gap):
                     pulled = list(islice(_layers(x, w, chosen), d + 1))
-                    assert pulled == list(full.layers[: d + 1])
+                    assert pulled == list(full[: d + 1])
                     checked += 1
                 for d in (gap, gap + 1, gap + 5):
                     pulled = list(islice(_layers(x, w, chosen), d + 1))
-                    assert tuple(pulled) == full.layers
+                    assert tuple(pulled) == full
     assert checked == {4: 470, 5: 13486}[n]
 
 
 def test_interval_sorted_elements_ordering():
-    iv = interval(identity(3), (3, 2, 1))
-    ordered = iv.sorted_elements()
-    assert ordered == sorted(ordered, key=lambda z: (length(z), z))
-    assert ordered[0] == identity(3)
-    assert ordered[-1] == (3, 2, 1)
-    text = format_interval(iv)
-    assert text.splitlines()[0] == "1,2,3"
-    assert text.splitlines()[-1] == "3,2,1"
+    # The text lists the members bottom layer first, each layer sorted.
+    layers = interval(identity(3), (3, 2, 1))
+    ordered = sorted(members(layers), key=lambda z: (length(z), z))
+    lines = format_interval(layers).splitlines()
+    assert lines == [",".join(map(str, z)) for z in ordered]
+    assert lines[0] == "1,2,3"
+    assert lines[-1] == "3,2,1"
 
 
 # The double-coset maxima of an interval, listed from block corner
@@ -548,8 +586,8 @@ def walked_maxima(x, w):
     right descent of w, x' being x raised through w's descents, and keep
     the z with no ascent at a left descent of w."""
     right, left = right_descents(w), left_descents(w)
-    walk = interval(_raise_bottom(x, right, left), w, right)
-    return [z for z in walk.sorted_elements()
+    walk = tuple(_layers(_raise_bottom(x, right, left), w, right))
+    return [z for z in sorted_members(walk)
             if _ascent_neighbour(z, (), left) is None]
 
 
@@ -603,7 +641,7 @@ def test_double_coset_maxima_yield_the_raised_bottom_first():
         assert first == _raise_bottom(x, right, left), (x, w)
         listed = by_length([first, *maxima])
         assert listed == walked_maxima(x, w), (x, w)
-        raised = {_raise_bottom(z, right, left) for z in interval(x, w).elements}
+        raised = {_raise_bottom(z, right, left) for z in members(interval(x, w))}
         assert listed == by_length(raised), (x, w)
 
 

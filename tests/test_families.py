@@ -26,6 +26,7 @@ from klpoly.perm import (
     longest_element,
 )
 from klpoly.polynomial import ONE, IntPolynomial
+from conftest import members
 
 
 def test_family_spec_validation():
@@ -316,10 +317,10 @@ def test_interval_sum_on_every_comparable_pair(n, trivial, nontrivial):
     cache = KLCache()
     counts = [0, 0]
     for w in all_perms(n):
-        for x in interval(identity(n), w).elements:
+        for x in members(interval(identity(n), w)):
             bad = sorted(
                 (length(z), z, p)
-                for z in interval(x, w).elements
+                for z in members(interval(x, w))
                 if z != x and (p := kl_polynomial(z, w, cache)) != ONE
             )
             counts[bool(bad)] += 1

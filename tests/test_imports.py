@@ -184,4 +184,4 @@ def test_all_is_sorted_unique_and_resolves():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         klpoly.no_such_name
     # The size of the public API; a change to it is a deliberate edit here.
-    assert len(names) == 58
+    assert len(names) == 57

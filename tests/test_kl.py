@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from klpoly.bruhat import RankDifferenceTable, bruhat_leq, interval
+from klpoly.bruhat import RankDifferenceTable, _layers, bruhat_leq, interval
 from klpoly.kl import (
     KLCache,
     _ascent_neighbour,
@@ -34,6 +34,7 @@ from klpoly.perm import (
 )
 from klpoly.polynomial import ONE, ZERO, IntPolynomial
 from klpoly.verify import random_comparable_pair
+from conftest import members, sorted_members
 from test_oracle import _leq, _perms, oracle_column
 
 ONE_PLUS_Q = IntPolynomial([1, 1])
@@ -127,11 +128,11 @@ def _walk_cut_pairs():
 
 
 def _read_by_the_sum(start, ws, i):
-    """The z of interval(start, ws, right) that the correction sum reads
+    """The z of _layers(start, ws, right) that the correction sum reads
     past the coatoms: those with the descent i and no ascent at a left
     descent of ws (the walk keeps only z with its right descents)."""
     right, left = right_descents(ws), left_descents(ws)
-    return {z for z in interval(start, ws, right).elements
+    return {z for z in members(_layers(start, ws, right))
             if z[i - 1] > z[i] and _ascent_neighbour(z, (), left) is None}
 
 
@@ -315,7 +316,7 @@ def test_mu_values(shared_cache):
 def test_mu_on_covering_pairs(shared_cache):
     # A covering pair always has P = 1, so mu must be 1.
     for w in all_perms(4):
-        for z in interval(identity(4), w).sorted_elements():
+        for z in sorted_members(interval(identity(4), w)):
             if length(z) == length(w) - 1:
                 assert mu(z, w, shared_cache) == 1
 
@@ -436,7 +437,7 @@ def test_kl_column_reads_only_double_coset_maxima(monkeypatch):
     for w in all_perms(5):
         right, left = right_descents(w), left_descents(w)
         maxima = [
-            z for z in interval(identity(5), w).sorted_elements()
+            z for z in sorted_members(interval(identity(5), w))
             if all(z[i - 1] > z[i] for i in right)
             and all(z.index(j + 1) < z.index(j) for j in left)
         ]
@@ -454,7 +455,7 @@ def test_maxima_column_is_the_raised_down_set_in_s5():
         right, left = right_descents(w), left_descents(w)
         expected = oracle_column(w, {z for z in _perms(5) if _leq(z, w)})
         maxima = sorted(
-            (z for z in interval(e, w).sorted_elements()
+            (z for z in sorted_members(interval(e, w))
              if _raise_bottom(z, right, left) == z),
             key=lambda z: (length(z), z),
         )

@@ -6,12 +6,11 @@ import pickle
 
 import pytest
 
-from klpoly.bruhat import BruhatInterval, RankDifferenceTable, interval
+from klpoly.bruhat import RankDifferenceTable
 from klpoly.families import FamilySpec, LemmaSides
 from klpoly.polynomial import ONE, IntPolynomial
 from klpoly.verify import Failure, VerificationReport
 
-LAYERS = (((2, 1),), ((1, 2),))
 ONE_PLUS_Q = IntPolynomial((1, 1))
 
 # (record, the same record built by keyword, a record differing in one
@@ -24,14 +23,6 @@ FROZEN = [
         RankDifferenceTable((1, 2, 3), (3, 2, 1)),
         ("x", "w"),
         "RankDifferenceTable(x=(2, 1, 3), w=(3, 2, 1))",
-    ),
-    (
-        BruhatInterval((1, 2), (2, 1), LAYERS),
-        BruhatInterval(bottom=(1, 2), top=(2, 1), layers=LAYERS, descents=()),
-        BruhatInterval((1, 2), (2, 1), LAYERS, (1,)),
-        ("bottom", "top", "layers", "descents"),
-        "BruhatInterval(bottom=(1, 2), top=(2, 1), "
-        "layers=(((2, 1),), ((1, 2),)), descents=())",
     ),
     (
         FamilySpec("w", 2, 3),
@@ -132,23 +123,6 @@ def test_rank_difference_table_validates_and_normalises():
         RankDifferenceTable((1, 1, 2), (3, 2, 1))
     with pytest.raises(ValueError):
         RankDifferenceTable(x=(1, 2), w=(2, 1, 3))
-
-
-def test_bruhat_interval_descents_default_and_elements_are_kept():
-    iv = BruhatInterval((1, 2), (2, 1), LAYERS)
-    assert iv.descents == ()
-    assert iv.elements == frozenset({(1, 2), (2, 1)})
-    # Computed once, on first use.
-    assert iv.elements is iv.elements
-    # Reading elements changes neither equality nor hash.
-    fresh = BruhatInterval((1, 2), (2, 1), LAYERS)
-    assert iv == fresh and hash(iv) == hash(fresh)
-    with pytest.raises(AttributeError):
-        iv.elements = frozenset()
-    walked = interval((1, 2, 3), (3, 2, 1))
-    assert walked == interval((1, 2, 3), (3, 2, 1))
-    assert walked.elements is walked.elements
-    assert len(walked.elements) == len(walked) == 6
 
 
 def test_family_spec_keeps_its_validation_and_size():

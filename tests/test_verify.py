@@ -52,6 +52,7 @@ from klpoly.verify import (
 
 import random
 
+from conftest import members, sorted_members
 from test_kl import probed_pairs
 
 # The bottoms z of S_4 at which some top's lookups read the memo (see
@@ -131,7 +132,7 @@ def reference_regular_failures(max_n, cache):
         right, left = right_descents(top), left_descents(top)
         bad = [
             z
-            for z in interval(bottom, top).sorted_elements()
+            for z in sorted_members(interval(bottom, top))
             if z not in (bottom, top) and kl_polynomial(z, top, cache) != ONE
         ]
         if bad:
@@ -245,7 +246,7 @@ def _bits(mask):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_down_layers_match_the_interval_walks(n):
+def test_down_set_ideals_match_the_interval_walks(n):
     # The one-pass closure over the covers builds every [e, w] at once
     # as a bitmask; the walker of a single interval is its independent
     # check.  Each mask decodes to exactly the walked elements, and the
@@ -255,8 +256,8 @@ def test_down_layers_match_the_interval_walks(n):
     assert perms == list(all_perms(n))
     assert parity == [length(v) % 2 for v in perms]
     for t, w in enumerate(perms):
-        walked = interval(e, w)
-        assert {perms[x] for x in _bits(ideals[t])} == walked.elements, w
+        walked = members(interval(e, w))
+        assert {perms[x] for x in _bits(ideals[t])} == walked, w
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -768,8 +769,8 @@ def test_inversion_batch_fails_where_the_check_does_on_s6():
     cache = seeded()
     # The cases with top w, and those with bottom w0 w: 1,343 of the
     # 98,407, walked directly rather than filtered from all pairs.
-    pairs = {(x, w) for x in interval(identity(6), w).elements}
-    pairs |= {(w0w, top) for top in interval(w0w, (6, 5, 4, 3, 2, 1)).elements}
+    pairs = {(x, w) for x in members(interval(identity(6), w))}
+    pairs |= {(w0w, top) for top in members(interval(w0w, (6, 5, 4, 3, 2, 1)))}
     assert len(pairs) == 1343
     expected = {
         f"x={format_perm(x)} w={format_perm(top)}"
