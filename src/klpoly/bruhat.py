@@ -19,9 +19,9 @@ itself a packed table, and the walk of :func:`_layers` tests and
 updates it with a few whole-table operations per cover.  This module
 alone knows that layout: :func:`_offset_difference` builds every packed
 table.  The recursion of :mod:`klpoly.kl` reads one only through
-:func:`bruhat_leq`, and only on a miss, for a pair that is about to be
-computed, and finds the inert positions of a pair itself, without a
-table.
+:func:`_bruhat_leq`, the unchecked form of :func:`bruhat_leq`, and only
+on a miss, for a pair that is about to be computed, and finds the inert
+positions of a pair itself, without a table.
 
 Covers and intervals are computed combinatorially from the
 transposition description of the covering relation.  :func:`_layers`
@@ -32,9 +32,8 @@ asked for, so a caller that stops pulling stops the walk;
 the second layer that :func:`_layers` yields, with nothing walked below
 it.  The exhaustive inversion batch has a second enumerator,
 :func:`klpoly.verify._down_sets`, which builds every ideal [e, w] of
-S_n as a bitmask from :func:`covers_down`, with no walk: one pass
-serves the whole batch, and it took the ``inversion-s5`` benchmark
-from about 308,000 to 389,000 cases/s on 2 vCPUs.
+S_n as a bitmask from :func:`_covers_down`, with no walk: one pass
+serves the whole batch.
 ``tests/test_verify.py::test_down_set_ideals_match_the_interval_walks``
 pins each ideal to the elements :func:`interval` walks.  That walk goes
 down from the top a length at a time and carries each element's packed
@@ -188,17 +187,20 @@ def bruhat_leq(x: Perm, w: Perm) -> bool:
     """Decide x <= w in Bruhat order by one whole-table test,
     (R_w + H - R_x) & H == H (see the module docstring).
 
-    Raises ValueError unless x and w have the same size.  That they are
-    permutations is not checked: the recursion makes this test on each
-    pair it is about to compute.
+    Raises ValueError unless x and w are permutations of the same size.
 
     >>> bruhat_leq((2, 1, 4, 3), (4, 2, 3, 1))
     True
     >>> bruhat_leq((3, 4, 1, 2), (4, 2, 3, 1))
     False
     """
-    if len(x) != len(w):
-        raise ValueError(f"size mismatch: {len(x)} vs {len(w)}")
+    return _bruhat_leq(*_checked_pair(x, w))
+
+
+def _bruhat_leq(x: Perm, w: Perm) -> bool:
+    """:func:`bruhat_leq` for permutations x and w of the same size,
+    which is not checked: the recursion makes this test on each pair it
+    is about to compute."""
     table, high, _ = _offset_difference(x, w)
     return table & high == high
 
@@ -207,14 +209,19 @@ def covers_down(w: Perm) -> list[Perm]:
     """All z covered by w, i.e. z < w with length(z) = length(w) - 1.
 
     Each cover comes from exchanging an inversion (i, j) of w such that
-    no intermediate position holds a value between w(j) and w(i).  w
-    must be a permutation.  That is not checked: the exhaustive
-    inversion batch (``verify._down_sets``) takes the covers of every
-    permutation of S_n.
+    no intermediate position holds a value between w(j) and w(i).
+    Raises ValueError unless w is a permutation.
 
     >>> sorted(covers_down((3, 2, 1)))
     [(2, 3, 1), (3, 1, 2)]
     """
+    return _covers_down(from_oneline(w))
+
+
+def _covers_down(w: Perm) -> list[Perm]:
+    """:func:`covers_down` for a permutation w, which is not checked:
+    the exhaustive inversion batch (``verify._down_sets``) takes the
+    covers of every permutation of S_n."""
     n = len(w)
     out: list[Perm] = []
     for i in range(n - 1):
@@ -281,7 +288,7 @@ def covers_up(w: Perm) -> list[Perm]:
     >>> covers_up((1, 3, 2))
     [(3, 1, 2), (2, 3, 1)]
     """
-    return [_w0_times(z) for z in covers_down(_w0_times(from_oneline(w)))]
+    return [_w0_times(z) for z in _covers_down(_w0_times(from_oneline(w)))]
 
 
 def interval(x: Perm, w: Perm) -> tuple[tuple[Perm, ...], ...]:

@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--cases",
                 type=int,
-                help="cap the number of cases; for `inversion` with n above "
-                "the exhaustive sizes this is the sample count",
+                help="sample count for `inversion` with n above the "
+                "exhaustive sizes; no other run takes it",
             )
         elif name == "lemma":
             p.add_argument("which", choices=("1", "2"))
@@ -115,23 +115,24 @@ def _run_verify(args: argparse.Namespace) -> klpoly.VerificationReport:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     if args.name == "smoothness" and (args.n or 0) > ceiling:
         raise ValueError(f"--n must be between 2 and {ceiling}, got {args.n}")
-    if args.cases is not None and args.cases < 1:
-        raise ValueError(f"--cases must be >= 1, got {args.cases}")
-    kwargs = {"cache": _make_cache(args), "case_cap": args.cases}
+    kwargs = {"cache": _make_cache(args)}
     if args.n is not None:
         kwargs[size_keyword] = args.n
     # Above the exhaustive ceiling the inversion check samples, with
-    # --cases as the sample count; no other run reads --seed.
+    # --cases as the sample count; no other run reads --cases or --seed.
     if args.name == "inversion" and (args.n or 0) > ceiling:
         if args.cases is None:
             raise ValueError(
                 f"verify inversion --n {args.n} samples; pass --cases, the sample count"
             )
-        kwargs["samples"] = kwargs.pop("case_cap")
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-    elif args.seed is not None:
-        raise ValueError("--seed is read only by a sampled inversion run")
+        if args.cases < 1:
+            raise ValueError(f"--cases must be >= 1, got {args.cases}")
+        kwargs.update(samples=args.cases, seed=args.seed)
+    elif args.cases is not None or args.seed is not None:
+        raise ValueError(
+            f"--cases and --seed are read only by a sampled inversion run "
+            f"(inversion with --n above {ceiling})"
+        )
     return getattr(klpoly, batch)(**kwargs)
 
 

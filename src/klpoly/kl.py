@@ -147,8 +147,8 @@ from itertools import islice
 from .bruhat import (
     _coatoms_descending_at,
     _double_coset_maxima,
+    _bruhat_leq,
     _layers,
-    bruhat_leq,
 )
 from .perm import (
     Perm,
@@ -342,7 +342,7 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
     if found is not None:
         cache.hits += 1
         return found
-    if not bruhat_leq(x, w):
+    if not _bruhat_leq(x, w):
         return ZERO
     cache.misses += 1
 
@@ -379,7 +379,7 @@ def _kl(x: Perm, w: Perm, cache: KLCache) -> IntPolynomial:
         if degree:
             right, left = cache._top(ws)
             bottom = _raise_bottom(x, right + (i,), left)
-            if length(ws) - length(bottom) >= 3 and bruhat_leq(bottom, ws):
+            if length(ws) - length(bottom) >= 3 and _bruhat_leq(bottom, ws):
                 # islice pulls no layer past 2D + 1, so none is walked.
                 odd = islice(_layers(bottom, ws, right), 3, 2 * degree + 2, 2)
                 for k, layer in enumerate(odd, 1):

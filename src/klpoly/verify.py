@@ -19,10 +19,10 @@ in a fixed order and failures are reported in that order.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 
-from .bruhat import _Record, bruhat_leq, covers_down
+from .bruhat import _Record, _bruhat_leq, _covers_down
 from .families import (
     _family_cases,
     closed_form_inverse,
@@ -149,41 +149,24 @@ class VerificationReport(_Record):
 def _run_cases(
     check: str,
     parameter_range: str,
-    cases: Sequence[object] | int,
-    evaluate: Callable[..., Failure | None | list[Failure]],
+    cases: int,
+    failures: Callable[[KLCache], Iterable[Failure]],
     cache: KLCache | None,
-    case_cap: int | None,
     seed: int | None = None,
 ) -> VerificationReport:
-    """Evaluate the first ``case_cap`` cases (all of them when it is
-    None) with one shared cache and report on them.
-
-    ``cases`` is either the case list, and ``evaluate(case, cache)``
-    returns the Failure of one case or None; or the number of cases,
-    and ``evaluate(count, cache)`` is called once with the number kept
-    and returns the failures among the first ``count`` cases.
-
-    Only the evaluation is timed.  Failures are reported in the order
-    of the cases.
-    Raises ValueError when ``case_cap`` is below 1.
+    """Run a batch of ``cases`` cases on one shared cache and report on
+    it: ``failures(cache)`` gives the failures among the cases, in the
+    order of the cases.  Only that call is timed.
     """
-    if case_cap is not None and case_cap < 1:
-        raise ValueError(f"case_cap must be >= 1, got {case_cap}")
     shared = cache if cache is not None else KLCache()
     start = time.perf_counter()
-    if isinstance(cases, int):
-        count = cases if case_cap is None else min(cases, case_cap)
-        results = evaluate(count, shared)
-    else:
-        kept = cases[:case_cap]
-        count = len(kept)
-        results = [evaluate(case, shared) for case in kept]
+    found = list(failures(shared))
     millis = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         check=check,
         parameter_range=parameter_range,
-        cases=count,
-        failures=[f for f in results if f is not None],
+        cases=cases,
+        failures=found,
         seed=seed,
         millis=millis,
     )
@@ -192,7 +175,6 @@ def _run_cases(
 def verify_regular_closed_forms(
     max_n: int = 7,
     cache: KLCache | None = None,
-    case_cap: int | None = None,
 ) -> VerificationReport:
     """Check the closed forms of kl on both family pairs, including the
     requirement that every strict-interior element of each interval has
@@ -205,68 +187,67 @@ def verify_regular_closed_forms(
     names the shortest interior maximum whose polynomial is not 1, the
     lexicographically first among those of its length.
     """
+    cases = _family_cases(max_n)
 
-    def evaluate(case: tuple[str, int, int], c: KLCache) -> Failure | None:
-        pair, k, m = case
-        bottom, top = family_pair(pair, k, m)
-        column = _maxima_column(bottom, top, c)
-        expected = closed_form_regular(pair, k, m)
-        _, actual = next(column)
-        if actual != expected:
-            return Failure(f"{pair}-pair k={k} m={m}", str(expected), str(actual))
-        bad = [(length(z), z, p) for z, p in column if p != ONE]
-        if not bad:
-            return None
-        _, z, p = min(bad)
-        return Failure(
-            f"{pair}-pair k={k} m={m} interior z={format_perm(z)}", "1", str(p)
-        )
+    def failures(c: KLCache) -> Iterator[Failure]:
+        for pair, k, m in cases:
+            bottom, top = family_pair(pair, k, m)
+            column = _maxima_column(bottom, top, c)
+            expected = closed_form_regular(pair, k, m)
+            _, actual = next(column)
+            if actual != expected:
+                yield Failure(f"{pair}-pair k={k} m={m}", str(expected), str(actual))
+            elif bad := [(length(z), z, p) for z, p in column if p != ONE]:
+                _, z, p = min(bad)
+                yield Failure(
+                    f"{pair}-pair k={k} m={m} interior z={format_perm(z)}", "1", str(p)
+                )
 
     return _run_cases(
         "regular-closed-forms",
         f"family size <= {max_n}",
-        _family_cases(max_n),
-        evaluate,
+        len(cases),
+        failures,
         cache,
-        case_cap,
     )
 
 
 def verify_inverse_closed_forms(
     max_n: int = 7,
     cache: KLCache | None = None,
-    case_cap: int | None = None,
 ) -> VerificationReport:
     """Check the closed forms of inverse_kl on both family pairs."""
+    cases = _family_cases(max_n)
 
-    def evaluate(case: tuple[str, int, int], c: KLCache) -> Failure | None:
-        pair, k, m = case
-        bottom, top = family_pair(pair, k, m)
-        expected = closed_form_inverse(pair, k, m)
-        actual = inverse_kl(bottom, top, c)
-        if actual != expected:
-            return Failure(f"{pair}-pair k={k} m={m}", str(expected), str(actual))
-        return None
+    def failures(c: KLCache) -> Iterator[Failure]:
+        for pair, k, m in cases:
+            bottom, top = family_pair(pair, k, m)
+            expected = closed_form_inverse(pair, k, m)
+            actual = inverse_kl(bottom, top, c)
+            if actual != expected:
+                yield Failure(f"{pair}-pair k={k} m={m}", str(expected), str(actual))
 
     return _run_cases(
         "inverse-closed-forms",
         f"family size <= {max_n}",
-        _family_cases(max_n),
-        evaluate,
+        len(cases),
+        failures,
         cache,
-        case_cap,
     )
 
 
 def random_comparable_pair(n: int, rng: random.Random) -> tuple[Perm, Perm]:
-    """A uniformly chosen pair (x, w) in S_n with x <= w, by rejection."""
+    """A uniformly chosen pair (x, w) in S_n with x <= w, by rejection.
+    Raises ValueError when n is below 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     base = list(range(1, n + 1))
     while True:
         w = base[:]
         rng.shuffle(w)
         x = base[:]
         rng.shuffle(x)
-        if bruhat_leq(tuple(x), tuple(w)):
+        if _bruhat_leq(tuple(x), tuple(w)):
             return tuple(x), tuple(w)
 
 
@@ -317,7 +298,7 @@ def _down_sets(
     ideals = []
     for i, v in enumerate(perms):
         mask = 1 << i
-        for z in covers_down(v):
+        for z in _covers_down(v):
             mask |= ideals[index[z]]
         ideals.append(mask)
     parity = [length(v) & 1 for v in perms]
@@ -522,23 +503,21 @@ def verify_inversion_identity_batch(
     n: int = 4,
     cache: KLCache | None = None,
     samples: int | None = None,
-    seed: int = 0,
-    case_cap: int | None = None,
+    seed: int | None = None,
 ) -> VerificationReport:
     """Check the alternating inversion identity on comparable pairs.
 
     With ``samples`` unset the check is exhaustive over S_n, which is
-    only reasonable for n <= 6; above that a sample count is required
-    and the pairs that ``case_cap`` keeps are drawn with the given seed.
-    A sampled pair runs :func:`klpoly.kl.check_inversion_identity`, a
-    sum in Z[q].
+    only reasonable for n <= 6, and takes no seed; above that a sample
+    count is required and that many pairs are drawn with the given seed
+    (0 when it is None).  A sampled pair runs
+    :func:`klpoly.kl.check_inversion_identity`, a sum in Z[q].
 
     The exhaustive run names each element of S_n by its lexicographic
     index (see :func:`_down_sets`).  Its cases are the pairs (x, w)
-    with x <= w, by top and then by bottom in lexicographic order, and
-    ``case_cap`` keeps the first of them.  They are decided all at
-    once, and the report is built from the failing fields, with no list
-    of cases.
+    with x <= w, by top and then by bottom in lexicographic order.
+    They are decided all at once, and the report is built from the
+    failing fields, with no list of cases.
 
     It fills every column P(., w) of S_n once, in index order, through
     :func:`_fill_columns`: from the top down, by the coset moves of
@@ -562,10 +541,6 @@ def verify_inversion_identity_batch(
     its odd z, and its field i(x) is the integer sum of the case (x, w).
     It passes exactly when it is 2^(W i(w)), and each failing field is a
     failing case.
-
-    A capped run fills every column too, and reports its first cases:
-    it sums the rows of the tops those cases reach and keeps the
-    failures among them.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -579,19 +554,20 @@ def verify_inversion_identity_batch(
             raise ValueError(f"samples must be >= 1, got {samples}")
         import random
 
+        seed = 0 if seed is None else seed
         rng = random.Random(seed)
-        drawn = samples if case_cap is None else min(samples, case_cap)
+        pairs = [random_comparable_pair(n, rng) for _ in range(samples)]
 
-        def evaluate(case: tuple[Perm, Perm], c: KLCache) -> Failure | None:
-            return None if check_inversion_identity(*case, c) else failure(*case)
+        def failures(c: KLCache) -> list[Failure]:
+            return [failure(x, w) for x, w in pairs
+                    if not check_inversion_identity(x, w, c)]
 
         return _run_cases(
             "inversion-identity",
             f"S_{n}, {samples} sampled pairs",
-            [random_comparable_pair(n, rng) for _ in range(drawn)],
-            evaluate,
+            samples,
+            failures,
             cache,
-            case_cap,
             seed=seed,
         )
 
@@ -599,23 +575,16 @@ def verify_inversion_identity_batch(
         raise ValueError(
             f"exhaustive check over S_{n} is too large; pass a sample count"
         )
+    if seed is not None:
+        raise ValueError("seed is read only by a sampled run; pass samples")
     tables = _down_sets(n)
     perms, ideals = tables[0], tables[2]
 
-    def decide(count: int, c: KLCache) -> list[Failure]:
-        # Fields are indices in S_n.  count is the number of cases left
-        # to report, all of a top's when it is at least its ideal's size.
+    def decide(c: KLCache) -> list[Failure]:
+        # Fields are indices in S_n.
         rows = _InversionRows(list(_fill_columns(tables, c)))
-        failures = []
-        for t, ideal in enumerate(ideals):
-            if count <= 0:
-                break
-            # A top where the count ends keeps its ``count`` smallest
-            # indices: the f with at most ``count`` set bits up to f.
-            failures += [failure(perms[f], perms[t]) for f in rows.failures(t)
-                         if (ideal & ((2 << f) - 1)).bit_count() <= count]
-            count -= ideal.bit_count()
-        return failures
+        return [failure(perms[f], perms[t])
+                for t in range(len(perms)) for f in rows.failures(t)]
 
     return _run_cases(
         "inversion-identity",
@@ -623,14 +592,12 @@ def verify_inversion_identity_batch(
         sum(ideal.bit_count() for ideal in ideals),
         decide,
         cache,
-        case_cap,
     )
 
 
 def verify_smoothness_equivalence(
     n: int = 5,
     cache: KLCache | None = None,
-    case_cap: int | None = None,
 ) -> VerificationReport:
     """Check, for every top in S_n, that the pattern test for an
     all-ones column agrees with direct computation of the column, read
@@ -640,24 +607,24 @@ def verify_smoothness_equivalence(
     if not (2 <= n <= _EXHAUSTIVE_MAX_N):
         raise ValueError(f"n must be between 2 and {_EXHAUSTIVE_MAX_N}, got {n}")
     e = identity(n)
+    tops = list(all_perms(n))
 
-    def evaluate(w: Perm, c: KLCache) -> Failure | None:
-        by_pattern = is_smooth_top(w)
-        by_column = all(p == ONE for _, p in _maxima_column(e, w, c))
-        if by_pattern != by_column:
-            return Failure(
-                f"w={format_perm(w)}",
-                f"pattern test {by_pattern}",
-                f"column check {by_column}",
-            )
-        return None
+    def failures(c: KLCache) -> Iterator[Failure]:
+        for w in tops:
+            by_pattern = is_smooth_top(w)
+            by_column = all(p == ONE for _, p in _maxima_column(e, w, c))
+            if by_pattern != by_column:
+                yield Failure(
+                    f"w={format_perm(w)}",
+                    f"pattern test {by_pattern}",
+                    f"column check {by_column}",
+                )
 
     return _run_cases(
         "smoothness-equivalence",
         f"all tops in S_{n}",
-        list(all_perms(n)),
-        evaluate,
+        len(tops),
+        failures,
         cache,
-        case_cap,
     )
 

@@ -275,6 +275,22 @@ def test_bruhat_leq_rejects_a_size_mismatch():
         bruhat_leq((3, 1, 2), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "x, w", [((1, 1), (2, 1)), ((0, 5), (1, 2))], ids=["repeat", "out-of-range"]
+)
+def test_bruhat_leq_rejects_a_non_permutation(x, w):
+    # Unchecked, a repeated value read as below, and a value past n
+    # made a negative shift inside the packing.
+    with pytest.raises(ValueError, match="not a permutation"):
+        bruhat_leq(x, w)
+
+
+def test_covers_down_rejects_a_non_permutation():
+    # Unchecked, a repeated value gave covers of a non-permutation.
+    with pytest.raises(ValueError, match="not a permutation"):
+        covers_down((2, 2, 1))
+
+
 def test_bruhat_is_partial_order_on_s3():
     elements = list(all_perms(3))
     for x in elements:

@@ -250,18 +250,6 @@ def test_verify_defaults_match_the_library(capsys, name, batch):
         assert data[key] == expected[key]
 
 
-def test_verify_inversion_caps_an_exhaustive_run(capsys):
-    # Up to n = 6, --cases caps the cases of the exhaustive run.
-    code, out, _ = run(
-        capsys, "verify", "inversion", "--n", "5", "--cases", "7", "--json"
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data["cases"] == 7
-    assert data["range"] == "S_5 exhaustive"
-    assert data["seed"] is None
-
-
 def test_verify_inversion_exhaustive_at_benchmark_size(capsys):
     code, out, _ = run(capsys, "verify", "inversion", "--n", "5", "--json")
     assert code == 0
@@ -272,23 +260,49 @@ def test_verify_inversion_exhaustive_at_benchmark_size(capsys):
     assert data["seed"] is None
 
 
+_UNREAD = (
+    "error: --cases and --seed are read only by a sampled inversion run "
+    "(inversion with --n above 6)\n"
+)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ("smoothness", "--n", "4", "--cases", "-1"),
-        ("regular", "--cases", "0"),
-        ("inversion", "--n", "5", "--cases", "0"),
-        ("inversion", "--n", "7", "--cases", "0"),
+        (("smoothness", "--n", "4", "--cases", "-1"), _UNREAD),
+        (("regular", "--cases", "0"), _UNREAD),
+        (("inversion", "--n", "5", "--cases", "0"), _UNREAD),
+        (("inversion", "--n", "7", "--cases", "0"),
+         "error: --cases must be >= 1, got 0\n"),
     ],
     ids=["smoothness-negative", "regular-zero", "inversion-exhaustive-zero",
          "inversion-sampled-zero"],
 )
-def test_verify_rejects_a_case_count_below_one(capsys, argv):
-    # The message names the flag, not the batch's parameter.
+def test_verify_rejects_a_case_count_below_one(capsys, argv, error):
+    # Only a sampled run reads --cases, and there it must be at least 1;
+    # any other run rejects it whatever its value.  The message names the
+    # flag, not the batch's parameter.
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: --cases must be >= 1, got {argv[-1]}\n"
+    assert err == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("regular", "--cases", "5"),
+        ("inverse", "--n", "6", "--cases", "5"),
+        ("smoothness", "--n", "4", "--cases", "5"),
+        ("inversion", "--n", "5", "--cases", "7"),
+    ],
+    ids=["regular", "inverse", "smoothness", "inversion-exhaustive"],
+)
+def test_verify_rejects_cases_the_batch_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == _UNREAD
 
 
 @pytest.mark.parametrize(
@@ -356,8 +370,7 @@ def test_verify_rejects_a_seed_the_batch_does_not_read(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
-    assert "--seed" in err
+    assert err == _UNREAD
 
 
 def _subprocess_env():

@@ -516,12 +516,10 @@ def test_exhaustive_inversion_packs_each_z_once(monkeypatch):
     assert (rows.bits, rows.width) == (12, 60)
 
 
-@pytest.mark.parametrize("cap, rows", [(None, 120), (1, 1)])
-def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
-    # Capped or not, the batch fills each of the 120 columns of S_5
-    # once, reading the cache exactly once at each double-coset maximum
-    # of each top and nowhere else.  Uncapped, it sums the row of each
-    # top; a cap that keeps only the case (e, e) sums that row alone.
+def test_exhaustive_inversion_reads_every_column_once(monkeypatch):
+    # The batch fills each of the 120 columns of S_5 once, reading the
+    # cache exactly once at each double-coset maximum of each top and
+    # nowhere else, and sums the row of each top once.
     import klpoly.verify
 
     read, summed = [], []
@@ -537,12 +535,12 @@ def test_exhaustive_inversion_reads_every_column_once(monkeypatch, cap, rows):
 
     monkeypatch.setattr(klpoly.verify, "_kl", counted_kl)
     monkeypatch.setattr(klpoly.verify, "_InversionRows", Counted)
-    report = verify_inversion_identity_batch(5, case_cap=cap)
+    report = verify_inversion_identity_batch(5)
     assert report.passed
     e, cache = identity(5), KLCache()
     maxima = [(z, w) for w in all_perms(5) for z, _ in _maxima_column(e, w, cache)]
     assert sorted(read) == sorted(maxima)
-    assert len(summed) == rows
+    assert summed == list(range(120))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -630,46 +628,11 @@ def test_inversion_batch_fails_exactly_where_the_check_does(
         }, w
 
 
-@pytest.mark.parametrize(
-    "error", [ONE, ONE.shift(8)], ids=["plus-1", "plus-q8"]
-)
-@pytest.mark.parametrize("z", PROBED_BOTTOMS_S4)
-def test_capped_inversion_batch_fails_exactly_where_the_check_does(z, error):
-    # A cap that stops partway through the cases of a top fills only
-    # the columns that its kept rows read, and decides only the tops it
-    # keeps; the cases it keeps must still fail as they do alone.  The cap stops just after
-    # the first failing case.
-    cases = _cases(4)
-    for w in _probed_tops_s4(z):
-
-        def seeded():
-            cache = KLCache()
-            cache.memo[(z, w)] = kl_polynomial(z, w) + error
-            return cache
-
-        failing = [
-            i for i, (x, top) in enumerate(cases)
-            if not check_inversion_identity(x, top, seeded())
-        ]
-        cap = failing[0] + 1
-        assert cases[cap][1] == cases[cap - 1][1], w
-        expected = [
-            f"x={format_perm(x)} w={format_perm(top)}"
-            for x, top in cases[:cap]
-            if not check_inversion_identity(x, top, seeded())
-        ]
-        # The cap keeps some failing cases and drops others.
-        assert expected and len(expected) < len(failing), w
-        report = verify_inversion_identity_batch(4, seeded(), case_cap=cap)
-        assert report.cases == cap
-        assert sorted(f.case for f in report.failures) == sorted(expected), w
-
-
-def test_every_cap_keeps_the_failures_of_its_first_cases():
-    # The batch reports from its failing fields, with no case list, so a
-    # cap must keep the first cap pairs of the all-pairs filter, also
-    # when it ends inside a top.  This wrong entry fails four cases under
-    # three tops.
+def test_exhaustive_inversion_reports_failures_in_case_order():
+    # The batch reports from its failing fields, with no case list, so
+    # its failures must still come in the order of the all-pairs filter:
+    # by top, then by bottom, lexicographic.  This wrong entry fails four
+    # cases under three tops.
     z, w = (3, 2, 1, 4), (3, 4, 1, 2)
 
     def seeded():
@@ -677,19 +640,21 @@ def test_every_cap_keeps_the_failures_of_its_first_cases():
         cache.memo[(z, w)] = kl_polynomial(z, w) + ONE
         return cache
 
-    cache = seeded()
-    failing = [
-        f"x={format_perm(x)} w={format_perm(top)}"
-        if not check_inversion_identity(x, top, cache) else None
-        for x, top in _cases(4)
+    expected = [
+        "x=2,1,4,3 w=2,3,4,1",
+        "x=1,3,2,4 w=3,4,1,2",
+        "x=3,2,1,4 w=3,4,1,2",
+        "x=2,1,4,3 w=4,2,3,1",
     ]
-    assert len(failing) == 213
-    assert sum(f is not None for f in failing) == 4
-    for cap in range(1, 215):
-        report = verify_inversion_identity_batch(4, seeded(), case_cap=cap)
-        assert report.cases == min(cap, 213)
-        expected = [f for f in failing[:cap] if f is not None]
-        assert [f.case for f in report.failures] == expected, cap
+    cache = seeded()
+    assert expected == [
+        f"x={format_perm(x)} w={format_perm(top)}"
+        for x, top in _cases(4)
+        if not check_inversion_identity(x, top, cache)
+    ]
+    report = verify_inversion_identity_batch(4, seeded())
+    assert report.cases == 213
+    assert [f.case for f in report.failures] == expected
 
 
 def test_exhaustive_inversion_reads_each_polynomial_once():
@@ -814,9 +779,7 @@ def test_inversion_sampled_is_seeded():
     assert a.parameter_range == b.parameter_range
 
 
-def test_capped_sampled_inversion_draws_only_the_pairs_it_runs(monkeypatch):
-    # A capped sampled run draws the pairs it keeps and no more, and
-    # reports as if all of them had been drawn.
+def test_sampled_inversion_draws_exactly_its_samples(monkeypatch):
     import klpoly.verify
 
     drawn = []
@@ -827,17 +790,22 @@ def test_capped_sampled_inversion_draws_only_the_pairs_it_runs(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(klpoly.verify, "random_comparable_pair", counting)
-    full = verify_inversion_identity_batch(5, samples=30, seed=11)
+    report = verify_inversion_identity_batch(5, samples=30, seed=11)
     assert len(drawn) == 30
-    drawn.clear()
-    capped = verify_inversion_identity_batch(5, samples=30, seed=11, case_cap=4)
-    assert len(drawn) == 4
-    assert capped.passed and capped.cases == 4 and capped.seed == 11
-    assert capped.parameter_range == full.parameter_range == "S_5, 30 sampled pairs"
-    drawn.clear()
-    above = verify_inversion_identity_batch(5, samples=30, seed=11, case_cap=40)
-    assert len(drawn) == 30
-    assert above.cases == 30
+    assert report.passed and report.cases == 30 and report.seed == 11
+    assert report.parameter_range == "S_5, 30 sampled pairs"
+
+
+def test_inversion_seed_is_read_only_by_a_sampled_run():
+    # A sampled run without a seed draws with seed 0 and reports it.
+    unseeded = verify_inversion_identity_batch(5, samples=10)
+    seeded = verify_inversion_identity_batch(5, samples=10, seed=0)
+    assert unseeded.seed == seeded.seed == 0
+    unseeded.millis = seeded.millis = 0
+    assert unseeded == seeded
+    assert verify_inversion_identity_batch(4).seed is None
+    with pytest.raises(ValueError, match="seed"):
+        verify_inversion_identity_batch(4, seed=5)
 
 
 def test_inversion_rejects_unbounded_exhaustive_run():
@@ -948,38 +916,6 @@ def test_smoothness_small():
         verify_smoothness_equivalence(7)
 
 
-_CAPPED_RUNS = pytest.mark.parametrize(
-    "run",
-    [
-        lambda cap: verify_regular_closed_forms(6, case_cap=cap),
-        lambda cap: verify_inverse_closed_forms(6, case_cap=cap),
-        lambda cap: verify_inversion_identity_batch(4, case_cap=cap),
-        lambda cap: verify_smoothness_equivalence(4, case_cap=cap),
-    ],
-    ids=["regular", "inverse", "inversion", "smoothness"],
-)
-
-
-@_CAPPED_RUNS
-def test_case_cap_truncates(run):
-    capped = run(1)
-    assert capped.cases == 1
-    assert capped.passed
-    full = run(None)
-    above = run(full.cases + 1)
-    for report in (full, above):
-        report.millis = 0
-    assert above == full
-
-
-@_CAPPED_RUNS
-@pytest.mark.parametrize("cap", [0, -1])
-def test_case_cap_below_one_is_rejected(run, cap):
-    # A negative cap would otherwise slice from the end of the case list.
-    with pytest.raises(ValueError, match="case_cap"):
-        run(cap)
-
-
 def test_report_json_schema():
     report = verify_smoothness_equivalence(2)
     data = report.to_json_dict()
@@ -1019,3 +955,11 @@ def test_random_comparable_pair_is_comparable_and_seeded():
     first = [random_comparable_pair(5, again) for _ in range(5)]
     repeat = [random_comparable_pair(5, random.Random(8)) for _ in range(1)]
     assert first[0] == repeat[0]
+
+
+def test_random_comparable_pair_rejects_a_size_below_one():
+    # As all_perms does; an empty pair is no element of any S_n.
+    assert random_comparable_pair(1, random.Random(0)) == ((1,), (1,))
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            random_comparable_pair(n, random.Random(0))
